@@ -173,26 +173,42 @@ def primes_upto(x: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _split_at_root(x: int, t: SpfTable) -> tuple[list[np.ndarray], np.ndarray]:
+    """(levels, cof) for n <= x: levels[k-1] holds the primes p <= sqrt(x)
+    with p^k <= x, increasing; cof[n] (int32, cof[0] = 0) is 1 or the one
+    prime factor of n above sqrt(x), as no n <= x has two.
+    """
+    if x > t.limit:
+        raise ValueError(f"x={x} beyond sieve limit {t.limit}")
+    ps = primes_in(2, math.isqrt(x), t)
+    levels = [ps]
+    while len(ps := ps[ps ** (len(levels) + 1) <= x]):
+        levels.append(ps)
+    cof = np.arange(x + 1, dtype=np.int32)
+    for k, ps in enumerate(levels, 1):
+        for p in ps.tolist():
+            cof[p**k :: p**k] //= p
+    return levels, cof
+
+
 def big_omega_table(t: SpfTable) -> np.ndarray:
     """Omega(n) (prime factors with multiplicity) for n = 0..limit, int8."""
-    x = t.limit
-    om = np.zeros(x + 1, dtype=np.int8)
-    for p in t.primes():
-        pk = int(p)
-        while pk <= x:
-            om[pk::pk] += 1
-            if pk > x // p:
-                break
-            pk *= int(p)
+    levels, cof = _split_at_root(t.limit, t)
+    om = np.zeros(t.limit + 1, dtype=np.int8)
+    for k, ps in enumerate(levels, 1):
+        for p in ps.tolist():
+            om[p**k :: p**k] += 1
+    om += cof > 1
     return om
 
 
 def omega_table(t: SpfTable) -> np.ndarray:
     """omega(n) (distinct prime factors) for n = 0..limit, int8."""
-    x = t.limit
-    om = np.zeros(x + 1, dtype=np.int8)
-    for p in t.primes():
-        om[int(p) :: int(p)] += 1
+    levels, cof = _split_at_root(t.limit, t)
+    om = np.zeros(t.limit + 1, dtype=np.int8)
+    for p in levels[0].tolist():
+        om[p::p] += 1
+    om += cof > 1
     return om
 
 
@@ -211,11 +227,12 @@ def nu_p_table(x: int, p: int) -> np.ndarray:
 def largest_prime_table(t: SpfTable) -> np.ndarray:
     """p_1(n), the largest prime factor, for n = 0..limit (entry 1 is 1).
 
-    Ascending overwrite: the last prime to claim n is its largest.
+    Ascending overwrite by the primes <= sqrt(limit) leaves the largest of
+    them that divides n; a cofactor above 1 exceeds them all.
     """
-    x = t.limit
-    lpf = np.zeros(x + 1, dtype=np.int32)
+    levels, cof = _split_at_root(t.limit, t)
+    lpf = np.zeros(t.limit + 1, dtype=np.int32)
     lpf[1] = 1
-    for p in t.primes():
-        lpf[int(p) :: int(p)] = p
-    return lpf
+    for p in levels[0].tolist():
+        lpf[p::p] = p
+    return np.maximum(lpf, cof, out=lpf)

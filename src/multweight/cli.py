@@ -90,27 +90,33 @@ def _report(args, results: dict, t0: float):
         print(text)
 
 
-def _load_config(parser_keys: set[str], args: argparse.Namespace):
-    """Merge a JSON config file under the CLI flags (flags win).
+def _load_config(path: str, ap: argparse.ArgumentParser, command: str) -> None:
+    """Make a JSON config file's entries, converted by their flags' types,
+    the defaults of the command's subparser; flags parsed afterwards win.
 
-    Unknown keys are rejected so typos fail loudly instead of running a
-    different experiment than intended.
+    Unknown keys and bad values fail loudly instead of running a different
+    experiment than intended.
     """
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
+    with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
-            raise SystemExit(f"config error: {args.config} is not valid JSON ({e})")
+            raise SystemExit(f"config error: {path} is not valid JSON ({e})")
     if not isinstance(doc, dict):
         raise SystemExit("config error: top level must be an object")
-    unknown = set(doc) - parser_keys
+    keys = _CONFIG_KEYS[command]
+    unknown = set(doc) - keys
     if unknown:
-        raise SystemExit(f"config error: unknown keys {sorted(unknown)}; allowed: {sorted(parser_keys)}")
+        raise SystemExit(f"config error: unknown keys {sorted(unknown)}; allowed: {sorted(keys)}")
+    sp = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+    types = {a.dest: a.type for a in sp._actions}
     for k, v in doc.items():
-        if getattr(args, k, None) in (None, [], False) or k == "weight":
-            setattr(args, k, v)
+        if types[k] is not None:
+            try:
+                doc[k] = types[k](str(v))
+            except (ValueError, TypeError, argparse.ArgumentTypeError) as e:
+                raise SystemExit(f"config error: {k}={v!r} is invalid ({e})")
+    sp.set_defaults(**doc)
 
 
 # --------------------------------------------------------------------------
@@ -441,7 +447,6 @@ def _add_common(sp, *, weight=True, x=True, seed=False, out=True):
     if out:
         sp.add_argument("--out", help="CSV output path")
     sp.add_argument("--json", dest="json_path", help="JSON report path (default: stdout)")
-    sp.add_argument("--threads", type=int, default=1, help="worker cap (recorded; computation is single-process)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -531,18 +536,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _CONFIG_KEYS = {
-    "sieve-sum": {"weight", "x", "cutoff", "threads"},
-    "conditions": {"weight", "x", "threads"},
-    "sample": {"weight", "x", "n", "seed", "threads"},
-    "exact-dist": {"weight", "x", "statistic", "p", "u", "threads"},
-    "ek-compare": {"weight", "x", "seed", "threads"},
-    "pd-compare": {"weight", "x", "n", "oracle_draws", "seed", "threads"},
-    "smooth": {"weight", "x", "u", "step", "threads"},
-    "small-prime": {"weight", "x", "p", "threads"},
-    "poly-asym": {"K", "gamma", "x", "cutoff", "threads"},
-    "poly-typical": {"K", "gamma", "x", "n", "seed", "threads"},
-    "ewens": {"n", "theta", "poly_gamma", "exact", "samples", "seed", "threads"},
-    "dickman": {"theta", "umax", "step", "threads"},
+    "sieve-sum": {"weight", "x", "cutoff"},
+    "conditions": {"weight", "x"},
+    "sample": {"weight", "x", "n", "seed"},
+    "exact-dist": {"weight", "x", "statistic", "p", "u"},
+    "ek-compare": {"weight", "x", "seed"},
+    "pd-compare": {"weight", "x", "n", "oracle_draws", "seed"},
+    "smooth": {"weight", "x", "u", "step"},
+    "small-prime": {"weight", "x", "p"},
+    "poly-asym": {"K", "gamma", "x", "cutoff"},
+    "poly-typical": {"K", "gamma", "x", "n", "seed"},
+    "ewens": {"n", "theta", "poly_gamma", "exact", "samples", "seed"},
+    "dickman": {"theta", "umax", "step"},
 }
 
 
@@ -550,7 +555,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.command in _CONFIG_KEYS:
-        _load_config(_CONFIG_KEYS[args.command], args)
+        if args.config:
+            _load_config(args.config, ap, args.command)
+            args = ap.parse_args(argv)
         if getattr(args, "weight", "missing") is None:
             raise SystemExit(f"{args.command}: --weight (or a config 'weight' entry) is required")
         if getattr(args, "x", "missing") is None:

@@ -404,14 +404,6 @@ def ks_distance(obj, cdf) -> float:
     return float(max(hi, lo))
 
 
-def tv_distance_counts(counts_a: dict, counts_b: dict) -> float:
-    """Total-variation distance between two normalized count dictionaries."""
-    keys = set(counts_a) | set(counts_b)
-    ta = sum(counts_a.values())
-    tb = sum(counts_b.values())
-    return 0.5 * sum(abs(counts_a.get(k, 0) / ta - counts_b.get(k, 0) / tb) for k in keys)
-
-
 def ks_noise_quantile(n: int, prob: float = 0.999) -> float:
     """c such that a true-hypothesis KS statistic on n draws is below c
     with the given probability (asymptotic Kolmogorov law)."""

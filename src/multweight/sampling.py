@@ -13,7 +13,6 @@ seeds; sample paths are then reproducible bit-for-bit on a fixed platform.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -81,20 +80,6 @@ class ExactPmf:
             wr.writerow(["value", "probability"])
             for v, p in zip(self.values, self.probs):
                 wr.writerow([repr(float(v)), repr(float(p))])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "values": [float(v) for v in self.values],
-                "probabilities": [float(p) for p in self.probs],
-                "tail_mass": self.tail_mass,
-            }
-        )
-
-
-def empirical_pmf(samples: np.ndarray) -> ExactPmf:
-    vals, counts = np.unique(np.asarray(samples), return_counts=True)
-    return ExactPmf(vals.astype(float), counts / counts.sum())
 
 
 class WeightedIntegerSampler:

@@ -10,9 +10,10 @@ Two parameter regimes are tracked:
 * Poly(K, gamma): alpha(p) = K log^gamma p up to O(log^-2 p), with a
   summable tail over k >= 2.
 
-The dense table of alpha(n) for n <= x is sieved by multiplying prime-power
-ratios into an all-ones array, O(x log log x) total work; per-n
-factorization is kept as the independent brute-force route for tests.
+The dense table of alpha(n) for n <= x is sieved by multiplying the
+prime-power ratios of the primes up to sqrt(x), and alpha at the one larger
+prime factor n may have, into an all-ones array, O(x log log x) total work;
+per-n factorization is kept as the independent brute-force route for tests.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .arith import CapacityError, SpfTable, factorize, primes_in, sieve_budget
+from .arith import CapacityError, SpfTable, _split_at_root, factorize, primes_in, sieve_budget
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,10 @@ class WeightTable:
         return float(self.alpha[n]) / self.S
 
 
-def _compensated_cumsum(a: np.ndarray, chunk: int = 1 << 20) -> np.ndarray:
+_CHUNK = 1 << 20
+
+
+def _compensated_cumsum(a: np.ndarray, chunk: int = _CHUNK) -> np.ndarray:
     """Cumulative sum with exactly-accumulated chunk offsets.
 
     Plain cumsum drifts like n*eps in the worst case; summing chunk totals
@@ -295,59 +299,49 @@ def _compensated_cumsum(a: np.ndarray, chunk: int = 1 << 20) -> np.ndarray:
 def build_weight_table(w: MultiplicativeWeight, x: int, spf: SpfTable) -> WeightTable:
     """Sieve alpha(n) for all n <= x.
 
-    For each prime power p^k the slice of multiples of p^k is multiplied by
-    alpha(p^k)/alpha(p^(k-1)); the maximal prime power dividing n then
-    contributes exactly alpha(p^(nu_p(n))).  Weights where alpha(p^j) = 0
-    but alpha(p^k) != 0 for some k > j cannot be sieved this way and are
-    rejected (no catalog weight does that).
+    n <= x is a product of prime powers p^k, p <= sqrt(x), and a cofactor
+    q that is 1 or a prime (arith._split_at_root).  The multiples of each
+    p^k are multiplied by alpha(p^k)/alpha(p^(k-1)), and each n by alpha(q),
+    in the order k = 1, q, k >= 2 with p increasing.  Weights where
+    alpha(p^j) = 0 but alpha(p^k) != 0 for some k > j cannot be sieved this
+    way and are rejected (no catalog weight does that).
     """
-    if x > spf.limit:
-        raise ValueError(f"x={x} beyond sieve limit {spf.limit}")
     if x > sieve_budget():
         raise CapacityError(f"table limit {x} exceeds entry budget {sieve_budget()}")
+    levels, cof = _split_at_root(x, spf)
     alpha = np.ones(x + 1)
     alpha[0] = 0.0
-    ps = primes_in(2, x, spf)
-    prev = np.ones(len(ps))
-    alive = np.ones(len(ps), dtype=bool)
-    k = 1
-    while True:
-        lim = int(round(x ** (1.0 / k))) + 1
-        while lim**k > x:
-            lim -= 1
-        cnt = int(np.searchsorted(ps, lim, side="right"))
-        if cnt == 0:
-            break
-        cur = w.values_on_primes(ps[:cnt], k)
-        if np.any(cur < 0):
-            raise ValueError(f"negative weight value from {w.name}")
-        bad = alive[:cnt] & (prev[:cnt] == 0.0) & (cur != 0.0)
+    prev = np.ones(len(levels[0]))
+    for k, ps in enumerate(levels, 1):
+        cur = _nonnegative(w, w.values_on_primes(ps, k))
+        prev = prev[: len(ps)]
+        bad = (prev == 0.0) & (cur != 0.0)
         if np.any(bad):
-            p_bad = int(ps[:cnt][bad][0])
             raise ValueError(
-                f"{w.name}: alpha(p^{k - 1}) = 0 but alpha(p^{k}) != 0 at p={p_bad}; "
+                f"{w.name}: alpha(p^{k - 1}) = 0 but alpha(p^{k}) != 0 at p={int(ps[bad][0])}; "
                 "ratio sieving requires monotone-vanishing prime-power values"
             )
-        for i in range(cnt):
-            if not alive[i]:
-                continue
-            if prev[i] == 0.0:
-                alive[i] = False  # all higher powers already zeroed
-                continue
-            ratio = cur[i] / prev[i]
-            if ratio != 1.0:
-                pk = int(ps[i]) ** k
-                alpha[pk::pk] *= ratio
-        prev[:cnt] = cur
-        k += 1
-        if 2**k > x:
-            break
+        ratio = np.divide(cur, prev, out=np.ones_like(cur), where=prev != 0.0)
+        for p, r in zip(ps.tolist(), ratio.tolist()):
+            if r != 1.0:
+                alpha[p**k :: p**k] *= r
+        if k == 1:
+            for start in range(0, x + 1, _CHUNK):
+                hit = np.nonzero(cof[start : start + _CHUNK] > 1)[0] + start
+                alpha[hit] *= _nonnegative(w, w.values_on_primes(cof[hit].astype(np.int64), 1))
+        prev = cur
     prefix = np.empty(x + 1)
     prefix[0] = 0.0
     prefix[1:] = _compensated_cumsum(alpha[1:])
     if prefix[-1] <= 0:
         raise ValueError(f"degenerate table: S({x}) = {prefix[-1]}")
     return WeightTable(x=x, alpha=alpha, prefix=prefix)
+
+
+def _nonnegative(w: MultiplicativeWeight, values: np.ndarray) -> np.ndarray:
+    if np.any(values < 0):
+        raise ValueError(f"negative weight value from {w.name}")
+    return values
 
 
 def evaluate_weight(w: MultiplicativeWeight, n: int, spf: SpfTable) -> float:

@@ -132,15 +132,24 @@ def test_primes_upto_matches_spf(spf_1e5):
     assert np.array_equal(arith.primes_upto(10**5), spf_1e5.primes())
 
 
+# Both sides of the squares 4, 9, 25, 49 and 121, where sqrt(x) gains a
+# prime and p^2 moves from the cofactor side of the table walk to the
+# small-prime side.
+WALK_EDGES = (2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122)
+
+
 def test_statistic_tables_match_profiles(spf_1e4):
-    om = arith.big_omega_table(spf_1e4)
-    wm = arith.omega_table(spf_1e4)
-    nu3 = arith.nu_p_table(10**4, 3)
-    lpf = arith.largest_prime_table(spf_1e4)
-    for n in range(1, 10**4 + 1):
-        prof = arith.factorize(n, spf_1e4)
-        assert om[n] == prof.big_omega
-        assert wm[n] == prof.omega
-        assert nu3[n] == prof.nu(3)
-        expected_lpf = max((p for p, _ in prof.factors), default=1)
-        assert lpf[n] == expected_lpf
+    # the tables span their spf table; slicing the 1e4 one covers a limit above x
+    for t in [spf_1e4] + [arith.build_spf(x) for x in WALK_EDGES]:
+        om = arith.big_omega_table(t)
+        wm = arith.omega_table(t)
+        nu3 = arith.nu_p_table(t.limit, 3)
+        lpf = arith.largest_prime_table(t)
+        assert (om[0], wm[0], lpf[0]) == (0, 0, 0)
+        for n in range(1, t.limit + 1):
+            prof = arith.factorize(n, t)
+            assert om[n] == prof.big_omega
+            assert wm[n] == prof.omega
+            assert nu3[n] == prof.nu(3)
+            expected_lpf = max((p for p, _ in prof.factors), default=1)
+            assert lpf[n] == expected_lpf

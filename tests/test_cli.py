@@ -108,6 +108,44 @@ def test_config_file_merging(tmp_path):
     assert doc["results"]["rows"][0]["exact"] == 63869.0
 
 
+def _run_with_config(tmp_path, argv, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rep = tmp_path / "r.json"
+    assert run(argv + ["--config", str(cfg), "--json", str(rep)]) == 0
+    return read_json(rep)
+
+
+def test_config_value_replaces_a_flag_default(tmp_path):
+    doc = _run_with_config(tmp_path, ["sample", "--weight", "divisor:2", "--x", "1e3"], {"n": 50})
+    assert doc["results"]["n_samples"] == 50
+
+
+def test_config_values_go_through_the_flag_types(tmp_path):
+    doc = _run_with_config(tmp_path, ["exact-dist", "--weight", "power:0", "--x", "1e4"],
+                           {"u": "3", "statistic": "smooth"})
+    assert doc["config"]["u"] == 3.0
+    assert doc["results"]["statistic"] == "smooth"
+    rep = tmp_path / "flags.json"
+    assert run(["exact-dist", "--weight", "power:0", "--x", "1e4", "--statistic", "smooth",
+                "--u", "3", "--json", str(rep)]) == 0
+    assert doc["results"] == read_json(rep)["results"]
+
+
+def test_weight_flag_overrides_config_weight(tmp_path):
+    doc = _run_with_config(tmp_path, ["sieve-sum", "--weight", "theta_omega:2", "--x", "1e4"],
+                           {"weight": "divisor:2"})
+    assert doc["config"]["weight"] == "theta_omega:2"
+    assert doc["results"]["rows"][0]["exact"] == 63869.0
+
+
+def test_config_value_rejected_by_its_flag_type(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": "abc"}))
+    with pytest.raises(SystemExit, match="config error: seed"):
+        run(["sample", "--weight", "divisor:2", "--x", "1e3", "--config", str(cfg)])
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"weight": "theta_omega:2", "x": "1e4", "bogus": 1}))

@@ -65,11 +65,16 @@ def test_table_small_sums(spf_1e4):
 
 
 def test_table_matches_direct_evaluation(spf_1e4):
-    x = 10**4
-    for w in catalog_weights():
-        table = weights.build_weight_table(w, x, spf_1e4)
-        direct = np.array([weights.evaluate_weight(w, n, spf_1e4) for n in range(1, x + 1)])
-        np.testing.assert_allclose(table.alpha[1:], direct, rtol=1e-12, atol=0)
+    # x = 1e4, and both sides of the squares 4, 9, 25, 49 and 121, where
+    # sqrt(x) gains a prime, with the spf limit equal to x and above it
+    cases = [(10**4, spf_1e4)]
+    for x in (2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122):
+        cases += [(x, arith.build_spf(x)), (x, spf_1e4)]
+    for x, spf in cases:
+        for w in catalog_weights():
+            table = weights.build_weight_table(w, x, spf)
+            direct = np.array([weights.evaluate_weight(w, n, spf) for n in range(1, x + 1)])
+            np.testing.assert_allclose(table.alpha[1:], direct, rtol=1e-12, atol=0)
 
 
 def test_table_multiplicativity_random_coprime_pairs(spf_1e5, rng):
@@ -93,12 +98,28 @@ def test_prefix_monotone_and_theta1_identity(spf_1e5):
 
 
 def test_rejects_non_monotone_vanishing(spf_1e4):
+    for values in (
+        lambda p, k: 0.0 if k == 1 else 1.0,
+        lambda p, k: 0.0 if k <= 2 else 1.0,  # vanishes at k = 1, 2, returns at 3
+    ):
+        bad = weights.MultiplicativeWeight(
+            name="bad",
+            prime_power_value=values,
+            regime=weights.EwensRegime(theta=1.0),
+        )
+        with pytest.raises(ValueError, match="monotone"):
+            weights.build_weight_table(bad, 100, spf_1e4)
+
+
+def test_rejects_negative_values_at_large_primes(spf_1e4):
+    # negative only at primes above sqrt(100), which the table reaches
+    # through the cofactor of n rather than through a prime-power slice
     bad = weights.MultiplicativeWeight(
-        name="bad",
-        prime_power_value=lambda p, k: 0.0 if k == 1 else 1.0,
+        name="negative_above_10",
+        prime_power_value=lambda p, k: -1.0 if p > 10 else 1.0,
         regime=weights.EwensRegime(theta=1.0),
     )
-    with pytest.raises(ValueError, match="monotone"):
+    with pytest.raises(ValueError, match="negative"):
         weights.build_weight_table(bad, 100, spf_1e4)
 
 

@@ -62,7 +62,6 @@ from .sampling import (
     ExactPmf,
     LogPrimeSpectrum,
     WeightedIntegerSampler,
-    exact_pmf,
     exact_pmf_from_values,
     nu_p_limit_pmf,
     size_biased_prime,

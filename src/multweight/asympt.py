@@ -18,6 +18,7 @@ meaningful in ratios across x values, where it cancels.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,15 +67,9 @@ class PrimeLogCache:
         self.logs = np.log(self.primes)
 
 
-_CACHE: dict[int, PrimeLogCache] = {}
-
-
+@functools.lru_cache(maxsize=4)
 def _prime_cache(cutoff: int) -> PrimeLogCache:
-    c = _CACHE.get(cutoff)
-    if c is None:
-        c = PrimeLogCache(cutoff)
-        _CACHE[cutoff] = c
-    return c
+    return PrimeLogCache(cutoff)
 
 
 def euler_constant(w: MultiplicativeWeight, cutoff: int = 10**6) -> EwensAsymptotic:

@@ -195,7 +195,7 @@ def _rho_on_12(theta: float, xs) -> np.ndarray:
         acc += power / (theta + k)
         power = power * z
         k += 1
-        if k > 400 or float(np.max(power)) / (theta + k) < 1e-18:
+        if k > 400 or float(np.max(power, initial=0.0)) / (theta + k) < 1e-18:
             break
     return 1.0 - theta * acc
 
@@ -222,7 +222,7 @@ class DickmanSolution:
             return float(_rho_on_12(self.theta, u)[0])
         if u > self.grid[-1]:
             raise ValueError(f"u={u} beyond solved range {self.grid[-1]}")
-        return _cubic_eval(self.grid, self.values, u)
+        return float(_cubic_eval(self.values, self.h, np.array(u)))
 
     def at_grid(self, u: float) -> float:
         j = int(round(u / self.h))
@@ -248,30 +248,37 @@ class DickmanSolution:
                 wr.writerow([repr(float(u)), repr(float(r))])
 
 
-def _cubic_eval(grid: np.ndarray, values: np.ndarray, y: float) -> float:
-    # 4-point Lagrange on the nearest nodes; O(h^4) for C^3 data
-    m = len(grid) - 1
-    h = grid[1] - grid[0]
-    j = int(y / h)
-    j0 = min(max(j - 1, 0), m - 3)
+def _cubic_eval(values: np.ndarray, h: float, y: np.ndarray) -> np.ndarray:
+    # 4-point Lagrange on the nearest nodes, at each y; O(h^4) for C^3 data
+    m = len(values) - 1
+    j0 = np.minimum(np.maximum((y / h).astype(np.int64) - 1, 0), m - 3)
     t = y / h - j0
-    v = values[j0 : j0 + 4]
-    return float(
-        v[0] * (-(t - 1) * (t - 2) * (t - 3) / 6)
-        + v[1] * (t * (t - 2) * (t - 3) / 2)
-        + v[2] * (-t * (t - 1) * (t - 3) / 2)
-        + v[3] * (t * (t - 1) * (t - 2) / 6)
+    v0, v1, v2, v3 = (values[j0 + i] for i in range(4))
+    return (
+        v0 * (-(t - 1) * (t - 2) * (t - 3) / 6)
+        + v1 * (t * (t - 2) * (t - 3) / 2)
+        + v2 * (-t * (t - 1) * (t - 3) / 2)
+        + v3 * (t * (t - 1) * (t - 2) / 6)
     )
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
 def dickman_rho(theta: float, u_max: float, h: float = 1.0 / 256) -> DickmanSolution:
     """Solve the delay equation for rho_theta on [0, u_max].
 
-    On [1, 2] the series form of the integrated equation is exact; for
+    On [1, 2] the series form of the integrated equation is exact.  For
     u > 2 the differentiated form rho'(x) = -theta (x-1)^(theta-1)
-    rho(x-1) x^(-theta) is integrated panel by panel with adaptive
-    quadrature, the delayed value coming from the series (<= 2) or cubic
-    interpolation on the already-computed grid (> 2).
+    rho(x-1) x^(-theta) is integrated one unit interval [k, k+1] at a
+    time (van de Lune & Wattel, Math. Comp. 23, 1969): the delayed value
+    there needs rho only on [k-1, k], already known, from the series
+    (k = 2) or cubic interpolation on the grid (k >= 3).  Each panel gets
+    a 20-node Gauss-Legendre rule, all panels of a unit in one pass, and
+    a cumulative sum gives the grid values.  The last panel of a unit
+    reads the first panel's end value through its stencil, so it follows
+    the sum.  Adaptive quadrature is kept for the one panel [2, 2+h],
+    where rho(x-1) carries a (x-2)^theta singularity.
 
     h must satisfy h <= 1/64 and 1/h must be an integer so the kinks of
     rho at integers land on grid nodes.
@@ -292,86 +299,82 @@ def dickman_rho(theta: float, u_max: float, h: float = 1.0 / 256) -> DickmanSolu
     two = min(2 * m, n)
     values[m : two + 1] = _rho_on_12(theta, grid[m : two + 1])
 
-    sol = DickmanSolution(theta=theta, h=h, grid=grid, values=values)
-
-    def rho_delayed(t: float) -> float:
+    def g(t: np.ndarray, k: int) -> np.ndarray:
         y = t - 1.0
-        if y <= 1.0:
-            return 1.0
-        if y <= 2.0:
-            return float(_rho_on_12(theta, y)[0])
-        return _cubic_eval(grid, values, y)
+        delayed = _rho_on_12(theta, y) if k == 2 else _cubic_eval(values, h, y)
+        return -theta * y ** (theta - 1.0) * delayed * t ** (-theta)
 
-    def g(t: float) -> float:
-        return -theta * (t - 1.0) ** (theta - 1.0) * rho_delayed(t) * t ** (-theta)
+    def panels(lo: int, hi: int, k: int) -> None:
+        # values[lo+1 .. hi] from values[lo] and the panels between them
+        if hi <= lo:
+            return
+        ts = (grid[lo:hi, None] + grid[lo + 1 : hi + 1, None]) / 2 + h / 2 * _GL_NODES
+        inc = h / 2 * (g(ts, k) @ _GL_WEIGHTS)
+        values[lo + 1 : hi + 1] = np.cumsum(np.concatenate(([values[lo]], inc)))[1:]
 
-    for i in range(two, n):
-        inc, _ = quad(g, grid[i], grid[i + 1], epsabs=1e-13, epsrel=1e-12, limit=200)
-        values[i + 1] = values[i] + inc
-    return sol
+    if n > 2 * m:
+        inc, _ = quad(lambda t: g(np.array([t]), 2)[0], grid[2 * m], grid[2 * m + 1],
+                      epsabs=1e-13, epsrel=1e-12, limit=200)
+        values[2 * m + 1] = values[2 * m] + inc
+    for k in range(2, (n + m - 1) // m):
+        end = min((k + 1) * m, n)
+        mid = min(end, (k + 1) * m - 1)
+        panels(max(k * m, 2 * m + 1), mid, k)
+        panels(mid, end, k)
+    return DickmanSolution(theta=theta, h=h, grid=grid, values=values)
 
 
-def _f12_integral(theta: float, w: float) -> float:
+def _f12_integral(theta: float, w: np.ndarray) -> np.ndarray:
     # integral_1^w theta y^(theta-1) rho(y) dy in closed form for w in [1,2]:
     # equals w^theta rho(w) - 1 + (w-1)^theta by parts plus the [1,2] series
-    return (w**theta) * float(_rho_on_12(theta, w)[0]) - 1.0 + (w - 1.0) ** theta
-
-
-def _composite_simpson(fs: np.ndarray, h: float) -> float:
-    """Composite Simpson over n = len(fs)-1 uniform panels; a leading 3/8
-    block absorbs odd panel counts, single panels fall back to trapezoid."""
-    n = len(fs) - 1
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return h / 2 * (fs[0] + fs[1])
-    total = 0.0
-    i = 0
-    if n % 2 == 1:
-        total += 3 * h / 8 * (fs[0] + 3 * fs[1] + 3 * fs[2] + fs[3])
-        i = 3
-    while i + 2 <= n:
-        total += h / 3 * (fs[i] + 4 * fs[i + 1] + fs[i + 2])
-        i += 2
-    return total
+    return (w**theta) * _rho_on_12(theta, w) - 1.0 + (w - 1.0) ** theta
 
 
 def _residuals(sol: DickmanSolution) -> np.ndarray:
+    # all grid points at once; each Simpson sum over [s, e] comes from
+    # prefix sums of f = theta y^(theta-1) rho(y) over even and odd indices
     theta, h, grid, values = sol.theta, sol.h, sol.grid, sol.values
     m = round(1.0 / h)
+    idx = np.arange(len(grid))
+    f = np.zeros(len(grid))  # only y >= 2 is read; 0 below keeps theta < 1 finite
+    f[2 * m :] = theta * grid[2 * m :] ** (theta - 1.0) * values[2 * m :]
+    prefix = np.zeros((2, len(grid) + 1))  # prefix[q, i] = sum of f[k], k < i, k % 2 == q
+    for q in (0, 1):
+        prefix[q, 1:] = np.cumsum(np.where(idx % 2 == q, f, 0.0))
 
-    def simpson_piece(a_idx: int, b_idx: int) -> float:
-        ys = grid[a_idx : b_idx + 1]
-        fs = theta * ys ** (theta - 1.0) * values[a_idx : b_idx + 1]
-        return _composite_simpson(fs, h)
+    def simpson(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        # composite Simpson over [lo, hi]: a leading 3/8 block absorbs odd
+        # panel counts, a single panel is a trapezoid, no panel gives 0
+        out = np.zeros(len(lo))
+        one = hi - lo == 1
+        out[one] = h / 2 * (f[lo[one]] + f[hi[one]])
+        lead = ((hi - lo) % 2 == 1) & ~one
+        a = lo[lead]
+        out[lead] = 3 * h / 8 * (f[a] + 3 * f[a + 1] + 3 * f[a + 2] + f[a + 3])
+        s = np.where(lead, lo + 3, lo)
+        even = ~one & (hi > s)
+        s, e = s[even], hi[even]
+        odd_sum = prefix[(s + 1) % 2, e] - prefix[(s + 1) % 2, s + 1]
+        even_sum = prefix[s % 2, e - 1] - prefix[s % 2, s + 1]
+        out[even] += h / 3 * (f[s] + f[e] + 4 * odd_sum + 2 * even_sum)
+        return out
 
+    j = idx[m + 1 :]
+    x = grid[j]
+    a = x - 1.0
+    total = np.zeros(len(j))
+    low = a < 1.0
+    total[low] = 1.0 - a[low] ** theta + _f12_integral(theta, x[low])
+    mid = ~low & (a < 2.0)
+    total[mid] = _f12_integral(theta, np.minimum(2.0, x[mid])) - _f12_integral(theta, a[mid])
+    # y > 2 by Simpson, split at the integer inside (x-1, x) if there is one
+    over = j > 2 * m
+    jo = j[over]
+    lo = np.maximum(jo - m, 2 * m)
+    cut = np.maximum(jo // m * m, lo)
+    total[over] += simpson(lo, cut) + simpson(cut, jo)
     out = np.zeros(len(grid))
-    for j in range(m + 1, len(grid)):
-        x = grid[j]
-        a = x - 1.0
-        total = 0.0
-        if a < 1.0:
-            total += min(1.0, x) ** theta - a**theta
-            if x > 1.0:
-                total += _f12_integral(theta, min(2.0, x))
-            if x > 2.0:
-                total += simpson_piece(2 * m, j)
-        elif a < 2.0:
-            total += _f12_integral(theta, min(2.0, x)) - _f12_integral(theta, a)
-            if x > 2.0:
-                total += simpson_piece(2 * m, j)
-        else:
-            # split the composite at interior integers (rho kinks)
-            cut = [j - m]
-            k0 = int(math.floor(a)) + 1
-            while k0 * m < j:
-                if k0 * m > cut[-1]:
-                    cut.append(k0 * m)
-                k0 += 1
-            cut.append(j)
-            for lo, hi in zip(cut[:-1], cut[1:]):
-                total += simpson_piece(lo, hi)
-        out[j] = abs(values[j] - x ** (-theta) * total)
+    out[m + 1 :] = np.abs(values[m + 1 :] - x ** (-theta) * total)
     return out
 
 

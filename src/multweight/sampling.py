@@ -15,11 +15,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .arith import FactorProfile, SpfTable, factorize
+from .arith import FactorProfile
 from .weights import EwensRegime, MultiplicativeWeight, WeightTable
 
 
@@ -104,39 +103,22 @@ class WeightedIntegerSampler:
         return n if size is not None else int(n)
 
 
-def exact_pmf(
-    table: WeightTable,
-    statistic: Callable[[FactorProfile], float],
-    spf: SpfTable,
-) -> ExactPmf:
-    """Exact law of statistic(N_x) by scanning every n <= x.
-
-    The statistic sees the full FactorProfile.  This is the generic
-    (python-loop) route; for large x prefer exact_pmf_from_values with a
-    vectorized statistic table.
-    """
-    acc: dict[float, float] = {}
-    alpha = table.alpha
-    for n in range(1, table.x + 1):
-        a = alpha[n]
-        if a == 0.0:
-            continue
-        v = float(statistic(factorize(n, spf)))
-        acc[v] = acc.get(v, 0.0) + a
-    vals = np.array(sorted(acc))
-    probs = np.array([acc[v] for v in vals])
-    probs /= probs.sum()
-    return ExactPmf(vals, probs)
-
-
 def exact_pmf_from_values(table: WeightTable, values: np.ndarray) -> ExactPmf:
-    """Exact law of a statistic given its per-n value array (index 0 unused)."""
+    """Exact law of a statistic given its per-n value array (index 0 unused).
+
+    Nonnegative integer values are binned directly; other values are
+    first ranked with np.unique.
+    """
     if len(values) != table.x + 1:
         raise ValueError("values array must cover 0..x")
     v = np.asarray(values[1:])
     w = table.alpha[1:]
-    uniq, inv = np.unique(v, return_inverse=True)
-    mass = np.bincount(inv, weights=w, minlength=len(uniq))
+    if np.issubdtype(v.dtype, np.integer) and v.min() >= 0:
+        mass = np.bincount(v, weights=w)
+        uniq = np.arange(len(mass))
+    else:
+        uniq, inv = np.unique(v, return_inverse=True)
+        mass = np.bincount(inv, weights=w, minlength=len(uniq))
     total = mass.sum()
     keep = mass > 0
     return ExactPmf(uniq[keep].astype(float), mass[keep] / total)

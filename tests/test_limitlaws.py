@@ -190,6 +190,147 @@ def test_dickman_csv_export(tmp_path):
     assert len(lines) == len(sol.grid) + 1
 
 
+# Oracles: the sequential solver and the per-point residual loop that the
+# vectorized dickman_rho and residuals() replaced.  The oracle solver
+# integrates every panel beyond 2 with adaptive quadrature, one after the
+# other, reading the delayed value through its own scalar interpolant.
+
+
+def _cubic_scalar(grid, values, y):
+    m = len(grid) - 1
+    h = grid[1] - grid[0]
+    j = int(y / h)
+    j0 = min(max(j - 1, 0), m - 3)
+    t = y / h - j0
+    v = values[j0 : j0 + 4]
+    return float(
+        v[0] * (-(t - 1) * (t - 2) * (t - 3) / 6)
+        + v[1] * (t * (t - 2) * (t - 3) / 2)
+        + v[2] * (-t * (t - 1) * (t - 3) / 2)
+        + v[3] * (t * (t - 1) * (t - 2) / 6)
+    )
+
+
+def dickman_rho_sequential(theta, u_max, h):
+    m = round(1.0 / h)
+    n = int(math.ceil(u_max * m - 1e-9))
+    grid = np.arange(n + 1) / m
+    values = np.ones(n + 1)
+    two = min(2 * m, n)
+    values[m : two + 1] = ll._rho_on_12(theta, grid[m : two + 1])
+
+    def g(t):
+        y = t - 1.0
+        if y <= 1.0:
+            rho = 1.0
+        elif y <= 2.0:
+            rho = float(ll._rho_on_12(theta, y)[0])
+        else:
+            rho = _cubic_scalar(grid, values, y)
+        return -theta * (t - 1.0) ** (theta - 1.0) * rho * t ** (-theta)
+
+    for i in range(two, n):
+        inc, _ = quad(g, grid[i], grid[i + 1], epsabs=1e-13, epsrel=1e-12, limit=200)
+        values[i + 1] = values[i] + inc
+    return values
+
+
+def _composite_simpson(fs, h):
+    n = len(fs) - 1
+    if n == 0:
+        return 0.0
+    if n == 1:
+        return h / 2 * (fs[0] + fs[1])
+    total = 0.0
+    i = 0
+    if n % 2 == 1:
+        total += 3 * h / 8 * (fs[0] + 3 * fs[1] + 3 * fs[2] + fs[3])
+        i = 3
+    while i + 2 <= n:
+        total += h / 3 * (fs[i] + 4 * fs[i + 1] + fs[i + 2])
+        i += 2
+    return total
+
+
+def residuals_loop(sol):
+    theta, h, grid, values = sol.theta, sol.h, sol.grid, sol.values
+    m = round(1.0 / h)
+
+    def f12(w):
+        return (w**theta) * float(ll._rho_on_12(theta, w)[0]) - 1.0 + (w - 1.0) ** theta
+
+    def simpson_piece(a_idx, b_idx):
+        ys = grid[a_idx : b_idx + 1]
+        return _composite_simpson(theta * ys ** (theta - 1.0) * values[a_idx : b_idx + 1], h)
+
+    out = np.zeros(len(grid))
+    for j in range(m + 1, len(grid)):
+        x = grid[j]
+        a = x - 1.0
+        total = 0.0
+        if a < 1.0:
+            total += 1.0 - a**theta + f12(x)
+        elif a < 2.0:
+            total += f12(min(2.0, x)) - f12(a)
+            if x > 2.0:
+                total += simpson_piece(2 * m, j)
+        else:
+            cut = [j - m]
+            k0 = int(math.floor(a)) + 1
+            while k0 * m < j:
+                if k0 * m > cut[-1]:
+                    cut.append(k0 * m)
+                k0 += 1
+            cut.append(j)
+            for lo, hi in zip(cut[:-1], cut[1:]):
+                total += simpson_piece(lo, hi)
+        out[j] = abs(values[j] - x ** (-theta) * total)
+    return out
+
+
+@pytest.fixture(scope="module")
+def dickman_u4():
+    return {theta: ll.dickman_rho(theta, 4.0, 1.0 / 256) for theta in (0.5, 1.0, 2.0)}
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+def test_dickman_matches_sequential_oracle(dickman_u4, theta):
+    sol = dickman_u4[theta]
+    oracle = dickman_rho_sequential(theta, 4.0, 1.0 / 256)
+    assert len(sol.values) == len(oracle)
+    np.testing.assert_allclose(sol.values, oracle, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+def test_dickman_residuals_match_loop_oracle(dickman_u4, theta):
+    sol = dickman_u4[theta]
+    res = sol.residuals()
+    np.testing.assert_allclose(res, residuals_loop(sol), rtol=0, atol=1e-15)
+    assert res.max() <= 1e-8
+
+
+@pytest.mark.parametrize("h", [1.0 / 64, 1.0 / 256, 1.0 / 1000])
+def test_dickman_u_max_just_past_integer(h):
+    # u_max = k + 1e-9 adds one grid node past the integer k, so the last
+    # unit holds a single panel; the solution is causal, so every shorter
+    # solve is a prefix of the longer one
+    m = round(1.0 / h)
+    for theta in (0.5, 1.0, 2.0):
+        full = ll.dickman_rho(theta, 6.0, h)
+        assert len(full.grid) == 6 * m + 1
+        for k in (2, 3):
+            sol = ll.dickman_rho(theta, k + 1e-9, h)
+            assert len(sol.grid) == k * m + 2
+            np.testing.assert_array_equal(sol.values, full.values[: k * m + 2])
+        res = full.residuals()
+        assert np.all(np.isfinite(res))
+        if h <= 1.0 / 256:
+            assert res.max() <= 1e-8
+        for short in (1.0, 1.5):  # no grid point past 2, or none past 1
+            sol = ll.dickman_rho(theta, short, h)
+            np.testing.assert_allclose(sol.residuals(), residuals_loop(sol), rtol=0, atol=1e-15)
+
+
 # --- ks_distance -----------------------------------------------------------
 
 

@@ -73,16 +73,30 @@ def test_empirical_matches_exact_tv(spf_1e4, rng):
     assert tv_uni <= 0.015
 
 
+def exact_pmf(table, statistic, spf):
+    """Oracle: the law of statistic(FactorProfile) by factorizing every n <= x."""
+    acc = {}
+    for n in range(1, table.x + 1):
+        a = table.alpha[n]
+        if a == 0.0:
+            continue
+        v = float(statistic(arith.factorize(n, spf)))
+        acc[v] = acc.get(v, 0.0) + a
+    vals = np.array(sorted(acc))
+    probs = np.array([acc[v] for v in vals])
+    return sampling.ExactPmf(vals, probs / probs.sum())
+
+
 def test_exact_pmf_omega_x4(spf_1e4):
     table = make_table(("power", {"z": 0.0}), 4, spf_1e4)
-    pmf = sampling.exact_pmf(table, lambda prof: prof.big_omega, spf_1e4)
+    pmf = exact_pmf(table, lambda prof: prof.big_omega, spf_1e4)
     assert pmf.values.tolist() == [0.0, 1.0, 2.0]
     assert pmf.probs.tolist() == [0.25, 0.5, 0.25]
 
 
 def test_exact_pmf_nu2_x8(spf_1e4):
     table = make_table(("power", {"z": 0.0}), 8, spf_1e4)
-    pmf = sampling.exact_pmf(table, lambda prof: prof.nu(2), spf_1e4)
+    pmf = exact_pmf(table, lambda prof: prof.nu(2), spf_1e4)
     assert pmf.values.tolist() == [0.0, 1.0, 2.0, 3.0]
     assert pmf.probs.tolist() == [0.5, 0.25, 0.125, 0.125]
 
@@ -90,15 +104,35 @@ def test_exact_pmf_nu2_x8(spf_1e4):
 def test_exact_pmf_two_routes_agree(spf_1e4):
     x = 2000
     table = make_table(("divisor", {"k": 2.0}), x, spf_1e4)
-    slow = sampling.exact_pmf(table, lambda prof: prof.big_omega, spf_1e4)
+    slow = exact_pmf(table, lambda prof: prof.big_omega, spf_1e4)
     fast = sampling.exact_pmf_from_values(table, arith.big_omega_table(spf_1e4)[: x + 1])
     np.testing.assert_allclose(slow.values, fast.values)
     np.testing.assert_allclose(slow.probs, fast.probs, rtol=1e-12)
 
 
+@pytest.mark.parametrize("kind_params", [("divisor", {"k": 2.0}), ("powerfree", {"k": 2})])
+def test_exact_pmf_integer_route_matches_unique_route(spf_1e5, kind_params):
+    # small nonnegative integer statistics are binned directly; as floats
+    # they take the np.unique route, and both must give the same atoms
+    x = 10**5
+    table = make_table(kind_params, x, spf_1e5)
+    lpf = arith.largest_prime_table(spf_1e5)
+    statistic_tables = [
+        arith.big_omega_table(spf_1e5),
+        arith.nu_p_table(x, 2),
+        (lpf <= math.sqrt(x)).astype(np.int8),
+    ]
+    for v in statistic_tables:
+        assert v.dtype == np.int8
+        fast = sampling.exact_pmf_from_values(table, v)
+        slow = sampling.exact_pmf_from_values(table, v.astype(float))
+        np.testing.assert_array_equal(fast.values, slow.values)
+        np.testing.assert_array_equal(fast.probs, slow.probs)
+
+
 def test_exact_pmf_skips_zero_weight(spf_1e4):
     table = make_table(("powerfree", {"k": 2}), 20, spf_1e4)
-    pmf = sampling.exact_pmf(table, lambda prof: prof.nu(2), spf_1e4)
+    pmf = exact_pmf(table, lambda prof: prof.nu(2), spf_1e4)
     assert pmf.values.tolist() == [0.0, 1.0]  # nu_2 >= 2 has zero mass
 
 

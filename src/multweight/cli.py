@@ -3,10 +3,23 @@
 One experiment per process invocation; every subcommand writes
 machine-readable CSV and/or a JSON report carrying the full configuration
 and seed, so identical config + seed reproduces the report byte for byte
-(apart from its timing block).
+(apart from its timing block).  The experiments themselves live in
+`experiments`; this module parses flags and writes reports.
 
-CSV column schemas: (value,probability), (x,exact,predicted,ratio),
-(u,rho), (stat,ks,tv,n_samples,seed).
+CSV column schemas, by subcommand:
+  sieve-sum     (x,exact,predicted,ratio)
+  conditions    (x,residual)
+  sample        (value)
+  exact-dist    (value,probability)
+  ek-compare    (x,ks)
+  pd-compare    (stat,sample,pd_oracle)
+  smooth        (u,exact,rho,diff)
+  small-prime   (p,k,exact,limit,gap)
+  poly-asym     (x,sigma,residual,exact,predicted,ratio)
+  poly-typical  (stat,ks,tv,n_samples,seed)
+  ewens         (value,probability) with --exact; else one sampled cycle
+                type per row, lengths nonincreasing, no header
+  dickman       (u,rho)
 """
 
 from __future__ import annotations
@@ -14,13 +27,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 
 import numpy as np
 
-from . import __version__, arith, asympt, harness, limitlaws, permutations, sampling, weights
+from . import __version__, arith, experiments, harness, permutations, weights
 
 
 def parse_weight_spec(spec) -> weights.MultiplicativeWeight:
@@ -50,7 +62,7 @@ def parse_weight_spec(spec) -> weights.MultiplicativeWeight:
     names = positional[kind]
     if len(args) != len(names):
         raise SystemExit(f"weight {kind} takes {len(names)} parameter(s): {names}")
-    params = {n: (int(float(a)) if n == "k" and kind == "powerfree" else float(a)) for n, a in zip(names, args)}
+    params = {n: float(a) for n, a in zip(names, args)}
     try:
         return weights.builtin_weight(kind, **params)
     except ValueError as e:
@@ -67,6 +79,12 @@ def _write_csv(path, header, rows):
         wr.writerow(header)
         for row in rows:
             wr.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+
+def _write_rows(path, rows: list[dict]):
+    """CSV of dict rows, one column per key, when a path is given."""
+    if path:
+        _write_csv(path, list(rows[0]), [r.values() for r in rows])
 
 
 def _report(args, results: dict, t0: float):
@@ -104,12 +122,11 @@ def _load_config(path: str, ap: argparse.ArgumentParser, command: str) -> None:
             raise SystemExit(f"config error: {path} is not valid JSON ({e})")
     if not isinstance(doc, dict):
         raise SystemExit("config error: top level must be an object")
-    keys = _CONFIG_KEYS[command]
-    unknown = set(doc) - keys
-    if unknown:
-        raise SystemExit(f"config error: unknown keys {sorted(unknown)}; allowed: {sorted(keys)}")
     sp = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
-    types = {a.dest: a.type for a in sp._actions}
+    types = {a.dest: a.type for a in sp._actions if a.dest not in ("config", "out", "json_path", "help")}
+    unknown = set(doc) - set(types)
+    if unknown:
+        raise SystemExit(f"config error: unknown keys {sorted(unknown)}; allowed: {sorted(types)}")
     for k, v in doc.items():
         if types[k] is not None:
             try:
@@ -120,308 +137,127 @@ def _load_config(path: str, ap: argparse.ArgumentParser, command: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each runs one experiment, writes its CSV and returns the
+# report's results block
 # --------------------------------------------------------------------------
 
 
-def cmd_sieve_sum(args):
-    t0 = time.time()
-    w = parse_weight_spec(args.weight)
-    xs = _parse_x_list(args.x)
-    spf = arith.build_spf(max(xs))
-    table = weights.build_weight_table(w, max(xs), spf)
-    rows = []
-    if isinstance(w.regime, weights.EwensRegime):
-        a = asympt.euler_constant(w, cutoff=args.cutoff)
-        for x in xs:
-            pred = asympt.predict_S_ewens(a, x)
-            rows.append((x, table.S_at(x), pred, table.S_at(x) / pred))
-    else:
-        saddle = asympt.solve_saddle(w.poly().K, w.poly().gamma, max(xs), prime_cutoff=args.cutoff, w=w)
-        for x in xs:
-            pred = asympt.predict_S_poly(saddle, x)
-            rows.append((x, table.S_at(x), pred, table.S_at(x) / pred))
-    if args.out:
-        _write_csv(args.out, ["x", "exact", "predicted", "ratio"], rows)
-    _report(args, {"rows": [{"x": r[0], "exact": r[1], "predicted": r[2], "ratio": r[3]} for r in rows]}, t0)
+def cmd_sieve_sum(args, ctx):
+    rows = experiments.sieve_sum(ctx, parse_weight_spec(args.weight), _parse_x_list(args.x), args.cutoff)
+    _write_rows(args.out, rows)
+    return {"rows": rows}
 
 
-def cmd_conditions(args):
-    t0 = time.time()
-    w = parse_weight_spec(args.weight)
-    xs = _parse_x_list(args.x)
-    spf = arith.build_spf(max(xs))
-    res = weights.condition_I_residuals(w, xs, spf)
-    margin = weights.condition_II_margin(w, p_max=min(10**4, max(xs)))
-    if args.out:
-        _write_csv(args.out, ["x", "residual"], res)
-    _report(
-        args,
-        {
-            "condition_I_residuals": [{"x": x, "residual": r} for x, r in res],
-            "condition_II_margin": margin,
-        },
-        t0,
-    )
+def cmd_conditions(args, ctx):
+    results = experiments.conditions(ctx, parse_weight_spec(args.weight), _parse_x_list(args.x))
+    _write_rows(args.out, results["condition_I_residuals"])
+    return results
 
 
-def cmd_sample(args):
-    t0 = time.time()
-    w = parse_weight_spec(args.weight)
-    x = int(float(args.x))
-    spf = arith.build_spf(x)
-    table = weights.build_weight_table(w, x, spf)
-    rng = np.random.default_rng(args.seed)
-    draws = sampling.WeightedIntegerSampler(table, rng).sample(args.n)
+def cmd_sample(args, ctx):
+    draws = experiments.sample(ctx, parse_weight_spec(args.weight), int(float(args.x)), args.n, args.seed)
     if args.out:
         _write_csv(args.out, ["value"], [(int(v),) for v in draws])
     vals, counts = np.unique(draws, return_counts=True)
-    _report(
-        args,
-        {
-            "n_samples": args.n,
-            "seed": args.seed,
-            "mean": float(np.mean(draws)),
-            "distinct": int(len(vals)),
-            "top": [{"value": int(v), "count": int(c)} for v, c in
-                    sorted(zip(vals, counts), key=lambda t: -t[1])[:10]],
-        },
-        t0,
-    )
+    return {
+        "n_samples": args.n,
+        "seed": args.seed,
+        "mean": float(np.mean(draws)),
+        "distinct": int(len(vals)),
+        "top": [{"value": int(v), "count": int(c)} for v, c in
+                sorted(zip(vals, counts), key=lambda t: -t[1])[:10]],
+    }
 
 
-_STATISTICS = ("omega", "big_omega", "nu", "largest_ratio", "smooth")
-
-
-def _statistic_values(stat: str, p: int, u: float, x: int, spf: arith.SpfTable) -> np.ndarray:
-    if stat == "omega":
-        return arith.omega_table(spf)[: x + 1]
-    if stat == "big_omega":
-        return arith.big_omega_table(spf)[: x + 1]
-    if stat == "nu":
-        return arith.nu_p_table(x, p)
-    lpf = arith.largest_prime_table(spf)[: x + 1].astype(float)
-    lpf[1] = 1.0
-    if stat == "largest_ratio":
-        with np.errstate(divide="ignore"):
-            out = np.log(lpf) / math.log(x)
-        out[0] = 0.0
-        return out
-    if stat == "smooth":
-        return (lpf <= x ** (1.0 / u)).astype(np.int8)
-    raise SystemExit(f"unknown statistic {stat!r}; known: {_STATISTICS}")
-
-
-def cmd_exact_dist(args):
-    t0 = time.time()
-    w = parse_weight_spec(args.weight)
-    x = int(float(args.x))
-    spf = arith.build_spf(x)
-    table = weights.build_weight_table(w, x, spf)
-    vals = _statistic_values(args.statistic, args.p, args.u, x, spf)
-    pmf = sampling.exact_pmf_from_values(table, vals)
+def cmd_exact_dist(args, ctx):
+    pmf = experiments.exact_dist(ctx, parse_weight_spec(args.weight), int(float(args.x)), args.statistic,
+                                 p=args.p, u=args.u)
     if args.out:
         pmf.to_csv(args.out)
-    _report(
-        args,
-        {"statistic": args.statistic, "mean": pmf.mean(), "atoms": len(pmf.values),
-         "pmf_head": [{"value": float(v), "probability": float(p_)} for v, p_ in
-                      zip(pmf.values[:20], pmf.probs[:20])]},
-        t0,
-    )
+    return {"statistic": args.statistic, "mean": pmf.mean(), "atoms": len(pmf.values),
+            "pmf_head": [{"value": float(v), "probability": float(p_)} for v, p_ in
+                         zip(pmf.values[:20], pmf.probs[:20])]}
 
 
-def cmd_ek_compare(args):
-    t0 = time.time()
-    w = parse_weight_spec(args.weight)
-    theta = w.ewens().theta
+def cmd_ek_compare(args, ctx):
     xs = _parse_x_list(args.x)
-    spf = arith.build_spf(max(xs))
-    table = weights.build_weight_table(w, max(xs), spf)
-    om = arith.big_omega_table(spf)
-    rows = []
-    for x in xs:
-        sub = weights.WeightTable(x=x, alpha=table.alpha[: x + 1], prefix=table.prefix[: x + 1])
-        pmf = sampling.exact_pmf_from_values(sub, om[: x + 1])
-        c = theta * math.log(math.log(x))
-        ks = limitlaws.ks_distance(pmf.affine(c, math.sqrt(c)), limitlaws.normal_cdf)
-        rows.append(("omega_normalized", ks, "", 0, args.seed, x))
-    if args.out:
-        _write_csv(args.out, ["stat", "ks", "tv", "n_samples", "seed", "x"], rows)
-    _report(args, {"rows": [{"x": r[5], "ks": r[1]} for r in rows]}, t0)
+    kss = experiments.omega_clt_ks(ctx, parse_weight_spec(args.weight), xs)
+    rows = [{"x": x, "ks": ks} for x, ks in zip(xs, kss)]
+    _write_rows(args.out, rows)
+    return {"rows": rows}
 
 
-def cmd_pd_compare(args):
-    t0 = time.time()
-    w = parse_weight_spec(args.weight)
-    theta = w.ewens().theta
-    x = int(float(args.x))
-    spf = arith.build_spf(x)
-    table = weights.build_weight_table(w, x, spf)
-    rng = np.random.default_rng(args.seed)
-    sampler = sampling.WeightedIntegerSampler(table, rng)
-    ns = sampler.sample(args.n)
-    coords = np.zeros((args.n, 3))
-    for i, n in enumerate(ns):
-        sp = sampling.spectrum(arith.factorize(int(n), spf), x)
-        coords[i] = [sp.ratio(1), sp.ratio(2), sp.ratio(3)]
-    oracle_rng = np.random.default_rng(args.seed + 1)
-    Z = limitlaws.gem_matrix(theta, 200, oracle_rng, args.oracle_draws)
-    parts = np.sort(Z, axis=1)[:, ::-1]
-    rows = []
-    for j in range(3):
-        rows.append((f"coord_{j + 1}_mean", float(coords[:, j].mean()), float(parts[:, j].mean())))
-    if args.out:
-        _write_csv(args.out, ["stat", "sample", "pd_oracle"], rows)
-    _report(
-        args,
-        {"rows": [{"stat": r[0], "sample": r[1], "pd_oracle": r[2]} for r in rows],
-         "n_samples": args.n, "seed": args.seed},
-        t0,
-    )
+def cmd_pd_compare(args, ctx):
+    rows = experiments.pd_compare(ctx, parse_weight_spec(args.weight), int(float(args.x)), args.n,
+                                  args.oracle_draws, args.seed)
+    _write_rows(args.out, rows)
+    return {"rows": rows, "n_samples": args.n, "seed": args.seed}
 
 
-def cmd_smooth(args):
-    t0 = time.time()
-    w = parse_weight_spec(args.weight)
-    theta = w.ewens().theta
-    x = int(float(args.x))
-    spf = arith.build_spf(x)
-    table = weights.build_weight_table(w, x, spf)
-    lpf = arith.largest_prime_table(spf).astype(float)
-    lpf[1] = 1.0
+def cmd_smooth(args, ctx):
     us = [float(t) for t in str(args.u).split(",")]
-    sol = limitlaws.dickman_rho(theta, max(max(us), 1.0) + 1e-9, h=args.step)
-    rows = []
-    for u in us:
-        ind = (lpf[: x + 1] <= x ** (1.0 / u)).astype(np.int8)
-        exact = sampling.exact_pmf_from_values(table, ind).prob_of(1.0)
-        rho = sol.rho(u)
-        rows.append((u, exact, rho, exact - rho))
+    rows = experiments.smooth(ctx, parse_weight_spec(args.weight), int(float(args.x)), us, args.step)
     if args.out:
-        _write_csv(args.out, ["u", "exact", "rho", "diff"], rows)
-    _report(args, {"rows": [{"u": r[0], "exact": r[1], "rho": r[2]} for r in rows]}, t0)
+        _write_csv(args.out, ["u", "exact", "rho", "diff"],
+                   [(r["u"], r["exact"], r["rho"], r["exact"] - r["rho"]) for r in rows])
+    return {"rows": rows}
 
 
-def cmd_small_prime(args):
-    t0 = time.time()
-    w = parse_weight_spec(args.weight)
-    x = int(float(args.x))
+def cmd_small_prime(args, ctx):
     ps = [int(t) for t in str(args.p).split(",")]
-    spf = arith.build_spf(x)
-    table = weights.build_weight_table(w, x, spf)
-    rows = []
-    for p in ps:
-        exact = sampling.exact_pmf_from_values(table, arith.nu_p_table(x, p))
-        limit = sampling.nu_p_limit_pmf(w, p)
-        kmax = int(max(exact.values.max(), limit.values.max()))
-        for k in range(kmax + 1):
-            rows.append((p, k, exact.prob_of(k), limit.prob_of(k), abs(exact.prob_of(k) - limit.prob_of(k))))
-    if args.out:
-        _write_csv(args.out, ["p", "k", "exact", "limit", "gap"], rows)
-    _report(args, {"max_gap": max(r[4] for r in rows), "atoms": len(rows)}, t0)
+    rows = experiments.small_prime(ctx, parse_weight_spec(args.weight), int(float(args.x)), ps)
+    _write_rows(args.out, rows)
+    return {"max_gap": max(r["gap"] for r in rows), "atoms": len(rows)}
 
 
-def cmd_poly_asym(args):
-    t0 = time.time()
-    K, gamma = args.K, args.gamma
-    xs = _parse_x_list(args.x)
-    w = weights.builtin_weight("poly_log", K=K, gamma=gamma)
-    spf = arith.build_spf(max(xs))
-    table = weights.build_weight_table(w, max(xs), spf)
-    rows = []
-    for x in xs:
-        s = asympt.solve_saddle(K, gamma, x, prime_cutoff=args.cutoff)
-        pred = asympt.predict_S_poly(s, x)
-        rows.append((x, s.sigma, s.residual, table.S_at(x), pred, table.S_at(x) / pred))
-    if args.out:
-        _write_csv(args.out, ["x", "sigma", "residual", "exact", "predicted", "ratio"], rows)
-    doubles = [rows[i + 1][5] / rows[i][5] for i in range(len(rows) - 1)]
-    _report(
-        args,
-        {"rows": [{"x": r[0], "sigma": r[1], "ratio": r[5]} for r in rows],
-         "double_ratios": doubles},
-        t0,
-    )
+def cmd_poly_asym(args, ctx):
+    rows = experiments.poly_asym(ctx, args.K, args.gamma, _parse_x_list(args.x), args.cutoff)
+    _write_rows(args.out, rows)
+    return {"rows": [{"x": r["x"], "sigma": r["sigma"], "ratio": r["ratio"]} for r in rows],
+            "double_ratios": [b["ratio"] / a["ratio"] for a, b in zip(rows, rows[1:])]}
 
 
-def cmd_poly_typical(args):
-    t0 = time.time()
-    K, gamma = args.K, args.gamma
-    x = int(float(args.x))
-    w = weights.builtin_weight("poly_log", K=K, gamma=gamma)
-    spf = arith.build_spf(x)
-    table = weights.build_weight_table(w, x, spf)
-    om = arith.big_omega_table(spf)
-    eo = float(np.dot(om[1:].astype(float), table.alpha[1:])) / table.S
-    pred = asympt.predict_mean_omega_poly(K, gamma, x)
-    rng = np.random.default_rng(args.seed)
-    sampler = sampling.WeightedIntegerSampler(table, rng)
-    ns = sampler.sample(args.n)
-    scalepow = math.log(x) ** (1.0 / (gamma + 1.0))
-    vals = []
-    for n in ns:
-        n = int(n)
-        vals.append(0.0 if n == 1 else math.log(sampling.size_biased_prime(arith.factorize(n, spf), rng)) / scalepow)
-    shape, rate = asympt.gamma_law_params(K, gamma)
-    ks = limitlaws.ks_distance(np.array(vals), lambda u: limitlaws.gamma_cdf(shape, rate, u))
+def cmd_poly_typical(args, ctx):
+    results = experiments.poly_typical(ctx, args.K, args.gamma, int(float(args.x)), args.n, args.seed)
     if args.out:
         _write_csv(args.out, ["stat", "ks", "tv", "n_samples", "seed"],
-                   [("log_P1_scaled_vs_gamma", ks, "", args.n, args.seed)])
-    _report(
-        args,
-        {"mean_omega_exact": eo, "mean_omega_predicted": pred, "ratio": eo / pred,
-         "gamma_law": {"shape": shape, "rate": rate}, "ks": ks, "seed": args.seed},
-        t0,
-    )
+                   [("log_P1_scaled_vs_gamma", results["ks"], "", args.n, args.seed)])
+    return {**results, "seed": args.seed}
 
 
-def cmd_ewens(args):
-    t0 = time.time()
+def cmd_ewens(args, ctx):
     n = args.n
-    w = permutations.poly_weights(args.poly_gamma, n) if args.poly_gamma else permutations.constant_weights(n, args.theta)
-    rows = []
-    results = {}
+    w = experiments.cycle_weights(n, args.theta, args.poly_gamma)
     if args.exact:
         exact = permutations.enumerate_Sn(n, w)
-        for k in range(1, n + 1):
-            rows.append((k, float(exact.l1_pmf[k])))
-        results["l1_pmf"] = {str(k): float(exact.l1_pmf[k]) for k in range(1, n + 1)}
-        results["cycle_count_pmf"] = {str(k): float(v) for k, v in enumerate(exact.cycle_count_pmf()) if v > 0}
         if args.out:
-            _write_csv(args.out, ["value", "probability"], rows)
-    else:
-        table = permutations.partition_function(w)
-        rng = np.random.default_rng(args.seed)
-        draws = [permutations.sample_cycle_type(w, table, rng) for _ in range(args.samples)]
-        l1 = np.array([d.first_length for d in draws], dtype=float)
-        results["l1_mean"] = float(l1.mean())
-        results["mean_cycles"] = float(np.mean([d.num_cycles for d in draws]))
-        results["seed"] = args.seed
-        if args.out:
-            # one sample per row, cycle lengths sorted nonincreasing
-            with open(args.out, "w", newline="") as fh:
-                wr = csv.writer(fh)
-                for d in draws:
-                    wr.writerow(d.lengths)
-    _report(args, results, t0)
+            _write_csv(args.out, ["value", "probability"], [(k, float(exact.l1_pmf[k])) for k in range(1, n + 1)])
+        return {
+            "l1_pmf": {str(k): float(exact.l1_pmf[k]) for k in range(1, n + 1)},
+            "cycle_count_pmf": {str(k): float(v) for k, v in enumerate(exact.cycle_count_pmf()) if v > 0},
+        }
+    draws = experiments.cycle_types(w, args.samples, args.seed)
+    if args.out:
+        # one sample per row, cycle lengths sorted nonincreasing
+        with open(args.out, "w", newline="") as fh:
+            wr = csv.writer(fh)
+            for d in draws:
+                wr.writerow(d.lengths)
+    return {
+        "l1_mean": float(np.array([d.first_length for d in draws], dtype=float).mean()),
+        "mean_cycles": float(np.mean([d.num_cycles for d in draws])),
+        "seed": args.seed,
+    }
 
 
-def cmd_dickman(args):
-    t0 = time.time()
-    sol = limitlaws.dickman_rho(args.theta, args.umax, h=args.step)
+def cmd_dickman(args, ctx):
+    sol, results = experiments.dickman(args.theta, args.umax, args.step)
     if args.out:
         sol.to_csv(args.out)
-    res = sol.residuals()
-    _report(
-        args,
-        {"rho": {f"{u:g}": sol.at_grid(float(u)) for u in np.arange(1, int(args.umax) + 1)},
-         "max_residual": float(res.max()), "grid_points": len(sol.grid)},
-        t0,
-    )
+    return results
 
 
-def cmd_selftest(args):
+def cmd_selftest(args, ctx):
     results = harness.run_all(args.scale, case_ids=args.cases.split(",") if args.cases else None)
     if args.junit:
         harness.write_junit(results, args.junit)
@@ -470,13 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("exact-dist", help="exact law of a factorization statistic")
     _add_common(sp)
-    sp.add_argument("--statistic", default="big_omega", help=f"one of {_STATISTICS}")
+    sp.add_argument("--statistic", default="big_omega", help=f"one of {experiments.STATISTICS}")
     sp.add_argument("--p", type=int, default=2, help="prime for the nu statistic")
     sp.add_argument("--u", type=float, default=2.0, help="smoothness parameter for the smooth statistic")
     sp.set_defaults(func=cmd_exact_dist)
 
     sp = sub.add_parser("ek-compare", help="normalized prime-factor counts against N(0,1)")
-    _add_common(sp, seed=True)
+    _add_common(sp)
     sp.set_defaults(func=cmd_ek_compare)
 
     sp = sub.add_parser("pd-compare", help="log-prime spectrum against the Poisson-Dirichlet law")
@@ -535,26 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_CONFIG_KEYS = {
-    "sieve-sum": {"weight", "x", "cutoff"},
-    "conditions": {"weight", "x"},
-    "sample": {"weight", "x", "n", "seed"},
-    "exact-dist": {"weight", "x", "statistic", "p", "u"},
-    "ek-compare": {"weight", "x", "seed"},
-    "pd-compare": {"weight", "x", "n", "oracle_draws", "seed"},
-    "smooth": {"weight", "x", "u", "step"},
-    "small-prime": {"weight", "x", "p"},
-    "poly-asym": {"K", "gamma", "x", "cutoff"},
-    "poly-typical": {"K", "gamma", "x", "n", "seed"},
-    "ewens": {"n", "theta", "poly_gamma", "exact", "samples", "seed"},
-    "dickman": {"theta", "umax", "step"},
-}
-
-
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command in _CONFIG_KEYS:
+    if hasattr(args, "config"):
         if args.config:
             _load_config(args.config, ap, args.command)
             args = ap.parse_args(argv)
@@ -562,11 +382,14 @@ def main(argv=None) -> int:
             raise SystemExit(f"{args.command}: --weight (or a config 'weight' entry) is required")
         if getattr(args, "x", "missing") is None:
             raise SystemExit(f"{args.command}: --x (or a config 'x' entry) is required")
+    t0 = time.time()
     try:
-        args.func(args)
+        results = args.func(args, experiments.Context())
     except (arith.CapacityError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if results is not None:
+        _report(args, results, t0)
     return 0
 
 

@@ -1,7 +1,9 @@
 """Acceptance harness: every criterion as a deterministic, seeded check.
 
 Each case maps one acceptance criterion to concrete computations with
-pinned tolerances and fixed seeds; run_all executes a scale tier:
+pinned tolerances and fixed seeds; the experiments the CLI also runs come
+from `experiments`, so a case adds only its sizes, seeds, references and
+tolerances.  run_all executes a scale tier:
 
 * desk: the criteria at their stated sizes (x up to 10^7), < 10 minutes.
 * selftest: scaled-down sizes for a < 5 minute smoke run.
@@ -23,7 +25,8 @@ from typing import Callable
 import numpy as np
 from scipy import stats
 
-from . import arith, asympt, limitlaws, permutations, sampling, weights
+from . import arith, asympt, experiments, limitlaws, permutations, sampling, weights
+from .experiments import Context, atom_gaps, sub_table
 
 
 @dataclass(frozen=True)
@@ -49,55 +52,6 @@ class CaseResult:
         return f"[{mark}] {self.case_id} ({self.runtime_s:.1f}s) vs {case.oracle} [{case.tolerance}]"
 
 
-class Context:
-    """Shared lazily-built tables.
-
-    The spf and statistic tables persist across cases; weight tables are
-    rebuilt per case (cleared by the runner) to bound peak memory.
-    """
-
-    def __init__(self):
-        self._spf: dict[int, arith.SpfTable] = {}
-        self._stat: dict[tuple[str, int], np.ndarray] = {}
-        self._wt: dict[tuple[str, int], weights.WeightTable] = {}
-
-    def spf(self, x: int) -> arith.SpfTable:
-        for lim, t in self._spf.items():
-            if lim >= x:
-                return t
-        t = arith.build_spf(x)
-        self._spf = {x: t}
-        return t
-
-    def stat_table(self, kind: str, x: int) -> np.ndarray:
-        key = (kind, x)
-        if key not in self._stat:
-            t = self.spf(x)
-            if kind == "big_omega":
-                arr = arith.big_omega_table(t)
-            elif kind == "omega":
-                arr = arith.omega_table(t)
-            elif kind == "largest_prime":
-                arr = arith.largest_prime_table(t)
-            elif kind.startswith("nu_"):
-                arr = arith.nu_p_table(x, int(kind[3:]))
-            else:
-                raise ValueError(kind)
-            self._stat[key] = arr[: x + 1]
-        return self._stat[key]
-
-    def weight_table(self, kind: str, params: dict, x: int) -> weights.WeightTable:
-        name = f"{kind}:{sorted(params.items())}"
-        key = (name, x)
-        if key not in self._wt:
-            w = weights.builtin_weight(kind, **params)
-            self._wt[key] = weights.build_weight_table(w, x, self.spf(x))
-        return self._wt[key]
-
-    def clear_weight_tables(self):
-        self._wt.clear()
-
-
 # --------------------------------------------------------------------------
 # scale parameters
 # --------------------------------------------------------------------------
@@ -107,16 +61,6 @@ SCALES = ("desk", "selftest", "extended")
 
 def _p(scale: str, desk, selftest):
     return desk if scale in ("desk", "extended") else selftest
-
-
-def _sub_table(table: weights.WeightTable, x: int) -> weights.WeightTable:
-    """The table for a smaller range, as a view of a larger one."""
-    return weights.WeightTable(x=x, alpha=table.alpha[: x + 1], prefix=table.prefix[: x + 1])
-
-
-def _max_atom_gap(a: sampling.ExactPmf, b: sampling.ExactPmf) -> float:
-    top = int(max(a.values.max(), b.values.max()))
-    return max(abs(a.prob_of(k) - b.prob_of(k)) for k in range(top + 1))
 
 
 # --------------------------------------------------------------------------
@@ -191,42 +135,26 @@ def _c03_ewens_mean_value(ctx: Context, scale: str):
     checks = []
     for kind, params in (("theta_omega", {"theta": 2.0}), ("powerfree", {"k": 2})):
         w = weights.builtin_weight(kind, **params)
-        a = asympt.euler_constant(w, cutoff=_p(scale, 10**6, 10**5))
-        table = ctx.weight_table(kind, params, xs[-1])
-        gaps = []
-        for x in xs:
-            ratio = table.S_at(x) / asympt.predict_S_ewens(a, x)
-            gaps.append(abs(ratio - 1.0))
+        gaps = [abs(r["ratio"] - 1.0) for r in experiments.sieve_sum(ctx, w, xs, _p(scale, 10**6, 10**5))]
         # below 1e-4 the gap sits at truncated-constant/error-term noise scale,
         # where strict monotonicity is vacuous (powerfree converges like x^-1/2)
         dec = all(b < a_ or b <= 1e-4 for a_, b in zip(gaps, gaps[1:]))
         checks.append((f"{w.name} |ratio-1| decreasing", dec, f"gaps={['%.2e' % g for g in gaps]}"))
         checks.append((f"{w.name} final gap <= 0.1", gaps[-1] <= 0.1, f"gap({xs[-1]:.0e})={gaps[-1]:.4f}"))
-    ctx.clear_weight_tables()
     return checks
-
-
-def _ek_ks(ctx: Context, theta: float, x: int) -> float:
-    # d_theta weights: the canonical family with Ewens parameter theta
-    if theta == 1.0:
-        table = ctx.weight_table("power", {"z": 0.0}, x)
-    else:
-        table = ctx.weight_table("divisor", {"k": theta}, x)
-    om = ctx.stat_table("big_omega", ctx.spf(x).limit)
-    pmf = sampling.exact_pmf_from_values(table, om[: x + 1])
-    c = theta * math.log(math.log(x))
-    z = pmf.affine(c, math.sqrt(c))
-    return limitlaws.ks_distance(z, limitlaws.normal_cdf)
 
 
 def _c04_prime_factor_clt(ctx: Context, scale: str):
     checks = []
     for theta in (1.0, 2.0):
-        ks_lo = _ek_ks(ctx, theta, 10**4)
-        ks_hi = _ek_ks(ctx, theta, 10**6)
+        # d_theta weights: the canonical family with Ewens parameter theta
+        if theta == 1.0:
+            w = weights.builtin_weight("power", z=0.0)
+        else:
+            w = weights.builtin_weight("divisor", k=theta)
+        ks_lo, ks_hi = experiments.omega_clt_ks(ctx, w, [10**4, 10**6])
         checks.append((f"theta={theta:g} KS(1e6) <= 0.25", ks_hi <= 0.25, f"KS={ks_hi:.4f}"))
         checks.append((f"theta={theta:g} KS(1e6) < KS(1e4)", ks_hi < ks_lo, f"{ks_hi:.4f} < {ks_lo:.4f}"))
-    ctx.clear_weight_tables()
     return checks
 
 
@@ -235,17 +163,9 @@ def _c05_pd_largest_part(ctx: Context, scale: str):
     draws = _p(scale, 10**4, 5 * 10**3)
     oracle_draws = _p(scale, 10**6, 2 * 10**5)
     rng = np.random.default_rng(20240105)
-    table = ctx.weight_table("power", {"z": 0.0}, x)
-    spf = ctx.spf(x)
-    sampler = sampling.WeightedIntegerSampler(table, rng)
-    ns = sampler.sample(draws)
-    logx = math.log(x)
-    vals = np.array(
-        [0.0 if n == 1 else math.log(max(p for p, _ in arith.factorize(int(n), spf).factors)) / logx for n in ns]
-    )
+    vals = experiments.spectrum_draws(ctx, weights.builtin_weight("power", z=0.0), x, draws, rng, 1)[:, 0]
     oracle = limitlaws.pd_largest_part_mean(1.0, np.random.default_rng(20240205), draws=oracle_draws)
     gap = abs(float(vals.mean()) - oracle)
-    ctx.clear_weight_tables()
     return [
         (
             "mean log p1/log x vs PD(1) largest-part mean",
@@ -258,16 +178,10 @@ def _c05_pd_largest_part(ctx: Context, scale: str):
 def _c06_smoothness(ctx: Context, scale: str):
     xs = _p(scale, [10**5, 10**6, 10**7], [10**4, 10**5, 10**6])
     x = xs[-1]
-    lpf = ctx.stat_table("largest_prime", ctx.spf(x).limit)[: x + 1]
     checks = []
-    uni = ctx.weight_table("power", {"z": 0.0}, x)
-
-    def p_smooth(table: weights.WeightTable, y: int) -> float:
-        smooth = (lpf[: y + 1] <= math.sqrt(y)).astype(np.int8)
-        return sampling.exact_pmf_from_values(_sub_table(table, y), smooth).prob_of(1.0)
-
+    uni = ctx.weight_table(weights.builtin_weight("power", z=0.0), x)
     rho1 = 1.0 - math.log(2.0)
-    p1s = [p_smooth(uni, y) for y in xs]
+    p1s = [experiments.smooth_probability(ctx, sub_table(uni, y), 2.0) for y in xs]
     p1 = p1s[-1]
     ref1 = _smooth_two_term(x)
     gap1 = abs(p1 - ref1)
@@ -287,8 +201,7 @@ def _c06_smoothness(ctx: Context, scale: str):
             f"gaps={['%.4f' % g for g in gaps]}",
         )
     )
-    div2 = ctx.weight_table("divisor", {"k": 2.0}, x)
-    p2 = p_smooth(div2, x)
+    p2 = experiments.smooth_probability(ctx, ctx.weight_table(weights.builtin_weight("divisor", k=2.0), x), 2.0)
     rho2 = limitlaws.dickman_rho(2.0, 2.0, h=1.0 / 256).at_grid(2.0)
     gap2 = abs(p2 - rho2)
     checks.append(
@@ -298,7 +211,6 @@ def _c06_smoothness(ctx: Context, scale: str):
             f"exact={p2:.5f} rho={rho2:.5f} gap={gap2:.4f}",
         )
     )
-    ctx.clear_weight_tables()
     return checks
 
 
@@ -333,12 +245,11 @@ def _c08_saddle(ctx: Context, scale: str):
 def _c09_poly_partition_sum(ctx: Context, scale: str):
     x1, x2 = _p(scale, (10**6, 10**7), (10**5, 10**6))
     cutoff = _p(scale, 10**6, 10**5)
-    table = ctx.weight_table("poly_log", {"K": 1.0, "gamma": 1.0}, x2)
+    table = ctx.weight_table(weights.builtin_weight("poly_log", K=1.0, gamma=1.0), x2)
     saddle = asympt.solve_saddle(1.0, 1.0, x2, prime_cutoff=cutoff)
     r1 = table.S_at(x1) / asympt.predict_S_poly(saddle, x1)
     r2 = table.S_at(x2) / asympt.predict_S_poly(saddle, x2)
     dr = r2 / r1
-    ctx.clear_weight_tables()
     return [
         (
             f"double ratio [S/pred]({x2:.0e})/[S/pred]({x1:.0e}) within 0.1 of 1",
@@ -353,55 +264,35 @@ def _c10_poly_typical(ctx: Context, scale: str):
     draws = _p(scale, 10**4, 3 * 10**3)
     K, gamma = 1.0, 1.0
     x_top = xs[-1]
-    table = ctx.weight_table("poly_log", {"K": K, "gamma": gamma}, x_top)
-    om = ctx.stat_table("big_omega", ctx.spf(x_top).limit)
+    table = ctx.weight_table(weights.builtin_weight("poly_log", K=K, gamma=gamma), x_top)
     checks = []
     gaps = []
     for x in xs:
-        eo = float(np.dot(om[1 : x + 1].astype(float), table.alpha[1 : x + 1])) / table.S_at(x)
+        eo = experiments.mean_big_omega(ctx, sub_table(table, x))
         gaps.append(abs(eo / asympt.predict_mean_omega_poly(K, gamma, x) - 1.0))
     dec = all(b < a for a, b in zip(gaps, gaps[1:]))
     checks.append(("E Omega / prediction monotonically approaching 1", dec, f"|ratio-1|={['%.4f' % g for g in gaps]}"))
 
-    shape, rate = asympt.gamma_law_params(K, gamma)
-    spf = ctx.spf(x_top)
-
-    def ks_at(x: int, seed: int) -> float:
-        rng = np.random.default_rng(seed)
-        sampler = sampling.WeightedIntegerSampler(_sub_table(table, x), rng)
-        ns = sampler.sample(draws)
-        scalepow = math.log(x) ** (1.0 / (gamma + 1.0))
-        vals = []
-        for n in ns:
-            n = int(n)
-            if n == 1:
-                vals.append(0.0)
-                continue
-            p = sampling.size_biased_prime(arith.factorize(n, spf), rng)
-            vals.append(math.log(p) / scalepow)
-        return limitlaws.ks_distance(np.array(vals), lambda t: limitlaws.gamma_cdf(shape, rate, t))
-
-    ks_lo = ks_at(xs[0], 20241001)
-    ks_hi = ks_at(x_top, 20241002)
+    ks_lo = experiments.gamma_law_ks(ctx, sub_table(table, xs[0]), K, gamma, draws, np.random.default_rng(20241001))
+    ks_hi = experiments.gamma_law_ks(ctx, table, K, gamma, draws, np.random.default_rng(20241002))
     checks.append((f"KS at {x_top:.0e} <= 0.15", ks_hi <= 0.15, f"KS={ks_hi:.4f}"))
     checks.append((f"KS decreasing from {xs[0]:.0e}", ks_hi < ks_lo, f"{ks_hi:.4f} < {ks_lo:.4f}"))
-    ctx.clear_weight_tables()
     return checks
 
 
 def _c11_small_primes(ctx: Context, scale: str):
     xs = _p(scale, [10**5, 10**6, 10**7], [10**4, 10**5, 10**6])
     x = xs[-1]
-    nu2 = ctx.stat_table("nu_2", ctx.spf(x).limit)[: x + 1]
-    nu3 = ctx.stat_table("nu_3", ctx.spf(x).limit)[: x + 1]
+    nu2 = ctx.statistic("nu", x, p=2)
+    nu3 = ctx.statistic("nu", x, p=3)
     checks = []
     for kind, params in (("theta_omega", {"theta": 2.0}), ("powerfree", {"k": 2})):
         w = weights.builtin_weight(kind, **params)
-        table = ctx.weight_table(kind, params, x)
-        exacts = [sampling.exact_pmf_from_values(_sub_table(table, y), nu2[: y + 1]) for y in xs]
-        gap = _max_atom_gap(exacts[-1], _nu_p_first_order(w, 2, x))
+        table = ctx.weight_table(w, x)
+        exacts = [experiments.nu_p_pmf(ctx, sub_table(table, y), 2) for y in xs]
+        gap = max(atom_gaps(exacts[-1], _nu_p_first_order(w, 2, x)))
         limit = sampling.nu_p_limit_pmf(w, 2)
-        lim_gaps = [_max_atom_gap(e, limit) for e in exacts]
+        lim_gaps = [max(atom_gaps(e, limit)) for e in exacts]
         checks.append(
             (
                 f"{w.name} nu_2 atoms vs first-order law, tol 0.01",
@@ -427,7 +318,6 @@ def _c11_small_primes(ctx: Context, scale: str):
         checks.append(
             (f"{w.name} joint (nu_2,nu_3) factorizes, tol 0.01", fgap <= 0.01, f"max gap={fgap:.4f}")
         )
-    ctx.clear_weight_tables()
     return checks
 
 
@@ -662,7 +552,6 @@ def run_all(scale: str = "desk", case_ids: list[str] | None = None, verbose: boo
     results = []
     for case in cases:
         res = run_case(case.id, scale, ctx)
-        ctx.clear_weight_tables()
         results.append(res)
         if verbose:
             print(res.line())

@@ -103,10 +103,6 @@ class PartitionFunctionTable:
     def h(self, m: int) -> float:
         return math.exp(self.log_h[m])
 
-    def h_ratio(self, m1: int, m2: int) -> float:
-        """h_m1 / h_m2 without leaving the representable range."""
-        return math.exp(self.log_h[m1] - self.log_h[m2])
-
 
 def partition_function(w: CycleWeights) -> PartitionFunctionTable:
     """Build h_0..h_n via the convolution recursion.
@@ -360,12 +356,6 @@ class ExactSnDistribution:
     type_probs: dict[tuple[int, ...], float]
     l1_pmf: np.ndarray
     typ_pmf: np.ndarray
-
-    def longest_pmf(self) -> np.ndarray:
-        out = np.zeros(self.n + 1)
-        for part, p in self.type_probs.items():
-            out[max(part)] += p
-        return out
 
     def cycle_count_pmf(self) -> np.ndarray:
         out = np.zeros(self.n + 1)

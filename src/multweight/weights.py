@@ -116,7 +116,7 @@ def builtin_weight(kind: str, **params) -> MultiplicativeWeight:
     Kinds and parameters:
         theta_omega(theta)    alpha(n) = theta^omega(n)           Ewens(theta, 0)
         divisor(k)            alpha(p^i) = C(i+k-1, i), real k>0  Ewens(k, 0)
-        powerfree(k)          indicator of k-powerfree, k >= 2    Ewens(1, 0)
+        powerfree(k)          k-powerfree indicator, int k >= 2   Ewens(1, 0)
         euler_ratio           phi(n)/n                            Ewens(1, 0)
         sigma(z)              sum of z-th powers of divisors      Ewens(1, max(z,0))
         power(z)              n^z, z > -1                         Ewens(1, z)
@@ -149,10 +149,11 @@ def builtin_weight(kind: str, **params) -> MultiplicativeWeight:
             vec_prime_power_value=lambda ps, i, c=kk: np.full(len(ps), _divisor_value(c, i)),
         )
     if kind == "powerfree":
-        kk = int(params.pop("k"))
+        k = float(params.pop("k"))
         _no_extra(kind, params)
-        if kk < 2:
-            raise ValueError("powerfree requires k >= 2")
+        if not k.is_integer() or k < 2:
+            raise ValueError(f"powerfree requires an integer k >= 2, got {k:g}")
+        kk = int(k)
         return MultiplicativeWeight(
             name=f"powerfree({kk})",
             prime_power_value=lambda p, i, c=kk: 1.0 if i < c else 0.0,

@@ -20,7 +20,7 @@ separately that the gap to the bare limit shrinks as x grows:
 """
 
 
-from multweight import harness
+from multweight import experiments, harness
 
 _CTX = None
 
@@ -28,13 +28,12 @@ _CTX = None
 def _ctx():
     global _CTX
     if _CTX is None:
-        _CTX = harness.Context()
+        _CTX = experiments.Context()
     return _CTX
 
 
 def _run(case_id):
     res = harness.run_case(case_id, scale="desk", ctx=_ctx())
-    _ctx().clear_weight_tables()
     print()
     print(res.line())
     for name, ok, detail in res.checks:

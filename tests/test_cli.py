@@ -174,12 +174,68 @@ def test_poly_asym_double_ratio(tmp_path):
 
 
 def test_ek_compare_rows(tmp_path):
+    out = tmp_path / "ek.csv"
     rep = tmp_path / "ek.json"
     assert run(["ek-compare", "--weight", "divisor:2", "--x", "1e3,1e4",
-                "--json", str(rep)]) == 0
+                "--out", str(out), "--json", str(rep)]) == 0
     doc = read_json(rep)
     assert len(doc["results"]["rows"]) == 2
     assert 0 < doc["results"]["rows"][1]["ks"] < 1
+    rows = list(csv.DictReader(out.open()))
+    assert [(int(r["x"]), float(r["ks"])) for r in rows] == [(r["x"], r["ks"]) for r in doc["results"]["rows"]]
+
+
+def test_ek_compare_has_no_seed():
+    # it draws nothing, so a seed flag or config key would only be echoed
+    with pytest.raises(SystemExit):
+        run(["ek-compare", "--weight", "divisor:2", "--x", "1e3", "--seed", "1"])
+
+
+def test_config_keys_are_the_subcommand_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1}))
+    with pytest.raises(SystemExit, match="unknown keys \\['seed'\\]; allowed: \\['weight', 'x'\\]"):
+        run(["ek-compare", "--weight", "divisor:2", "--x", "1e3", "--config", str(cfg)])
+    cfg.write_text(json.dumps({"json_path": "r.json"}))
+    with pytest.raises(SystemExit, match="unknown keys"):
+        run(["sample", "--weight", "divisor:2", "--x", "1e3", "--config", str(cfg)])
+
+
+def test_ewens_poly_gamma_zero_is_rejected(tmp_path):
+    # gamma = 0 used to fall through to constant theta weights
+    assert run(["ewens", "--n", "5", "--poly-gamma", "0", "--samples", "3",
+                "--json", str(tmp_path / "e.json")]) == 2
+    assert not (tmp_path / "e.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["small-prime", "--weight", "powerfree:2", "--x", "1e4", "--p", "2,4"],
+    ["exact-dist", "--weight", "power:0", "--x", "1e4", "--statistic", "nu", "--p", "4"],
+    ["exact-dist", "--weight", "power:0", "--x", "1e4", "--statistic", "nu", "--p", "1"],
+])
+def test_non_prime_p_is_rejected(tmp_path, argv, capsys):
+    assert run(argv + ["--json", str(tmp_path / "r.json")]) == 2
+    assert "is not prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["smooth", "--weight", "power:0", "--x", "1e4", "--u", "2,0"],
+    ["exact-dist", "--weight", "power:0", "--x", "1e4", "--statistic", "smooth", "--u", "-1"],
+])
+def test_nonpositive_u_is_rejected(tmp_path, argv, capsys):
+    assert run(argv + ["--json", str(tmp_path / "r.json")]) == 2
+    assert "u must be positive" in capsys.readouterr().err
+
+
+def test_powerfree_k_must_be_an_integer(tmp_path):
+    with pytest.raises(SystemExit, match="integer k"):
+        run(["sieve-sum", "--weight", "powerfree:2.7", "--x", "1e3"])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"weight": {"kind": "powerfree", "k": 2.5}, "x": "1e3"}))
+    with pytest.raises(SystemExit, match="integer k"):
+        run(["sieve-sum", "--config", str(cfg)])
+    doc = _run_with_config(tmp_path, ["sieve-sum"], {"weight": {"kind": "powerfree", "k": 3.0}, "x": "1e3"})
+    assert doc["results"]["rows"][0]["exact"] > 0
 
 
 def test_pd_compare(tmp_path):

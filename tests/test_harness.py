@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from multweight import arith, harness, limitlaws, sampling, weights
+from multweight import arith, experiments, harness, limitlaws, sampling, weights
 from multweight.weights import builtin_weight
 
 
@@ -29,7 +29,7 @@ def test_nu_p_first_order_tracks_exact_theta_omega_law(spf_1e6):
     exact = sampling.exact_pmf_from_values(table, arith.nu_p_table(x, 2))
     first = harness._nu_p_first_order(w, 2, x)
     assert first.values.max() == 19  # 2^19 < 1e6 < 2^20
-    assert harness._max_atom_gap(exact, first) < 0.005
+    assert max(experiments.atom_gaps(exact, first)) < 0.005
 
 
 def test_smooth_two_term_tracks_exact_probability(spf_1e6):

@@ -26,6 +26,13 @@ def test_powerfree_values():
     assert w.value(3, 2) == 0.0
 
 
+def test_powerfree_k_must_be_an_integer():
+    for k in (2.5, "2.7"):
+        with pytest.raises(ValueError, match="integer k"):
+            builtin_weight("powerfree", k=k)
+    assert builtin_weight("powerfree", k=3.0).name == builtin_weight("powerfree", k="3").name == "powerfree(3)"
+
+
 def test_builtin_parameter_validation():
     with pytest.raises(ValueError):
         builtin_weight("theta_omega", theta=-1.0)

@@ -35,17 +35,12 @@ from .asympt import (
 )
 from .limitlaws import (
     DickmanSolution,
-    GemSequence,
-    PdSample,
     beta_sample,
     dickman_rho,
     gamma_cdf,
-    gem_sample,
     ks_distance,
     normal_cdf,
-    pd_sample,
     residual_ratios,
-    size_biased_permutation,
 )
 from .permutations import (
     CycleType,
@@ -53,7 +48,6 @@ from .permutations import (
     PartitionFunctionTable,
     constant_weights,
     enumerate_Sn,
-    ewens_crp,
     partition_function,
     poly_weights,
     sample_cycle_type,
@@ -76,8 +70,6 @@ from .weights import (
     builtin_weight,
     catalog_weights,
     condition_I_residuals,
-    evaluate_weight,
-    prime_weighted_sum,
 )
 
 __version__ = "0.1.0"

@@ -80,12 +80,6 @@ class FactorProfile:
                 return k
         return 0
 
-    def reconstruct(self) -> int:
-        out = 1
-        for p, k in self.factors:
-            out *= p**k
-        return out
-
 
 def build_spf(x: int) -> SpfTable:
     """Sieve the smallest prime factor of every n <= x.
@@ -212,8 +206,14 @@ def omega_table(t: SpfTable) -> np.ndarray:
     return om
 
 
+def require_prime(p: int) -> None:
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p={p} is not prime")
+
+
 def nu_p_table(x: int, p: int) -> np.ndarray:
-    """nu_p(n) for n = 0..x, int8; needs no sieve."""
+    """nu_p(n) for n = 0..x and a prime p, int8; needs no sieve."""
+    require_prime(p)
     nu = np.zeros(x + 1, dtype=np.int8)
     pk = p
     while pk <= x:

@@ -173,36 +173,17 @@ def sigma_leading_order(K: float, gamma: float, x: float) -> float:
     )
 
 
-def poly_euler_factor(
-    K: float, gamma: float, prime_cutoff: int, w: MultiplicativeWeight | None = None
-) -> float:
-    """prod_p (sum_k alpha(p^k)/p^k) / exp(K log^gamma p / p) to the cutoff.
-
-    Defaults to the canonical poly weight alpha(p) = K log^gamma p with
-    zero tail, for which the numerator is 1 + K log^gamma p / p.
+def poly_euler_factor(K: float, gamma: float, prime_cutoff: int) -> float:
+    """prod_p (sum_k alpha(p^k)/p^k) / exp(K log^gamma p / p) to the cutoff
+    for the poly weight alpha(p) = K log^gamma p, zero at k >= 2, whose
+    Euler factor at p is 1 + K log^gamma p / p.
     """
     cache = _prime_cache(prime_cutoff)
     u = K * cache.logs**gamma / cache.primes
-    if w is None:
-        return float(math.exp(np.sum(np.log1p(u) - u)))
-    series = np.ones(len(cache.primes))
-    k = 1
-    while True:
-        term = w.values_on_primes(cache.primes.astype(np.int64), k) / cache.primes**k
-        series += term
-        if float(term.max(initial=0.0)) < 1e-18 or k > 512:
-            break
-        k += 1
-    return float(math.exp(np.sum(np.log(series) - u)))
+    return float(math.exp(np.sum(np.log1p(u) - u)))
 
 
-def solve_saddle(
-    K: float,
-    gamma: float,
-    x: float,
-    prime_cutoff: int = 10**6,
-    w: MultiplicativeWeight | None = None,
-) -> PolySaddle:
+def solve_saddle(K: float, gamma: float, x: float, prime_cutoff: int = 10**6) -> PolySaddle:
     """Solve K G'(sigma) = -log x by bisection on sigma in (1, 2].
 
     G' is strictly increasing there (each summand is), so bracketing is
@@ -236,7 +217,7 @@ def solve_saddle(
         residual=abs(f(sigma)),
         sigma_leading=sigma_leading_order(K, gamma, x),
         B=B_constant(K, gamma),
-        A_alpha_poly=poly_euler_factor(K, gamma, prime_cutoff, w),
+        A_alpha_poly=poly_euler_factor(K, gamma, prime_cutoff),
         prime_cutoff=prime_cutoff,
     )
 

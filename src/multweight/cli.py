@@ -108,6 +108,10 @@ def _report(args, results: dict, t0: float):
         print(text)
 
 
+def _subparser(ap: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    return next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+
+
 def _load_config(path: str, ap: argparse.ArgumentParser, command: str) -> None:
     """Make a JSON config file's entries, converted by their flags' types,
     the defaults of the command's subparser; flags parsed afterwards win.
@@ -122,7 +126,7 @@ def _load_config(path: str, ap: argparse.ArgumentParser, command: str) -> None:
             raise SystemExit(f"config error: {path} is not valid JSON ({e})")
     if not isinstance(doc, dict):
         raise SystemExit("config error: top level must be an object")
-    sp = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+    sp = _subparser(ap, command)
     types = {a.dest: a.type for a in sp._actions if a.dest not in ("config", "out", "json_path", "help")}
     unknown = set(doc) - set(types)
     if unknown:
@@ -348,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ewens", help="Ewens / generalized Ewens cycle statistics")
     _add_common(sp, weight=False, x=False, seed=True)
-    sp.add_argument("--n", type=int, required=True, help="permutation size")
+    sp.add_argument("--n", type=int, help="permutation size")
     sp.add_argument("--theta", type=float, default=1.0)
     sp.add_argument("--poly-gamma", type=float, default=None, help="use polynomial cycle weights instead")
     sp.add_argument("--exact", action="store_true", help="exact enumeration (n <= 20)")
@@ -357,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dickman", help="solve the rho_theta delay equation")
     _add_common(sp, weight=False, x=False)
-    sp.add_argument("--theta", type=float, required=True)
+    sp.add_argument("--theta", type=float)
     sp.add_argument("--umax", type=float, default=4.0)
     sp.add_argument("--step", type=float, default=1.0 / 256)
     sp.set_defaults(func=cmd_dickman)
@@ -378,10 +382,9 @@ def main(argv=None) -> int:
         if args.config:
             _load_config(args.config, ap, args.command)
             args = ap.parse_args(argv)
-        if getattr(args, "weight", "missing") is None:
-            raise SystemExit(f"{args.command}: --weight (or a config 'weight' entry) is required")
-        if getattr(args, "x", "missing") is None:
-            raise SystemExit(f"{args.command}: --x (or a config 'x' entry) is required")
+        for key in ("weight", "x", "n", "theta"):
+            if getattr(args, key, "missing") is None:
+                _subparser(ap, args.command).error(f"--{key} (or a config {key!r} entry) is required")
     t0 = time.time()
     try:
         results = args.func(args, experiments.Context())

@@ -16,12 +16,6 @@ from . import arith, asympt, limitlaws, permutations, sampling, weights
 STATISTICS = ("omega", "big_omega", "nu", "largest_prime", "largest_ratio", "smooth")
 
 
-def require_prime(p: int) -> int:
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        raise ValueError(f"p={p} is not prime")
-    return p
-
-
 class Context:
     """Lazily built tables shared by the experiments of one run.
 
@@ -58,7 +52,7 @@ class Context:
             return (self.statistic("largest_prime", x) <= x ** (1.0 / u)).astype(np.int8)
         if name not in STATISTICS:
             raise ValueError(f"unknown statistic {name!r}; known: {STATISTICS}")
-        key = (name, require_prime(p) if name == "nu" else 0)
+        key = (name, p if name == "nu" else 0)
         arr = self._stat.get(key)
         if arr is None or len(arr) <= x:
             t = self.spf(x)
@@ -94,7 +88,7 @@ def sieve_sum(ctx: Context, w: weights.MultiplicativeWeight, xs: list[int], cuto
         a = asympt.euler_constant(w, cutoff=cutoff)
         preds = [asympt.predict_S_ewens(a, x) for x in xs]
     else:
-        saddle = asympt.solve_saddle(w.poly().K, w.poly().gamma, max(xs), prime_cutoff=cutoff, w=w)
+        saddle = asympt.solve_saddle(w.poly().K, w.poly().gamma, max(xs), prime_cutoff=cutoff)
         preds = [asympt.predict_S_poly(saddle, x) for x in xs]
     return [{"x": x, "exact": table.S_at(x), "predicted": pred, "ratio": table.S_at(x) / pred}
             for x, pred in zip(xs, preds)]

@@ -215,15 +215,12 @@ def _c06_smoothness(ctx: Context, scale: str):
 
 
 def _c07_dickman(ctx: Context, scale: str):
-    h = 1.0 / 256
     u_max = _p(scale, 4.0, 3.0)
-    checks = []
-    sol1 = limitlaws.dickman_rho(1.0, u_max, h)
-    gap = abs(sol1.at_grid(2.0) - (1.0 - math.log(2.0)))
-    checks.append(("rho_1(2) within 1e-6 of 1-log 2", gap <= 1e-6, f"gap={gap:.2e}"))
-    for theta in (0.5, 1.0, 2.0):
-        sol = sol1 if theta == 1.0 else limitlaws.dickman_rho(theta, u_max, h)
-        r = float(sol.residuals().max())
+    res = {theta: experiments.dickman(theta, u_max, 1.0 / 256)[1] for theta in (0.5, 1.0, 2.0)}
+    gap = abs(res[1.0]["rho"]["2"] - (1.0 - math.log(2.0)))
+    checks = [("rho_1(2) within 1e-6 of 1-log 2", gap <= 1e-6, f"gap={gap:.2e}")]
+    for theta in res:
+        r = res[theta]["max_residual"]
         checks.append((f"theta={theta:g} residual <= 1e-8", r <= 1e-8, f"max residual={r:.2e}"))
     return checks
 
@@ -244,11 +241,8 @@ def _c08_saddle(ctx: Context, scale: str):
 
 def _c09_poly_partition_sum(ctx: Context, scale: str):
     x1, x2 = _p(scale, (10**6, 10**7), (10**5, 10**6))
-    cutoff = _p(scale, 10**6, 10**5)
-    table = ctx.weight_table(weights.builtin_weight("poly_log", K=1.0, gamma=1.0), x2)
-    saddle = asympt.solve_saddle(1.0, 1.0, x2, prime_cutoff=cutoff)
-    r1 = table.S_at(x1) / asympt.predict_S_poly(saddle, x1)
-    r2 = table.S_at(x2) / asympt.predict_S_poly(saddle, x2)
+    w = weights.builtin_weight("poly_log", K=1.0, gamma=1.0)
+    r1, r2 = (r["ratio"] for r in experiments.sieve_sum(ctx, w, [x1, x2], _p(scale, 10**6, 10**5)))
     dr = r2 / r1
     return [
         (
@@ -344,7 +338,7 @@ def _c12_partition_function(ctx: Context, scale: str):
         t = permutations.partition_function(w)
         exact = permutations.enumerate_Sn(n, w)
         rng = np.random.default_rng(20241201)
-        counts, _first = permutations.sample_cycle_types_batch(w, t, rng, draws, as_counts=True)
+        counts, _first = permutations.sample_cycle_types_batch(w, t, rng, draws)
         uniq, cnt = np.unique(counts, axis=0, return_counts=True)
         emp = {}
         for row, c in zip(uniq, cnt):
@@ -414,7 +408,7 @@ def _c15_permutation_trends(ctx: Context, scale: str):
         kss = []
         for i, n in enumerate(ns):
             rng = np.random.default_rng(20241500 + i + int(theta))
-            c = permutations.ewens_cycle_count_samples(n, theta, rng, reps)
+            c = np.bincount(permutations.ewens_cycle_lengths(n, theta, rng, reps)[0], minlength=reps)
             z = (c - theta * math.log(n)) / math.sqrt(theta * math.log(n))
             kss.append(limitlaws.ks_distance(z, limitlaws.normal_cdf))
         checks.append(
@@ -422,11 +416,8 @@ def _c15_permutation_trends(ctx: Context, scale: str):
         )
     # longest-cycle mean against the PD largest part
     n_w = _p(scale, 10**5, 2 * 10**4)
-    reps_w = _p(scale, 1500, 800)
-    rng = np.random.default_rng(20241510)
-    longest = np.array(
-        [lens.max() for lens in permutations.feller_cycle_samples(n_w, 1.0, rng, reps_w)]
-    )
+    rows, lens = permutations.ewens_cycle_lengths(n_w, 1.0, np.random.default_rng(20241510), _p(scale, 1500, 800))
+    longest = np.maximum.reduceat(lens, np.flatnonzero(np.diff(rows, prepend=-1)))
     oracle = limitlaws.pd_largest_part_mean(
         1.0, np.random.default_rng(20241511), draws=_p(scale, 3 * 10**5, 10**5)
     )
@@ -434,24 +425,15 @@ def _c15_permutation_trends(ctx: Context, scale: str):
     checks.append(
         (f"longest cycle: mean l1/n at n={n_w:.0e} vs PD(1) largest-part mean, tol 0.02", gap <= 0.02, f"gap={gap:.4f}")
     )
-    # polynomial weights: exact E C drift and the L1 gamma law
-    ns_e = _p(scale, (10**3, 10**4, 10**5), (10**3, 10**4))
-    reps_e = _p(scale, 1500, 600)
+    # polynomial weights: exact E C drift and the exact L1 law against Gamma(2, 1)
     ec_gaps = []
     ks_l1 = []
-    for i, n in enumerate(ns_e):
-        w = permutations.poly_weights(1.0, n)
-        t = permutations.partition_function(w)
+    for n in _p(scale, (10**3, 10**4, 10**5), (10**3, 10**4)):
+        t = permutations.partition_function(permutations.poly_weights(1.0, n))
         ec = permutations.exact_mean_cycle_count(t)
         ec_gaps.append(abs(ec / (math.sqrt(n) * math.sqrt(math.gamma(1.0))) - 1.0))
-        rng = np.random.default_rng(20241520 + i)
-        l1 = np.array(
-            [permutations.sample_cycle_type(w, t, rng).first_length for _ in range(reps_e)]
-        )
-        shape, rate = 2.0, math.gamma(2.0) ** 0.5
-        ks_l1.append(
-            limitlaws.ks_distance(l1 / math.sqrt(n), lambda u: limitlaws.gamma_cdf(shape, rate, u))
-        )
+        l1 = sampling.ExactPmf(np.arange(1, n + 1) / math.sqrt(n), permutations.first_cycle_pmf(t, n))
+        ks_l1.append(limitlaws.ks_distance(l1, lambda u: limitlaws.gamma_cdf(2.0, 1.0, u)))
     checks.append(
         (
             "poly weights: E C / (n^(1/2) Gamma(1)^(1/2)) drifting to 1",
@@ -461,7 +443,7 @@ def _c15_permutation_trends(ctx: Context, scale: str):
     )
     checks.append(
         (
-            "poly weights: KS(L1/sqrt n vs Gamma(2,1)) decreasing",
+            "poly weights: exact KS(L1/sqrt n vs Gamma(2,1)) decreasing",
             all(b < a for a, b in zip(ks_l1, ks_l1[1:])),
             f"KS={['%.4f' % g for g in ks_l1]}",
         )
@@ -469,19 +451,16 @@ def _c15_permutation_trends(ctx: Context, scale: str):
     # small cycles: (C_1, C_2) near independent Poisson(theta), Poisson(theta/2)
     n_s = _p(scale, 10**4, 3 * 10**3)
     reps_s = _p(scale, 2 * 10**4, 6 * 10**3)
-    rng = np.random.default_rng(20241530)
-    c12_counts: dict[tuple[int, int], int] = {}
-    for lens in permutations.feller_cycle_samples(n_s, 1.0, rng, reps_s):
-        key = (int(np.sum(lens == 1)), int(np.sum(lens == 2)))
-        c12_counts[key] = c12_counts.get(key, 0) + 1
+    rows, lens = permutations.ewens_cycle_lengths(n_s, 1.0, np.random.default_rng(20241530), reps_s)
+    c12 = np.stack([np.bincount(rows[lens == j], minlength=reps_s) for j in (1, 2)], axis=1)
+    pairs, cnt = np.unique(c12, axis=0, return_counts=True)
+    emp = {(int(a), int(b)): c / reps_s for (a, b), c in zip(pairs, cnt)}
     kmax = 24
     ref = {}
     for a in range(kmax):
         for b in range(kmax):
             ref[(a, b)] = float(stats.poisson.pmf(a, 1.0) * stats.poisson.pmf(b, 0.5))
-    tv = 0.5 * sum(
-        abs(c12_counts.get(k, 0) / reps_s - ref.get(k, 0.0)) for k in set(c12_counts) | set(ref)
-    )
+    tv = 0.5 * sum(abs(emp.get(k, 0.0) - ref.get(k, 0.0)) for k in set(emp) | set(ref))
     checks.append(
         (f"(C_1,C_2) at n={n_s:.0e} vs Poisson(1) x Poisson(1/2), TV tol 0.03", tv <= 0.03, f"TV={tv:.4f}")
     )

@@ -2,9 +2,9 @@
 
 Covers the beta/gamma/normal conventions used throughout (gamma is
 shape/rate: density rate^shape x^(shape-1) e^(-rate x)/Gamma(shape)),
-the GEM stick-breaking construction and its sorted version (the
-Poisson-Dirichlet law), size-biased permutation and residual ratios,
-and the Dickman-type function rho_theta solving
+GEM stick-breaking draws and their sorted rows (the Poisson-Dirichlet
+law), row-wise size-biased permutation and residual ratios, and the
+Dickman-type function rho_theta solving
 
     rho(x) x^theta = integral_{x-1}^{x} theta y^(theta-1) rho(y) dy,
 
@@ -58,58 +58,6 @@ def normal_cdf(t):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GemSequence:
-    """Stick-breaking fractions Z_j = (1-Y_1)...(1-Y_{j-1}) Y_j with
-    i.i.d. Y_j ~ Beta(1, theta), truncated at k terms; remainder is the
-    unallocated stick (1-Y_1)...(1-Y_k).
-    """
-
-    theta: float
-    Y: np.ndarray
-    Z: np.ndarray
-    remainder: float
-
-
-@dataclass(frozen=True)
-class PdSample:
-    """GEM fractions sorted nonincreasing; parts sum to 1 - remainder."""
-
-    theta: float
-    parts: np.ndarray
-    remainder: float
-
-
-def stick_break(ys: np.ndarray) -> np.ndarray:
-    """Map (y_1, y_2, ...) to ((1-y_1)...(1-y_{j-1}) y_j)_j."""
-    ys = np.asarray(ys, dtype=float)
-    left = np.concatenate([[1.0], np.cumprod(1.0 - ys[:-1])])
-    return left * ys
-
-
-def stick_break_inverse(zs: np.ndarray) -> np.ndarray:
-    """Inverse map: y_j = z_j / (1 - z_1 - ... - z_{j-1})."""
-    zs = np.asarray(zs, dtype=float)
-    rem = 1.0 - np.concatenate([[0.0], np.cumsum(zs[:-1])])
-    if np.any(rem <= 0):
-        raise ValueError("prefix sums reach 1; inverse undefined")
-    return zs / rem
-
-
-def gem_sample(theta: float, k: int, rng: np.random.Generator) -> GemSequence:
-    if theta <= 0 or k < 1:
-        raise ValueError("need theta > 0 and k >= 1")
-    Y = beta_sample(1.0, theta, rng, size=k)
-    Z = stick_break(Y)
-    remainder = float(np.prod(1.0 - Y))
-    return GemSequence(theta=theta, Y=Y, Z=Z, remainder=remainder)
-
-
-def pd_sample(theta: float, k: int, rng: np.random.Generator) -> PdSample:
-    g = gem_sample(theta, k, rng)
-    return PdSample(theta=theta, parts=np.sort(g.Z)[::-1], remainder=g.remainder)
-
-
 def gem_matrix(theta: float, k: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """size x k matrix of stick-breaking fractions (vectorized replicates)."""
     Y = beta_sample(1.0, theta, rng, size=(size, k))
@@ -117,36 +65,16 @@ def gem_matrix(theta: float, k: int, rng: np.random.Generator, size: int) -> np.
     return left * Y
 
 
-def pd_largest_part_mean(
-    theta: float, rng: np.random.Generator, draws: int = 10**6, k: int = 200, chunk: int = 20000
-) -> float:
-    """Monte Carlo mean of the largest PD(theta) part (oracle helper)."""
+def pd_largest_part_mean(theta: float, rng: np.random.Generator, draws: int = 10**6) -> float:
+    """Monte Carlo mean of the largest PD(theta) part (oracle helper), from
+    GEM rows truncated at 200 fractions, 20000 rows at a time."""
     acc = 0.0
     done = 0
     while done < draws:
-        m = min(chunk, draws - done)
-        acc += float(np.sum(gem_matrix(theta, k, rng, m).max(axis=1)))
+        m = min(20000, draws - done)
+        acc += float(np.sum(gem_matrix(theta, 200, rng, m).max(axis=1)))
         done += m
     return acc / draws
-
-
-def size_biased_permutation(parts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Random reordering where each next element is picked with probability
-    proportional to its size among the remaining ones.
-
-    Implemented as the exponential race: sorting by E_i / parts_i with
-    i.i.d. standard exponentials realizes exactly this sequential law.
-    Zero parts sort to the end.
-    """
-    parts = np.asarray(parts, dtype=float)
-    total = parts.sum()
-    if total <= 0:
-        raise ValueError("parts must have positive total mass")
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"parts must sum to 1 within 1e-9, got {total}")
-    with np.errstate(divide="ignore"):
-        keys = rng.exponential(size=len(parts)) / parts
-    return parts[np.argsort(keys, kind="stable")]
 
 
 def size_biased_permutation_matrix(parts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -406,10 +334,3 @@ def ks_distance(obj, cdf) -> float:
     lo = np.abs(ref - np.arange(0, n) / n).max()
     return float(max(hi, lo))
 
-
-def ks_noise_quantile(n: int, prob: float = 0.999) -> float:
-    """c such that a true-hypothesis KS statistic on n draws is below c
-    with the given probability (asymptotic Kolmogorov law)."""
-    from scipy.special import kolmogi
-
-    return float(kolmogi(1.0 - prob)) / math.sqrt(n)

@@ -11,7 +11,8 @@ definitional sum by exhaustive enumeration for small n.
 
 Sampling is sequential: the cycle containing the smallest remaining
 element has length k with probability theta_k h_{m-k} / (m h_m); the rule
-is likewise validated against enumeration before use.
+is likewise validated against enumeration before use.  Constant weights
+(Ewens(theta)) are also drawn in batches through the Feller coupling.
 """
 
 from __future__ import annotations
@@ -74,18 +75,8 @@ class CycleType:
         object.__setattr__(self, "lengths", tuple(sorted(self.lengths, reverse=True)))
 
     @property
-    def n(self) -> int:
-        return sum(self.lengths)
-
-    @property
     def num_cycles(self) -> int:
         return len(self.lengths)
-
-    def count_of(self, i: int) -> int:
-        return sum(1 for l in self.lengths if l == i)
-
-    def longest(self) -> int:
-        return self.lengths[0]
 
 
 @dataclass(frozen=True)
@@ -99,9 +90,6 @@ class PartitionFunctionTable:
     @property
     def n(self) -> int:
         return len(self.log_h) - 1
-
-    def h(self, m: int) -> float:
-        return math.exp(self.log_h[m])
 
 
 def partition_function(w: CycleWeights) -> PartitionFunctionTable:
@@ -146,18 +134,16 @@ def first_cycle_pmf(table: PartitionFunctionTable, m: int) -> np.ndarray:
     return p
 
 
-def sample_cycle_type(
-    w: CycleWeights,
-    table: PartitionFunctionTable,
-    rng: np.random.Generator,
-    chunk: int = 2048,
-) -> CycleType:
+_CHUNK = 2048
+
+
+def sample_cycle_type(w: CycleWeights, table: PartitionFunctionTable, rng: np.random.Generator) -> CycleType:
     """One draw from the generalized Ewens measure (as a cycle type).
 
     Sequentially removes the cycle containing the smallest remaining
-    element.  The first-cycle probabilities are scanned in chunks with an
-    early exit, so the expected work per cycle tracks the typical cycle
-    length rather than m.
+    element.  The first-cycle probabilities are scanned in chunks of
+    2048 lengths with an early exit, so the expected work per cycle
+    tracks the typical cycle length rather than m.
     """
     if table.n < w.n:
         raise ValueError("partition table shorter than n")
@@ -172,7 +158,7 @@ def sample_cycle_type(
         k = None
         k0 = 0
         while k0 < m:
-            hi = min(k0 + chunk, m)
+            hi = min(k0 + _CHUNK, m)
             ks = np.arange(k0 + 1, hi + 1)
             probs = np.exp(log_theta[ks - 1] + log_h[m - ks] - base)
             c = np.cumsum(probs) + acc
@@ -190,19 +176,14 @@ def sample_cycle_type(
 
 
 def sample_cycle_types_batch(
-    w: CycleWeights,
-    table: PartitionFunctionTable,
-    rng: np.random.Generator,
-    size: int,
-    as_counts: bool = False,
-):
+    w: CycleWeights, table: PartitionFunctionTable, rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized batch of draws, grouped by remaining size m.
 
     Meant for small n with large sample counts (distribution tests); the
-    per-m first-cycle CDFs are precomputed once.  With as_counts=True the
-    return value is (counts, first) where counts[i, l] is the number of
-    l-cycles in draw i and first[i] the first-cycle length; otherwise a
-    list of CycleType objects.
+    per-m first-cycle CDFs are precomputed once.  Returns (counts, first):
+    counts[i, l] is the number of l-cycles in draw i and first[i] its
+    first-cycle length.
     """
     n = w.n
     cdfs = [None] * (n + 1)
@@ -226,83 +207,33 @@ def sample_cycle_types_batch(
                 first[sel] = ks
         first_round = False
         active = active[remaining[active] > 0]
-    if as_counts:
-        return counts, first
-    out = []
-    for i in range(size):
-        lens = []
-        for length in range(1, n + 1):
-            lens.extend([length] * int(counts[i, length]))
-        out.append(CycleType(lengths=tuple(lens), first_length=int(first[i])))
-    return out
+    return counts, first
 
 
-def ewens_crp(n: int, theta: float, rng: np.random.Generator) -> CycleType:
-    """Ewens(theta) draw via the Chinese-restaurant construction.
-
-    Element i starts a new cycle with probability theta/(theta + i - 1),
-    otherwise it joins the cycle of a uniformly chosen earlier element.
-    first_length tracks the cycle containing element 1.
-    """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    sizes = [1]
-    cycle_of = np.zeros(n, dtype=np.int64)
-    for i in range(1, n):
-        if rng.random() < theta / (theta + i):
-            cycle_of[i] = len(sizes)
-            sizes.append(1)
-        else:
-            j = int(rng.integers(0, i))
-            c = int(cycle_of[j])
-            cycle_of[i] = c
-            sizes[c] += 1
-    return CycleType(lengths=tuple(sizes), first_length=sizes[0])
-
-
-def ewens_cycle_count_samples(
-    n: int, theta: float, rng: np.random.Generator, size: int, chunk_cols: int = 2**22
-) -> np.ndarray:
-    """C(pi) under Ewens(theta), sampled as a sum of independent Bernoullis.
-
-    In the CRP the new-cycle indicators at steps i = 1..n are independent
-    Bernoulli(theta/(theta + i - 1)); their sum is the cycle count.
-    """
-    ps = theta / (theta + np.arange(n, dtype=float))
-    out = np.zeros(size, dtype=np.int64)
-    start = 0
-    cols = max(1, chunk_cols // max(size, 1))
-    while start < n:
-        end = min(start + cols, n)
-        out += (rng.random((size, end - start)) < ps[start:end]).sum(axis=1)
-        start = end
-    return out
-
-
-def feller_cycle_samples(
+def ewens_cycle_lengths(
     n: int, theta: float, rng: np.random.Generator, size: int
-) -> list[np.ndarray]:
-    """Batch of Ewens(theta) cycle-length multisets via the Feller coupling.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle lengths of `size` Ewens(theta) draws via the Feller coupling.
 
     Independent xi_i ~ Bernoulli(theta/(theta + i - 1)) for i = 1..n with a
     forced success appended at n+1; the spacings between successes have
-    exactly the Ewens cycle-count law.  Returns one length array per draw
-    (no distinguished element).
+    exactly the Ewens cycle-count law (Arratia, Barbour & Tavare,
+    Logarithmic Combinatorial Structures, 2003).  Returns (rows, lengths),
+    flat and row-major: lengths[j] is a cycle of draw rows[j].  Draws are
+    made in blocks of about 2^24 indicators.
     """
     ps = theta / (theta + np.arange(n, dtype=float))
-    out = []
-    chunk = max(1, (1 << 24) // n)
-    done = 0
-    while done < size:
-        m = min(chunk, size - done)
-        xi = rng.random((m, n)) < ps
+    rows, lengths = [], []
+    block = max(1, (1 << 24) // n)
+    for done in range(0, size, block):
+        xi = rng.random((min(block, size - done), n)) < ps
         xi[:, 0] = True
-        for row in xi:
-            pos = np.nonzero(row)[0]
-            lens = np.diff(np.concatenate([pos, [n]]))
-            out.append(lens)
-        done += m
-    return out
+        r, pos = np.nonzero(xi)
+        nxt = np.append(pos[1:], n)
+        nxt[np.append(r[1:] != r[:-1], True)] = n
+        rows.append(r + done)
+        lengths.append(nxt - pos)
+    return np.concatenate(rows), np.concatenate(lengths)
 
 
 def exact_mean_cycle_count(table: PartitionFunctionTable) -> float:

@@ -65,14 +65,6 @@ class ExactPmf:
         """The law of (V - shift)/scale."""
         return ExactPmf((self.values - shift) / scale, self.probs, self.tail_mass)
 
-    def tv_distance(self, other: "ExactPmf") -> float:
-        vals = np.union1d(self.values, other.values)
-        a = np.zeros(len(vals))
-        b = np.zeros(len(vals))
-        a[np.searchsorted(vals, self.values)] = self.probs
-        b[np.searchsorted(vals, other.values)] = other.probs
-        return 0.5 * float(np.sum(np.abs(a - b))) + 0.5 * abs(self.tail_mass - other.tail_mass)
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)

@@ -122,9 +122,9 @@ def builtin_weight(kind: str, **params) -> MultiplicativeWeight:
         power(z)              n^z, z > -1                         Ewens(1, z)
         poly_log(K, gamma)    alpha(p) = K log^gamma p, 0 at k>=2 Poly(K, gamma)
 
-    poly_log accepts an optional tail=(p, k) -> value callable for k >= 2
-    (robustness experiments); the default zero tail is the simplest choice
-    compatible with the summability condition on higher prime powers.
+    poly_log's zero values at k >= 2 are the simplest choice compatible
+    with the summability condition on higher prime powers; its Euler factor
+    at p is then 1 + K log^gamma p / p exactly.
     """
     if kind == "theta_omega":
         theta = float(params.pop("theta"))
@@ -207,26 +207,14 @@ def builtin_weight(kind: str, **params) -> MultiplicativeWeight:
     if kind == "poly_log":
         K = float(params.pop("K"))
         gamma = float(params.pop("gamma"))
-        tail = params.pop("tail", None)
         _no_extra(kind, params)
-
-        def ppv(p, k, KK=K, g=gamma, t=tail):
-            if k == 1:
-                return KK * math.log(p) ** g
-            return 0.0 if t is None else float(t(p, k))
-
-        def vec(ps, k, KK=K, g=gamma, t=tail):
-            if k == 1:
-                return KK * np.log(ps.astype(float)) ** g
-            if t is None:
-                return np.zeros(len(ps))
-            return np.array([t(int(p), k) for p in ps], dtype=float)
-
         return MultiplicativeWeight(
             name=f"poly_log(K={K:g},gamma={gamma:g})",
-            prime_power_value=ppv,
+            prime_power_value=lambda p, k, KK=K, g=gamma: KK * math.log(p) ** g if k == 1 else 0.0,
             regime=PolyRegime(K=K, gamma=gamma),
-            vec_prime_power_value=vec,
+            vec_prime_power_value=lambda ps, k, KK=K, g=gamma: (
+                KK * np.log(ps.astype(float)) ** g if k == 1 else np.zeros(len(ps))
+            ),
         )
     raise ValueError(f"unknown weight kind {kind!r}")
 
@@ -379,33 +367,6 @@ def condition_I_residuals(
         idx = int(np.searchsorted(ps, c, side="right"))
         out.append((c, float(csum[idx]) - reg.theta * c))
     return out
-
-
-def prime_weighted_sum(
-    w: MultiplicativeWeight,
-    g: Callable[[np.ndarray], np.ndarray],
-    interval: tuple[float, float],
-    spf: SpfTable,
-    d: float | None = None,
-) -> float:
-    """sum over primes p in [a, b] of alpha(p) g(p) / p^d.
-
-    g must accept a float numpy array.  Empty intervals give 0.
-    """
-    if d is None:
-        reg = w.regime
-        d = reg.d if isinstance(reg, EwensRegime) else 0.0
-    a, b = interval
-    lo = max(2, math.ceil(a))
-    hi = math.floor(b)
-    if hi < lo:
-        return 0.0
-    ps = primes_in(lo, hi, spf)
-    if len(ps) == 0:
-        return 0.0
-    pf = ps.astype(float)
-    vals = w.values_on_primes(ps, 1) * np.asarray(g(pf), dtype=float) / pf**d
-    return float(math.fsum(vals.tolist()) if len(vals) < 100000 else np.sum(vals))
 
 
 def condition_II_margin(

@@ -87,7 +87,7 @@ def test_factorize_out_of_range(spf_1e4):
 
 def test_factorize_recompose_exhaustive(spf_1e5):
     for n in range(1, 10**5 + 1):
-        assert arith.factorize(n, spf_1e5).reconstruct() == n
+        assert math.prod(p**k for p, k in arith.factorize(n, spf_1e5).factors) == n
 
 
 @given(st.integers(min_value=1, max_value=10**4))
@@ -126,6 +126,13 @@ def test_primes_in_examples(spf_1e6):
 def test_primes_in_range_check(spf_1e4):
     with pytest.raises(ValueError):
         arith.primes_in(1, 10**5, spf_1e4)
+
+
+@pytest.mark.parametrize("p", [1, 4])
+def test_nu_p_table_rejects_non_prime(p):
+    # p = 1 used to loop forever; p = 4 counted powers of 4
+    with pytest.raises(ValueError, match="not prime"):
+        arith.nu_p_table(100, p)
 
 
 def test_primes_upto_matches_spf(spf_1e5):

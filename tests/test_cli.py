@@ -165,6 +165,24 @@ def test_missing_weight_is_an_error():
         run(["sieve-sum", "--x", "100"])
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["ewens"], {"n": 5, "exact": True}),
+    (["dickman", "--umax", "2"], {"theta": 0.5}),
+])
+def test_n_and_theta_may_come_from_the_config(tmp_path, argv, config):
+    # both were argparse-required, so the config keys could never stand in
+    doc = _run_with_config(tmp_path, argv, config)
+    assert {k: doc["config"][k] for k in config} == config
+
+
+@pytest.mark.parametrize("argv, flag", [(["ewens", "--exact"], "--n"), (["dickman"], "--theta")])
+def test_missing_n_or_theta_exits_2(argv, flag, capsys):
+    with pytest.raises(SystemExit) as e:
+        run(argv)
+    assert e.value.code == 2
+    assert f"{flag} (or a config" in capsys.readouterr().err
+
+
 def test_poly_asym_double_ratio(tmp_path):
     rep = tmp_path / "pa.json"
     assert run(["poly-asym", "--K", "1", "--gamma", "1", "--x", "1e4,1e5",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from multweight import limitlaws, permutations as perm
+from multweight.sampling import ExactPmf
 
 
 def brute_partition_function(theta: np.ndarray, n: int) -> float:
@@ -26,21 +27,46 @@ def brute_partition_function(theta: np.ndarray, n: int) -> float:
     return total / math.factorial(n)
 
 
+def ewens_crp(n: int, theta: float, rng: np.random.Generator) -> perm.CycleType:
+    """Ewens(theta) draw via the Chinese-restaurant construction (oracle).
+
+    Element i starts a new cycle with probability theta/(theta + i - 1),
+    otherwise it joins the cycle of a uniformly chosen earlier element.
+    first_length tracks the cycle containing element 1.
+    """
+    sizes = [1]
+    cycle_of = np.zeros(n, dtype=np.int64)
+    for i in range(1, n):
+        if rng.random() < theta / (theta + i):
+            cycle_of[i] = len(sizes)
+            sizes.append(1)
+        else:
+            c = int(cycle_of[int(rng.integers(0, i))])
+            cycle_of[i] = c
+            sizes[c] += 1
+    return perm.CycleType(lengths=tuple(sizes), first_length=sizes[0])
+
+
+def split_rows(rows: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+    """The flat (rows, lengths) of ewens_cycle_lengths as one array per draw."""
+    return np.split(lengths, np.flatnonzero(np.diff(rows)) + 1)
+
+
 def test_partition_function_theta_one():
     t = perm.partition_function(perm.constant_weights(12, 1.0))
     for m in range(13):
-        assert t.h(m) == pytest.approx(1.0, rel=1e-14)
+        assert math.exp(t.log_h[m]) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_partition_function_theta_two_n3():
     t = perm.partition_function(perm.constant_weights(3, 2.0))
-    assert t.h(3) == pytest.approx(4.0, rel=1e-12)  # C(4,3)
+    assert math.exp(t.log_h[3]) == pytest.approx(4.0, rel=1e-12)  # C(4,3)
 
 
 def test_partition_function_poly_h2():
     w = perm.poly_weights(1.0, 2)  # theta_i = i+1
     t = perm.partition_function(w)
-    assert t.h(2) == pytest.approx(3.5, rel=1e-12)
+    assert math.exp(t.log_h[2]) == pytest.approx(3.5, rel=1e-12)
 
 
 def test_partition_function_matches_enumeration():
@@ -52,7 +78,7 @@ def test_partition_function_matches_enumeration():
     ):
         t = perm.partition_function(wts)
         brute = brute_partition_function(wts.theta, wts.n)
-        assert t.h(wts.n) == pytest.approx(brute, rel=1e-11)
+        assert math.exp(t.log_h[wts.n]) == pytest.approx(brute, rel=1e-11)
 
 
 def test_partition_function_binomial_identity():
@@ -110,10 +136,23 @@ def test_sample_cycle_type_n1():
 def test_cycle_type_stats():
     ct = perm.CycleType(lengths=(2, 1, 3, 1))
     assert ct.lengths == (3, 2, 1, 1)
-    assert ct.n == 7
     assert ct.num_cycles == 4
-    assert ct.count_of(1) == 2
-    assert ct.longest() == 3
+
+
+def test_sample_cycle_type_carries_across_chunks(rng):
+    # at n = 3000, theta = 1 the first cycle is uniform on 1..n, so
+    # P(L_1 > 2048) = 952/3000 and a third of the draws scan past the first
+    # 2048-length chunk of first-cycle probabilities
+    n, draws = 3000, 2000
+    w = perm.constant_weights(n, 1.0)
+    t = perm.partition_function(w)
+    cts = [perm.sample_cycle_type(w, t, rng) for _ in range(draws)]
+    p = float(perm.first_cycle_pmf(t, n)[2048:].sum())
+    assert p == pytest.approx(952 / 3000, rel=1e-12)
+    hit = np.mean([ct.first_length > 2048 for ct in cts])
+    assert abs(hit - p) <= 5 * math.sqrt(p * (1 - p) / draws)
+    c = np.array([ct.num_cycles for ct in cts], dtype=float)
+    assert abs(c.mean() - perm.exact_mean_cycle_count(t)) <= 5 * c.std() / math.sqrt(draws)
 
 
 def test_sampler_matches_enumeration_tv(rng):
@@ -122,7 +161,7 @@ def test_sampler_matches_enumeration_tv(rng):
         t = perm.partition_function(wts)
         exact = perm.enumerate_Sn(n, wts)
         draws = 40000
-        counts, firsts = perm.sample_cycle_types_batch(wts, t, rng, draws, as_counts=True)
+        counts, firsts = perm.sample_cycle_types_batch(wts, t, rng, draws)
         uniq, cnt = np.unique(counts, axis=0, return_counts=True)
         emp = {}
         for row, c in zip(uniq, cnt):
@@ -142,7 +181,8 @@ def test_sequential_and_batch_samplers_agree(rng):
     w = perm.poly_weights(1.0, n)
     t = perm.partition_function(w)
     seq = [perm.sample_cycle_type(w, t, rng).lengths for _ in range(20000)]
-    bat = [ct.lengths for ct in perm.sample_cycle_types_batch(w, t, rng, 20000)]
+    counts, _ = perm.sample_cycle_types_batch(w, t, rng, 20000)
+    bat = [tuple(np.repeat(np.arange(n, 0, -1), row[:0:-1]).tolist()) for row in counts]
     keys = set(seq) | set(bat)
     tv = 0.5 * sum(abs(seq.count(k) - bat.count(k)) / 20000 for k in keys)
     assert tv <= 0.03
@@ -154,7 +194,7 @@ def test_first_cycle_is_l1_distribution(rng):
     w = perm.constant_weights(n, 2.0)
     t = perm.partition_function(w)
     exact = perm.enumerate_Sn_by_permutations(n, w)
-    _, firsts = perm.sample_cycle_types_batch(w, t, rng, 50000, as_counts=True)
+    _, firsts = perm.sample_cycle_types_batch(w, t, rng, 50000)
     for k in range(1, n + 1):
         assert np.mean(firsts == k) == pytest.approx(exact.l1_pmf[k], abs=0.01)
 
@@ -163,7 +203,7 @@ def test_ewens_crp_cycle_count_pmf(rng):
     # C(pi) under Ewens(1) on S_7: Stirling-number law from enumeration
     n = 7
     exact = perm.enumerate_Sn(n, perm.constant_weights(n, 1.0)).cycle_count_pmf()
-    draws = [perm.ewens_crp(n, 1.0, rng).num_cycles for _ in range(40000)]
+    draws = [ewens_crp(n, 1.0, rng).num_cycles for _ in range(40000)]
     for k in range(1, n + 1):
         assert np.mean(np.array(draws) == k) == pytest.approx(exact[k], abs=0.01)
 
@@ -171,31 +211,33 @@ def test_ewens_crp_cycle_count_pmf(rng):
 def test_ewens_crp_mean_cycles_harmonic(rng):
     n = 8
     h_n = sum(1.0 / k for k in range(1, n + 1))
-    draws = [perm.ewens_crp(n, 1.0, rng).num_cycles for _ in range(40000)]
+    draws = [ewens_crp(n, 1.0, rng).num_cycles for _ in range(40000)]
     assert np.mean(draws) == pytest.approx(h_n, abs=0.03)
 
 
 def test_ewens_large_theta_concentrates(rng):
-    draws = [perm.ewens_crp(6, 50.0, rng).num_cycles for _ in range(2000)]
+    draws = [ewens_crp(6, 50.0, rng).num_cycles for _ in range(2000)]
     assert np.mean(draws) > 5.5  # theta -> inf forces C -> n
 
 
-def test_ewens_crp_first_length_beta_trend(rng):
-    # L_1/n for constant theta approaches Beta(1, theta); KS shrinks with n
+def test_ewens_crp_first_length_beta_trend():
+    # L_1/n under Ewens(theta), the CRP's first table, approaches
+    # Beta(1, theta); the exact KS distance shrinks with n (0.0041 at 60,
+    # 0.00042 at 600, far below the ~0.014 noise of a 4000-draw sample)
     theta = 2.0
     kss = []
     for n in (60, 600):
-        draws = np.array([perm.ewens_crp(n, theta, rng).first_length for _ in range(4000)])
-        kss.append(
-            limitlaws.ks_distance(draws / n, lambda t: limitlaws.beta_cdf(1.0, theta, np.clip(t, 0, 1)))
-        )
+        t = perm.partition_function(perm.constant_weights(n, theta))
+        l1 = ExactPmf(np.arange(1, n + 1) / n, perm.first_cycle_pmf(t, n))
+        kss.append(limitlaws.ks_distance(l1, lambda u: limitlaws.beta_cdf(1.0, theta, u)))
     assert kss[1] < kss[0]
 
 
 def test_cycle_count_bernoulli_sampler_matches_crp(rng):
     n, theta = 50, 1.5
-    a = perm.ewens_cycle_count_samples(n, theta, rng, 40000)
-    b = np.array([perm.ewens_crp(n, theta, rng).num_cycles for _ in range(20000)])
+    rows, _ = perm.ewens_cycle_lengths(n, theta, rng, 40000)
+    a = np.bincount(rows, minlength=40000)
+    b = np.array([ewens_crp(n, theta, rng).num_cycles for _ in range(20000)])
     assert a.mean() == pytest.approx(b.mean(), abs=0.05)
     assert a.std() == pytest.approx(b.std(), abs=0.05)
 
@@ -204,7 +246,7 @@ def test_feller_matches_enumeration(rng):
     n, theta = 6, 1.0
     exact = perm.enumerate_Sn(n, perm.constant_weights(n, theta))
     counts = {}
-    for lens in perm.feller_cycle_samples(n, theta, rng, 40000):
+    for lens in split_rows(*perm.ewens_cycle_lengths(n, theta, rng, 40000)):
         key = tuple(sorted(lens.tolist(), reverse=True))
         counts[key] = counts.get(key, 0) + 1
     tv = 0.5 * sum(
@@ -212,6 +254,14 @@ def test_feller_matches_enumeration(rng):
         for k in set(counts) | set(exact.type_probs)
     )
     assert tv <= 0.02
+
+
+def test_ewens_cycle_lengths_rows_span_blocks(rng):
+    # 2^24 // n = 55 draws per block, so 120 draws take three blocks
+    n, size = 300000, 120
+    rows, lens = perm.ewens_cycle_lengths(n, 1.5, rng, size)
+    assert np.all(np.diff(rows) >= 0) and np.all(lens >= 1)
+    np.testing.assert_array_equal(np.bincount(rows, weights=lens, minlength=size), np.full(size, n))
 
 
 def test_exact_mean_cycle_count_vs_enumeration():

@@ -159,26 +159,6 @@ def test_condition_I_requires_ewens(spf_1e4):
         weights.condition_I_residuals(builtin_weight("poly_log", K=1.0, gamma=1.0), [100], spf_1e4)
 
 
-def test_prime_weighted_sum_basic(spf_1e4):
-    w = builtin_weight("power", z=0.0)
-    s = weights.prime_weighted_sum(w, lambda t: 1.0 / t, (2, 3), spf_1e4)
-    assert s == pytest.approx(1.0 / 2 + 1.0 / 3, rel=1e-12)
-    assert weights.prime_weighted_sum(w, lambda t: 1.0 / t, (24, 28), spf_1e4) == 0.0
-
-
-def test_prime_weighted_sum_loglog_tracking(spf_1e6):
-    # sum over [log^2 x, x] of alpha(p)/p tracks theta*(loglog x - loglog log^2 x)
-    # with a bounded residual (the pass criterion is boundedness, not a value)
-    w = builtin_weight("power", z=0.0)
-    residuals = []
-    for x in (10**4, 10**5, 10**6):
-        lo = math.log(x) ** 2
-        s = weights.prime_weighted_sum(w, lambda t: 1.0 / t, (lo, x), spf_1e6, d=0.0)
-        target = math.log(math.log(x)) - math.log(math.log(lo))
-        residuals.append(abs(s - target))
-    assert max(residuals) < 0.5
-
-
 def test_condition_II_margin_bounded():
     w = builtin_weight("theta_omega", theta=2.0)
     assert weights.condition_II_margin(w, p_max=500, k_max=20) == pytest.approx(2.0)

@@ -43,14 +43,13 @@ from .limitlaws import (
     residual_ratios,
 )
 from .permutations import (
-    CycleType,
     CycleWeights,
     PartitionFunctionTable,
     constant_weights,
     enumerate_Sn,
     partition_function,
     poly_weights,
-    sample_cycle_type,
+    sample_cycle_types,
 )
 from .sampling import (
     ExactPmf,

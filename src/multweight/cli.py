@@ -69,6 +69,14 @@ def parse_weight_spec(spec) -> weights.MultiplicativeWeight:
         raise SystemExit(f"invalid weight spec: {e}")
 
 
+def _positive_int(raw: str) -> int:
+    """A positive integer, 1e4 style accepted: a draw count or a size."""
+    v = float(raw)
+    if not (v >= 1 and v.is_integer()):
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {raw}")
+    return int(v)
+
+
 def _parse_x_list(raw: str) -> list[int]:
     return [int(float(t)) for t in str(raw).split(",") if t]
 
@@ -117,26 +125,27 @@ def _load_config(path: str, ap: argparse.ArgumentParser, command: str) -> None:
     the defaults of the command's subparser; flags parsed afterwards win.
 
     Unknown keys and bad values fail loudly instead of running a different
-    experiment than intended.
+    experiment than intended, with the usage-error exit status 2 of a bad
+    flag.
     """
+    sp = _subparser(ap, command)
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
-            raise SystemExit(f"config error: {path} is not valid JSON ({e})")
+            sp.error(f"config error: {path} is not valid JSON ({e})")
     if not isinstance(doc, dict):
-        raise SystemExit("config error: top level must be an object")
-    sp = _subparser(ap, command)
+        sp.error("config error: top level must be an object")
     types = {a.dest: a.type for a in sp._actions if a.dest not in ("config", "out", "json_path", "help")}
     unknown = set(doc) - set(types)
     if unknown:
-        raise SystemExit(f"config error: unknown keys {sorted(unknown)}; allowed: {sorted(types)}")
+        sp.error(f"config error: unknown keys {sorted(unknown)}; allowed: {sorted(types)}")
     for k, v in doc.items():
         if types[k] is not None:
             try:
                 doc[k] = types[k](str(v))
             except (ValueError, TypeError, argparse.ArgumentTypeError) as e:
-                raise SystemExit(f"config error: {k}={v!r} is invalid ({e})")
+                sp.error(f"config error: {k}={v!r} is invalid ({e})")
     sp.set_defaults(**doc)
 
 
@@ -240,16 +249,16 @@ def cmd_ewens(args, ctx):
             "l1_pmf": {str(k): float(exact.l1_pmf[k]) for k in range(1, n + 1)},
             "cycle_count_pmf": {str(k): float(v) for k, v in enumerate(exact.cycle_count_pmf()) if v > 0},
         }
-    draws = experiments.cycle_types(w, args.samples, args.seed)
+    rows, lengths = experiments.cycle_types(w, args.samples, args.seed)
+    firsts = np.flatnonzero(np.diff(rows, prepend=-1))
     if args.out:
         # one sample per row, cycle lengths sorted nonincreasing
         with open(args.out, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            for d in draws:
-                wr.writerow(d.lengths)
+            by_row = np.split(lengths[np.lexsort((-lengths, rows))], firsts[1:])
+            csv.writer(fh).writerows(r.tolist() for r in by_row)
     return {
-        "l1_mean": float(np.array([d.first_length for d in draws], dtype=float).mean()),
-        "mean_cycles": float(np.mean([d.num_cycles for d in draws])),
+        "l1_mean": float(lengths[firsts].mean()),
+        "mean_cycles": len(lengths) / args.samples,
         "seed": args.seed,
     }
 
@@ -305,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="draw integers from the weighted measure")
     _add_common(sp, seed=True)
-    sp.add_argument("--n", type=lambda v: int(float(v)), default=1000, help="number of draws")
+    sp.add_argument("--n", type=_positive_int, default=1000, help="number of draws")
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("exact-dist", help="exact law of a factorization statistic")
@@ -321,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("pd-compare", help="log-prime spectrum against the Poisson-Dirichlet law")
     _add_common(sp, seed=True)
-    sp.add_argument("--n", type=lambda v: int(float(v)), default=10**4, help="number of draws")
-    sp.add_argument("--oracle-draws", type=lambda v: int(float(v)), default=10**5)
+    sp.add_argument("--n", type=_positive_int, default=10**4, help="number of draws")
+    sp.add_argument("--oracle-draws", type=_positive_int, default=10**5)
     sp.set_defaults(func=cmd_pd_compare)
 
     sp = sub.add_parser("smooth", help="exact smoothness probabilities against rho_theta")
@@ -347,16 +356,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, weight=False, seed=True)
     sp.add_argument("--K", type=float, default=1.0)
     sp.add_argument("--gamma", type=float, default=1.0)
-    sp.add_argument("--n", type=lambda v: int(float(v)), default=10**4, help="number of draws")
+    sp.add_argument("--n", type=_positive_int, default=10**4, help="number of draws")
     sp.set_defaults(func=cmd_poly_typical)
 
     sp = sub.add_parser("ewens", help="Ewens / generalized Ewens cycle statistics")
     _add_common(sp, weight=False, x=False, seed=True)
-    sp.add_argument("--n", type=int, help="permutation size")
+    sp.add_argument("--n", type=_positive_int, help="permutation size")
     sp.add_argument("--theta", type=float, default=1.0)
     sp.add_argument("--poly-gamma", type=float, default=None, help="use polynomial cycle weights instead")
     sp.add_argument("--exact", action="store_true", help="exact enumeration (n <= 20)")
-    sp.add_argument("--samples", type=lambda v: int(float(v)), default=10**4)
+    sp.add_argument("--samples", type=_positive_int, default=10**4)
     sp.set_defaults(func=cmd_ewens)
 
     sp = sub.add_parser("dickman", help="solve the rho_theta delay equation")

@@ -244,10 +244,9 @@ def cycle_weights(n: int, theta: float, poly_gamma: float | None) -> permutation
     return permutations.constant_weights(n, theta)
 
 
-def cycle_types(w: permutations.CycleWeights, samples: int, seed: int) -> list[permutations.CycleType]:
+def cycle_types(w: permutations.CycleWeights, samples: int, seed: int) -> permutations.CycleLengths:
     table = permutations.partition_function(w)
-    rng = np.random.default_rng(seed)
-    return [permutations.sample_cycle_type(w, table, rng) for _ in range(samples)]
+    return permutations.sample_cycle_types(w, table, np.random.default_rng(seed), samples)
 
 
 def dickman(theta: float, umax: float, step: float) -> tuple[limitlaws.DickmanSolution, dict]:

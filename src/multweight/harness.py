@@ -338,14 +338,12 @@ def _c12_partition_function(ctx: Context, scale: str):
         t = permutations.partition_function(w)
         exact = permutations.enumerate_Sn(n, w)
         rng = np.random.default_rng(20241201)
-        counts, _first = permutations.sample_cycle_types_batch(w, t, rng, draws)
-        uniq, cnt = np.unique(counts, axis=0, return_counts=True)
-        emp = {}
-        for row, c in zip(uniq, cnt):
-            lens = []
-            for length in range(n, 0, -1):
-                lens.extend([length] * int(row[length]))
-            emp[tuple(lens)] = c / draws
+        rows, lengths = permutations.sample_cycle_types(w, t, rng, draws)
+        # a draw's cycle counts C_1..C_n as the base-(n+1) digits of one integer
+        codes = np.bincount(rows, weights=float(n + 1) ** (lengths - 1)).astype(np.int64)
+        uniq, cnt = np.unique(codes, return_counts=True)
+        digits = uniq[:, None] // (n + 1) ** np.arange(n - 1, -1, -1) % (n + 1)
+        emp = {tuple(np.repeat(np.arange(n, 0, -1), d).tolist()): c / draws for d, c in zip(digits, cnt)}
         tv = 0.5 * sum(
             abs(emp.get(k, 0.0) - exact.type_probs.get(k, 0.0))
             for k in set(emp) | set(exact.type_probs)

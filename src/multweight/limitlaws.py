@@ -215,6 +215,8 @@ def dickman_rho(theta: float, u_max: float, h: float = 1.0 / 256) -> DickmanSolu
         raise ValueError("theta must be positive")
     if u_max < 1:
         raise ValueError("u_max must be >= 1")
+    if h <= 0:
+        raise ValueError(f"step {h} must be positive")
     if h > 1.0 / 64 + 1e-15:
         raise ValueError(f"step {h} too large; need h <= 1/64")
     m = round(1.0 / h)

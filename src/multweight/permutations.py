@@ -9,10 +9,11 @@ table of h_m values is built from the recursion
 a standard exponential-formula identity, validated here against the
 definitional sum by exhaustive enumeration for small n.
 
-Sampling is sequential: the cycle containing the smallest remaining
-element has length k with probability theta_k h_{m-k} / (m h_m); the rule
-is likewise validated against enumeration before use.  Constant weights
-(Ewens(theta)) are also drawn in batches through the Feller coupling.
+Sampling removes, round by round, the cycle containing the smallest
+remaining element, which has length k with probability
+theta_k h_{m-k} / (m h_m); one round serves every draw of a batch at once,
+and the rule is validated against enumeration.  Constant weights
+(Ewens(theta)) are drawn through the Feller coupling instead.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -59,24 +61,13 @@ def poly_weights(gamma: float, n: int) -> CycleWeights:
     return CycleWeights(n=n, theta=np.exp(gammaln(gamma + i + 1.0) - gammaln(i + 1.0)))
 
 
-@dataclass(frozen=True)
-class CycleType:
-    """Cycle lengths of one permutation, sorted nonincreasing.
+class CycleLengths(NamedTuple):
+    """Cycle lengths of a batch of draws, flat and row-major: lengths[j] is
+    a cycle of draw rows[j], and each draw's cycle containing its smallest
+    element comes first."""
 
-    first_length, when present, is the length of the cycle containing the
-    smallest element (the distinguished-element cycle the samplers draw
-    first); it is not part of the multiset identity.
-    """
-
-    lengths: tuple[int, ...]
-    first_length: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(sorted(self.lengths, reverse=True)))
-
-    @property
-    def num_cycles(self) -> int:
-        return len(self.lengths)
+    rows: np.ndarray
+    lengths: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -134,93 +125,91 @@ def first_cycle_pmf(table: PartitionFunctionTable, m: int) -> np.ndarray:
     return p
 
 
-_CHUNK = 2048
+# The first-cycle scan: chunks of lengths start this wide and double, and
+# one step evaluates at most _STEP_CAP probabilities over the draws it scans.
+_FIRST_CHUNK = 128
+_STEP_CAP = 1 << 16
 
 
-def sample_cycle_type(w: CycleWeights, table: PartitionFunctionTable, rng: np.random.Generator) -> CycleType:
-    """One draw from the generalized Ewens measure (as a cycle type).
+def _first_cycle_lengths(log_theta: np.ndarray, log_h: np.ndarray, m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per draw, the smallest k with sum_{j<=k} theta_j h_{m-j} / (m h_m) >= u.
 
-    Sequentially removes the cycle containing the smallest remaining
-    element.  The first-cycle probabilities are scanned in chunks of
-    2048 lengths with an early exit, so the expected work per cycle
-    tracks the typical cycle length rather than m.
+    The cumulative sums of all draws are scanned together, one chunk of
+    lengths per step, and a draw leaves the scan at its k, so the work
+    tracks the cycle lengths rather than m.  Where roundoff leaves the
+    total short of u, the cycle takes the rest: k = m.
+    """
+    n = len(log_theta)
+    k = m.copy()
+    base = log_h[m] + np.log(m)
+    acc = np.zeros(len(m))
+    scan = np.arange(len(m))
+    lo, width = 0, _FIRST_CHUNK
+    while len(scan):
+        step = max(1, min(width, _STEP_CAP // len(scan)))
+        ks = np.arange(lo + 1, lo + step + 1)
+        ms = m[scan]
+        rest = ms[:, None] - ks
+        past_m = rest < 0
+        np.maximum(rest, 0, out=rest)
+        # c = log theta_k + log h_{m-k} - base, then its exp and running sum,
+        # built in one buffer: the scan's memory is two arrays of one step
+        c = log_h[rest]
+        c += log_theta[np.minimum(ks, n) - 1]
+        with np.errstate(invalid="ignore"):
+            c -= base[scan, None]
+        np.exp(c, out=c)
+        c[past_m] = 0.0
+        np.cumsum(c, axis=1, out=c)
+        c += acc[scan, None]
+        j = np.count_nonzero(c < u[scan, None], axis=1)  # searchsorted(c, u, side="left") per row
+        hit = j < step
+        k[scan[hit]] = lo + 1 + j[hit]
+        acc[scan] = c[:, -1]
+        scan = scan[~hit & (ms > lo + step)]
+        lo += step
+        width *= 2
+    return k
+
+
+def sample_cycle_types(
+    w: CycleWeights, table: PartitionFunctionTable, rng: np.random.Generator, size: int
+) -> CycleLengths:
+    """`size` draws from the generalized Ewens measure, as cycle lengths.
+
+    Each round removes from every unfinished draw the cycle containing its
+    smallest remaining element, which of m remaining elements has length k
+    with probability theta_k h_{m-k} / (m h_m) (Arratia, Barbour & Tavare,
+    Logarithmic Combinatorial Structures, 2003).  A round takes one uniform
+    per unfinished draw.
     """
     if table.n < w.n:
         raise ValueError("partition table shorter than n")
     log_theta = w.log_theta()
-    log_h = table.log_h
-    lengths: list[int] = []
-    m = w.n
-    while m > 0:
-        u = rng.random()
-        base = log_h[m] + math.log(m)
-        acc = 0.0
-        k = None
-        k0 = 0
-        while k0 < m:
-            hi = min(k0 + _CHUNK, m)
-            ks = np.arange(k0 + 1, hi + 1)
-            probs = np.exp(log_theta[ks - 1] + log_h[m - ks] - base)
-            c = np.cumsum(probs) + acc
-            j = int(np.searchsorted(c, u, side="left"))
-            if j < len(c):
-                k = int(ks[j])
-                break
-            acc = float(c[-1])
-            k0 = hi
-        if k is None:
-            k = m  # cumulative roundoff fell short of u; mass belongs to the tail
+    active = np.arange(size)
+    m = np.full(size, w.n, dtype=np.int64)
+    rows, lengths = [active[:0]], [m[:0]]  # empty heads, so size = 0 concatenates
+    while len(active):
+        k = _first_cycle_lengths(log_theta, table.log_h, m, rng.random(len(active)))
+        rows.append(active)
         lengths.append(k)
         m -= k
-    return CycleType(lengths=tuple(lengths), first_length=lengths[0])
+        active, m = active[m > 0], m[m > 0]
+    # each round's rows are sorted, so a stable sort keeps every draw's
+    # cycles in the order they were drawn
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")
+    return CycleLengths(rows[order], np.concatenate(lengths)[order])
 
 
-def sample_cycle_types_batch(
-    w: CycleWeights, table: PartitionFunctionTable, rng: np.random.Generator, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized batch of draws, grouped by remaining size m.
-
-    Meant for small n with large sample counts (distribution tests); the
-    per-m first-cycle CDFs are precomputed once.  Returns (counts, first):
-    counts[i, l] is the number of l-cycles in draw i and first[i] its
-    first-cycle length.
-    """
-    n = w.n
-    cdfs = [None] * (n + 1)
-    for m in range(1, n + 1):
-        cdfs[m] = np.cumsum(first_cycle_pmf(table, m))
-    remaining = np.full(size, n, dtype=np.int64)
-    first = np.zeros(size, dtype=np.int64)
-    counts = np.zeros((size, n + 1), dtype=np.int16)
-    active = np.arange(size)
-    first_round = True
-    while len(active):
-        ms = remaining[active]
-        for m in np.unique(ms):
-            sel = active[ms == m]
-            u = rng.random(len(sel))
-            ks = np.searchsorted(cdfs[m], u, side="left") + 1
-            ks = np.minimum(ks, m)
-            counts[sel, ks] += 1
-            remaining[sel] -= ks
-            if first_round:
-                first[sel] = ks
-        first_round = False
-        active = active[remaining[active] > 0]
-    return counts, first
-
-
-def ewens_cycle_lengths(
-    n: int, theta: float, rng: np.random.Generator, size: int
-) -> tuple[np.ndarray, np.ndarray]:
+def ewens_cycle_lengths(n: int, theta: float, rng: np.random.Generator, size: int) -> CycleLengths:
     """Cycle lengths of `size` Ewens(theta) draws via the Feller coupling.
 
     Independent xi_i ~ Bernoulli(theta/(theta + i - 1)) for i = 1..n with a
     forced success appended at n+1; the spacings between successes have
     exactly the Ewens cycle-count law (Arratia, Barbour & Tavare,
-    Logarithmic Combinatorial Structures, 2003).  Returns (rows, lengths),
-    flat and row-major: lengths[j] is a cycle of draw rows[j].  Draws are
-    made in blocks of about 2^24 indicators.
+    Logarithmic Combinatorial Structures, 2003).  Draws are made in blocks
+    of about 2^24 indicators.
     """
     ps = theta / (theta + np.arange(n, dtype=float))
     rows, lengths = [], []
@@ -233,7 +222,7 @@ def ewens_cycle_lengths(
         nxt[np.append(r[1:] != r[:-1], True)] = n
         rows.append(r + done)
         lengths.append(nxt - pos)
-    return np.concatenate(rows), np.concatenate(lengths)
+    return CycleLengths(np.concatenate(rows), np.concatenate(lengths))
 
 
 def exact_mean_cycle_count(table: PartitionFunctionTable) -> float:

@@ -53,6 +53,20 @@ def test_ewens_exact_l1_uniform(tmp_path):
         assert float(row["probability"]) == pytest.approx(1.0 / 7.0, rel=1e-9)
 
 
+def test_ewens_sampled_report_and_csv_agree_and_repeat(tmp_path):
+    outs = []
+    for i in (1, 2):
+        out, rep = tmp_path / f"c{i}.csv", tmp_path / f"c{i}.json"
+        assert run(["ewens", "--n", "40", "--poly-gamma", "1", "--samples", "25", "--seed", "7",
+                    "--out", str(out), "--json", str(rep)]) == 0
+        outs.append((out.read_bytes(), json.dumps(read_json(rep)["results"], sort_keys=True)))
+    assert outs[0] == outs[1]
+    rows = [[int(tok) for tok in line.split(",")] for line in outs[0][0].decode().splitlines()]
+    assert len(rows) == 25
+    assert all(sum(r) == 40 and r == sorted(r, reverse=True) for r in rows)
+    assert json.loads(outs[0][1])["mean_cycles"] == sum(map(len, rows)) / 25
+
+
 def test_ewens_sampled_cycle_type_csv(tmp_path):
     out = tmp_path / "types.csv"
     assert run(["ewens", "--n", "6", "--theta", "1", "--samples", "20", "--seed", "3",
@@ -139,11 +153,13 @@ def test_weight_flag_overrides_config_weight(tmp_path):
     assert doc["results"]["rows"][0]["exact"] == 63869.0
 
 
-def test_config_value_rejected_by_its_flag_type(tmp_path):
+def test_config_value_rejected_by_its_flag_type(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": "abc"}))
-    with pytest.raises(SystemExit, match="config error: seed"):
+    with pytest.raises(SystemExit) as e:
         run(["sample", "--weight", "divisor:2", "--x", "1e3", "--config", str(cfg)])
+    assert e.value.code == 2
+    assert "config error: seed" in capsys.readouterr().err
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -183,6 +199,46 @@ def test_missing_n_or_theta_exits_2(argv, flag, capsys):
     assert f"{flag} (or a config" in capsys.readouterr().err
 
 
+# each draw-count flag, with a command line that is valid apart from it
+DRAW_COUNTS = [
+    (["sample", "--weight", "divisor:2", "--x", "1e3"], "n"),
+    (["pd-compare", "--weight", "power:0", "--x", "1e3"], "n"),
+    (["pd-compare", "--weight", "power:0", "--x", "1e3"], "oracle_draws"),
+    (["poly-typical", "--x", "1e3"], "n"),
+    (["ewens", "--n", "5"], "samples"),
+    (["ewens", "--samples", "5"], "n"),
+]
+
+
+@pytest.mark.parametrize("argv, key", DRAW_COUNTS)
+@pytest.mark.parametrize("value", [0, -2, 2.5])
+def test_draw_count_must_be_a_positive_integer(tmp_path, argv, key, value, capsys):
+    # 0 used to write NaN means into the report and exit 0
+    rep = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as e:
+        run(argv + [f"--{key.replace('_', '-')}", str(value), "--json", str(rep)])
+    assert e.value.code == 2
+    assert "need a positive integer" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    with pytest.raises(SystemExit) as e:
+        run(argv + ["--config", str(cfg), "--json", str(rep)])
+    assert e.value.code == 2
+    assert f"config error: {key}=" in capsys.readouterr().err
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["smooth", "--weight", "power:0", "--x", "1e3", "--u", "2"],
+    ["dickman", "--theta", "1"],
+])
+@pytest.mark.parametrize("step", ["0", "-0.01"])
+def test_nonpositive_step_is_rejected(tmp_path, argv, step, capsys):
+    assert run(argv + ["--step", step, "--json", str(tmp_path / "r.json")]) == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_poly_asym_double_ratio(tmp_path):
     rep = tmp_path / "pa.json"
     assert run(["poly-asym", "--K", "1", "--gamma", "1", "--x", "1e4,1e5",
@@ -209,14 +265,18 @@ def test_ek_compare_has_no_seed():
         run(["ek-compare", "--weight", "divisor:2", "--x", "1e3", "--seed", "1"])
 
 
-def test_config_keys_are_the_subcommand_flags(tmp_path):
+def test_config_keys_are_the_subcommand_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 1}))
-    with pytest.raises(SystemExit, match="unknown keys \\['seed'\\]; allowed: \\['weight', 'x'\\]"):
+    with pytest.raises(SystemExit) as e:
         run(["ek-compare", "--weight", "divisor:2", "--x", "1e3", "--config", str(cfg)])
+    assert e.value.code == 2
+    assert "unknown keys ['seed']; allowed: ['weight', 'x']" in capsys.readouterr().err
     cfg.write_text(json.dumps({"json_path": "r.json"}))
-    with pytest.raises(SystemExit, match="unknown keys"):
+    with pytest.raises(SystemExit) as e:
         run(["sample", "--weight", "divisor:2", "--x", "1e3", "--config", str(cfg)])
+    assert e.value.code == 2
+    assert "unknown keys" in capsys.readouterr().err
 
 
 def test_ewens_poly_gamma_zero_is_rejected(tmp_path):

@@ -27,12 +27,12 @@ def brute_partition_function(theta: np.ndarray, n: int) -> float:
     return total / math.factorial(n)
 
 
-def ewens_crp(n: int, theta: float, rng: np.random.Generator) -> perm.CycleType:
+def ewens_crp(n: int, theta: float, rng: np.random.Generator) -> list[int]:
     """Ewens(theta) draw via the Chinese-restaurant construction (oracle).
 
     Element i starts a new cycle with probability theta/(theta + i - 1),
     otherwise it joins the cycle of a uniformly chosen earlier element.
-    first_length tracks the cycle containing element 1.
+    Returns the cycle lengths, the cycle containing element 1 first.
     """
     sizes = [1]
     cycle_of = np.zeros(n, dtype=np.int64)
@@ -44,12 +44,53 @@ def ewens_crp(n: int, theta: float, rng: np.random.Generator) -> perm.CycleType:
             c = int(cycle_of[int(rng.integers(0, i))])
             cycle_of[i] = c
             sizes[c] += 1
-    return perm.CycleType(lengths=tuple(sizes), first_length=sizes[0])
+    return sizes
+
+
+def sequential_cycle_type(w: perm.CycleWeights, table: perm.PartitionFunctionTable, rng) -> list[int]:
+    """One generalized-Ewens draw by the sequential rule (oracle).
+
+    The cycle containing the smallest of m remaining elements has length k
+    with probability theta_k h_{m-k} / (m h_m); k is the first index where
+    the cumulative sum reaches a uniform u, or m where roundoff leaves the
+    sum short of u.  Returns the lengths in the order drawn.
+    """
+    lengths = []
+    m = w.n
+    while m > 0:
+        cdf = np.cumsum(perm.first_cycle_pmf(table, m))
+        k = min(int(np.searchsorted(cdf, rng.random(), side="left")) + 1, m)
+        lengths.append(k)
+        m -= k
+    return lengths
+
+
+class ConstantRng:
+    """A generator stand-in whose every uniform is u."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
 
 
 def split_rows(rows: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
-    """The flat (rows, lengths) of ewens_cycle_lengths as one array per draw."""
+    """Flat, row-major (rows, lengths) of a cycle sampler as one array per draw."""
     return np.split(lengths, np.flatnonzero(np.diff(rows)) + 1)
+
+
+def cycle_type_frequencies(rows: np.ndarray, lengths: np.ndarray) -> dict[tuple[int, ...], float]:
+    """Empirical law of the cycle type, lengths nonincreasing, over the draws."""
+    freq = {}
+    for lens in split_rows(rows, lengths):
+        key = tuple(sorted(lens.tolist(), reverse=True))
+        freq[key] = freq.get(key, 0) + 1
+    return {key: c / (rows[-1] + 1) for key, c in freq.items()}
+
+
+def tv(a: dict, b: dict) -> float:
+    return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b))
 
 
 def test_partition_function_theta_one():
@@ -128,30 +169,55 @@ def test_first_cycle_pmf_uniform_for_theta_one():
 def test_sample_cycle_type_n1():
     w = perm.constant_weights(1, 2.0)
     t = perm.partition_function(w)
-    ct = perm.sample_cycle_type(w, t, np.random.default_rng(0))
-    assert ct.lengths == (1,)
-    assert ct.first_length == 1
+    rows, lengths = perm.sample_cycle_types(w, t, np.random.default_rng(0), 3)
+    assert rows.tolist() == [0, 1, 2]
+    assert lengths.tolist() == [1, 1, 1]
 
 
-def test_cycle_type_stats():
-    ct = perm.CycleType(lengths=(2, 1, 3, 1))
-    assert ct.lengths == (3, 2, 1, 1)
-    assert ct.num_cycles == 4
+@pytest.mark.parametrize("weights", [perm.constant_weights(3000, 1.0), perm.poly_weights(1.0, 3000)],
+                         ids=["theta=1", "poly gamma=1"])
+@pytest.mark.parametrize("u", [0.6180339887, 0.9876543211, 0.9993])
+def test_sampler_matches_sequential_rule_at_fixed_u(weights, u):
+    # with every uniform equal to u and u more than 1e-9 from every partial
+    # sum on the path, roundoff cannot separate the two scans; 1000 draws
+    # cap the first chunk at 2^16 // 1000 = 65 lengths, so the longer
+    # cycles carry their sums across chunks
+    t = perm.partition_function(weights)
+    want = sequential_cycle_type(weights, t, ConstantRng(u))
+    m = weights.n
+    for k in want:
+        assert np.abs(np.cumsum(perm.first_cycle_pmf(t, m)) - u).min() > 1e-9
+        m -= k
+    rows, lengths = perm.sample_cycle_types(weights, t, ConstantRng(u), 1000)
+    assert max(want) > 65
+    for lens in split_rows(rows, lengths):
+        assert lens.tolist() == want
+
+
+@pytest.mark.parametrize("weights", [perm.constant_weights(3000, 1.0), perm.poly_weights(1.0, 3000)],
+                         ids=["theta=1", "poly gamma=1"])
+def test_sampler_rows_sum_to_n_at_largest_uniform(weights):
+    # u = 1 - 2^-53 lies above the rounded total of the first-cycle
+    # probabilities, or within an ulp of it: the cycle takes the rest
+    t = perm.partition_function(weights)
+    rows, lengths = perm.sample_cycle_types(weights, t, ConstantRng(1.0 - 2.0**-53), 50)
+    np.testing.assert_array_equal(np.bincount(rows, weights=lengths, minlength=50), np.full(50, weights.n))
 
 
 def test_sample_cycle_type_carries_across_chunks(rng):
     # at n = 3000, theta = 1 the first cycle is uniform on 1..n, so
-    # P(L_1 > 2048) = 952/3000 and a third of the draws scan past the first
-    # 2048-length chunk of first-cycle probabilities
+    # P(L_1 > 2048) = 952/3000; with 2000 draws the first chunks are 32
+    # lengths wide, so most draws carry their sum across several chunks
     n, draws = 3000, 2000
     w = perm.constant_weights(n, 1.0)
     t = perm.partition_function(w)
-    cts = [perm.sample_cycle_type(w, t, rng) for _ in range(draws)]
+    rows, lengths = perm.sample_cycle_types(w, t, rng, draws)
+    firsts = lengths[np.flatnonzero(np.diff(rows, prepend=-1))]
     p = float(perm.first_cycle_pmf(t, n)[2048:].sum())
     assert p == pytest.approx(952 / 3000, rel=1e-12)
-    hit = np.mean([ct.first_length > 2048 for ct in cts])
+    hit = np.mean(firsts > 2048)
     assert abs(hit - p) <= 5 * math.sqrt(p * (1 - p) / draws)
-    c = np.array([ct.num_cycles for ct in cts], dtype=float)
+    c = np.bincount(rows, minlength=draws).astype(float)
     assert abs(c.mean() - perm.exact_mean_cycle_count(t)) <= 5 * c.std() / math.sqrt(draws)
 
 
@@ -160,32 +226,19 @@ def test_sampler_matches_enumeration_tv(rng):
     for wts in (perm.constant_weights(n, 1.0), perm.poly_weights(1.0, n)):
         t = perm.partition_function(wts)
         exact = perm.enumerate_Sn(n, wts)
-        draws = 40000
-        counts, firsts = perm.sample_cycle_types_batch(wts, t, rng, draws)
-        uniq, cnt = np.unique(counts, axis=0, return_counts=True)
-        emp = {}
-        for row, c in zip(uniq, cnt):
-            lens = []
-            for length in range(n, 0, -1):
-                lens.extend([length] * int(row[length]))
-            emp[tuple(lens)] = c / draws
-        tv = 0.5 * sum(
-            abs(emp.get(k, 0.0) - exact.type_probs.get(k, 0.0))
-            for k in set(emp) | set(exact.type_probs)
-        )
-        assert tv <= 0.02
+        emp = cycle_type_frequencies(*perm.sample_cycle_types(wts, t, rng, 40000))
+        assert tv(emp, exact.type_probs) <= 0.02
 
 
 def test_sequential_and_batch_samplers_agree(rng):
     n = 5
     w = perm.poly_weights(1.0, n)
     t = perm.partition_function(w)
-    seq = [perm.sample_cycle_type(w, t, rng).lengths for _ in range(20000)]
-    counts, _ = perm.sample_cycle_types_batch(w, t, rng, 20000)
-    bat = [tuple(np.repeat(np.arange(n, 0, -1), row[:0:-1]).tolist()) for row in counts]
-    keys = set(seq) | set(bat)
-    tv = 0.5 * sum(abs(seq.count(k) - bat.count(k)) / 20000 for k in keys)
-    assert tv <= 0.03
+    seq = {}
+    for _ in range(20000):
+        key = tuple(sorted(sequential_cycle_type(w, t, rng), reverse=True))
+        seq[key] = seq.get(key, 0) + 1 / 20000
+    assert tv(seq, cycle_type_frequencies(*perm.sample_cycle_types(w, t, rng, 20000))) <= 0.03
 
 
 def test_first_cycle_is_l1_distribution(rng):
@@ -194,7 +247,8 @@ def test_first_cycle_is_l1_distribution(rng):
     w = perm.constant_weights(n, 2.0)
     t = perm.partition_function(w)
     exact = perm.enumerate_Sn_by_permutations(n, w)
-    _, firsts = perm.sample_cycle_types_batch(w, t, rng, 50000)
+    rows, lengths = perm.sample_cycle_types(w, t, rng, 50000)
+    firsts = lengths[np.flatnonzero(np.diff(rows, prepend=-1))]
     for k in range(1, n + 1):
         assert np.mean(firsts == k) == pytest.approx(exact.l1_pmf[k], abs=0.01)
 
@@ -203,7 +257,7 @@ def test_ewens_crp_cycle_count_pmf(rng):
     # C(pi) under Ewens(1) on S_7: Stirling-number law from enumeration
     n = 7
     exact = perm.enumerate_Sn(n, perm.constant_weights(n, 1.0)).cycle_count_pmf()
-    draws = [ewens_crp(n, 1.0, rng).num_cycles for _ in range(40000)]
+    draws = [len(ewens_crp(n, 1.0, rng)) for _ in range(40000)]
     for k in range(1, n + 1):
         assert np.mean(np.array(draws) == k) == pytest.approx(exact[k], abs=0.01)
 
@@ -211,12 +265,12 @@ def test_ewens_crp_cycle_count_pmf(rng):
 def test_ewens_crp_mean_cycles_harmonic(rng):
     n = 8
     h_n = sum(1.0 / k for k in range(1, n + 1))
-    draws = [ewens_crp(n, 1.0, rng).num_cycles for _ in range(40000)]
+    draws = [len(ewens_crp(n, 1.0, rng)) for _ in range(40000)]
     assert np.mean(draws) == pytest.approx(h_n, abs=0.03)
 
 
 def test_ewens_large_theta_concentrates(rng):
-    draws = [ewens_crp(6, 50.0, rng).num_cycles for _ in range(2000)]
+    draws = [len(ewens_crp(6, 50.0, rng)) for _ in range(2000)]
     assert np.mean(draws) > 5.5  # theta -> inf forces C -> n
 
 
@@ -237,7 +291,7 @@ def test_cycle_count_bernoulli_sampler_matches_crp(rng):
     n, theta = 50, 1.5
     rows, _ = perm.ewens_cycle_lengths(n, theta, rng, 40000)
     a = np.bincount(rows, minlength=40000)
-    b = np.array([ewens_crp(n, theta, rng).num_cycles for _ in range(20000)])
+    b = np.array([len(ewens_crp(n, theta, rng)) for _ in range(20000)])
     assert a.mean() == pytest.approx(b.mean(), abs=0.05)
     assert a.std() == pytest.approx(b.std(), abs=0.05)
 
@@ -245,15 +299,7 @@ def test_cycle_count_bernoulli_sampler_matches_crp(rng):
 def test_feller_matches_enumeration(rng):
     n, theta = 6, 1.0
     exact = perm.enumerate_Sn(n, perm.constant_weights(n, theta))
-    counts = {}
-    for lens in split_rows(*perm.ewens_cycle_lengths(n, theta, rng, 40000)):
-        key = tuple(sorted(lens.tolist(), reverse=True))
-        counts[key] = counts.get(key, 0) + 1
-    tv = 0.5 * sum(
-        abs(counts.get(k, 0) / 40000 - exact.type_probs.get(k, 0.0))
-        for k in set(counts) | set(exact.type_probs)
-    )
-    assert tv <= 0.02
+    assert tv(cycle_type_frequencies(*perm.ewens_cycle_lengths(n, theta, rng, 40000)), exact.type_probs) <= 0.02
 
 
 def test_ewens_cycle_lengths_rows_span_blocks(rng):

@@ -13,6 +13,7 @@ from .arith import (
     SpfTable,
     big_omega_table,
     build_spf,
+    factor_matrix,
     factorize,
     largest_prime_table,
     nu_p_table,
@@ -53,7 +54,6 @@ from .permutations import (
 )
 from .sampling import (
     ExactPmf,
-    LogPrimeSpectrum,
     WeightedIntegerSampler,
     exact_pmf_from_values,
     nu_p_limit_pmf,

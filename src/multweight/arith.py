@@ -66,20 +66,6 @@ class FactorProfile:
     n: int
     factors: tuple[tuple[int, int], ...]
 
-    @property
-    def big_omega(self) -> int:
-        return sum(k for _, k in self.factors)
-
-    @property
-    def omega(self) -> int:
-        return len(self.factors)
-
-    def nu(self, p: int) -> int:
-        for q, k in self.factors:
-            if q == p:
-                return k
-        return 0
-
 
 def build_spf(x: int) -> SpfTable:
     """Sieve the smallest prime factor of every n <= x.
@@ -127,6 +113,24 @@ def factorize(n: int, t: SpfTable) -> FactorProfile:
             k += 1
         factors.append((p, k))
     return FactorProfile(n=n, factors=tuple(factors))
+
+
+def factor_matrix(ns: np.ndarray, t: SpfTable) -> np.ndarray:
+    """The prime factors of every n in ns at once: row i holds those of ns[i]
+    with multiplicity, nondecreasing, then 1s up to the largest Omega (int64).
+    Each round divides the unfinished n by their spf: at most log2 n rounds.
+    """
+    rem = np.asarray(ns, dtype=np.int64)
+    if rem.size and (rem.min() < 1 or rem.max() > t.limit):
+        raise ValueError(f"n outside table range [1, {t.limit}]")
+    out = np.ones((len(rem), int(rem.max(initial=1)).bit_length() - 1), dtype=np.int64)
+    idx = np.flatnonzero(rem > 1)
+    rem, j = rem[idx], 0
+    while len(idx):
+        out[idx, j] = p = t.spf[rem]
+        rem //= p
+        idx, rem, j = idx[rem > 1], rem[rem > 1], j + 1
+    return out[:, :j]
 
 
 def primes_in(lo: int, hi: int, t: SpfTable) -> np.ndarray:

@@ -35,38 +35,32 @@ import numpy as np
 from . import __version__, arith, experiments, harness, permutations, weights
 
 
+# each weight kind's parameters, in the order of a 'kind:param[:param]' spec
+WEIGHT_PARAMS = {"theta_omega": ("theta",), "divisor": ("k",), "powerfree": ("k",), "euler_ratio": (),
+                 "sigma": ("z",), "power": ("z",), "poly_log": ("K", "gamma")}
+
+
 def parse_weight_spec(spec) -> weights.MultiplicativeWeight:
-    """Weight from 'kind:param[:param]' or a {'kind': ..., params} mapping."""
-    if isinstance(spec, dict):
-        d = dict(spec)
-        kind = d.pop("kind", None)
-        if kind is None:
-            raise SystemExit("config error: weight mapping needs a 'kind' key")
-        try:
-            return weights.builtin_weight(kind, **d)
-        except (ValueError, TypeError) as e:
-            raise SystemExit(f"config error: {e}")
-    parts = str(spec).split(":")
-    kind, args = parts[0], parts[1:]
-    positional = {
-        "theta_omega": ("theta",),
-        "divisor": ("k",),
-        "powerfree": ("k",),
-        "euler_ratio": (),
-        "sigma": ("z",),
-        "power": ("z",),
-        "poly_log": ("K", "gamma"),
-    }
-    if kind not in positional:
-        raise SystemExit(f"unknown weight kind {kind!r}; known: {sorted(positional)}")
-    names = positional[kind]
-    if len(args) != len(names):
-        raise SystemExit(f"weight {kind} takes {len(names)} parameter(s): {names}")
-    params = {n: float(a) for n, a in zip(names, args)}
+    """Weight from 'kind:param[:param]' or a {'kind': ..., params} mapping;
+    ValueError if the kind, a parameter or a value is bad."""
+    if not isinstance(spec, dict):
+        kind, *args = str(spec).split(":")
+        if kind not in WEIGHT_PARAMS:
+            raise ValueError(f"unknown weight kind {kind!r}; known: {sorted(WEIGHT_PARAMS)}")
+        names = WEIGHT_PARAMS[kind]
+        if len(args) != len(names):
+            raise ValueError(f"weight {kind} takes {len(names)} parameter(s): {names}")
+        spec = {"kind": kind, **dict(zip(names, args))}
+    params = dict(spec)
+    kind = params.pop("kind", None)
+    if kind is None:
+        raise ValueError("weight mapping needs a 'kind' key")
     try:
         return weights.builtin_weight(kind, **params)
-    except ValueError as e:
-        raise SystemExit(f"invalid weight spec: {e}")
+    except KeyError as e:
+        raise ValueError(f"weight {kind} needs parameter {e}")
+    except TypeError as e:
+        raise ValueError(f"weight {kind}: {e}")
 
 
 def _positive_int(raw: str) -> int:
@@ -177,8 +171,8 @@ def cmd_sample(args, ctx):
         "seed": args.seed,
         "mean": float(np.mean(draws)),
         "distinct": int(len(vals)),
-        "top": [{"value": int(v), "count": int(c)} for v, c in
-                sorted(zip(vals, counts), key=lambda t: -t[1])[:10]],
+        "top": [{"value": int(vals[i]), "count": int(counts[i])} for i in
+                np.argsort(-counts, kind="stable")[:10]],
     }
 
 
@@ -186,7 +180,7 @@ def cmd_exact_dist(args, ctx):
     pmf = experiments.exact_dist(ctx, parse_weight_spec(args.weight), int(float(args.x)), args.statistic,
                                  p=args.p, u=args.u)
     if args.out:
-        pmf.to_csv(args.out)
+        _write_csv(args.out, ["value", "probability"], zip(pmf.values.tolist(), pmf.probs.tolist()))
     return {"statistic": args.statistic, "mean": pmf.mean(), "atoms": len(pmf.values),
             "pmf_head": [{"value": float(v), "probability": float(p_)} for v, p_ in
                          zip(pmf.values[:20], pmf.probs[:20])]}
@@ -266,7 +260,7 @@ def cmd_ewens(args, ctx):
 def cmd_dickman(args, ctx):
     sol, results = experiments.dickman(args.theta, args.umax, args.step)
     if args.out:
-        sol.to_csv(args.out)
+        _write_csv(args.out, ["u", "rho"], zip(sol.grid.tolist(), sol.values.tolist()))
     return results
 
 
@@ -391,9 +385,15 @@ def main(argv=None) -> int:
         if args.config:
             _load_config(args.config, ap, args.command)
             args = ap.parse_args(argv)
+        sp = _subparser(ap, args.command)
         for key in ("weight", "x", "n", "theta"):
             if getattr(args, key, "missing") is None:
-                _subparser(ap, args.command).error(f"--{key} (or a config {key!r} entry) is required")
+                sp.error(f"--{key} (or a config {key!r} entry) is required")
+        if hasattr(args, "weight"):
+            try:
+                parse_weight_spec(args.weight)
+            except ValueError as e:
+                sp.error(f"invalid weight {args.weight!r}: {e}")
     t0 = time.time()
     try:
         results = args.func(args, experiments.Context())

@@ -145,10 +145,10 @@ def smooth_probability(ctx: Context, table: weights.WeightTable, u: float) -> fl
 
 def smooth(ctx: Context, w: weights.MultiplicativeWeight, x: int, us: list[float], step: float) -> list[dict]:
     """Exact smoothness probabilities at x against rho_theta(u)."""
-    theta = w.ewens().theta
+    # solved first: it rejects a bad step before any table is built
+    sol = limitlaws.dickman_rho(w.ewens().theta, max(max(us), 1.0) + 1e-9, h=step)
     table = ctx.weight_table(w, x)
     exact = [smooth_probability(ctx, table, u) for u in us]
-    sol = limitlaws.dickman_rho(theta, max(max(us), 1.0) + 1e-9, h=step)
     return [{"u": u, "exact": e, "rho": sol.rho(u)} for u, e in zip(us, exact)]
 
 
@@ -185,16 +185,18 @@ def sample(ctx: Context, w: weights.MultiplicativeWeight, x: int, n: int, seed: 
     return sampling.WeightedIntegerSampler(table, np.random.default_rng(seed)).sample(n)
 
 
+def _factor_blocks(ctx: Context, draws: np.ndarray, x: int):
+    """Factor matrices of the draws 2^16 at a time, in draw order; one has at
+    most 26 int64 columns up to x = 1e8, about 14 MB."""
+    spf = ctx.spf(x)
+    return (arith.factor_matrix(draws[i : i + 2**16], spf) for i in range(0, len(draws), 2**16))
+
+
 def spectrum_draws(ctx: Context, w: weights.MultiplicativeWeight, x: int, n: int,
                    rng: np.random.Generator, k: int) -> np.ndarray:
     """log p_j/log x for j = 1..k of n draws from the measure on n <= x, one row per draw."""
-    table = ctx.weight_table(w, x)
-    spf = ctx.spf(x)
-    out = np.zeros((n, k))
-    for i, m in enumerate(sampling.WeightedIntegerSampler(table, rng).sample(n)):
-        sp = sampling.spectrum(arith.factorize(int(m), spf), x)
-        out[i] = [sp.ratio(j) for j in range(1, k + 1)]
-    return out
+    draws = sampling.WeightedIntegerSampler(ctx.weight_table(w, x), rng).sample(n)
+    return np.concatenate([sampling.spectrum(f, x, k) for f in _factor_blocks(ctx, draws, x)])
 
 
 def pd_compare(ctx: Context, w: weights.MultiplicativeWeight, x: int, n: int, oracle_draws: int,
@@ -202,8 +204,11 @@ def pd_compare(ctx: Context, w: weights.MultiplicativeWeight, x: int, n: int, or
     """Mean of the three largest log-prime ratios against the PD(theta) parts."""
     theta = w.ewens().theta
     coords = spectrum_draws(ctx, w, x, n, np.random.default_rng(seed), 3)
-    Z = limitlaws.gem_matrix(theta, 200, np.random.default_rng(seed + 1), oracle_draws)
-    parts = np.sort(Z, axis=1)[:, ::-1]
+    rng = np.random.default_rng(seed + 1)
+    # GEM rows 20000 at a time, keeping each row's three largest parts; the
+    # rows fill row-major from one stream, so the blocks make one matrix
+    parts = np.concatenate([np.sort(limitlaws.gem_matrix(theta, 200, rng, min(20000, oracle_draws - i)),
+                                    axis=1)[:, :-4:-1] for i in range(0, oracle_draws, 20000)])
     return [{"stat": f"coord_{j + 1}_mean", "sample": float(coords[:, j].mean()),
              "pd_oracle": float(parts[:, j].mean())} for j in range(3)]
 
@@ -211,15 +216,15 @@ def pd_compare(ctx: Context, w: weights.MultiplicativeWeight, x: int, n: int, or
 def gamma_law_ks(ctx: Context, table: weights.WeightTable, K: float, gamma: float, n: int,
                  rng: np.random.Generator) -> float:
     """KS distance of log P / log^(1/(gamma+1)) x, P a size-biased prime of n
-    draws, to its gamma law under poly_log(K, gamma)."""
-    spf = ctx.spf(table.x)
-    scalepow = math.log(table.x) ** (1.0 / (gamma + 1.0))
-    vals = []
-    for m in sampling.WeightedIntegerSampler(table, rng).sample(n):
-        m = int(m)
-        vals.append(0.0 if m == 1 else math.log(sampling.size_biased_prime(arith.factorize(m, spf), rng)) / scalepow)
+    draws, to its gamma law under poly_log(K, gamma); log P = 0 for a draw n = 1.
+
+    The integers are drawn first, then one uniform per draw n > 1 in draw order.
+    """
+    draws = sampling.WeightedIntegerSampler(table, rng).sample(n)
+    ps = np.concatenate([sampling.size_biased_prime(f, rng) for f in _factor_blocks(ctx, draws, table.x)])
+    vals = sampling.prime_logs(ps) / math.log(table.x) ** (1.0 / (gamma + 1.0))
     shape, rate = asympt.gamma_law_params(K, gamma)
-    return limitlaws.ks_distance(np.array(vals), lambda t: limitlaws.gamma_cdf(shape, rate, t))
+    return limitlaws.ks_distance(vals, lambda t: limitlaws.gamma_cdf(shape, rate, t))
 
 
 def poly_typical(ctx: Context, K: float, gamma: float, x: int, n: int, seed: int) -> dict:

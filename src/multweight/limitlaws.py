@@ -13,7 +13,6 @@ with rho = 1 on [0, 1].
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -167,13 +166,6 @@ class DickmanSolution:
         split at the integer kink points.
         """
         return _residuals(self)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["u", "rho"])
-            for u, r in zip(self.grid, self.values):
-                wr.writerow([repr(float(u)), repr(float(r))])
 
 
 def _cubic_eval(values: np.ndarray, h: float, y: np.ndarray) -> np.ndarray:

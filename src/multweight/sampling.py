@@ -5,6 +5,9 @@ prefix-sum CDF by binary search: exact, O(log x) per draw, no rejection
 tuning.  Wherever a full scan over n <= x is affordable, exact pmfs are
 preferred to Monte Carlo so acceptance checks carry no sampling noise.
 
+Per-draw statistics (log-prime spectrum, size-biased prime) are computed
+for all draws at once from their factor matrix, bit for bit as per draw.
+
 RNG contract: callers pass a numpy Generator (numpy.random.default_rng;
 PCG64 is seedable and splittable via spawn).  All experiments record their
 seeds; sample paths are then reproducible bit-for-bit on a fixed platform.
@@ -12,13 +15,11 @@ seeds; sample paths are then reproducible bit-for-bit on a fixed platform.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import FactorProfile
 from .weights import EwensRegime, MultiplicativeWeight, WeightTable
 
 
@@ -65,13 +66,6 @@ class ExactPmf:
         """The law of (V - shift)/scale."""
         return ExactPmf((self.values - shift) / scale, self.probs, self.tail_mass)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["value", "probability"])
-            for v, p in zip(self.values, self.probs):
-                wr.writerow([repr(float(v)), repr(float(p))])
-
 
 class WeightedIntegerSampler:
     """Draws integers with probability alpha(n)/S(x) by inverse CDF.
@@ -86,13 +80,16 @@ class WeightedIntegerSampler:
         self.table = table
         self.rng = rng
 
-    def sample(self, size: int | None = None):
-        """One integer (size=None) or an int64 array of draws."""
+    def sample(self, size: int) -> np.ndarray:
+        """An int64 array of `size` draws."""
         prefix = self.table.prefix
         # map U[0,1) to (0, S] so u = 0 cannot select the empty prefix[0]
         u = (1.0 - self.rng.random(size)) * prefix[-1]
-        n = np.searchsorted(prefix, u, side="left")
-        return n if size is not None else int(n)
+        # sorted keys make the binary searches walk the table in order
+        order = np.argsort(u)
+        n = np.empty(len(u), dtype=np.int64)
+        n[order] = np.searchsorted(prefix, u[order], side="left")
+        return n
 
 
 def exact_pmf_from_values(table: WeightTable, values: np.ndarray) -> ExactPmf:
@@ -132,48 +129,53 @@ def joint_pmf_from_values(
     return out
 
 
-def size_biased_prime(profile: FactorProfile, rng: np.random.Generator) -> int:
-    """A prime p of n drawn with probability nu_p(n) log p / log n.
+def prime_logs(a: np.ndarray) -> np.ndarray:
+    """math.log of every entry of an integer array, one call per distinct
+    value (np.log differs from it in the last bit for some); 0 below 2."""
+    out = np.zeros(np.shape(a))
+    big = a > 1
+    uniq, inv = np.unique(a[big], return_inverse=True)
+    out[big] = np.array([math.log(v) for v in uniq.tolist()])[inv]
+    return out
 
-    This is the integer analogue of picking the cycle containing a
-    distinguished element: a size-biased choice among the log-prime parts.
+
+def spectrum(primes: np.ndarray, x: int, k: int) -> np.ndarray:
+    """The k largest log p_i(n)/log x of each row's n, from its factor matrix
+    (`arith.factor_matrix`): nonincreasing, 0 beyond Omega(n)."""
+    top = np.sort(prime_logs(primes), axis=1)[:, ::-1][:, :k] / math.log(x)
+    return np.pad(top, ((0, 0), (0, k - top.shape[1])))
+
+
+def size_biased_prime(primes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One prime p of each row's n, drawn with probability nu_p(n) log p / log n
+    (the integer analogue of the cycle containing a distinguished element).
+
+    The rows of a factor matrix are read in order.  Each n > 1 takes one
+    uniform, and its draw is that of rng.choice over its distinct primes with
+    weights nu_p log p, bit for bit; n = 1 takes none and gives 0.
     """
-    if profile.n < 2:
-        raise ValueError("n = 1 has no prime factor to sample")
-    ps = [p for p, _ in profile.factors]
-    wts = np.array([k * math.log(p) for p, k in profile.factors])
-    i = rng.choice(len(ps), p=wts / wts.sum())
-    return ps[i]
-
-
-@dataclass(frozen=True)
-class LogPrimeSpectrum:
-    """Nonincreasing log p_i(n)/log x, one entry per prime factor with
-    multiplicity; entries beyond Omega(n) are 0 by the p_k(m) = 1 convention.
-    """
-
-    n: int
-    x: int
-    ratios: np.ndarray
-
-    def ratio(self, k: int) -> float:
-        """k-th largest ratio (1-based); 0 beyond Omega(n)."""
-        if k < 1:
-            raise ValueError("k is 1-based")
-        if k > len(self.ratios):
-            return 0.0
-        return float(self.ratios[k - 1])
-
-
-def spectrum(profile: FactorProfile, x: int) -> LogPrimeSpectrum:
-    if profile.n > x:
-        raise ValueError("n beyond x")
-    logs = []
-    for p, k in profile.factors:
-        logs.extend([math.log(p)] * k)
-    logs.sort(reverse=True)
-    ratios = np.array(logs) / math.log(x) if logs else np.array([])
-    return LogPrimeSpectrum(n=profile.n, x=x, ratios=ratios)
+    starts, ends = primes > 1, primes > 1
+    starts[:, 1:] &= primes[:, 1:] != primes[:, :-1]
+    ends[:, :-1] &= primes[:, :-1] != primes[:, 1:]
+    # one (start, end) pair per run of equal primes, both in row-major order
+    r, c = np.nonzero(starts)
+    j = np.cumsum(starts, axis=1)[r, c] - 1
+    nd = starts.sum(axis=1)
+    P = np.zeros((len(primes), nd.max(initial=0)), dtype=np.int64)
+    W = np.zeros(P.shape)
+    P[r, j] = primes[r, c]
+    W[r, j] = (np.nonzero(ends)[1] - c + 1) * prime_logs(P[r, j])
+    # rng.choice's rule: p = w / w.sum(), summed as numpy sums the row's d
+    # weights; cdf = cumsum(p) / its last entry; the first index with cdf > u
+    total = np.ones(len(P))
+    for d in range(1, P.shape[1] + 1):
+        total[nd == d] = W[nd == d, :d].sum(axis=1)
+    live = np.flatnonzero(nd)
+    cdf = np.cumsum(W[live] / total[live, None], axis=1)
+    cdf /= cdf[:, -1:]
+    out = np.zeros(len(P), dtype=np.int64)
+    out[live] = P[live, (cdf <= rng.random(len(live))[:, None]).sum(axis=1)]
+    return out
 
 
 def nu_p_limit_pmf(

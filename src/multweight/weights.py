@@ -259,9 +259,6 @@ class WeightTable:
     def S_at(self, y: int) -> float:
         return float(self.prefix[y])
 
-    def prob(self, n: int) -> float:
-        return float(self.alpha[n]) / self.S
-
 
 _CHUNK = 1 << 20
 

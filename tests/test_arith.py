@@ -66,13 +66,17 @@ def test_capacity_budget(monkeypatch):
     arith.build_spf(10**4)
 
 
+def big_omega(prof):
+    return sum(k for _, k in prof.factors)
+
+
 def test_factorize_examples(spf_1e4):
     t = arith.build_spf(10**7)
     assert arith.factorize(12, spf_1e4).factors == ((2, 2), (3, 1))
-    assert arith.factorize(12, spf_1e4).big_omega == 3
-    assert arith.factorize(12, spf_1e4).omega == 2
+    assert big_omega(arith.factorize(12, spf_1e4)) == 3
+    assert len(arith.factorize(12, spf_1e4).factors) == 2
     assert arith.factorize(1, spf_1e4).factors == ()
-    assert arith.factorize(1, spf_1e4).big_omega == 0
+    assert big_omega(arith.factorize(1, spf_1e4)) == 0
     assert arith.factorize(9699690, t).factors == (
         (2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1),
     )
@@ -88,6 +92,20 @@ def test_factorize_out_of_range(spf_1e4):
 def test_factorize_recompose_exhaustive(spf_1e5):
     for n in range(1, 10**5 + 1):
         assert math.prod(p**k for p, k in arith.factorize(n, spf_1e5).factors) == n
+
+
+def test_factor_matrix_rows_are_the_factorizations(spf_1e5):
+    ns = np.arange(1, 10**5 + 1)
+    F = arith.factor_matrix(ns, spf_1e5)
+    assert F.dtype == np.int64 and F.shape == (10**5, 16)  # Omega(2^16) = 16
+    assert np.all(F[0] == 1)
+    for n, row in zip(ns.tolist(), F.tolist()):
+        expected = [p for p, k in arith.factorize(n, spf_1e5).factors for _ in range(k)]
+        assert row == expected + [1] * (16 - len(expected))
+        assert math.prod(row) == n
+    assert arith.factor_matrix(np.ones(3, dtype=np.int64), spf_1e5).shape == (3, 0)
+    with pytest.raises(ValueError):
+        arith.factor_matrix(np.array([5, 10**5 + 1]), spf_1e5)
 
 
 @given(st.integers(min_value=1, max_value=10**4))
@@ -111,9 +129,9 @@ def _shared_table():
 def test_omega_inequality_and_squarefree(spf_1e4):
     for n in range(1, 10**4 + 1):
         prof = arith.factorize(n, spf_1e4)
-        assert prof.big_omega >= prof.omega
+        assert big_omega(prof) >= len(prof.factors)
         squarefree = all(n % (p * p) != 0 for p in range(2, math.isqrt(n) + 1))
-        assert (prof.big_omega == prof.omega) == squarefree
+        assert (big_omega(prof) == len(prof.factors)) == squarefree
 
 
 def test_primes_in_examples(spf_1e6):
@@ -155,8 +173,8 @@ def test_statistic_tables_match_profiles(spf_1e4):
         assert (om[0], wm[0], lpf[0]) == (0, 0, 0)
         for n in range(1, t.limit + 1):
             prof = arith.factorize(n, t)
-            assert om[n] == prof.big_omega
-            assert wm[n] == prof.omega
-            assert nu3[n] == prof.nu(3)
+            assert om[n] == big_omega(prof)
+            assert wm[n] == len(prof.factors)
+            assert nu3[n] == dict(prof.factors).get(3, 0)
             expected_lpf = max((p for p, _ in prof.factors), default=1)
             assert lpf[n] == expected_lpf

@@ -169,11 +169,36 @@ def test_config_rejects_unknown_keys(tmp_path):
         run(["sieve-sum", "--config", str(cfg)])
 
 
-def test_invalid_weight_spec_fails_loudly():
-    with pytest.raises(SystemExit):
-        run(["sieve-sum", "--weight", "nope:1", "--x", "100"])
-    with pytest.raises(SystemExit):
-        run(["sieve-sum", "--weight", "theta_omega", "--x", "100"])
+INVALID_WEIGHTS = [
+    ("nope:1", "unknown weight kind"),
+    ("theta_omega", "takes 1 parameter"),
+    ("theta_omega:1:2", "takes 1 parameter"),
+    ("power:abc", "could not convert"),
+    ("power:-2", "z > -1"),
+    ({"theta": 2}, "needs a 'kind' key"),
+    ({"kind": "theta_omega"}, "needs parameter 'theta'"),
+    ({"kind": "theta_omega", "theta": 2, "z": 1}, "unexpected parameters"),
+    ({"kind": "nope"}, "unknown weight kind"),
+]
+
+
+def test_invalid_weight_spec_fails_loudly(tmp_path, capsys):
+    # a usage error, exit 2, like a bad flag, whether the spec is a flag or a config mapping
+    rep = tmp_path / "r.json"
+    cfg = tmp_path / "cfg.json"
+    for spec, message in INVALID_WEIGHTS:
+        argv = ["sieve-sum", "--x", "100", "--json", str(rep)]
+        if isinstance(spec, dict):
+            cfg.write_text(json.dumps({"weight": spec}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--weight", spec]
+        with pytest.raises(SystemExit) as e:
+            run(argv)
+        assert e.value.code == 2, spec
+        err = capsys.readouterr().err
+        assert "usage:" in err and "invalid weight" in err and message in err, spec
+        assert not rep.exists()
 
 
 def test_missing_weight_is_an_error():
@@ -237,6 +262,28 @@ def test_nonpositive_step_is_rejected(tmp_path, argv, step, capsys):
     assert run(argv + ["--step", step, "--json", str(tmp_path / "r.json")]) == 2
     assert "must be positive" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_smooth_rejects_the_step_before_building_a_table(monkeypatch, capsys):
+    def no_tables(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(cli.arith, "build_spf", no_tables)
+    monkeypatch.setattr(cli.weights, "build_weight_table", no_tables)
+    assert run(["smooth", "--weight", "power:0", "--x", "1e7", "--u", "2", "--step", "0"]) == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
+def test_sample_top_is_by_count_then_value(tmp_path):
+    out, rep = tmp_path / "s.csv", tmp_path / "s.json"
+    assert run(["sample", "--weight", "power:0", "--x", "300", "--n", "3000", "--seed", "5",
+                "--out", str(out), "--json", str(rep)]) == 0
+    values = [int(r["value"]) for r in csv.DictReader(out.open())]
+    counts = {v: values.count(v) for v in sorted(set(values))}
+    expected = sorted(counts.items(), key=lambda t: -t[1])[:10]
+    top = read_json(rep)["results"]["top"]
+    assert [(t["value"], t["count"]) for t in top] == expected
+    assert len({t["count"] for t in top}) < 10  # ties, ordered by value
 
 
 def test_poly_asym_double_ratio(tmp_path):
@@ -305,13 +352,14 @@ def test_nonpositive_u_is_rejected(tmp_path, argv, capsys):
     assert "u must be positive" in capsys.readouterr().err
 
 
-def test_powerfree_k_must_be_an_integer(tmp_path):
-    with pytest.raises(SystemExit, match="integer k"):
-        run(["sieve-sum", "--weight", "powerfree:2.7", "--x", "1e3"])
+def test_powerfree_k_must_be_an_integer(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"weight": {"kind": "powerfree", "k": 2.5}, "x": "1e3"}))
-    with pytest.raises(SystemExit, match="integer k"):
-        run(["sieve-sum", "--config", str(cfg)])
+    for argv in (["--weight", "powerfree:2.7", "--x", "1e3"], ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as e:
+            run(["sieve-sum", *argv])
+        assert e.value.code == 2
+        assert "integer k" in capsys.readouterr().err
     doc = _run_with_config(tmp_path, ["sieve-sum"], {"weight": {"kind": "powerfree", "k": 3.0}, "x": "1e3"})
     assert doc["results"]["rows"][0]["exact"] > 0
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import kolmogi
 
+from multweight import cli
 from multweight import limitlaws as ll
 from multweight.sampling import ExactPmf
 
@@ -171,12 +172,14 @@ def test_dickman_parameter_validation():
 
 
 def test_dickman_csv_export(tmp_path):
+    # the CLI writes the solution's grid and values, one row per grid point
     sol = ll.dickman_rho(1.0, 2.0, 1.0 / 64)
     path = tmp_path / "rho.csv"
-    sol.to_csv(path)
+    assert cli.main(["dickman", "--theta", "1", "--umax", "2", "--step", "0.015625", "--out", str(path),
+                     "--json", str(tmp_path / "rho.json")]) == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "u,rho"
-    assert len(lines) == len(sol.grid) + 1
+    assert lines[1:] == [f"{u!r},{r!r}" for u, r in zip(sol.grid.tolist(), sol.values.tolist())]
 
 
 # Oracles: the sequential solver and the per-point residual loop that the

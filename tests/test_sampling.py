@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -24,6 +25,13 @@ def test_uniform_sampler_chi_square(spf_1e4, rng):
     assert p > 0.001
 
 
+def test_sorted_search_matches_plain_searchsorted(spf_1e4):
+    table = make_table(("divisor", {"k": 2.0}), 10**4, spf_1e4)
+    draws = sampling.WeightedIntegerSampler(table, np.random.default_rng(3)).sample(10**5)
+    u = (1.0 - np.random.default_rng(3).random(10**5)) * table.prefix[-1]
+    assert np.array_equal(draws, np.searchsorted(table.prefix, u, side="left"))
+
+
 def test_degenerate_single_atom(spf_1e4, rng):
     alpha = np.zeros(101)
     alpha[6] = 3.0
@@ -45,7 +53,7 @@ def test_zero_table_rejected(rng):
 
 def test_probability_ratio_theta_omega(spf_1e4):
     table = make_table(("theta_omega", {"theta": 2.0}), 30, spf_1e4)
-    assert table.prob(2) / table.prob(1) == pytest.approx(2.0, rel=1e-14)
+    assert table.alpha[2] / table.alpha[1] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_cdf_interval_widths_match_alpha(spf_1e4):
@@ -89,14 +97,14 @@ def exact_pmf(table, statistic, spf):
 
 def test_exact_pmf_omega_x4(spf_1e4):
     table = make_table(("power", {"z": 0.0}), 4, spf_1e4)
-    pmf = exact_pmf(table, lambda prof: prof.big_omega, spf_1e4)
+    pmf = exact_pmf(table, lambda prof: sum(k for _, k in prof.factors), spf_1e4)
     assert pmf.values.tolist() == [0.0, 1.0, 2.0]
     assert pmf.probs.tolist() == [0.25, 0.5, 0.25]
 
 
 def test_exact_pmf_nu2_x8(spf_1e4):
     table = make_table(("power", {"z": 0.0}), 8, spf_1e4)
-    pmf = exact_pmf(table, lambda prof: prof.nu(2), spf_1e4)
+    pmf = exact_pmf(table, lambda prof: dict(prof.factors).get(2, 0), spf_1e4)
     assert pmf.values.tolist() == [0.0, 1.0, 2.0, 3.0]
     assert pmf.probs.tolist() == [0.5, 0.25, 0.125, 0.125]
 
@@ -104,7 +112,7 @@ def test_exact_pmf_nu2_x8(spf_1e4):
 def test_exact_pmf_two_routes_agree(spf_1e4):
     x = 2000
     table = make_table(("divisor", {"k": 2.0}), x, spf_1e4)
-    slow = exact_pmf(table, lambda prof: prof.big_omega, spf_1e4)
+    slow = exact_pmf(table, lambda prof: sum(k for _, k in prof.factors), spf_1e4)
     fast = sampling.exact_pmf_from_values(table, arith.big_omega_table(spf_1e4)[: x + 1])
     np.testing.assert_allclose(slow.values, fast.values)
     np.testing.assert_allclose(slow.probs, fast.probs, rtol=1e-12)
@@ -132,7 +140,7 @@ def test_exact_pmf_integer_route_matches_unique_route(spf_1e5, kind_params):
 
 def test_exact_pmf_skips_zero_weight(spf_1e4):
     table = make_table(("powerfree", {"k": 2}), 20, spf_1e4)
-    pmf = exact_pmf(table, lambda prof: prof.nu(2), spf_1e4)
+    pmf = exact_pmf(table, lambda prof: dict(prof.factors).get(2, 0), spf_1e4)
     assert pmf.values.tolist() == [0.0, 1.0]  # nu_2 >= 2 has zero mass
 
 
@@ -165,48 +173,134 @@ def test_smooth_probability_matches_large_prime_count(spf_1e6):
     assert abs(p - oracle) <= 1e-12
 
 
+@dataclass(frozen=True)
+class LogPrimeSpectrum:
+    """Nonincreasing log p_i(n)/log x, one entry per prime factor with
+    multiplicity; entries beyond Omega(n) are 0 by the p_k(m) = 1 convention.
+    """
+
+    n: int
+    x: int
+    ratios: np.ndarray
+
+    def ratio(self, k: int) -> float:
+        """k-th largest ratio (1-based); 0 beyond Omega(n)."""
+        return float(self.ratios[k - 1]) if k <= len(self.ratios) else 0.0
+
+
+def spectrum_oracle(profile, x):
+    """Oracle: the spectrum of one factorization, one math.log per prime factor."""
+    logs = []
+    for p, k in profile.factors:
+        logs.extend([math.log(p)] * k)
+    logs.sort(reverse=True)
+    ratios = np.array(logs) / math.log(x) if logs else np.array([])
+    return LogPrimeSpectrum(n=profile.n, x=x, ratios=ratios)
+
+
+def size_biased_prime_oracle(profile, rng):
+    """Oracle: a size-biased prime of one factorization by rng.choice."""
+    if profile.n < 2:
+        raise ValueError("n = 1 has no prime factor to sample")
+    ps = [p for p, _ in profile.factors]
+    wts = np.array([k * math.log(p) for p, k in profile.factors])
+    return ps[rng.choice(len(ps), p=wts / wts.sum())]
+
+
+def _draws(spf, n, seed):
+    """n draws at x = 1e6 with n = 1 and primes where np.log and math.log
+    differ in the last bit (and their multiples) mixed in."""
+    table = make_table(("theta_omega", {"theta": 2.0}), 10**6, spf)
+    draws = sampling.WeightedIntegerSampler(table, np.random.default_rng(seed)).sample(n)
+    draws[::97] = 1
+    special = [285343, 2 * 285343, 3 * 287549, 351497, 504631, 664679]
+    draws[1::89] = np.resize(special, len(draws[1::89]))
+    return draws
+
+
+def test_prime_logs_are_math_log():
+    ps = arith.primes_upto(10**6)
+    assert np.array_equal(sampling.prime_logs(ps), np.array([math.log(p) for p in ps.tolist()]))
+    assert sampling.prime_logs(np.array([[0, 1, 4]])).tolist() == [[0.0, 0.0, math.log(4)]]
+
+
+def test_spectrum_matches_oracle_bit_for_bit(spf_1e6):
+    draws = _draws(spf_1e6, 10**4, 11)
+    k = 21  # past the largest Omega, 19, so the zero padding is checked too
+    batch = sampling.spectrum(arith.factor_matrix(draws, spf_1e6), 10**6, k)
+    oracle = [[spectrum_oracle(arith.factorize(int(m), spf_1e6), 10**6).ratio(j) for j in range(1, k + 1)]
+              for m in draws]
+    assert batch.shape == (10**4, k)
+    assert np.array_equal(batch, np.array(oracle))
+
+
+def test_size_biased_prime_matches_rng_choice_draw_by_draw(spf_1e6):
+    draws = _draws(spf_1e6, 10**4, 12)
+    ones = draws == 1
+    assert 0 < ones.sum() < len(draws)
+    rng_a, rng_b = np.random.default_rng(13), np.random.default_rng(13)
+    oracle = [0 if m == 1 else size_biased_prime_oracle(arith.factorize(int(m), spf_1e6), rng_a)
+              for m in draws.tolist()]
+    batch = sampling.size_biased_prime(arith.factor_matrix(draws, spf_1e6), rng_b)
+    assert np.array_equal(batch, np.array(oracle))
+    assert rng_a.random() == rng_b.random()  # one uniform per n > 1, none for n = 1
+
+
+def test_size_biased_prime_matches_rng_choice_with_eight_primes():
+    # 9699690 = 2*3*...*19 has eight distinct primes, where numpy sums the
+    # weight vector pairwise rather than left to right
+    t = arith.build_spf(9699690)
+    ns = np.array([9699690, 9699690 // 19 * 16, 2**23, 1, 9699690, 3 * 5 * 7 * 11] * 500)
+    rng_a, rng_b = np.random.default_rng(14), np.random.default_rng(14)
+    oracle = [0 if m == 1 else size_biased_prime_oracle(arith.factorize(m, t), rng_a) for m in ns.tolist()]
+    assert np.array_equal(sampling.size_biased_prime(arith.factor_matrix(ns, t), rng_b), np.array(oracle))
+
+
+def size_biased_primes_of(n, spf, rng, draws=1):
+    return sampling.size_biased_prime(arith.factor_matrix(np.full(draws, n), spf), rng)
+
+
 def test_size_biased_prime_on_prime(spf_1e4, rng):
-    prof = arith.factorize(97, spf_1e4)
-    assert sampling.size_biased_prime(prof, rng) == 97
+    assert size_biased_primes_of(97, spf_1e4, rng).tolist() == [97]
 
 
 def test_size_biased_prime_n6_frequencies(spf_1e4, rng):
-    prof = arith.factorize(6, spf_1e4)
-    draws = np.array([sampling.size_biased_prime(prof, rng) for _ in range(20000)])
+    draws = size_biased_primes_of(6, spf_1e4, rng, 20000)
     p2 = np.mean(draws == 2)
     assert p2 == pytest.approx(math.log(2) / math.log(6), abs=0.01)
 
 
 def test_size_biased_prime_multiplicity_weighting(spf_1e4, rng):
-    prof = arith.factorize(12, spf_1e4)
-    draws = np.array([sampling.size_biased_prime(prof, rng) for _ in range(20000)])
+    draws = size_biased_primes_of(12, spf_1e4, rng, 20000)
     assert np.mean(draws == 2) == pytest.approx(2 * math.log(2) / math.log(12), abs=0.01)
 
 
-def test_size_biased_prime_rejects_one(spf_1e4, rng):
+def test_size_biased_prime_of_one_is_zero_and_takes_no_uniform(spf_1e4, rng):
+    state = rng.bit_generator.state
+    assert size_biased_primes_of(1, spf_1e4, rng, 5).tolist() == [0] * 5
+    assert rng.bit_generator.state == state
     with pytest.raises(ValueError):
-        sampling.size_biased_prime(arith.factorize(1, spf_1e4), rng)
+        size_biased_prime_oracle(arith.factorize(1, spf_1e4), rng)
+
+
+def spectrum_of(n, x, spf, k=4):
+    return sampling.spectrum(arith.factor_matrix(np.array([n]), spf), x, k)[0]
 
 
 def test_spectrum_examples(spf_1e4):
-    sp = sampling.spectrum(arith.factorize(12, spf_1e4), 12)
-    expected = np.array([math.log(3), math.log(2), math.log(2)]) / math.log(12)
-    np.testing.assert_allclose(sp.ratios, expected, rtol=1e-14)
-    empty = sampling.spectrum(arith.factorize(1, spf_1e4), 50)
-    assert len(empty.ratios) == 0
-    assert empty.ratio(1) == 0.0
-    top = sampling.spectrum(arith.factorize(97, spf_1e4), 97)
-    assert top.ratios.tolist() == [1.0]
-    assert top.ratio(2) == 0.0
+    expected = np.array([math.log(3), math.log(2), math.log(2), 0.0]) / math.log(12)
+    np.testing.assert_allclose(spectrum_of(12, 12, spf_1e4), expected, rtol=1e-14)
+    assert spectrum_of(1, 50, spf_1e4).tolist() == [0.0] * 4
+    assert spectrum_of(97, 97, spf_1e4).tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert spectrum_of(12, 12, spf_1e4, k=2).tolist() == spectrum_of(12, 12, spf_1e4)[:2].tolist()
 
 
 @given(st.integers(min_value=2, max_value=9999))
 def test_spectrum_sums_to_log_ratio(n):
-    t = _table()
-    sp = sampling.spectrum(arith.factorize(n, t), 10**4)
-    assert sp.ratios.sum() == pytest.approx(math.log(n) / math.log(10**4), abs=1e-12)
-    assert np.all(np.diff(sp.ratios) <= 1e-15)
-    assert np.all((sp.ratios >= 0) & (sp.ratios <= 1))
+    ratios = spectrum_of(n, 10**4, _table(), k=14)  # Omega(n) <= 13 below 1e4
+    assert ratios.sum() == pytest.approx(math.log(n) / math.log(10**4), abs=1e-12)
+    assert np.all(np.diff(ratios) <= 1e-15)
+    assert np.all((ratios >= 0) & (ratios <= 1))
 
 
 _T = None

@@ -18,7 +18,6 @@ from .arith import (
     largest_prime_table,
     nu_p_table,
     omega_table,
-    primes_in,
     primes_upto,
 )
 from .asympt import (

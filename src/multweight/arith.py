@@ -4,9 +4,12 @@ Everything here is built once and then read-only: the tables are plain
 numpy arrays, immutable by convention after construction, and safe to
 share across threads without synchronization.
 
-The smallest-prime-factor (spf) table is the workhorse: it factors any
-n <= limit in O(log n) divisions, which is what makes exact full-range
-scans of factorization statistics affordable up to 10^7-10^8.
+The dense tables of the exact scans rest on one fact: n <= x has at most
+one prime factor above sqrt(x).  largest_prime_table makes the one walk
+over the prime powers of the primes <= sqrt(x); Omega, omega and the
+weight tables read that prime off its p_1 table, where p_1(n) > sqrt(x).
+The smallest-prime-factor (spf) table is kept for factoring integers one
+by one or a draw array at once, in O(log n) divisions each.
 """
 
 from __future__ import annotations
@@ -48,11 +51,6 @@ class SpfTable:
 
     limit: int
     spf: np.ndarray
-
-    def primes(self) -> np.ndarray:
-        """All primes <= limit, increasing (p is prime iff spf[p] = p)."""
-        n = np.arange(2, self.limit + 1, dtype=self.spf.dtype)
-        return (np.nonzero(self.spf[2:] == n)[0] + 2).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -133,23 +131,8 @@ def factor_matrix(ns: np.ndarray, t: SpfTable) -> np.ndarray:
     return out[:, :j]
 
 
-def primes_in(lo: int, hi: int, t: SpfTable) -> np.ndarray:
-    """Primes p with lo <= p <= hi, increasing."""
-    if hi > t.limit:
-        raise ValueError(f"interval end {hi} beyond table limit {t.limit}")
-    lo = max(lo, 2)
-    if lo > hi:
-        return np.array([], dtype=np.int64)
-    n = np.arange(lo, hi + 1, dtype=t.spf.dtype)
-    return (np.nonzero(t.spf[lo : hi + 1] == n)[0] + lo).astype(np.int64)
-
-
 def primes_upto(x: int) -> np.ndarray:
-    """Primes <= x via a plain boolean Eratosthenes sieve.
-
-    Independent of SpfTable (1 byte/entry), intended for the prime-sum
-    machinery where only the primes themselves are needed.
-    """
+    """Primes <= x, increasing, via a plain boolean Eratosthenes sieve (1 byte/entry)."""
     if x < 2:
         return np.array([], dtype=np.int64)
     if x > sieve_budget():
@@ -165,48 +148,69 @@ def primes_upto(x: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Dense factorization-statistic tables.
 #
-# These are vectorized equivalents of mapping factorize() over 1..limit,
-# used for exact distribution scans.  Tests cross-check them against the
-# per-n FactorProfile route.
+# These are vectorized equivalents of mapping factorize() over 1..x, used
+# for exact distribution scans.  All but nu_p read a p_1 table, with x its
+# length - 1, so a prefix p1[:y+1] gives the tables at y.  Tests cross-check
+# them against the per-n FactorProfile route.
 # ---------------------------------------------------------------------------
 
 
-def _split_at_root(x: int, t: SpfTable) -> tuple[list[np.ndarray], np.ndarray]:
-    """(levels, cof) for n <= x: levels[k-1] holds the primes p <= sqrt(x)
-    with p^k <= x, increasing; cof[n] (int32, cof[0] = 0) is 1 or the one
-    prime factor of n above sqrt(x), as no n <= x has two.
+def largest_prime_table(x: int) -> np.ndarray:
+    """p_1(n), the largest prime factor, for n = 0..x (p_1(1) = 1), int32.
+
+    Dividing every n by the prime powers p^k <= x of the primes p <= sqrt(x)
+    leaves a cofactor that is 1 or the one prime factor of n above sqrt(x);
+    ascending overwrite by those primes leaves the largest of them dividing
+    n, and the cofactor exceeds them all.
+
+    Raises:
+        CapacityError: x exceeds the configured entry budget.
     """
-    if x > t.limit:
-        raise ValueError(f"x={x} beyond sieve limit {t.limit}")
-    ps = primes_in(2, math.isqrt(x), t)
+    if x > sieve_budget():
+        raise CapacityError(
+            f"table limit {x} exceeds entry budget {sieve_budget()} "
+            f"(4 bytes/entry; raise {MAX_SIEVE_ENV} to override)"
+        )
+    cof = np.arange(x + 1, dtype=np.int32)
+    lpf = np.zeros(x + 1, dtype=np.int32)
+    lpf[1:2] = 1
+    for p in primes_upto(math.isqrt(x)).tolist():
+        lpf[p::p] = p
+        pk = p
+        while pk <= x:
+            cof[pk::pk] //= p
+            pk *= p
+    return np.maximum(lpf, cof, out=lpf)
+
+
+def root_prime_powers(p1: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """(levels, big) for the p_1 table of n <= x: levels[k-1] holds the primes
+    p <= sqrt(x) with p^k <= x, increasing; big[n] says that p_1(n) is the one
+    prime factor of n above sqrt(x)."""
+    x = len(p1) - 1
+    ps = primes_upto(math.isqrt(x))
     levels = [ps]
     while len(ps := ps[ps ** (len(levels) + 1) <= x]):
         levels.append(ps)
-    cof = np.arange(x + 1, dtype=np.int32)
-    for k, ps in enumerate(levels, 1):
-        for p in ps.tolist():
-            cof[p**k :: p**k] //= p
-    return levels, cof
+    return levels, p1 > math.isqrt(x)
 
 
-def big_omega_table(t: SpfTable) -> np.ndarray:
-    """Omega(n) (prime factors with multiplicity) for n = 0..limit, int8."""
-    levels, cof = _split_at_root(t.limit, t)
-    om = np.zeros(t.limit + 1, dtype=np.int8)
+def big_omega_table(p1: np.ndarray) -> np.ndarray:
+    """Omega(n) (prime factors with multiplicity) for n = 0..len(p1) - 1, int8."""
+    levels, big = root_prime_powers(p1)
+    om = big.astype(np.int8)
     for k, ps in enumerate(levels, 1):
         for p in ps.tolist():
             om[p**k :: p**k] += 1
-    om += cof > 1
     return om
 
 
-def omega_table(t: SpfTable) -> np.ndarray:
-    """omega(n) (distinct prime factors) for n = 0..limit, int8."""
-    levels, cof = _split_at_root(t.limit, t)
-    om = np.zeros(t.limit + 1, dtype=np.int8)
+def omega_table(p1: np.ndarray) -> np.ndarray:
+    """omega(n) (distinct prime factors) for n = 0..len(p1) - 1, int8."""
+    levels, big = root_prime_powers(p1)
+    om = big.astype(np.int8)
     for p in levels[0].tolist():
         om[p::p] += 1
-    om += cof > 1
     return om
 
 
@@ -226,17 +230,3 @@ def nu_p_table(x: int, p: int) -> np.ndarray:
             break
         pk *= p
     return nu
-
-
-def largest_prime_table(t: SpfTable) -> np.ndarray:
-    """p_1(n), the largest prime factor, for n = 0..limit (entry 1 is 1).
-
-    Ascending overwrite by the primes <= sqrt(limit) leaves the largest of
-    them that divides n; a cofactor above 1 exceeds them all.
-    """
-    levels, cof = _split_at_root(t.limit, t)
-    lpf = np.zeros(t.limit + 1, dtype=np.int32)
-    lpf[1] = 1
-    for p in levels[0].tolist():
-        lpf[p::p] = p
-    return np.maximum(lpf, cof, out=lpf)

@@ -19,50 +19,54 @@ STATISTICS = ("omega", "big_omega", "nu", "largest_prime", "largest_ratio", "smo
 class Context:
     """Lazily built tables shared by the experiments of one run.
 
-    One spf table, grown to the largest range asked for, and the statistic
+    One p_1 table, grown to the largest range asked for, and the statistic
     tables built from it are kept and served as prefixes.  Weight tables
-    are not kept: each lives as long as the experiment that holds it.
+    are built from it and not kept: each lives as long as the experiment
+    that holds it.
     """
 
     def __init__(self):
-        self._spf: arith.SpfTable | None = None
+        self._p1: np.ndarray | None = None
         self._stat: dict[tuple[str, int], np.ndarray] = {}
 
-    def spf(self, x: int) -> arith.SpfTable:
-        if self._spf is None or self._spf.limit < x:
-            self._spf = arith.build_spf(x)
-        return self._spf
+    def p1(self, x: int) -> np.ndarray:
+        """p_1(n) for n = 0..x, a prefix of the kept table."""
+        if self._p1 is None or len(self._p1) <= x:
+            # looked up at call time, so the arith.*_table functions can be wrapped
+            self._p1 = arith.largest_prime_table(x)
+        return self._p1[: x + 1]
 
     def statistic(self, name: str, x: int, p: int = 2, u: float = 2.0) -> np.ndarray:
         """Values of a factorization statistic for n = 0..x.
 
-        omega, big_omega, nu (nu_p for a prime p) and largest_prime (p_1,
-        with p_1(1) = 1) are built over the whole spf range and kept;
+        omega, big_omega and nu (nu_p for a prime p) are built over the whole
+        p_1 range and kept; largest_prime is p_1 itself (p_1(1) = 1);
         largest_ratio (log p_1/log x) and smooth (1 where p_1 <= x^(1/u))
         are derived from p_1 on each call.
         """
         if name == "largest_ratio":
             with np.errstate(divide="ignore"):
-                out = np.log(self.statistic("largest_prime", x)) / math.log(x)
+                out = np.log(self.p1(x)) / math.log(x)
             out[0] = 0.0
             return out
         if name == "smooth":
             if u <= 0:
                 raise ValueError(f"smoothness parameter u must be positive, got {u}")
-            return (self.statistic("largest_prime", x) <= x ** (1.0 / u)).astype(np.int8)
+            return (self.p1(x) <= x ** (1.0 / u)).astype(np.int8)
         if name not in STATISTICS:
             raise ValueError(f"unknown statistic {name!r}; known: {STATISTICS}")
+        if name == "largest_prime":
+            return self.p1(x)
         key = (name, p if name == "nu" else 0)
         arr = self._stat.get(key)
         if arr is None or len(arr) <= x:
-            t = self.spf(x)
-            # looked up at call time, so the arith.*_table functions can be wrapped
-            arr = arith.nu_p_table(t.limit, p) if name == "nu" else getattr(arith, f"{name}_table")(t)
+            self.p1(x)  # grows the kept p_1 table to x; the tables span all of it
+            arr = arith.nu_p_table(len(self._p1) - 1, p) if name == "nu" else getattr(arith, f"{name}_table")(self._p1)
             self._stat[key] = arr
         return arr[: x + 1]
 
     def weight_table(self, w: weights.MultiplicativeWeight, x: int) -> weights.WeightTable:
-        return weights.build_weight_table(w, x, self.spf(x))
+        return weights.build_weight_table(w, self.p1(x))
 
 
 def sub_table(table: weights.WeightTable, x: int) -> weights.WeightTable:
@@ -95,7 +99,7 @@ def sieve_sum(ctx: Context, w: weights.MultiplicativeWeight, xs: list[int], cuto
 
 
 def conditions(ctx: Context, w: weights.MultiplicativeWeight, xs: list[int]) -> dict:
-    res = weights.condition_I_residuals(w, xs, ctx.spf(max(xs)))
+    res = weights.condition_I_residuals(w, xs)
     return {
         "condition_I_residuals": [{"x": x, "residual": r} for x, r in res],
         "condition_II_margin": weights.condition_II_margin(w, p_max=min(10**4, max(xs))),
@@ -185,10 +189,10 @@ def sample(ctx: Context, w: weights.MultiplicativeWeight, x: int, n: int, seed: 
     return sampling.WeightedIntegerSampler(table, np.random.default_rng(seed)).sample(n)
 
 
-def _factor_blocks(ctx: Context, draws: np.ndarray, x: int):
+def _factor_blocks(draws: np.ndarray, x: int):
     """Factor matrices of the draws 2^16 at a time, in draw order; one has at
     most 26 int64 columns up to x = 1e8, about 14 MB."""
-    spf = ctx.spf(x)
+    spf = arith.build_spf(x)
     return (arith.factor_matrix(draws[i : i + 2**16], spf) for i in range(0, len(draws), 2**16))
 
 
@@ -196,7 +200,7 @@ def spectrum_draws(ctx: Context, w: weights.MultiplicativeWeight, x: int, n: int
                    rng: np.random.Generator, k: int) -> np.ndarray:
     """log p_j/log x for j = 1..k of n draws from the measure on n <= x, one row per draw."""
     draws = sampling.WeightedIntegerSampler(ctx.weight_table(w, x), rng).sample(n)
-    return np.concatenate([sampling.spectrum(f, x, k) for f in _factor_blocks(ctx, draws, x)])
+    return np.concatenate([sampling.spectrum(f, x, k) for f in _factor_blocks(draws, x)])
 
 
 def pd_compare(ctx: Context, w: weights.MultiplicativeWeight, x: int, n: int, oracle_draws: int,
@@ -221,7 +225,7 @@ def gamma_law_ks(ctx: Context, table: weights.WeightTable, K: float, gamma: floa
     The integers are drawn first, then one uniform per draw n > 1 in draw order.
     """
     draws = sampling.WeightedIntegerSampler(table, rng).sample(n)
-    ps = np.concatenate([sampling.size_biased_prime(f, rng) for f in _factor_blocks(ctx, draws, table.x)])
+    ps = np.concatenate([sampling.size_biased_prime(f, rng) for f in _factor_blocks(draws, table.x)])
     vals = sampling.prime_logs(ps) / math.log(table.x) ** (1.0 / (gamma + 1.0))
     shape, rate = asympt.gamma_law_params(K, gamma)
     return limitlaws.ks_distance(vals, lambda t: limitlaws.gamma_cdf(shape, rate, t))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import arith, asympt, experiments, limitlaws, permutations, sampling, weights
 from .experiments import Context, atom_gaps, sub_table
@@ -78,6 +78,11 @@ def _smooth_two_term(x: int) -> float:
     return 1.0 - math.log(2.0) + (1.0 - np.euler_gamma) / math.log(x)
 
 
+def _poisson_pmf(k: np.ndarray, mu: float) -> np.ndarray:
+    """exp(k log mu - log k! - mu), evaluated as scipy.stats.poisson.pmf does."""
+    return np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu)
+
+
 def _nu_p_first_order(w: weights.MultiplicativeWeight, p: int, x: int) -> sampling.ExactPmf:
     """First-order finite-x law of nu_p(N_x) for an Ewens-regime weight.
 
@@ -101,12 +106,12 @@ def _nu_p_first_order(w: weights.MultiplicativeWeight, p: int, x: int) -> sampli
 
 def _c01_exact_sums(ctx: Context, scale: str):
     x = _p(scale, 10**5, 2 * 10**4)
-    spf = ctx.spf(x)
+    spf = arith.build_spf(x)
     ws = weights.catalog_weights()
     checks = []
     profiles = [arith.factorize(n, spf) for n in range(1, x + 1)]
     for w in ws:
-        table = weights.build_weight_table(w, x, spf)
+        table = ctx.weight_table(w, x)
         brute = math.fsum(
             math.prod(w.value(p, k) for p, k in prof.factors) for prof in profiles
         )
@@ -317,14 +322,12 @@ def _c11_small_primes(ctx: Context, scale: str):
 
 def _c12_partition_function(ctx: Context, scale: str):
     checks = []
-    from scipy.special import gammaln
-
     for theta in (0.5, 1.0, 2.0):
         w = permutations.constant_weights(50, theta)
         t = permutations.partition_function(w)
         worst = 0.0
         for m in range(51):
-            ref = gammaln(m + theta) - gammaln(theta) - gammaln(m + 1)
+            ref = special.gammaln(m + theta) - special.gammaln(theta) - special.gammaln(m + 1)
             worst = max(worst, abs(math.exp(t.log_h[m] - ref) - 1.0))
         checks.append(
             (f"h_m = binom(m+theta-1, m), theta={theta:g}, n<=50", worst <= 1e-10, f"max rel err={worst:.2e}")
@@ -454,10 +457,8 @@ def _c15_permutation_trends(ctx: Context, scale: str):
     pairs, cnt = np.unique(c12, axis=0, return_counts=True)
     emp = {(int(a), int(b)): c / reps_s for (a, b), c in zip(pairs, cnt)}
     kmax = 24
-    ref = {}
-    for a in range(kmax):
-        for b in range(kmax):
-            ref[(a, b)] = float(stats.poisson.pmf(a, 1.0) * stats.poisson.pmf(b, 0.5))
+    pmf1, pmf2 = _poisson_pmf(np.arange(kmax), 1.0), _poisson_pmf(np.arange(kmax), 0.5)
+    ref = {(a, b): float(pmf1[a] * pmf2[b]) for a in range(kmax) for b in range(kmax)}
     tv = 0.5 * sum(abs(emp.get(k, 0.0) - ref.get(k, 0.0)) for k in set(emp) | set(ref))
     checks.append(
         (f"(C_1,C_2) at n={n_s:.0e} vs Poisson(1) x Poisson(1/2), TV tol 0.03", tv <= 0.03, f"TV={tv:.4f}")
@@ -468,9 +469,8 @@ def _c15_permutation_trends(ctx: Context, scale: str):
 def _c16_extended_sieve(ctx: Context, scale: str):
     # extended tier only: 10^8 exactness smoke for the uniform weight
     x = 10**8
-    spf = arith.build_spf(x)
     w = weights.builtin_weight("power", z=0.0)
-    table = weights.build_weight_table(w, x, spf)
+    table = weights.build_weight_table(w, arith.largest_prime_table(x))
     ok = table.S == float(x)
     return [(f"S(1e8) for alpha=1 equals 1e8 exactly", ok, f"S={table.S!r}")]
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 from scipy.integrate import quad
 
 from .sampling import ExactPmf
@@ -37,19 +37,23 @@ def beta_sample(a: float, b: float, rng: np.random.Generator, size=None):
     return rng.beta(a, b, size)
 
 
-def beta_cdf(a: float, b: float, t) -> float:
-    return stats.beta.cdf(t, a, b)
+# The special functions scipy.stats evaluates, clipped to the support as it
+# clips: importing scipy.stats itself takes about half a second.
+
+
+def beta_cdf(a: float, b: float, t):
+    return special.betainc(a, b, np.clip(t, 0.0, 1.0))
 
 
 def gamma_cdf(shape: float, rate: float, t):
     """CDF of the gamma law with mean shape/rate (shape-rate convention)."""
     if shape <= 0 or rate <= 0:
         raise ValueError("gamma parameters must be positive")
-    return stats.gamma.cdf(t, a=shape, scale=1.0 / rate)
+    return special.gammainc(shape, np.maximum(np.divide(t, 1.0 / rate), 0.0))
 
 
 def normal_cdf(t):
-    return stats.norm.cdf(t)
+    return special.ndtr(t)
 
 
 # ---------------------------------------------------------------------------

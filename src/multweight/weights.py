@@ -10,10 +10,11 @@ Two parameter regimes are tracked:
 * Poly(K, gamma): alpha(p) = K log^gamma p up to O(log^-2 p), with a
   summable tail over k >= 2.
 
-The dense table of alpha(n) for n <= x is sieved by multiplying the
-prime-power ratios of the primes up to sqrt(x), and alpha at the one larger
-prime factor n may have, into an all-ones array, O(x log log x) total work;
-per-n factorization is kept as the independent brute-force route for tests.
+The dense table of alpha(n) for n <= x is sieved from the p_1 table of
+n <= x by multiplying the prime-power ratios of the primes up to sqrt(x),
+and alpha at the one larger prime factor n may have, into an all-ones
+array, O(x log log x) total work; per-n factorization is kept as the
+independent brute-force route for tests.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .arith import CapacityError, SpfTable, _split_at_root, factorize, primes_in, sieve_budget
+from .arith import SpfTable, factorize, primes_upto, root_prime_powers
 
 
 @dataclass(frozen=True)
@@ -282,19 +283,18 @@ def _compensated_cumsum(a: np.ndarray, chunk: int = _CHUNK) -> np.ndarray:
     return out
 
 
-def build_weight_table(w: MultiplicativeWeight, x: int, spf: SpfTable) -> WeightTable:
-    """Sieve alpha(n) for all n <= x.
+def build_weight_table(w: MultiplicativeWeight, p1: np.ndarray) -> WeightTable:
+    """Sieve alpha(n) for all n <= x from the p_1 table of n <= x, x = len(p1) - 1.
 
     n <= x is a product of prime powers p^k, p <= sqrt(x), and a cofactor
-    q that is 1 or a prime (arith._split_at_root).  The multiples of each
-    p^k are multiplied by alpha(p^k)/alpha(p^(k-1)), and each n by alpha(q),
-    in the order k = 1, q, k >= 2 with p increasing.  Weights where
-    alpha(p^j) = 0 but alpha(p^k) != 0 for some k > j cannot be sieved this
-    way and are rejected (no catalog weight does that).
+    q that is 1 or the prime p_1(n) > sqrt(x) (arith.root_prime_powers).
+    The multiples of each p^k are multiplied by alpha(p^k)/alpha(p^(k-1)),
+    and each n by alpha(q), in the order k = 1, q, k >= 2 with p increasing.
+    Weights where alpha(p^j) = 0 but alpha(p^k) != 0 for some k > j cannot
+    be sieved this way and are rejected (no catalog weight does that).
     """
-    if x > sieve_budget():
-        raise CapacityError(f"table limit {x} exceeds entry budget {sieve_budget()}")
-    levels, cof = _split_at_root(x, spf)
+    x = len(p1) - 1
+    levels, big = root_prime_powers(p1)
     alpha = np.ones(x + 1)
     alpha[0] = 0.0
     prev = np.ones(len(levels[0]))
@@ -313,8 +313,8 @@ def build_weight_table(w: MultiplicativeWeight, x: int, spf: SpfTable) -> Weight
                 alpha[p**k :: p**k] *= r
         if k == 1:
             for start in range(0, x + 1, _CHUNK):
-                hit = np.nonzero(cof[start : start + _CHUNK] > 1)[0] + start
-                alpha[hit] *= _nonnegative(w, w.values_on_primes(cof[hit].astype(np.int64), 1))
+                hit = np.nonzero(big[start : start + _CHUNK])[0] + start
+                alpha[hit] *= _nonnegative(w, w.values_on_primes(p1[hit].astype(np.int64), 1))
         prev = cur
     prefix = np.empty(x + 1)
     prefix[0] = 0.0
@@ -341,7 +341,6 @@ def evaluate_weight(w: MultiplicativeWeight, n: int, spf: SpfTable) -> float:
 def condition_I_residuals(
     w: MultiplicativeWeight,
     checkpoints: Sequence[int],
-    spf: SpfTable,
     d: float | None = None,
 ) -> list[tuple[int, float]]:
     """Residuals sum_{p<=x} alpha(p) log p / p^d - theta*x at each checkpoint.
@@ -353,9 +352,7 @@ def condition_I_residuals(
     if d is None:
         d = reg.d
     cps = sorted(int(c) for c in checkpoints)
-    if cps and cps[-1] > spf.limit:
-        raise ValueError("checkpoint beyond sieve range")
-    ps = primes_in(2, cps[-1], spf) if cps else np.array([], dtype=np.int64)
+    ps = primes_upto(max(cps, default=0))
     pf = ps.astype(float)
     terms = w.values_on_primes(ps, 1) * np.log(pf) / pf**d
     csum = np.concatenate([[0.0], np.cumsum(terms)])
@@ -376,8 +373,6 @@ def condition_II_margin(
     are admissible.
     """
     reg = w.ewens()
-    from .arith import primes_upto
-
     worst = 0.0
     for p in primes_upto(p_max):
         p = int(p)

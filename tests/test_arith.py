@@ -43,10 +43,15 @@ def test_spf_prime_flags_match_trial_division(spf_1e4):
         assert flags[n - 2] == is_prime_trial(n)
 
 
+def spf_primes(t):
+    """p is prime iff spf[p] = p."""
+    return np.flatnonzero(t.spf[2:] == np.arange(2, t.limit + 1)) + 2
+
+
 def test_prime_count_1e6(spf_1e6):
     # oracle count verified by trial division on a sparse sample plus the
     # full count pinned from an independent primality scan
-    assert len(spf_1e6.primes()) == 78498
+    assert len(spf_primes(spf_1e6)) == 78498
 
 
 def test_spf_matches_trial_division(spf_1e4):
@@ -62,8 +67,11 @@ def test_capacity_budget(monkeypatch):
     monkeypatch.setenv(arith.MAX_SIEVE_ENV, "1000")
     with pytest.raises(arith.CapacityError):
         arith.build_spf(10**4)
+    with pytest.raises(arith.CapacityError):
+        arith.largest_prime_table(10**4)
     monkeypatch.delenv(arith.MAX_SIEVE_ENV)
     arith.build_spf(10**4)
+    arith.largest_prime_table(10**4)
 
 
 def big_omega(prof):
@@ -134,18 +142,6 @@ def test_omega_inequality_and_squarefree(spf_1e4):
         assert (big_omega(prof) == len(prof.factors)) == squarefree
 
 
-def test_primes_in_examples(spf_1e6):
-    assert arith.primes_in(1, 10, spf_1e6).tolist() == [2, 3, 5, 7]
-    assert arith.primes_in(90, 100, spf_1e6).tolist() == [97]
-    assert len(arith.primes_in(1, 10**6, spf_1e6)) == 78498
-    assert arith.primes_in(8, 10, spf_1e6).tolist() == []
-
-
-def test_primes_in_range_check(spf_1e4):
-    with pytest.raises(ValueError):
-        arith.primes_in(1, 10**5, spf_1e4)
-
-
 @pytest.mark.parametrize("p", [1, 4])
 def test_nu_p_table_rejects_non_prime(p):
     # p = 1 used to loop forever; p = 4 counted powers of 4
@@ -154,7 +150,7 @@ def test_nu_p_table_rejects_non_prime(p):
 
 
 def test_primes_upto_matches_spf(spf_1e5):
-    assert np.array_equal(arith.primes_upto(10**5), spf_1e5.primes())
+    assert np.array_equal(arith.primes_upto(10**5), spf_primes(spf_1e5))
 
 
 # Both sides of the squares 4, 9, 25, 49 and 121, where sqrt(x) gains a
@@ -163,16 +159,19 @@ def test_primes_upto_matches_spf(spf_1e5):
 WALK_EDGES = (2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122)
 
 
-def test_statistic_tables_match_profiles(spf_1e4):
-    # the tables span their spf table; slicing the 1e4 one covers a limit above x
-    for t in [spf_1e4] + [arith.build_spf(x) for x in WALK_EDGES]:
-        om = arith.big_omega_table(t)
-        wm = arith.omega_table(t)
-        nu3 = arith.nu_p_table(t.limit, 3)
-        lpf = arith.largest_prime_table(t)
+def test_statistic_tables_match_profiles(spf_1e4, p1_1e4):
+    # each x both with its own p_1 table and with a prefix of the 1e4 one
+    tables = [p1_1e4] + [t for x in WALK_EDGES for t in (arith.largest_prime_table(x), p1_1e4[: x + 1])]
+    for lpf in tables:
+        x = len(lpf) - 1
+        om = arith.big_omega_table(lpf)
+        wm = arith.omega_table(lpf)
+        nu3 = arith.nu_p_table(x, 3)
+        assert lpf.dtype == np.int32
+        assert (len(om), len(wm)) == (x + 1, x + 1)
         assert (om[0], wm[0], lpf[0]) == (0, 0, 0)
-        for n in range(1, t.limit + 1):
-            prof = arith.factorize(n, t)
+        for n in range(1, x + 1):
+            prof = arith.factorize(n, spf_1e4)
             assert om[n] == big_omega(prof)
             assert wm[n] == len(prof.factors)
             assert nu3[n] == dict(prof.factors).get(3, 0)

@@ -269,9 +269,25 @@ def test_smooth_rejects_the_step_before_building_a_table(monkeypatch, capsys):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(cli.arith, "build_spf", no_tables)
+    monkeypatch.setattr(cli.arith, "largest_prime_table", no_tables)
     monkeypatch.setattr(cli.weights, "build_weight_table", no_tables)
     assert run(["smooth", "--weight", "power:0", "--x", "1e7", "--u", "2", "--step", "0"]) == 2
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sieve-sum", "--weight", "theta_omega:2", "--x", "1e3,1e4", "--cutoff", "1e4"],
+    ["exact-dist", "--weight", "divisor:2", "--x", "1e4", "--statistic", "big_omega"],
+    ["smooth", "--weight", "power:0", "--x", "1e4", "--u", "1.5,2", "--step", "0.0078125"],
+    ["conditions", "--weight", "divisor:2", "--x", "1e3,1e4"],
+])
+def test_scans_build_no_spf_table(monkeypatch, argv):
+    # the exact scans read the p_1 table; spf is only for factoring draws
+    def no_spf(*args):
+        raise AssertionError("an spf table was built")
+
+    monkeypatch.setattr(cli.arith, "build_spf", no_spf)
+    assert run(argv) == 0
 
 
 def test_sample_top_is_by_count_then_value(tmp_path):

@@ -7,12 +7,12 @@ from multweight import arith, experiments, weights
 from multweight.weights import builtin_weight
 
 
-def test_statistic_dispatch_matches_the_tables(spf_1e4):
+def test_statistic_dispatch_matches_the_tables(p1_1e4):
     ctx = experiments.Context()
     x = 10**4
-    lpf = arith.largest_prime_table(spf_1e4)
-    np.testing.assert_array_equal(ctx.statistic("omega", x), arith.omega_table(spf_1e4))
-    np.testing.assert_array_equal(ctx.statistic("big_omega", x), arith.big_omega_table(spf_1e4))
+    lpf = p1_1e4
+    np.testing.assert_array_equal(ctx.statistic("omega", x), arith.omega_table(lpf))
+    np.testing.assert_array_equal(ctx.statistic("big_omega", x), arith.big_omega_table(lpf))
     np.testing.assert_array_equal(ctx.statistic("largest_prime", x), lpf)
     np.testing.assert_array_equal(ctx.statistic("nu", x, p=3), arith.nu_p_table(x, 3))
     ratio = ctx.statistic("largest_ratio", x)
@@ -28,7 +28,7 @@ def test_statistics_grow_with_the_range_and_are_served_as_prefixes():
     ctx = experiments.Context()
     small = ctx.statistic("big_omega", 100).copy()
     big = ctx.statistic("big_omega", 10**4)
-    assert ctx.spf(50).limit == 10**4
+    assert np.shares_memory(ctx.p1(50), ctx.p1(10**4)) and len(ctx.p1(50)) == 51
     np.testing.assert_array_equal(big[:101], small)
     again = ctx.statistic("big_omega", 100)
     assert len(again) == 101 and np.shares_memory(again, big)
@@ -59,12 +59,13 @@ def _is_prime(p):
     return True
 
 
-def test_sub_table_equals_a_table_built_at_the_smaller_range(spf_1e5):
+def test_sub_table_equals_a_table_built_at_the_smaller_range(p1_1e5):
     # the experiments slice one table at max(xs) instead of building one per x
+    direct_p1 = arith.largest_prime_table(10**4)
     for w in weights.catalog_weights():
-        big = weights.build_weight_table(w, 10**5, spf_1e5)
+        big = weights.build_weight_table(w, p1_1e5)
         sub = experiments.sub_table(big, 10**4)
-        direct = weights.build_weight_table(w, 10**4, spf_1e5)
+        direct = weights.build_weight_table(w, direct_p1)
         assert sub.x == direct.x
         np.testing.assert_array_equal(sub.alpha, direct.alpha)
         np.testing.assert_array_equal(sub.prefix, direct.prefix)

@@ -21,23 +21,22 @@ def test_nu_p_first_order_is_the_limit_at_theta_one():
         np.testing.assert_array_equal(first.probs, limit.probs)
 
 
-def test_nu_p_first_order_tracks_exact_theta_omega_law(spf_1e6):
+def test_nu_p_first_order_tracks_exact_theta_omega_law(p1_1e6):
     # exact gap to the bare limit at 1e6 is 0.0204; to the first-order law 0.0035
     x = 10**6
     w = builtin_weight("theta_omega", theta=2.0)
-    table = weights.build_weight_table(w, x, spf_1e6)
+    table = weights.build_weight_table(w, p1_1e6)
     exact = sampling.exact_pmf_from_values(table, arith.nu_p_table(x, 2))
     first = harness._nu_p_first_order(w, 2, x)
     assert first.values.max() == 19  # 2^19 < 1e6 < 2^20
     assert max(experiments.atom_gaps(exact, first)) < 0.005
 
 
-def test_smooth_two_term_tracks_exact_probability(spf_1e6):
+def test_smooth_two_term_tracks_exact_probability(p1_1e6):
     # exact 0.344299 at 1e6: 0.0374 from rho_1(2), 0.0068 from the two-term value
     x = 10**6
-    table = weights.build_weight_table(builtin_weight("power", z=0.0), x, spf_1e6)
-    lpf = arith.largest_prime_table(spf_1e6)
-    p = sampling.exact_pmf_from_values(table, (lpf <= math.sqrt(x)).astype(np.int8)).prob_of(1.0)
+    table = weights.build_weight_table(builtin_weight("power", z=0.0), p1_1e6)
+    p = sampling.exact_pmf_from_values(table, (p1_1e6 <= math.sqrt(x)).astype(np.int8)).prob_of(1.0)
     rho = limitlaws.dickman_rho(1.0, 2.0, h=1.0 / 256)
     two_term = rho.at_grid(2.0) + (1.0 - np.euler_gamma) * rho.at_grid(1.0) / math.log(x)
     assert harness._smooth_two_term(x) == pytest.approx(two_term, abs=1e-9)

@@ -16,6 +16,31 @@ def test_normal_cdf_symmetry():
     assert ll.normal_cdf(0.0) == pytest.approx(0.5, rel=1e-14)
 
 
+def test_cdfs_equal_scipy_stats_bit_for_bit():
+    # the special functions scipy.stats evaluates, clipped as it clips; the
+    # points include both infinities and values outside each law's support
+    from scipy import stats
+
+    from multweight import harness
+
+    rng = np.random.default_rng(2024)
+    edges = [-np.inf, np.inf, -1.0, -1e-300, -0.0, 0.0, 1e-300, 1.0, 1.0 + 1e-15, 2.0]
+    t = np.concatenate([rng.normal(0.0, 3.0, 2 * 10**5), edges])
+    u = np.concatenate([rng.uniform(-0.5, 1.5, 2 * 10**5), edges])
+    assert np.array_equal(ll.normal_cdf(t), stats.norm.cdf(t))
+    for shape, rate in ((2.0, 1.0), (0.5, 3.0), (1.3, 0.7)):
+        assert np.array_equal(ll.gamma_cdf(shape, rate, t), stats.gamma.cdf(t, a=shape, scale=1.0 / rate))
+    for a, b in ((1.0, 0.5), (1.0, 2.0), (2.5, 0.7)):
+        assert np.array_equal(ll.beta_cdf(a, b, u), stats.beta.cdf(u, a, b))
+    for x in (-2.0, 0.0, 0.5, np.inf):
+        assert ll.gamma_cdf(2.0, 1.0, x) == stats.gamma.cdf(x, a=2.0)
+        assert ll.beta_cdf(1.0, 2.0, x) == stats.beta.cdf(x, 1.0, 2.0)
+    for mu in (1.0, 0.5):
+        pmf = harness._poisson_pmf(np.arange(30), mu)
+        assert pmf.tolist() == stats.poisson.pmf(np.arange(30), mu).tolist()
+        assert pmf.tolist() == [stats.poisson.pmf(k, mu) for k in range(30)]
+
+
 def test_gamma_cdf_exponential_case():
     for t in (0.1, 1.0, 3.0):
         assert ll.gamma_cdf(1.0, 1.0, t) == pytest.approx(1.0 - math.exp(-t), rel=1e-12)

@@ -11,13 +11,13 @@ from multweight import arith, sampling, weights
 from multweight.weights import builtin_weight
 
 
-def make_table(kind_params, x, spf):
+def make_table(kind_params, x, p1):
     kind, params = kind_params
-    return weights.build_weight_table(builtin_weight(kind, **params), x, spf)
+    return weights.build_weight_table(builtin_weight(kind, **params), p1[: x + 1])
 
 
-def test_uniform_sampler_chi_square(spf_1e4, rng):
-    table = make_table(("power", {"z": 0.0}), 100, spf_1e4)
+def test_uniform_sampler_chi_square(p1_1e4, rng):
+    table = make_table(("power", {"z": 0.0}), 100, p1_1e4)
     s = sampling.WeightedIntegerSampler(table, rng)
     draws = s.sample(10**6)
     counts = np.bincount(draws, minlength=101)[1:]
@@ -25,8 +25,8 @@ def test_uniform_sampler_chi_square(spf_1e4, rng):
     assert p > 0.001
 
 
-def test_sorted_search_matches_plain_searchsorted(spf_1e4):
-    table = make_table(("divisor", {"k": 2.0}), 10**4, spf_1e4)
+def test_sorted_search_matches_plain_searchsorted(p1_1e4):
+    table = make_table(("divisor", {"k": 2.0}), 10**4, p1_1e4)
     draws = sampling.WeightedIntegerSampler(table, np.random.default_rng(3)).sample(10**5)
     u = (1.0 - np.random.default_rng(3).random(10**5)) * table.prefix[-1]
     assert np.array_equal(draws, np.searchsorted(table.prefix, u, side="left"))
@@ -51,30 +51,30 @@ def test_zero_table_rejected(rng):
         sampling.WeightedIntegerSampler(table, rng)
 
 
-def test_probability_ratio_theta_omega(spf_1e4):
-    table = make_table(("theta_omega", {"theta": 2.0}), 30, spf_1e4)
+def test_probability_ratio_theta_omega(p1_1e4):
+    table = make_table(("theta_omega", {"theta": 2.0}), 30, p1_1e4)
     assert table.alpha[2] / table.alpha[1] == pytest.approx(2.0, rel=1e-14)
 
 
-def test_cdf_interval_widths_match_alpha(spf_1e4):
-    table = make_table(("divisor", {"k": 2.0}), 10**4, spf_1e4)
+def test_cdf_interval_widths_match_alpha(p1_1e4):
+    table = make_table(("divisor", {"k": 2.0}), 10**4, p1_1e4)
     widths = np.diff(table.prefix)
     np.testing.assert_allclose(widths, table.alpha[1:], rtol=0, atol=1e-9 * table.S)
 
 
-def test_empirical_matches_exact_tv(spf_1e4, rng):
+def test_empirical_matches_exact_tv(p1_1e4, rng):
     # 1e6 draws at x = 1e3; TV to the exact law under the sampling measure.
     # The TV noise floor scales with sum_n sqrt(alpha(n)/S), so the 0.01
     # budget needs a weight with concentrated mass; a spread-out law sits
     # at ~0.013 with this many draws (checked loosely below).
-    table = make_table(("power", {"z": 6.0}), 10**3, spf_1e4)
+    table = make_table(("power", {"z": 6.0}), 10**3, p1_1e4)
     s = sampling.WeightedIntegerSampler(table, rng)
     draws = s.sample(10**6)
     counts = np.bincount(draws, minlength=10**3 + 1)[1:]
     tv = 0.5 * np.abs(counts / counts.sum() - table.alpha[1:] / table.S).sum()
     assert tv <= 0.01
 
-    uni = make_table(("power", {"z": 0.0}), 10**3, spf_1e4)
+    uni = make_table(("power", {"z": 0.0}), 10**3, p1_1e4)
     draws = sampling.WeightedIntegerSampler(uni, rng).sample(10**6)
     counts = np.bincount(draws, minlength=10**3 + 1)[1:]
     tv_uni = 0.5 * np.abs(counts / counts.sum() - uni.alpha[1:] / uni.S).sum()
@@ -95,40 +95,39 @@ def exact_pmf(table, statistic, spf):
     return sampling.ExactPmf(vals, probs / probs.sum())
 
 
-def test_exact_pmf_omega_x4(spf_1e4):
-    table = make_table(("power", {"z": 0.0}), 4, spf_1e4)
+def test_exact_pmf_omega_x4(spf_1e4, p1_1e4):
+    table = make_table(("power", {"z": 0.0}), 4, p1_1e4)
     pmf = exact_pmf(table, lambda prof: sum(k for _, k in prof.factors), spf_1e4)
     assert pmf.values.tolist() == [0.0, 1.0, 2.0]
     assert pmf.probs.tolist() == [0.25, 0.5, 0.25]
 
 
-def test_exact_pmf_nu2_x8(spf_1e4):
-    table = make_table(("power", {"z": 0.0}), 8, spf_1e4)
+def test_exact_pmf_nu2_x8(spf_1e4, p1_1e4):
+    table = make_table(("power", {"z": 0.0}), 8, p1_1e4)
     pmf = exact_pmf(table, lambda prof: dict(prof.factors).get(2, 0), spf_1e4)
     assert pmf.values.tolist() == [0.0, 1.0, 2.0, 3.0]
     assert pmf.probs.tolist() == [0.5, 0.25, 0.125, 0.125]
 
 
-def test_exact_pmf_two_routes_agree(spf_1e4):
+def test_exact_pmf_two_routes_agree(spf_1e4, p1_1e4):
     x = 2000
-    table = make_table(("divisor", {"k": 2.0}), x, spf_1e4)
+    table = make_table(("divisor", {"k": 2.0}), x, p1_1e4)
     slow = exact_pmf(table, lambda prof: sum(k for _, k in prof.factors), spf_1e4)
-    fast = sampling.exact_pmf_from_values(table, arith.big_omega_table(spf_1e4)[: x + 1])
+    fast = sampling.exact_pmf_from_values(table, arith.big_omega_table(p1_1e4[: x + 1]))
     np.testing.assert_allclose(slow.values, fast.values)
     np.testing.assert_allclose(slow.probs, fast.probs, rtol=1e-12)
 
 
 @pytest.mark.parametrize("kind_params", [("divisor", {"k": 2.0}), ("powerfree", {"k": 2})])
-def test_exact_pmf_integer_route_matches_unique_route(spf_1e5, kind_params):
+def test_exact_pmf_integer_route_matches_unique_route(p1_1e5, kind_params):
     # small nonnegative integer statistics are binned directly; as floats
     # they take the np.unique route, and both must give the same atoms
     x = 10**5
-    table = make_table(kind_params, x, spf_1e5)
-    lpf = arith.largest_prime_table(spf_1e5)
+    table = make_table(kind_params, x, p1_1e5)
     statistic_tables = [
-        arith.big_omega_table(spf_1e5),
+        arith.big_omega_table(p1_1e5),
         arith.nu_p_table(x, 2),
-        (lpf <= math.sqrt(x)).astype(np.int8),
+        (p1_1e5 <= math.sqrt(x)).astype(np.int8),
     ]
     for v in statistic_tables:
         assert v.dtype == np.int8
@@ -138,35 +137,33 @@ def test_exact_pmf_integer_route_matches_unique_route(spf_1e5, kind_params):
         np.testing.assert_array_equal(fast.probs, slow.probs)
 
 
-def test_exact_pmf_skips_zero_weight(spf_1e4):
-    table = make_table(("powerfree", {"k": 2}), 20, spf_1e4)
+def test_exact_pmf_skips_zero_weight(spf_1e4, p1_1e4):
+    table = make_table(("powerfree", {"k": 2}), 20, p1_1e4)
     pmf = exact_pmf(table, lambda prof: dict(prof.factors).get(2, 0), spf_1e4)
     assert pmf.values.tolist() == [0.0, 1.0]  # nu_2 >= 2 has zero mass
 
 
-def test_smoothness_statistic_converges_toward_dickman(spf_1e6):
+def test_smoothness_statistic_converges_toward_dickman(p1_1e6):
     # finite-x smoothness probabilities drift toward rho_1(2) = 1 - log 2;
     # the gap at 1e6, ~0.037, is de Bruijn's (1 - gamma)/log x term plus
     # 0.0068 (acceptance case c06 checks against the two-term value)
     rho = 1.0 - math.log(2.0)
     gaps = []
     for x in (10**4, 10**5, 10**6):
-        table = make_table(("power", {"z": 0.0}), x, spf_1e6)
-        lpf = arith.largest_prime_table(spf_1e6)[: x + 1]
-        ind = (lpf <= math.sqrt(x)).astype(np.int8)
+        table = make_table(("power", {"z": 0.0}), x, p1_1e6)
+        ind = (p1_1e6[: x + 1] <= math.sqrt(x)).astype(np.int8)
         p = sampling.exact_pmf_from_values(table, ind).prob_of(1.0)
         gaps.append(abs(p - rho))
     assert gaps[2] < gaps[1] < gaps[0]
     assert gaps[2] == pytest.approx(0.0374, abs=0.002)
 
 
-def test_smooth_probability_matches_large_prime_count(spf_1e6):
+def test_smooth_probability_matches_large_prime_count(p1_1e6):
     # independent oracle for c06: each n <= x has at most one prime factor
     # p > sqrt x, so exactly floor(x/p) multiples of p are not sqrt-smooth
     x = 10**6
-    table = make_table(("power", {"z": 0.0}), x, spf_1e6)
-    lpf = arith.largest_prime_table(spf_1e6)
-    p = sampling.exact_pmf_from_values(table, (lpf <= math.sqrt(x)).astype(np.int8)).prob_of(1.0)
+    table = make_table(("power", {"z": 0.0}), x, p1_1e6)
+    p = sampling.exact_pmf_from_values(table, (p1_1e6 <= math.sqrt(x)).astype(np.int8)).prob_of(1.0)
     ps = arith.primes_upto(x)
     large = ps[ps > math.sqrt(x)].astype(np.int64)
     oracle = (x - int(np.sum(x // large))) / x
@@ -207,10 +204,10 @@ def size_biased_prime_oracle(profile, rng):
     return ps[rng.choice(len(ps), p=wts / wts.sum())]
 
 
-def _draws(spf, n, seed):
+def _draws(p1, n, seed):
     """n draws at x = 1e6 with n = 1 and primes where np.log and math.log
     differ in the last bit (and their multiples) mixed in."""
-    table = make_table(("theta_omega", {"theta": 2.0}), 10**6, spf)
+    table = make_table(("theta_omega", {"theta": 2.0}), 10**6, p1)
     draws = sampling.WeightedIntegerSampler(table, np.random.default_rng(seed)).sample(n)
     draws[::97] = 1
     special = [285343, 2 * 285343, 3 * 287549, 351497, 504631, 664679]
@@ -224,8 +221,8 @@ def test_prime_logs_are_math_log():
     assert sampling.prime_logs(np.array([[0, 1, 4]])).tolist() == [[0.0, 0.0, math.log(4)]]
 
 
-def test_spectrum_matches_oracle_bit_for_bit(spf_1e6):
-    draws = _draws(spf_1e6, 10**4, 11)
+def test_spectrum_matches_oracle_bit_for_bit(spf_1e6, p1_1e6):
+    draws = _draws(p1_1e6, 10**4, 11)
     k = 21  # past the largest Omega, 19, so the zero padding is checked too
     batch = sampling.spectrum(arith.factor_matrix(draws, spf_1e6), 10**6, k)
     oracle = [[spectrum_oracle(arith.factorize(int(m), spf_1e6), 10**6).ratio(j) for j in range(1, k + 1)]
@@ -234,8 +231,8 @@ def test_spectrum_matches_oracle_bit_for_bit(spf_1e6):
     assert np.array_equal(batch, np.array(oracle))
 
 
-def test_size_biased_prime_matches_rng_choice_draw_by_draw(spf_1e6):
-    draws = _draws(spf_1e6, 10**4, 12)
+def test_size_biased_prime_matches_rng_choice_draw_by_draw(spf_1e6, p1_1e6):
+    draws = _draws(p1_1e6, 10**4, 12)
     ones = draws == 1
     assert 0 < ones.sum() < len(draws)
     rng_a, rng_b = np.random.default_rng(13), np.random.default_rng(13)
@@ -341,11 +338,11 @@ def test_nu_p_limit_divergence_detected():
         sampling.nu_p_limit_pmf(bad, 2)
 
 
-def test_nu_p_exact_converges_to_limit(spf_1e6):
+def test_nu_p_exact_converges_to_limit(p1_1e6):
     # powerfree: essentially converged by 1e6; theta_omega: gap shrinks in x
     w = builtin_weight("powerfree", k=2)
     lim = sampling.nu_p_limit_pmf(w, 2)
-    table = make_table(("powerfree", {"k": 2}), 10**6, spf_1e6)
+    table = make_table(("powerfree", {"k": 2}), 10**6, p1_1e6)
     exact = sampling.exact_pmf_from_values(table, arith.nu_p_table(10**6, 2))
     for k in range(3):
         assert abs(exact.prob_of(k) - lim.prob_of(k)) <= 0.01
@@ -354,15 +351,15 @@ def test_nu_p_exact_converges_to_limit(spf_1e6):
     lim2 = sampling.nu_p_limit_pmf(w2, 2)
     gaps = []
     for x in (10**4, 10**5, 10**6):
-        t2 = make_table(("theta_omega", {"theta": 2.0}), x, spf_1e6)
+        t2 = make_table(("theta_omega", {"theta": 2.0}), x, p1_1e6)
         e2 = sampling.exact_pmf_from_values(t2, arith.nu_p_table(x, 2))
         gaps.append(max(abs(e2.prob_of(k) - lim2.prob_of(k)) for k in range(8)))
     assert gaps[2] < gaps[1] < gaps[0]
 
 
-def test_joint_pmf_factorizes_at_moderate_x(spf_1e6):
+def test_joint_pmf_factorizes_at_moderate_x(p1_1e6):
     x = 10**6
-    table = make_table(("powerfree", {"k": 2}), x, spf_1e6)
+    table = make_table(("powerfree", {"k": 2}), x, p1_1e6)
     joint = sampling.joint_pmf_from_values(table, arith.nu_p_table(x, 2), arith.nu_p_table(x, 3))
     m2, m3 = {}, {}
     for (a, b), p in joint.items():
@@ -388,8 +385,8 @@ def test_exact_pmf_affine():
     assert shifted.probs.tolist() == [0.5, 0.5]
 
 
-def test_sampler_deterministic_given_seed(spf_1e4):
-    table = make_table(("divisor", {"k": 2.0}), 500, spf_1e4)
+def test_sampler_deterministic_given_seed(p1_1e4):
+    table = make_table(("divisor", {"k": 2.0}), 500, p1_1e4)
     a = sampling.WeightedIntegerSampler(table, np.random.default_rng(7)).sample(64)
     b = sampling.WeightedIntegerSampler(table, np.random.default_rng(7)).sample(64)
     assert np.array_equal(a, b)

@@ -58,36 +58,38 @@ def test_regimes():
         builtin_weight("poly_log", K=1.0, gamma=1.0).ewens()
 
 
-def test_table_uniform_prefix(spf_1e4):
+def test_table_uniform_prefix(p1_1e4):
     w = builtin_weight("power", z=0.0)
-    t = weights.build_weight_table(w, 100, spf_1e4)
+    t = weights.build_weight_table(w, p1_1e4[:101])
     assert t.S_at(100) == 100.0
 
 
-def test_table_small_sums(spf_1e4):
-    t = weights.build_weight_table(builtin_weight("powerfree", k=2), 10, spf_1e4)
+def test_table_small_sums(p1_1e4):
+    t = weights.build_weight_table(builtin_weight("powerfree", k=2), p1_1e4[:11])
     assert t.S_at(10) == 7.0
-    t = weights.build_weight_table(builtin_weight("divisor", k=2.0), 10, spf_1e4)
+    t = weights.build_weight_table(builtin_weight("divisor", k=2.0), p1_1e4[:11])
     assert t.S_at(10) == pytest.approx(27.0, rel=1e-12)
 
 
-def test_table_matches_direct_evaluation(spf_1e4):
+def test_table_matches_direct_evaluation(spf_1e4, p1_1e4):
     # x = 1e4, and both sides of the squares 4, 9, 25, 49 and 121, where
-    # sqrt(x) gains a prime, with the spf limit equal to x and above it
-    cases = [(10**4, spf_1e4)]
+    # sqrt(x) gains a prime, with a p_1 table built at x and a prefix of the 1e4 one
+    tables = [p1_1e4]
     for x in (2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122):
-        cases += [(x, arith.build_spf(x)), (x, spf_1e4)]
-    for x, spf in cases:
+        tables += [arith.largest_prime_table(x), p1_1e4[: x + 1]]
+    for p1 in tables:
+        x = len(p1) - 1
         for w in catalog_weights():
-            table = weights.build_weight_table(w, x, spf)
-            direct = np.array([weights.evaluate_weight(w, n, spf) for n in range(1, x + 1)])
+            table = weights.build_weight_table(w, p1)
+            direct = np.array([weights.evaluate_weight(w, n, spf_1e4) for n in range(1, x + 1)])
+            assert table.x == x
             np.testing.assert_allclose(table.alpha[1:], direct, rtol=1e-12, atol=0)
 
 
-def test_table_multiplicativity_random_coprime_pairs(spf_1e5, rng):
+def test_table_multiplicativity_random_coprime_pairs(p1_1e5, rng):
     x = 10**5
     w = builtin_weight("sigma", z=1.0)
-    table = weights.build_weight_table(w, x, spf_1e5)
+    table = weights.build_weight_table(w, p1_1e5)
     done = 0
     while done < 1000:
         a = int(rng.integers(2, 400))
@@ -98,13 +100,13 @@ def test_table_multiplicativity_random_coprime_pairs(spf_1e5, rng):
         done += 1
 
 
-def test_prefix_monotone_and_theta1_identity(spf_1e5):
-    t = weights.build_weight_table(builtin_weight("theta_omega", theta=1.0), 10**5, spf_1e5)
+def test_prefix_monotone_and_theta1_identity(p1_1e5):
+    t = weights.build_weight_table(builtin_weight("theta_omega", theta=1.0), p1_1e5)
     assert np.all(np.diff(t.prefix) >= 0)
     assert t.S == float(10**5)  # theta=1 makes alpha identically 1
 
 
-def test_rejects_non_monotone_vanishing(spf_1e4):
+def test_rejects_non_monotone_vanishing(p1_1e4):
     for values in (
         lambda p, k: 0.0 if k == 1 else 1.0,
         lambda p, k: 0.0 if k <= 2 else 1.0,  # vanishes at k = 1, 2, returns at 3
@@ -115,10 +117,10 @@ def test_rejects_non_monotone_vanishing(spf_1e4):
             regime=weights.EwensRegime(theta=1.0),
         )
         with pytest.raises(ValueError, match="monotone"):
-            weights.build_weight_table(bad, 100, spf_1e4)
+            weights.build_weight_table(bad, p1_1e4[:101])
 
 
-def test_rejects_negative_values_at_large_primes(spf_1e4):
+def test_rejects_negative_values_at_large_primes(p1_1e4):
     # negative only at primes above sqrt(100), which the table reaches
     # through the cofactor of n rather than through a prime-power slice
     bad = weights.MultiplicativeWeight(
@@ -127,36 +129,36 @@ def test_rejects_negative_values_at_large_primes(spf_1e4):
         regime=weights.EwensRegime(theta=1.0),
     )
     with pytest.raises(ValueError, match="negative"):
-        weights.build_weight_table(bad, 100, spf_1e4)
+        weights.build_weight_table(bad, p1_1e4[:101])
 
 
-def test_condition_I_single_prime(spf_1e4):
+def test_condition_I_single_prime():
     w = builtin_weight("theta_omega", theta=2.0)
-    [(x, r)] = weights.condition_I_residuals(w, [2], spf_1e4)
+    [(x, r)] = weights.condition_I_residuals(w, [2])
     # sum is alpha(2) log 2 / 2^d with d = 0
     assert r == pytest.approx(2.0 * math.log(2.0) - 2.0 * 2.0, rel=1e-12)
 
 
-def test_condition_I_linear_in_alpha(spf_1e6):
-    base = weights.condition_I_residuals(builtin_weight("power", z=0.0), [10**4, 10**6], spf_1e6)
-    twice = weights.condition_I_residuals(builtin_weight("theta_omega", theta=2.0), [10**4, 10**6], spf_1e6)
+def test_condition_I_linear_in_alpha():
+    base = weights.condition_I_residuals(builtin_weight("power", z=0.0), [10**4, 10**6])
+    twice = weights.condition_I_residuals(builtin_weight("theta_omega", theta=2.0), [10**4, 10**6])
     for (x1, r1), (x2, r2) in zip(base, twice):
         assert r2 == pytest.approx(2.0 * r1, rel=1e-9)
 
 
 def test_condition_I_oracle_value_1e6(spf_1e6):
-    # independent oracle: fsum of log p over trial-sieved primes
-    ps = arith.primes_upto(10**6)
+    # independent oracle: fsum of log p over the primes of the spf sieve (spf[p] = p)
+    ps = np.flatnonzero(spf_1e6.spf[2:] == np.arange(2, 10**6 + 1)) + 2
     oracle = math.fsum(math.log(int(p)) for p in ps) - 10**6
-    [(_, r)] = weights.condition_I_residuals(builtin_weight("power", z=0.0), [10**6], spf_1e6)
+    [(_, r)] = weights.condition_I_residuals(builtin_weight("power", z=0.0), [10**6])
     assert r == pytest.approx(oracle, rel=1e-9)
     # magnitude pinned: theta(1e6) - 1e6 = -1515.82...
     assert r == pytest.approx(-1515.825, abs=0.01)
 
 
-def test_condition_I_requires_ewens(spf_1e4):
+def test_condition_I_requires_ewens():
     with pytest.raises(ValueError):
-        weights.condition_I_residuals(builtin_weight("poly_log", K=1.0, gamma=1.0), [100], spf_1e4)
+        weights.condition_I_residuals(builtin_weight("poly_log", K=1.0, gamma=1.0), [100])
 
 
 def test_condition_II_margin_bounded():

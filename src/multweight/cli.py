@@ -35,32 +35,20 @@ import numpy as np
 from . import __version__, arith, experiments, harness, permutations, weights
 
 
-# each weight kind's parameters, in the order of a 'kind:param[:param]' spec
-WEIGHT_PARAMS = {"theta_omega": ("theta",), "divisor": ("k",), "powerfree": ("k",), "euler_ratio": (),
-                 "sigma": ("z",), "power": ("z",), "poly_log": ("K", "gamma")}
-
-
 def parse_weight_spec(spec) -> weights.MultiplicativeWeight:
     """Weight from 'kind:param[:param]' or a {'kind': ..., params} mapping;
     ValueError if the kind, a parameter or a value is bad."""
     if not isinstance(spec, dict):
         kind, *args = str(spec).split(":")
-        if kind not in WEIGHT_PARAMS:
-            raise ValueError(f"unknown weight kind {kind!r}; known: {sorted(WEIGHT_PARAMS)}")
-        names = WEIGHT_PARAMS[kind]
-        if len(args) != len(names):
+        names = weights.WEIGHT_KINDS.get(kind)
+        if names is not None and len(args) != len(names):
             raise ValueError(f"weight {kind} takes {len(names)} parameter(s): {names}")
-        spec = {"kind": kind, **dict(zip(names, args))}
+        spec = {"kind": kind, **dict(zip(names or (), args))}
     params = dict(spec)
     kind = params.pop("kind", None)
     if kind is None:
         raise ValueError("weight mapping needs a 'kind' key")
-    try:
-        return weights.builtin_weight(kind, **params)
-    except KeyError as e:
-        raise ValueError(f"weight {kind} needs parameter {e}")
-    except TypeError as e:
-        raise ValueError(f"weight {kind}: {e}")
+    return weights.builtin_weight(kind, **params)
 
 
 def _positive_int(raw: str) -> int:
@@ -144,25 +132,26 @@ def _load_config(path: str, ap: argparse.ArgumentParser, command: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# subcommands: each runs one experiment, writes its CSV and returns the
+# subcommands: each runs one experiment on the weight parsed from --weight
+# (None for the commands without it), writes its CSV and returns the
 # report's results block
 # --------------------------------------------------------------------------
 
 
-def cmd_sieve_sum(args, ctx):
-    rows = experiments.sieve_sum(ctx, parse_weight_spec(args.weight), _parse_x_list(args.x), args.cutoff)
+def cmd_sieve_sum(args, ctx, w):
+    rows = experiments.sieve_sum(ctx, w, _parse_x_list(args.x), args.cutoff)
     _write_rows(args.out, rows)
     return {"rows": rows}
 
 
-def cmd_conditions(args, ctx):
-    results = experiments.conditions(ctx, parse_weight_spec(args.weight), _parse_x_list(args.x))
+def cmd_conditions(args, ctx, w):
+    results = experiments.conditions(ctx, w, _parse_x_list(args.x))
     _write_rows(args.out, results["condition_I_residuals"])
     return results
 
 
-def cmd_sample(args, ctx):
-    draws = experiments.sample(ctx, parse_weight_spec(args.weight), int(float(args.x)), args.n, args.seed)
+def cmd_sample(args, ctx, w):
+    draws = experiments.sample(ctx, w, int(float(args.x)), args.n, args.seed)
     if args.out:
         _write_csv(args.out, ["value"], [(int(v),) for v in draws])
     vals, counts = np.unique(draws, return_counts=True)
@@ -176,9 +165,8 @@ def cmd_sample(args, ctx):
     }
 
 
-def cmd_exact_dist(args, ctx):
-    pmf = experiments.exact_dist(ctx, parse_weight_spec(args.weight), int(float(args.x)), args.statistic,
-                                 p=args.p, u=args.u)
+def cmd_exact_dist(args, ctx, w):
+    pmf = experiments.exact_dist(ctx, w, int(float(args.x)), args.statistic, p=args.p, u=args.u)
     if args.out:
         _write_csv(args.out, ["value", "probability"], zip(pmf.values.tolist(), pmf.probs.tolist()))
     return {"statistic": args.statistic, "mean": pmf.mean(), "atoms": len(pmf.values),
@@ -186,45 +174,44 @@ def cmd_exact_dist(args, ctx):
                          zip(pmf.values[:20], pmf.probs[:20])]}
 
 
-def cmd_ek_compare(args, ctx):
+def cmd_ek_compare(args, ctx, w):
     xs = _parse_x_list(args.x)
-    kss = experiments.omega_clt_ks(ctx, parse_weight_spec(args.weight), xs)
+    kss = experiments.omega_clt_ks(ctx, w, xs)
     rows = [{"x": x, "ks": ks} for x, ks in zip(xs, kss)]
     _write_rows(args.out, rows)
     return {"rows": rows}
 
 
-def cmd_pd_compare(args, ctx):
-    rows = experiments.pd_compare(ctx, parse_weight_spec(args.weight), int(float(args.x)), args.n,
-                                  args.oracle_draws, args.seed)
+def cmd_pd_compare(args, ctx, w):
+    rows = experiments.pd_compare(ctx, w, int(float(args.x)), args.n, args.oracle_draws, args.seed)
     _write_rows(args.out, rows)
     return {"rows": rows, "n_samples": args.n, "seed": args.seed}
 
 
-def cmd_smooth(args, ctx):
+def cmd_smooth(args, ctx, w):
     us = [float(t) for t in str(args.u).split(",")]
-    rows = experiments.smooth(ctx, parse_weight_spec(args.weight), int(float(args.x)), us, args.step)
+    rows = experiments.smooth(ctx, w, int(float(args.x)), us, args.step)
     if args.out:
         _write_csv(args.out, ["u", "exact", "rho", "diff"],
                    [(r["u"], r["exact"], r["rho"], r["exact"] - r["rho"]) for r in rows])
     return {"rows": rows}
 
 
-def cmd_small_prime(args, ctx):
+def cmd_small_prime(args, ctx, w):
     ps = [int(t) for t in str(args.p).split(",")]
-    rows = experiments.small_prime(ctx, parse_weight_spec(args.weight), int(float(args.x)), ps)
+    rows = experiments.small_prime(ctx, w, int(float(args.x)), ps)
     _write_rows(args.out, rows)
     return {"max_gap": max(r["gap"] for r in rows), "atoms": len(rows)}
 
 
-def cmd_poly_asym(args, ctx):
+def cmd_poly_asym(args, ctx, w):
     rows = experiments.poly_asym(ctx, args.K, args.gamma, _parse_x_list(args.x), args.cutoff)
     _write_rows(args.out, rows)
     return {"rows": [{"x": r["x"], "sigma": r["sigma"], "ratio": r["ratio"]} for r in rows],
             "double_ratios": [b["ratio"] / a["ratio"] for a, b in zip(rows, rows[1:])]}
 
 
-def cmd_poly_typical(args, ctx):
+def cmd_poly_typical(args, ctx, w):
     results = experiments.poly_typical(ctx, args.K, args.gamma, int(float(args.x)), args.n, args.seed)
     if args.out:
         _write_csv(args.out, ["stat", "ks", "tv", "n_samples", "seed"],
@@ -232,18 +219,18 @@ def cmd_poly_typical(args, ctx):
     return {**results, "seed": args.seed}
 
 
-def cmd_ewens(args, ctx):
+def cmd_ewens(args, ctx, w):
     n = args.n
-    w = experiments.cycle_weights(n, args.theta, args.poly_gamma)
+    cycles = experiments.cycle_weights(n, args.theta, args.poly_gamma)
     if args.exact:
-        exact = permutations.enumerate_Sn(n, w)
+        exact = permutations.enumerate_Sn(n, cycles)
         if args.out:
             _write_csv(args.out, ["value", "probability"], [(k, float(exact.l1_pmf[k])) for k in range(1, n + 1)])
         return {
             "l1_pmf": {str(k): float(exact.l1_pmf[k]) for k in range(1, n + 1)},
             "cycle_count_pmf": {str(k): float(v) for k, v in enumerate(exact.cycle_count_pmf()) if v > 0},
         }
-    rows, lengths = experiments.cycle_types(w, args.samples, args.seed)
+    rows, lengths = experiments.cycle_types(cycles, args.samples, args.seed)
     firsts = np.flatnonzero(np.diff(rows, prepend=-1))
     if args.out:
         # one sample per row, cycle lengths sorted nonincreasing
@@ -257,14 +244,14 @@ def cmd_ewens(args, ctx):
     }
 
 
-def cmd_dickman(args, ctx):
+def cmd_dickman(args, ctx, w):
     sol, results = experiments.dickman(args.theta, args.umax, args.step)
     if args.out:
         _write_csv(args.out, ["u", "rho"], zip(sol.grid.tolist(), sol.values.tolist()))
     return results
 
 
-def cmd_selftest(args, ctx):
+def cmd_selftest(args, ctx, w):
     results = harness.run_all(args.scale, case_ids=args.cases.split(",") if args.cases else None)
     if args.junit:
         harness.write_junit(results, args.junit)
@@ -381,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    w = None
     if hasattr(args, "config"):
         if args.config:
             _load_config(args.config, ap, args.command)
@@ -391,12 +379,12 @@ def main(argv=None) -> int:
                 sp.error(f"--{key} (or a config {key!r} entry) is required")
         if hasattr(args, "weight"):
             try:
-                parse_weight_spec(args.weight)
+                w = parse_weight_spec(args.weight)
             except ValueError as e:
                 sp.error(f"invalid weight {args.weight!r}: {e}")
     t0 = time.time()
     try:
-        results = args.func(args, experiments.Context())
+        results = args.func(args, experiments.Context(), w)
     except (arith.CapacityError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

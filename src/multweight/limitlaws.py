@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 
 from .sampling import ExactPmf
 
@@ -239,6 +238,8 @@ def dickman_rho(theta: float, u_max: float, h: float = 1.0 / 256) -> DickmanSolu
         values[lo + 1 : hi + 1] = np.cumsum(np.concatenate(([values[lo]], inc)))[1:]
 
     if n > 2 * m:
+        from scipy.integrate import quad  # here, not at import: only this panel needs the slow import
+
         inc, _ = quad(lambda t: g(np.array([t]), 2)[0], grid[2 * m], grid[2 * m + 1],
                       epsabs=1e-13, epsrel=1e-12, limit=200)
         values[2 * m + 1] = values[2 * m] + inc

@@ -2,7 +2,9 @@
 
 A weight alpha is multiplicative (alpha(1) = 1, alpha(nm) = alpha(n)alpha(m)
 for coprime n, m) and therefore determined by its values on prime powers.
-Two parameter regimes are tracked:
+Each catalog kind defines alpha(p^k) once, as a function on an array of
+primes at fixed k, and its parameter names once, in WEIGHT_KINDS; the CLI
+reads the same table.  Two parameter regimes are tracked:
 
 * Ewens(theta, d, r): the mean value of alpha(p) log p / p^d over p <= x
   is theta * x up to lower order, and alpha(p^k)/p^(dk) = O(r^k) with
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from .arith import SpfTable, factorize, primes_upto, root_prime_powers
 
@@ -61,38 +63,32 @@ Regime = EwensRegime | PolyRegime
 class MultiplicativeWeight:
     """A multiplicative weight given by its values on prime powers.
 
-    prime_power_value(p, k) returns alpha(p^k) for k >= 1 (alpha(1) = 1 by
-    convention).  vec_prime_power_value, when present, evaluates alpha(p^k)
-    on a whole array of primes at fixed k; the builtins provide it so that
-    table sieving and Euler products stay vectorized.
-    log_vec_prime_power_value supplies log alpha(p^k) where the plain value
-    can overflow (power and sigma with large z*k); Euler-product code uses
-    it to form alpha(p^k)/p^(k(d+1)) without ever leaving the finite range.
+    values(ps, k) is the one definition of alpha(p^k), k >= 1, on an array
+    of primes; value(p, k) reads it at a single prime (alpha(1) = 1 by
+    convention, so value(p, 0) = 1).  log_values, when present, gives
+    log alpha(p^k) where the plain value can overflow (power and sigma at
+    large z*k); Euler-product code uses it to form alpha(p^k)/p^(k(d+1))
+    without ever leaving the finite range.
     """
 
     name: str
-    prime_power_value: Callable[[int, int], float]
     regime: Regime
-    vec_prime_power_value: Callable[[np.ndarray, int], np.ndarray] | None = None
-    log_vec_prime_power_value: Callable[[np.ndarray, int], np.ndarray] | None = None
+    values: Callable[[np.ndarray, int], np.ndarray]
+    log_values: Callable[[np.ndarray, int], np.ndarray] | None = None
 
     def value(self, p: int, k: int) -> float:
         if k == 0:
             return 1.0
-        return float(self.prime_power_value(p, k))
+        return float(self.values(np.array([p]), k)[0])
 
-    def values_on_primes(self, ps: np.ndarray, k: int = 1) -> np.ndarray:
-        if k == 0:
-            return np.ones(len(ps))
-        if self.vec_prime_power_value is not None:
-            return np.asarray(self.vec_prime_power_value(ps, k), dtype=float)
-        return np.array([self.prime_power_value(int(p), k) for p in ps], dtype=float)
+    def values_on_primes(self, ps: np.ndarray, k: int) -> np.ndarray:
+        return np.asarray(self.values(ps, k), dtype=float)
 
     def normalized_prime_power_values(self, ps: np.ndarray, k: int, d: float) -> np.ndarray:
         """alpha(p^k)/p^(k(d+1)) for a prime array, overflow-safe."""
         logp = np.log(ps.astype(float))
-        if self.log_vec_prime_power_value is not None:
-            return np.exp(self.log_vec_prime_power_value(ps, k) - k * (d + 1.0) * logp)
+        if self.log_values is not None:
+            return np.exp(self.log_values(ps, k) - k * (d + 1.0) * logp)
         return self.values_on_primes(ps, k) * np.exp(-k * (d + 1.0) * logp)
 
     def ewens(self) -> EwensRegime:
@@ -106,123 +102,98 @@ class MultiplicativeWeight:
         return self.regime
 
 
-def _divisor_value(k_param: float, i: int) -> float:
-    # C(i + k - 1, i) for real k, via log-gamma to survive large i
-    return math.exp(gammaln(i + k_param) - gammaln(k_param) - gammaln(i + 1))
+# each weight kind's parameters, in the order of a 'kind:param[:param]' spec
+WEIGHT_KINDS: dict[str, tuple[str, ...]] = {
+    "theta_omega": ("theta",),
+    "divisor": ("k",),
+    "powerfree": ("k",),
+    "euler_ratio": (),
+    "sigma": ("z",),
+    "power": ("z",),
+    "poly_log": ("K", "gamma"),
+}
 
 
 def builtin_weight(kind: str, **params) -> MultiplicativeWeight:
-    """Construct one of the catalog weights.
+    """Construct one of the catalog weights; every parameter is a float.
 
-    Kinds and parameters:
-        theta_omega(theta)    alpha(n) = theta^omega(n)           Ewens(theta, 0)
-        divisor(k)            alpha(p^i) = C(i+k-1, i), real k>0  Ewens(k, 0)
-        powerfree(k)          k-powerfree indicator, int k >= 2   Ewens(1, 0)
+    Kinds (parameters in WEIGHT_KINDS):
+        theta_omega           alpha(n) = theta^omega(n)           Ewens(theta, 0)
+        divisor               alpha(p^i) = C(i+k-1, i), real k>0  Ewens(k, 0)
+        powerfree             k-powerfree indicator, int k >= 2   Ewens(1, 0)
         euler_ratio           phi(n)/n                            Ewens(1, 0)
-        sigma(z)              sum of z-th powers of divisors      Ewens(1, max(z,0))
-        power(z)              n^z, z > -1                         Ewens(1, z)
-        poly_log(K, gamma)    alpha(p) = K log^gamma p, 0 at k>=2 Poly(K, gamma)
+        sigma                 sum of z-th powers of divisors      Ewens(1, max(z,0))
+        power                 n^z, z > -1                         Ewens(1, z)
+        poly_log              alpha(p) = K log^gamma p, 0 at k>=2 Poly(K, gamma)
 
     poly_log's zero values at k >= 2 are the simplest choice compatible
     with the summability condition on higher prime powers; its Euler factor
     at p is then 1 + K log^gamma p / p exactly.
     """
+    if kind not in WEIGHT_KINDS:
+        raise ValueError(f"unknown weight kind {kind!r}; known: {sorted(WEIGHT_KINDS)}")
+    names = WEIGHT_KINDS[kind]
+    for name in names:
+        if name not in params:
+            raise ValueError(f"weight {kind} needs parameter {name!r}")
+    extra = sorted(set(params) - set(names))
+    if extra:
+        raise ValueError(f"unexpected parameters for {kind}: {extra}")
+    try:
+        args = [float(params[name]) for name in names]
+    except TypeError as e:
+        raise ValueError(f"weight {kind}: {e}") from None
     if kind == "theta_omega":
-        theta = float(params.pop("theta"))
-        _no_extra(kind, params)
+        (theta,) = args
         if theta <= 0:
             raise ValueError("theta_omega requires theta > 0")
         return MultiplicativeWeight(
-            name=f"theta_omega({theta:g})",
-            prime_power_value=lambda p, k, t=theta: t,
-            regime=EwensRegime(theta=theta, d=0.0, r=1.0),
-            vec_prime_power_value=lambda ps, k, t=theta: np.full(len(ps), t),
+            f"theta_omega({theta:g})", EwensRegime(theta=theta), lambda ps, k: np.full(len(ps), theta)
         )
     if kind == "divisor":
-        kk = float(params.pop("k"))
-        _no_extra(kind, params)
-        if kk <= 0:
+        (c,) = args
+        if c <= 0:
             raise ValueError("divisor requires k > 0")
+        # C(i + c - 1, i) for real c, via log-gamma to survive large i
         return MultiplicativeWeight(
-            name=f"divisor({kk:g})",
-            prime_power_value=lambda p, i, c=kk: _divisor_value(c, i),
-            regime=EwensRegime(theta=kk, d=0.0, r=1.0),
-            vec_prime_power_value=lambda ps, i, c=kk: np.full(len(ps), _divisor_value(c, i)),
+            f"divisor({c:g})",
+            EwensRegime(theta=c),
+            lambda ps, i: np.full(len(ps), math.exp(gammaln(i + c) - gammaln(c) - gammaln(i + 1))),
         )
     if kind == "powerfree":
-        k = float(params.pop("k"))
-        _no_extra(kind, params)
-        if not k.is_integer() or k < 2:
-            raise ValueError(f"powerfree requires an integer k >= 2, got {k:g}")
-        kk = int(k)
+        (c,) = args
+        if not c.is_integer() or c < 2:
+            raise ValueError(f"powerfree requires an integer k >= 2, got {c:g}")
         return MultiplicativeWeight(
-            name=f"powerfree({kk})",
-            prime_power_value=lambda p, i, c=kk: 1.0 if i < c else 0.0,
-            regime=EwensRegime(theta=1.0, d=0.0, r=1.0),
-            vec_prime_power_value=lambda ps, i, c=kk: np.full(len(ps), 1.0 if i < c else 0.0),
+            f"powerfree({int(c)})", EwensRegime(theta=1.0), lambda ps, i: np.full(len(ps), 1.0 if i < c else 0.0)
         )
     if kind == "euler_ratio":
-        _no_extra(kind, params)
-        return MultiplicativeWeight(
-            name="euler_ratio",
-            prime_power_value=lambda p, k: 1.0 - 1.0 / p,
-            regime=EwensRegime(theta=1.0, d=0.0, r=1.0),
-            vec_prime_power_value=lambda ps, k: 1.0 - 1.0 / ps.astype(float),
-        )
+        return MultiplicativeWeight("euler_ratio", EwensRegime(theta=1.0), lambda ps, k: 1.0 - 1.0 / ps.astype(float))
     if kind == "sigma":
-        z = float(params.pop("z"))
-        _no_extra(kind, params)
-
-        def sig(p, k, zz=z):
-            # sum_{j<=k} p^(jz)
-            return float(np.sum(np.float_power(float(p), zz * np.arange(k + 1))))
-
-        def sig_log(ps, k, zz=z):
-            from scipy.special import logsumexp
-
-            logp = np.log(ps.astype(float))
-            return logsumexp(zz * np.arange(k + 1)[None, :] * logp[:, None], axis=1)
-
+        (z,) = args
+        # sum_{j<=k} p^(jz), and its log
         return MultiplicativeWeight(
-            name=f"sigma({z:g})",
-            prime_power_value=sig,
-            regime=EwensRegime(theta=1.0, d=max(z, 0.0), r=1.0),
-            vec_prime_power_value=lambda ps, k, zz=z: np.sum(
-                np.float_power(ps.astype(float)[:, None], zz * np.arange(k + 1)[None, :]),
-                axis=1,
-            ),
-            log_vec_prime_power_value=sig_log,
+            f"sigma({z:g})",
+            EwensRegime(theta=1.0, d=max(z, 0.0)),
+            lambda ps, k: np.sum(np.float_power(ps.astype(float)[:, None], z * np.arange(k + 1)[None, :]), axis=1),
+            lambda ps, k: logsumexp(z * np.arange(k + 1)[None, :] * np.log(ps.astype(float))[:, None], axis=1),
         )
     if kind == "power":
-        z = float(params.pop("z"))
-        _no_extra(kind, params)
+        (z,) = args
         if z <= -1:
             raise ValueError("power requires z > -1")
         return MultiplicativeWeight(
-            name=f"power({z:g})",
-            prime_power_value=lambda p, k, zz=z: float(p) ** (zz * k),
-            regime=EwensRegime(theta=1.0, d=z, r=1.0),
-            vec_prime_power_value=lambda ps, k, zz=z: np.float_power(ps.astype(float), zz * k),
-            log_vec_prime_power_value=lambda ps, k, zz=z: zz * k * np.log(ps.astype(float)),
+            f"power({z:g})",
+            EwensRegime(theta=1.0, d=z),
+            lambda ps, k: np.float_power(ps.astype(float), z * k),
+            lambda ps, k: z * k * np.log(ps.astype(float)),
         )
-    if kind == "poly_log":
-        K = float(params.pop("K"))
-        gamma = float(params.pop("gamma"))
-        _no_extra(kind, params)
-        return MultiplicativeWeight(
-            name=f"poly_log(K={K:g},gamma={gamma:g})",
-            prime_power_value=lambda p, k, KK=K, g=gamma: KK * math.log(p) ** g if k == 1 else 0.0,
-            regime=PolyRegime(K=K, gamma=gamma),
-            vec_prime_power_value=lambda ps, k, KK=K, g=gamma: (
-                KK * np.log(ps.astype(float)) ** g if k == 1 else np.zeros(len(ps))
-            ),
-        )
-    raise ValueError(f"unknown weight kind {kind!r}")
-
-
-def _no_extra(kind: str, params: dict):
-    if params:
-        raise ValueError(f"unexpected parameters for {kind}: {sorted(params)}")
+    K, gamma = args
+    return MultiplicativeWeight(
+        f"poly_log(K={K:g},gamma={gamma:g})",
+        PolyRegime(K=K, gamma=gamma),
+        lambda ps, k: K * np.log(ps.astype(float)) ** gamma if k == 1 else np.zeros(len(ps)),
+    )
 
 
 CATALOG: tuple[tuple[str, dict], ...] = (
@@ -264,14 +235,13 @@ class WeightTable:
 _CHUNK = 1 << 20
 
 
-def _compensated_cumsum(a: np.ndarray, chunk: int = _CHUNK) -> np.ndarray:
-    """Cumulative sum with exactly-accumulated chunk offsets.
+def _compensated_cumsum(a: np.ndarray, out: np.ndarray, chunk: int = _CHUNK) -> np.ndarray:
+    """Cumulative sum of a written into out, with exactly-accumulated chunk offsets.
 
     Plain cumsum drifts like n*eps in the worst case; summing chunk totals
     with math.fsum keeps the relative error of S(x) near 1e-15 even at
     x = 10^8.
     """
-    out = np.empty(len(a))
     offset_terms: list[float] = []
     for start in range(0, len(a), chunk):
         end = min(start + chunk, len(a))
@@ -318,7 +288,7 @@ def build_weight_table(w: MultiplicativeWeight, p1: np.ndarray) -> WeightTable:
         prev = cur
     prefix = np.empty(x + 1)
     prefix[0] = 0.0
-    prefix[1:] = _compensated_cumsum(alpha[1:])
+    _compensated_cumsum(alpha[1:], prefix[1:])
     if prefix[-1] <= 0:
         raise ValueError(f"degenerate table: S({x}) = {prefix[-1]}")
     return WeightTable(x=x, alpha=alpha, prefix=prefix)
@@ -373,12 +343,11 @@ def condition_II_margin(
     are admissible.
     """
     reg = w.ewens()
+    ps = primes_upto(p_max)
+    pf = ps.astype(float)
     worst = 0.0
-    for p in primes_upto(p_max):
-        p = int(p)
-        for k in range(1, k_max + 1):
-            denom = float(p) ** (reg.d * k) * reg.r**k
-            v = w.value(p, k) / denom
-            if v > worst:
-                worst = v
+    for k in range(1, k_max + 1):
+        # float_power, not **: numpy's sqrt shortcut for ** 0.5 differs from pow
+        denom = np.float_power(pf, reg.d * k) * reg.r**k
+        worst = float(np.fmax.reduce(w.values_on_primes(ps, k) / denom, initial=worst))
     return worst

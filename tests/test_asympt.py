@@ -153,9 +153,8 @@ def test_euler_constant_divergence_detected():
 
     bad = MultiplicativeWeight(
         name="geometric-growth",
-        prime_power_value=lambda p, k: 3.0**k,
         regime=EwensRegime(theta=1.0, d=0.0),
-        vec_prime_power_value=lambda ps, k: np.full(len(ps), 3.0**k),
+        values=lambda ps, k: np.full(len(ps), 3.0**k),
     )
     with pytest.raises(ValueError):
         asympt.euler_constant(bad, cutoff=10**3)

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,15 @@ def strip_timing(doc):
     doc = dict(doc)
     doc.pop("timing", None)
     return doc
+
+
+def test_importing_the_cli_leaves_scipy_integrate_unloaded():
+    # every CLI start pays the import; only the Dickman solver needs scipy.integrate
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, multweight.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
 
 
 def test_sieve_sum_csv_and_json(tmp_path):

@@ -331,8 +331,8 @@ def test_nu_p_limit_theta_omega_p3():
 def test_nu_p_limit_divergence_detected():
     bad = weights.MultiplicativeWeight(
         name="diverge",
-        prime_power_value=lambda p, k: float(p) ** (2 * k),
         regime=weights.EwensRegime(theta=1.0, d=0.0),
+        values=lambda ps, k: np.float_power(ps, 2.0 * k),
     )
     with pytest.raises(ValueError):
         sampling.nu_p_limit_pmf(bad, 2)

@@ -26,6 +26,30 @@ def test_powerfree_values():
     assert w.value(3, 2) == 0.0
 
 
+def test_hand_values_of_each_kind():
+    # each kind's values() is its one definition of alpha(p^k): pin it by hand
+    assert builtin_weight("sigma", z=1.0).value(2, 3) == 15.0  # 1 + 2 + 4 + 8
+    assert builtin_weight("power", z=0.5).value(3, 2) == 3.0  # 9^(1/2)
+    assert builtin_weight("euler_ratio").value(5, 1) == pytest.approx(0.8, rel=1e-15)
+    assert builtin_weight("euler_ratio").value(5, 4) == pytest.approx(0.8, rel=1e-15)
+    poly = builtin_weight("poly_log", K=2.0, gamma=1.0)
+    assert poly.value(7, 1) == pytest.approx(2.0 * math.log(7.0), rel=1e-15)
+    assert poly.value(7, 2) == 0.0
+    pf3 = builtin_weight("powerfree", k=3)
+    assert (pf3.value(11, 2), pf3.value(11, 3), pf3.value(11, 5)) == (1.0, 0.0, 0.0)
+    assert builtin_weight("divisor", k=0.5).value(3, 2) == pytest.approx(0.375, rel=1e-14)  # C(1.5, 2)
+    assert builtin_weight("theta_omega", theta=2.0).value(3, 0) == 1.0
+
+
+def test_every_kind_has_a_catalog_entry_and_parses_as_a_spec():
+    from multweight import cli
+
+    assert sorted(kind for kind, _ in weights.CATALOG) == sorted(weights.WEIGHT_KINDS)
+    for kind, params in weights.CATALOG:
+        spec = ":".join([kind, *(str(params[name]) for name in weights.WEIGHT_KINDS[kind])])
+        assert cli.parse_weight_spec(spec).name == builtin_weight(kind, **params).name
+
+
 def test_powerfree_k_must_be_an_integer():
     for k in (2.5, "2.7"):
         with pytest.raises(ValueError, match="integer k"):
@@ -42,8 +66,12 @@ def test_builtin_parameter_validation():
         builtin_weight("power", z=-2.0)
     with pytest.raises(ValueError):
         builtin_weight("nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unexpected parameters"):
         builtin_weight("divisor", k=2.0, extra=1)
+    with pytest.raises(ValueError, match="needs parameter 'gamma'"):
+        builtin_weight("poly_log", K=1.0)
+    with pytest.raises(ValueError, match="weight power"):
+        builtin_weight("power", z=[1.0])
 
 
 def test_regimes():
@@ -108,14 +136,10 @@ def test_prefix_monotone_and_theta1_identity(p1_1e5):
 
 def test_rejects_non_monotone_vanishing(p1_1e4):
     for values in (
-        lambda p, k: 0.0 if k == 1 else 1.0,
-        lambda p, k: 0.0 if k <= 2 else 1.0,  # vanishes at k = 1, 2, returns at 3
+        lambda ps, k: np.full(len(ps), 0.0 if k == 1 else 1.0),
+        lambda ps, k: np.full(len(ps), 0.0 if k <= 2 else 1.0),  # vanishes at k = 1, 2, returns at 3
     ):
-        bad = weights.MultiplicativeWeight(
-            name="bad",
-            prime_power_value=values,
-            regime=weights.EwensRegime(theta=1.0),
-        )
+        bad = weights.MultiplicativeWeight(name="bad", regime=weights.EwensRegime(theta=1.0), values=values)
         with pytest.raises(ValueError, match="monotone"):
             weights.build_weight_table(bad, p1_1e4[:101])
 
@@ -125,8 +149,8 @@ def test_rejects_negative_values_at_large_primes(p1_1e4):
     # through the cofactor of n rather than through a prime-power slice
     bad = weights.MultiplicativeWeight(
         name="negative_above_10",
-        prime_power_value=lambda p, k: -1.0 if p > 10 else 1.0,
         regime=weights.EwensRegime(theta=1.0),
+        values=lambda ps, k: np.where(ps > 10, -1.0, 1.0),
     )
     with pytest.raises(ValueError, match="negative"):
         weights.build_weight_table(bad, p1_1e4[:101])
@@ -168,8 +192,30 @@ def test_condition_II_margin_bounded():
     assert weights.condition_II_margin(w1, p_max=500, k_max=20) <= 1.0
 
 
+def test_condition_II_margin_matches_per_prime_power_loop():
+    ws = catalog_weights() + [builtin_weight("power", z=0.0), builtin_weight("power", z=1.0)]
+    for w in ws:
+        if not isinstance(w.regime, weights.EwensRegime):
+            continue
+        reg = w.ewens()
+        loop = max(w.value(int(p), k) / (float(p) ** (reg.d * k) * reg.r**k)
+                   for p in arith.primes_upto(300) for k in range(1, 13))
+        assert weights.condition_II_margin(w, p_max=300, k_max=12) == loop, w.name
+
+
 def test_compensated_cumsum_matches_fsum(rng):
     a = rng.random(10**5) * 10.0
-    cs = weights._compensated_cumsum(a, chunk=1 << 10)
+    cs = weights._compensated_cumsum(a, np.empty(len(a)), chunk=1 << 10)
     assert cs[-1] == pytest.approx(math.fsum(a.tolist()), rel=1e-14)
     assert cs[0] == a[0]
+
+
+def test_compensated_cumsum_writes_into_out(rng):
+    # the values of a chunked cumsum plus the fsum of the earlier chunk totals, bit for bit
+    a = rng.random(5000) * 10.0
+    out = np.empty(len(a))
+    assert weights._compensated_cumsum(a, out, chunk=1 << 10) is out
+    chunks = np.split(a, range(1 << 10, len(a), 1 << 10))
+    totals = [float(np.sum(c)) for c in chunks]
+    expected = np.concatenate([np.cumsum(c) + math.fsum(totals[:i]) for i, c in enumerate(chunks)])
+    assert out.tobytes() == expected.tobytes()

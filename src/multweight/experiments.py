@@ -254,8 +254,11 @@ def cycle_weights(n: int, theta: float, poly_gamma: float | None) -> permutation
 
 
 def cycle_types(w: permutations.CycleWeights, samples: int, seed: int) -> permutations.CycleLengths:
-    table = permutations.partition_function(w)
-    return permutations.sample_cycle_types(w, table, np.random.default_rng(seed), samples)
+    """Ewens(theta) draws by the Feller coupling, others from the partition table."""
+    rng = np.random.default_rng(seed)
+    if np.all(w.theta == w.theta[0]):
+        return permutations.ewens_cycle_lengths(w.n, float(w.theta[0]), rng, samples)
+    return permutations.sample_cycle_types(w, permutations.partition_function(w), rng, samples)
 
 
 def dickman(theta: float, umax: float, step: float) -> tuple[limitlaws.DickmanSolution, dict]:

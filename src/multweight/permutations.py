@@ -2,18 +2,21 @@
 
 The measure weights a permutation by prod_i theta_i^(C_i), normalized by
 the partition function h_n = (1/n!) sum_pi prod theta_i^(C_i(pi)).  The
-table of h_m values is built from the recursion
+table of h_m values solves the recursion
 
     m h_m = sum_{k=1}^{m} theta_k h_{m-k},
 
-a standard exponential-formula identity, validated here against the
-definitional sum by exhaustive enumeration for small n.
+a standard exponential-formula identity, as a divide-and-conquer online
+convolution (FFT across blocks, the direct sum inside the smallest ones);
+it is validated against the definitional sum by exhaustive enumeration for
+small n, and against the direct O(n^2) recursion in the tests.
 
-Sampling removes, round by round, the cycle containing the smallest
-remaining element, which has length k with probability
-theta_k h_{m-k} / (m h_m); one round serves every draw of a batch at once,
-and the rule is validated against enumeration.  Constant weights
-(Ewens(theta)) are drawn through the Feller coupling instead.
+Generalized Ewens sampling removes, round by round, the cycle containing
+the smallest remaining element, which has length k with probability
+theta_k h_{m-k} / (m h_m).  Ewens(theta) draws need no table: the Feller
+coupling jumps from one success to the next, one round per cycle.  Either
+way one round serves every draw of a batch at once, and both are validated
+against enumeration.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -83,28 +88,74 @@ class PartitionFunctionTable:
         return len(self.log_h) - 1
 
 
-def partition_function(w: CycleWeights) -> PartitionFunctionTable:
-    """Build h_0..h_n via the convolution recursion.
+# Blocks of _LEAF entries run the direct recursion; longer ones pass their
+# terms on in pieces of at most _PIECE entries, one FFT of twice that each.
+_LEAF, _PIECE = 256, 1 << 14
 
-    The running array is kept in a floating window (rescaled uniformly by
-    1e-280 whenever the head grows past 1e280; the recursion is linear in
-    h so a uniform rescale is invisible) and per-index logs are captured
-    at computation time.
+
+def partition_function(w: CycleWeights) -> PartitionFunctionTable:
+    """Build h_0..h_n from the recursion as an online convolution in
+    O(n log^2 n) (van der Hoeven, Relax, but don't be too lazy, J. Symb.
+    Comput. 2002).
+
+    h is solved _LEAF entries at a time by the direct recursion on top of
+    an accumulator of the terms theta_k h_i of earlier blocks.  Where a
+    block [mid - half, mid) of half = 2^j _LEAF entries completes (mid an
+    odd multiple of half), its terms for [mid, mid + half) are added by
+    FFT, so every term lands before its h_m is solved.  h lives in a
+    floating window, rescaled with the accumulator by 1e-280 whenever a
+    value passes 1e280 (the recursion is linear, so a uniform rescale is
+    invisible); logs are taken against the cumulative scale.  An FFT is
+    tilted, a_i e^(-tau i) and b_k e^(-tau k), by half the growth rate of
+    h, so its roundoff scales with the terms that dominate each h_m, not
+    the largest far ones; outputs within its roundoff bound are zero, so
+    an h_m that no cycle type reaches stays exactly 0.
     """
     n = w.n
-    theta_rev = np.ascontiguousarray(w.theta[::-1])
-    h = np.zeros(n + 1)
-    h[0] = 1.0
-    log_h = np.zeros(n + 1)
+    h = np.zeros(_LEAF)  # the block being solved, in the window
+    acc = np.zeros(_LEAF << (n // _LEAF).bit_length())  # terms theta_k h_{m-k} of completed blocks
+    log_h = np.full(n + 1, -math.inf)
     scale = 0.0  # log of the cumulative rescale factor taken OUT of h
-    for m in range(1, n + 1):
-        v = float(np.dot(theta_rev[n - m : n], h[:m])) / m
-        if v > 1e280:
-            h[:m] *= 1e-280
-            v *= 1e-280
-            scale += math.log(1e280)
-        h[m] = v
-        log_h[m] = (math.log(v) if v > 0 else -math.inf) + scale
+    for lo in range(0, n + 1, _LEAF):
+        h[:] = lo == 0  # h_0 = 1
+        for m in range(max(lo, 1), min(lo + _LEAF, n + 1)):
+            v = (acc[m] + float(np.dot(w.theta[: m - lo][::-1], h[: m - lo]))) / m
+            if v > 1e280:
+                h[: m - lo] *= 1e-280
+                acc[m:] *= 1e-280
+                v *= 1e-280
+                scale += math.log(1e280)
+            h[m - lo] = v
+        with np.errstate(divide="ignore"):
+            log_h[lo : lo + _LEAF] = np.log(h[: n + 1 - lo]) + scale
+        mid = lo + _LEAF
+        if mid > n:
+            break
+        half = mid & -mid
+        la = log_h[mid - half : mid]
+        with np.errstate(invalid="ignore"):
+            slope = (la[-half // 4 :].max() - la[-half // 2 : -half // 4].max()) / (half // 4)
+        tau = 0.5 * slope if 0 < slope < math.inf else 0.0
+        step = min(half, _PIECE)
+        for p in range(mid - half, mid, step):
+            for q in range(mid, min(mid + half, n + 1), step):
+                # h_i theta_k, i in [p, p + step), m = i + k in [q, q + step): with
+                # a_(i-p) = h_i and b_j = theta_(k0+j), k0 = q - p - step + 1, the
+                # lag i - p + j = m - q + step - 1 lies in [step - 1, 2 step - 1),
+                # where a cyclic length of 2 step does not alias
+                k0 = q - p - step + 1
+                a = log_h[p : p + step] - tau * np.arange(step)
+                with np.errstate(divide="ignore"):
+                    b = np.log(w.theta[k0 - 1 : k0 + 2 * step - 2])
+                b -= tau * np.arange(len(b))
+                sa, sb = a.max(), b.max()
+                if sa == -math.inf or sb == -math.inf:
+                    continue
+                a, b = np.exp(a - sa), np.exp(b - sb)
+                c = np.fft.irfft(np.fft.rfft(a, 2 * step) * np.fft.rfft(b, 2 * step), 2 * step)[step - 1 : 2 * step - 1]
+                c[c <= 4 * _EPS * math.log2(2 * step) * math.sqrt(np.dot(a, a) * np.dot(b, b))] = 0.0
+                with np.errstate(divide="ignore"):
+                    acc[q : q + step] += np.exp(np.log(c) + tau * np.arange(step - 1, 2 * step - 1) + (sa + sb - scale))
     return PartitionFunctionTable(weights=w, log_h=log_h)
 
 
@@ -172,25 +223,16 @@ def _first_cycle_lengths(log_theta: np.ndarray, log_h: np.ndarray, m: np.ndarray
     return k
 
 
-def sample_cycle_types(
-    w: CycleWeights, table: PartitionFunctionTable, rng: np.random.Generator, size: int
-) -> CycleLengths:
-    """`size` draws from the generalized Ewens measure, as cycle lengths.
-
-    Each round removes from every unfinished draw the cycle containing its
-    smallest remaining element, which of m remaining elements has length k
-    with probability theta_k h_{m-k} / (m h_m) (Arratia, Barbour & Tavare,
-    Logarithmic Combinatorial Structures, 2003).  A round takes one uniform
-    per unfinished draw.
-    """
-    if table.n < w.n:
-        raise ValueError("partition table shorter than n")
-    log_theta = w.log_theta()
+def _draw_by_rounds(n: int, size: int, rng: np.random.Generator, next_cycle) -> CycleLengths:
+    """`size` draws on n elements, one cycle per unfinished draw per round:
+    next_cycle(m, u) is the length of the cycle each draw with m elements
+    left removes, given one uniform per draw.  Each draw's cycles are
+    listed in the order they were removed."""
     active = np.arange(size)
-    m = np.full(size, w.n, dtype=np.int64)
+    m = np.full(size, n, dtype=np.int64)
     rows, lengths = [active[:0]], [m[:0]]  # empty heads, so size = 0 concatenates
     while len(active):
-        k = _first_cycle_lengths(log_theta, table.log_h, m, rng.random(len(active)))
+        k = next_cycle(m, rng.random(len(active)))
         rows.append(active)
         lengths.append(k)
         m -= k
@@ -202,40 +244,55 @@ def sample_cycle_types(
     return CycleLengths(rows[order], np.concatenate(lengths)[order])
 
 
+def sample_cycle_types(
+    w: CycleWeights, table: PartitionFunctionTable, rng: np.random.Generator, size: int
+) -> CycleLengths:
+    """`size` draws from the generalized Ewens measure, as cycle lengths.
+
+    Each round removes from every unfinished draw the cycle containing its
+    smallest remaining element, which of m remaining elements has length k
+    with probability theta_k h_{m-k} / (m h_m) (Arratia, Barbour & Tavare,
+    Logarithmic Combinatorial Structures, 2003).
+    """
+    if table.n < w.n:
+        raise ValueError("partition table shorter than n")
+    log_theta = w.log_theta()
+    return _draw_by_rounds(w.n, size, rng, lambda m, u: _first_cycle_lengths(log_theta, table.log_h, m, u))
+
+
 def ewens_cycle_lengths(n: int, theta: float, rng: np.random.Generator, size: int) -> CycleLengths:
     """Cycle lengths of `size` Ewens(theta) draws via the Feller coupling.
 
-    Independent xi_i ~ Bernoulli(theta/(theta + i - 1)) for i = 1..n with a
-    forced success appended at n+1; the spacings between successes have
-    exactly the Ewens cycle-count law (Arratia, Barbour & Tavare,
-    Logarithmic Combinatorial Structures, 2003).  Draws are made in blocks
-    of about 2^24 indicators.
+    Independent xi_i ~ Bernoulli(theta/(theta + i - 1)), i = 1..n, and a
+    forced success at n+1: the spacings between successes have the Ewens
+    cycle-count law, the last one being the cycle of the smallest element
+    (Arratia, Barbour & Tavare, Logarithmic Combinatorial Structures, 2003).
+    No indicator is drawn: from a success at s the next one is the first
+    j > s whose survival prod_{l=s+1..j} (l-1)/(theta+l-1) falls below a
+    uniform, or n+1, found by one search per round over all draws.
     """
-    ps = theta / (theta + np.arange(n, dtype=float))
-    rows, lengths = [], []
-    block = max(1, (1 << 24) // n)
-    for done in range(0, size, block):
-        xi = rng.random((min(block, size - done), n)) < ps
-        xi[:, 0] = True
-        r, pos = np.nonzero(xi)
-        nxt = np.append(pos[1:], n)
-        nxt[np.append(r[1:] != r[:-1], True)] = n
-        rows.append(r + done)
-        lengths.append(nxt - pos)
-    return CycleLengths(np.concatenate(rows), np.concatenate(lengths))
+    if theta <= 0:
+        raise ValueError("theta must be positive")
+    # -log of the survival from 1 to j = 1..n, increasing
+    neg_l = np.concatenate(([0.0], np.cumsum(np.log1p(theta / np.arange(1, n)))))
+
+    def spacing(m, u):  # from the success at s = n + 1 - m to the next one
+        s = n + 1 - m
+        with np.errstate(divide="ignore"):
+            return np.searchsorted(neg_l, neg_l[s - 1] - np.log(u), side="right") + 1 - s
+
+    rows, lengths = _draw_by_rounds(n, size, rng, spacing)
+    # reversed, each draw lists the cycle of its smallest element first;
+    # the draws are exchangeable, so relabelling row r as size - 1 - r
+    # changes no law
+    return CycleLengths(size - 1 - rows[::-1], lengths[::-1])
 
 
 def exact_mean_cycle_count(table: PartitionFunctionTable) -> float:
-    """E C(pi) = sum_j (theta_j / j) h_{n-j}/h_n, exact from the table."""
-    w = table.weights
-    n = w.n
-    js = np.arange(1, n + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.exp(
-            w.log_theta()[js - 1] - np.log(js) + table.log_h[n - js] - table.log_h[n]
-        )
-    terms[~np.isfinite(terms)] = 0.0
-    return float(np.sum(terms))
+    """E C(pi) = sum_k (theta_k / k) h_{n-k}/h_n = sum_k P(L_1 = k) n / k,
+    exact from the table."""
+    n = table.n
+    return float(np.sum(first_cycle_pmf(table, n) * n / np.arange(1, n + 1)))
 
 
 # ---------------------------------------------------------------------------

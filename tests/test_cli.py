@@ -303,6 +303,15 @@ def test_scans_build_no_spf_table(monkeypatch, argv):
     assert run(argv) == 0
 
 
+def test_constant_theta_builds_no_partition_table(monkeypatch):
+    # Ewens(theta) is drawn by the Feller coupling, which needs no h_m table
+    def no_table(*args):
+        raise AssertionError("a partition table was built")
+
+    monkeypatch.setattr(cli.permutations, "partition_function", no_table)
+    assert run(["ewens", "--theta", "1", "--n", "1000", "--samples", "5"]) == 0
+
+
 def test_sample_top_is_by_count_then_value(tmp_path):
     out, rep = tmp_path / "s.csv", tmp_path / "s.json"
     assert run(["sample", "--weight", "power:0", "--x", "300", "--n", "3000", "--seed", "5",

@@ -65,6 +65,66 @@ def sequential_cycle_type(w: perm.CycleWeights, table: perm.PartitionFunctionTab
     return lengths
 
 
+def quadratic_partition_function(w: perm.CycleWeights) -> np.ndarray:
+    """log h_0..log h_n by the direct recursion m h_m = sum_k theta_k h_{m-k} (oracle).
+
+    One dot product per m, O(n^2); h is rescaled uniformly by 1e-280
+    whenever a value passes 1e280, and each log is taken against the
+    cumulative scale.
+    """
+    n = w.n
+    theta_rev = np.ascontiguousarray(w.theta[::-1])
+    h = np.zeros(n + 1)
+    h[0] = 1.0
+    log_h = np.zeros(n + 1)
+    scale = 0.0
+    for m in range(1, n + 1):
+        v = float(np.dot(theta_rev[n - m : n], h[:m])) / m
+        if v > 1e280:
+            h[:m] *= 1e-280
+            v *= 1e-280
+            scale += math.log(1e280)
+        h[m] = v
+        log_h[m] = (math.log(v) if v > 0 else -math.inf) + scale
+    return log_h
+
+
+def feller_indicator_cycle_lengths(n: int, theta: float, rng, size: int) -> perm.CycleLengths:
+    """Ewens(theta) cycle lengths from all n Feller indicators per draw (oracle).
+
+    xi_i ~ Bernoulli(theta/(theta + i - 1)), i = 1..n, xi_1 = 1, and a
+    forced success at n+1; each draw's spacings are listed in index order,
+    so its last one is the cycle containing the smallest element.
+    """
+    xi = rng.random((size, n)) < theta / (theta + np.arange(n, dtype=float))
+    xi[:, 0] = True
+    rows, pos = np.nonzero(xi)
+    nxt = np.append(pos[1:], n)
+    nxt[np.append(rows[1:] != rows[:-1], True)] = n
+    return perm.CycleLengths(rows, nxt - pos)
+
+
+def feller_spacings_at_fixed_u(n: int, theta: float, u: float) -> tuple[list[int], float]:
+    """Spacings of the Feller coupling when every uniform is u (oracle).
+
+    From a success at s the next one is the first j > s whose survival
+    product prod_{l=s+1..j} (l-1)/(theta+l-1) falls below u, else n+1.
+    Also returns the smallest gap |product - u| met on the way.
+    """
+    spacings, s, gap = [], 1, math.inf
+    while s <= n:
+        prod, j = 1.0, s + 1
+        while j <= n:
+            prod *= (j - 1) / (theta + j - 1)
+            gap = min(gap, abs(prod - u))
+            if prod < u:
+                break
+            j += 1
+        spacings.append(j - s)
+        s = j
+    return spacings, gap
+
+
 class ConstantRng:
     """A generator stand-in whose every uniform is u."""
 
@@ -133,11 +193,63 @@ def test_partition_function_binomial_identity():
 
 
 def test_partition_function_rescaling_large_poly():
-    # h_n overflows double for these weights; the log table must stay finite
-    w = perm.poly_weights(1.0, 3000)
+    # h_n passes 1e280 for these weights (first at m = 16474), so the
+    # window is rescaled; the log table must stay finite and exact
+    w = perm.poly_weights(1.5, 20000)
     t = perm.partition_function(w)
+    assert t.log_h[-1] > math.log(1e280)
     assert np.all(np.isfinite(t.log_h[1:]))
     assert np.all(np.diff(t.log_h[1:]) > 0)
+    assert np.abs(t.log_h - quadratic_partition_function(w)).max() <= 1e-11
+
+
+def only_even_weights(n: int) -> perm.CycleWeights:
+    theta = np.ones(n)
+    theta[0::2] = 0.0  # theta_k = 0 for odd k
+    return perm.CycleWeights(n=n, theta=theta)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: perm.constant_weights(n, 0.5),
+    lambda n: perm.constant_weights(n, 1.0),
+    lambda n: perm.constant_weights(n, 2.0),
+    lambda n: perm.poly_weights(1.0, n),
+    lambda n: perm.poly_weights(2.0, n),
+    only_even_weights,
+], ids=["theta=0.5", "theta=1", "theta=2", "poly gamma=1", "poly gamma=2", "only even lengths"])
+def test_partition_function_matches_quadratic_oracle(make):
+    # at n = 2e4 every block of 512 entries and up passes its terms on by FFT
+    w = make(20000)
+    got, want = perm.partition_function(w).log_h, quadratic_partition_function(w)
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+    finite = np.isfinite(want)
+    assert np.abs(got[finite] - want[finite]).max() <= 1e-11
+
+
+def test_partition_function_split_into_pieces_matches_oracle(monkeypatch):
+    # blocks longer than _PIECE pass their terms on in pieces; at the default
+    # size that takes n > 32768, so shrink the pieces to cover it here
+    monkeypatch.setattr(perm, "_PIECE", 512)
+    w = perm.poly_weights(1.5, 20000)
+    assert np.abs(perm.partition_function(w).log_h - quadratic_partition_function(w)).max() <= 1e-11
+
+
+@pytest.mark.parametrize("period", [2, 3])
+def test_zero_weights_leave_unreachable_h_exactly_zero(rng, period):
+    # theta_k = 0 unless period divides k.  FFT roundoff must not leave
+    # h_m > 0 where no cycle type reaches m, or the sampler would draw
+    # impossible cycles.  (At period 2 the FFT's roundoff cancels exactly
+    # where h_m = 0; at period 3 it does not.)
+    n = 20000 - 20000 % period
+    theta = np.where(np.arange(1, n + 1) % period == 0, 1.0, 0.0)
+    w = perm.CycleWeights(n=n, theta=theta)
+    t = perm.partition_function(w)
+    reachable = np.arange(n + 1) % period == 0
+    assert np.all(t.log_h[~reachable] == -math.inf)
+    assert np.all(np.isfinite(t.log_h[reachable]))
+    rows, lengths = perm.sample_cycle_types(w, t, rng, 200)
+    assert np.all(lengths % period == 0)
+    np.testing.assert_array_equal(np.bincount(rows, weights=lengths), np.full(200, n))
 
 
 def test_cycle_weights_validation():
@@ -297,13 +409,54 @@ def test_cycle_count_bernoulli_sampler_matches_crp(rng):
 
 
 def test_feller_matches_enumeration(rng):
-    n, theta = 6, 1.0
-    exact = perm.enumerate_Sn(n, perm.constant_weights(n, theta))
-    assert tv(cycle_type_frequencies(*perm.ewens_cycle_lengths(n, theta, rng, 40000)), exact.type_probs) <= 0.02
+    n = 6
+    for theta in (0.5, 1.0, 2.0):
+        exact = perm.enumerate_Sn(n, perm.constant_weights(n, theta))
+        emp = cycle_type_frequencies(*perm.ewens_cycle_lengths(n, theta, rng, 40000))
+        assert tv(emp, exact.type_probs) <= 0.02
 
 
-def test_ewens_cycle_lengths_rows_span_blocks(rng):
-    # 2^24 // n = 55 draws per block, so 120 draws take three blocks
+def test_feller_matches_indicator_oracle(rng):
+    # same cycle-type law as drawing every indicator; the oracle lists the
+    # cycle of the smallest element last, the sampler first
+    n, theta, draws = 6, 1.5, 40000
+    fast = perm.ewens_cycle_lengths(n, theta, rng, draws)
+    slow = feller_indicator_cycle_lengths(n, theta, rng, draws)
+    assert tv(cycle_type_frequencies(*fast), cycle_type_frequencies(*slow)) <= 0.02
+    first = fast.lengths[np.flatnonzero(np.diff(fast.rows, prepend=-1))]
+    last = slow.lengths[np.append(np.flatnonzero(np.diff(slow.rows)), len(slow.rows) - 1)]
+    for k in range(1, n + 1):
+        assert np.mean(first == k) == pytest.approx(np.mean(last == k), abs=0.015)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("u", [0.6180339887, 0.2718281828, 0.0173205080])
+def test_feller_jumps_match_survival_products_at_fixed_u(theta, u):
+    # with every uniform equal to u, each jump is the first j whose survival
+    # product falls below u; u is kept 1e-9 away from every product met
+    n = 3000
+    want, gap = feller_spacings_at_fixed_u(n, theta, u)
+    assert gap > 1e-9
+    rows, lengths = perm.ewens_cycle_lengths(n, theta, ConstantRng(u), 4)
+    for lens in split_rows(rows, lengths):
+        assert lens.tolist() == want[::-1]
+
+
+def test_feller_lists_the_cycle_of_the_smallest_element_first(rng):
+    n = 6
+    exact = perm.enumerate_Sn(n, perm.constant_weights(n, 1.0))
+    rows, lengths = perm.ewens_cycle_lengths(n, 1.0, rng, 40000)
+    first = lengths[np.flatnonzero(np.diff(rows, prepend=-1))]
+    emp = np.bincount(first, minlength=n + 1) / 40000
+    assert 0.5 * np.abs(emp - exact.l1_pmf).sum() <= 0.02
+    # at n = 1000, theta = 1, L_1 is uniform on 1..n: mean (n+1)/2, sd n/sqrt(12)
+    n, draws = 1000, 20000
+    rows, lengths = perm.ewens_cycle_lengths(n, 1.0, rng, draws)
+    first = lengths[np.flatnonzero(np.diff(rows, prepend=-1))]
+    assert abs(first.mean() - (n + 1) / 2) <= 5 * n / math.sqrt(12 * draws)
+
+
+def test_ewens_cycle_lengths_rows_sum_to_n(rng):
     n, size = 300000, 120
     rows, lens = perm.ewens_cycle_lengths(n, 1.5, rng, size)
     assert np.all(np.diff(rows) >= 0) and np.all(lens >= 1)

@@ -75,8 +75,9 @@ def _prime_cache(cutoff: int) -> PrimeLogCache:
 def euler_constant(w: MultiplicativeWeight, cutoff: int = 10**6) -> EwensAsymptotic:
     """Truncated Euler-product constant of the Ewens-regime mean value law.
 
-    Accumulated in log domain; the per-prime series over prime powers is
-    summed until terms fall below 1e-18 relative.  The recorded tail
+    Accumulated in log domain; each prime's series over prime powers is
+    summed until its term falls below 1e-18, and only the primes not yet
+    there are evaluated at the next k.  The recorded tail
     estimate is the contribution of the top half of the prime range, a
     practical proxy for the (logarithmic) truncation error.
     """
@@ -85,17 +86,16 @@ def euler_constant(w: MultiplicativeWeight, cutoff: int = 10**6) -> EwensAsympto
     ps = cache.primes
     ips = ps.astype(np.int64)
     series = np.ones(len(ps))
+    live = np.arange(len(ps))  # the primes whose last term was >= 1e-18
     k = 1
-    while True:
-        term = w.normalized_prime_power_values(ips, k, reg.d)
+    while live.size:
+        if k > 512:
+            raise ValueError("prime-power series did not converge by k=512")
+        term = w.normalized_prime_power_values(ips[live], k, reg.d)
         if not np.all(np.isfinite(term)):
             raise ValueError(f"{w.name}: non-finite prime-power series term at k={k}")
-        series += term
-        mx = float(term.max(initial=0.0))
-        if mx < 1e-18 or k > 512:
-            if mx >= 1e-18:
-                raise ValueError("prime-power series did not converge by k=512")
-            break
+        series[live] += term
+        live = live[term >= 1e-18]
         k += 1
     if np.any(series <= 0) or not np.all(np.isfinite(series)):
         raise ValueError("degenerate Euler factor; series diverged or weight invalid")

@@ -41,10 +41,12 @@ class Context:
 
         omega, big_omega and nu (nu_p for a prime p) are built over the whole
         p_1 range and kept; largest_prime is p_1 itself (p_1(1) = 1);
-        largest_ratio (log p_1/log x) and smooth (1 where p_1 <= x^(1/u))
-        are derived from p_1 on each call.
+        largest_ratio (log p_1/log x, x >= 2) and smooth (1 where
+        p_1^u <= x) are derived from p_1 on each call.
         """
         if name == "largest_ratio":
+            if x < 2:
+                raise ValueError(f"largest_ratio needs x >= 2, got x={x}")
             with np.errstate(divide="ignore"):
                 out = np.log(self.p1(x)) / math.log(x)
             out[0] = 0.0
@@ -52,7 +54,15 @@ class Context:
         if name == "smooth":
             if u <= 0:
                 raise ValueError(f"smoothness parameter u must be positive, got {u}")
-            return (self.p1(x) <= x ** (1.0 / u)).astype(np.int8)
+            # the largest integer y with y^u <= x: the float root rounds
+            # below an exact one (343^(1/3) reads 6.999...)
+            y = math.floor(x ** (1.0 / u))
+            with np.errstate(over="ignore"):  # (y+1)^u may pass the float range at large u
+                if np.float_power(y + 1, u) <= x:
+                    y += 1
+                elif np.float_power(y, u) > x:
+                    y -= 1
+            return (self.p1(x) <= y).astype(np.int8)
         if name not in STATISTICS:
             raise ValueError(f"unknown statistic {name!r}; known: {STATISTICS}")
         if name == "largest_prime":
@@ -208,13 +218,9 @@ def pd_compare(ctx: Context, w: weights.MultiplicativeWeight, x: int, n: int, or
     """Mean of the three largest log-prime ratios against the PD(theta) parts."""
     theta = w.ewens().theta
     coords = spectrum_draws(ctx, w, x, n, np.random.default_rng(seed), 3)
-    rng = np.random.default_rng(seed + 1)
-    # GEM rows 20000 at a time, keeping each row's three largest parts; the
-    # rows fill row-major from one stream, so the blocks make one matrix
-    parts = np.concatenate([np.sort(limitlaws.gem_matrix(theta, 200, rng, min(20000, oracle_draws - i)),
-                                    axis=1)[:, :-4:-1] for i in range(0, oracle_draws, 20000)])
+    oracle = limitlaws.pd_largest_part_means(theta, np.random.default_rng(seed + 1), oracle_draws)
     return [{"stat": f"coord_{j + 1}_mean", "sample": float(coords[:, j].mean()),
-             "pd_oracle": float(parts[:, j].mean())} for j in range(3)]
+             "pd_oracle": float(oracle[j])} for j in range(3)]
 
 
 def gamma_law_ks(ctx: Context, table: weights.WeightTable, K: float, gamma: float, n: int,
@@ -264,7 +270,7 @@ def cycle_types(w: permutations.CycleWeights, samples: int, seed: int) -> permut
 def dickman(theta: float, umax: float, step: float) -> tuple[limitlaws.DickmanSolution, dict]:
     sol = limitlaws.dickman_rho(theta, umax, h=step)
     return sol, {
-        "rho": {f"{u:g}": sol.at_grid(float(u)) for u in np.arange(1, int(umax) + 1)},
+        "rho": {f"{u:g}": sol.rho(float(u)) for u in np.arange(1, int(umax) + 1)},
         "max_residual": float(sol.residuals().max()),
         "grid_points": len(sol.grid),
     }

@@ -174,7 +174,7 @@ def _c05_pd_largest_part(ctx: Context, scale: str):
     oracle_draws = _p(scale, 10**6, 2 * 10**5)
     rng = np.random.default_rng(20240105)
     vals = experiments.spectrum_draws(ctx, weights.builtin_weight("power", z=0.0), x, draws, rng, 1)[:, 0]
-    oracle = limitlaws.pd_largest_part_mean(1.0, np.random.default_rng(20240205), draws=oracle_draws)
+    oracle = limitlaws.pd_largest_part_means(1.0, np.random.default_rng(20240205), oracle_draws)[0]
     gap = abs(float(vals.mean()) - oracle)
     return [
         (
@@ -212,7 +212,7 @@ def _c06_smoothness(ctx: Context, scale: str):
         )
     )
     p2 = experiments.smooth_probability(ctx, ctx.weight_table(weights.builtin_weight("divisor", k=2.0), x), 2.0)
-    rho2 = limitlaws.dickman_rho(2.0, 2.0, h=1.0 / 256).at_grid(2.0)
+    rho2 = limitlaws.dickman_rho(2.0, 2.0, h=1.0 / 256).rho(2.0)
     gap2 = abs(p2 - rho2)
     checks.append(
         (
@@ -424,9 +424,7 @@ def _c15_permutation_trends(ctx: Context, scale: str):
     n_w = _p(scale, 10**5, 2 * 10**4)
     rows, lens = permutations.ewens_cycle_lengths(n_w, 1.0, np.random.default_rng(20241510), _p(scale, 1500, 800))
     longest = np.maximum.reduceat(lens, np.flatnonzero(np.diff(rows, prepend=-1)))
-    oracle = limitlaws.pd_largest_part_mean(
-        1.0, np.random.default_rng(20241511), draws=_p(scale, 3 * 10**5, 10**5)
-    )
+    oracle = limitlaws.pd_largest_part_means(1.0, np.random.default_rng(20241511), _p(scale, 3 * 10**5, 10**5))[0]
     gap = abs(float(longest.mean()) / n_w - oracle)
     checks.append(
         (f"longest cycle: mean l1/n at n={n_w:.0e} vs PD(1) largest-part mean, tol 0.02", gap <= 0.02, f"gap={gap:.4f}")

@@ -67,15 +67,13 @@ def gem_matrix(theta: float, k: int, rng: np.random.Generator, size: int) -> np.
     return left * Y
 
 
-def pd_largest_part_mean(theta: float, rng: np.random.Generator, draws: int = 10**6) -> float:
-    """Monte Carlo mean of the largest PD(theta) part (oracle helper), from
-    GEM rows truncated at 200 fractions, 20000 rows at a time."""
-    acc = 0.0
-    done = 0
-    while done < draws:
-        m = min(20000, draws - done)
-        acc += float(np.sum(gem_matrix(theta, 200, rng, m).max(axis=1)))
-        done += m
+def pd_largest_part_means(theta: float, rng: np.random.Generator, draws: int) -> np.ndarray:
+    """Monte Carlo means of the three largest PD(theta) parts, from GEM rows
+    of 200 fractions drawn 20000 rows at a time from one stream."""
+    acc = np.zeros(3)
+    for i in range(0, draws, 20000):
+        rows = gem_matrix(theta, 200, rng, min(20000, draws - i))
+        acc += np.sort(rows, axis=1)[:, :-4:-1].sum(axis=0)
     return acc / draws
 
 
@@ -143,7 +141,7 @@ class DickmanSolution:
     values: np.ndarray
 
     def rho(self, u: float) -> float:
-        """Evaluate at arbitrary u >= 0 (exact for u <= 2, cubic beyond)."""
+        """Evaluate at u >= 0: exact for u <= 2, cubic beyond (a node's own value at a node)."""
         if u < 0:
             raise ValueError("u must be nonnegative")
         if u <= 1.0:
@@ -153,12 +151,6 @@ class DickmanSolution:
         if u > self.grid[-1]:
             raise ValueError(f"u={u} beyond solved range {self.grid[-1]}")
         return float(_cubic_eval(self.values, self.h, np.array(u)))
-
-    def at_grid(self, u: float) -> float:
-        j = int(round(u / self.h))
-        if abs(j * self.h - u) > 1e-9:
-            raise ValueError(f"{u} is not a grid point")
-        return float(self.values[j])
 
     def residuals(self) -> np.ndarray:
         """Integral-equation residual at every grid point > 1.
@@ -200,8 +192,11 @@ def dickman_rho(theta: float, u_max: float, h: float = 1.0 / 256) -> DickmanSolu
     a 20-node Gauss-Legendre rule, all panels of a unit in one pass, and
     a cumulative sum gives the grid values.  The last panel of a unit
     reads the first panel's end value through its stencil, so it follows
-    the sum.  Adaptive quadrature is kept for the one panel [2, 2+h],
-    where rho(x-1) carries a (x-2)^theta singularity.
+    the sum.  On the one panel [2, 2+h], rho(x-1) - 1 carries a factor
+    (x-2)^theta: there the integrand is a(x) + (x-2)^theta b(x), with
+    a(x) = -theta (x-1)^(theta-1) x^(-theta) and b = a (rho(x-1) - 1)/(x-2)^theta
+    analytic, so a takes the Gauss-Legendre rule and b a 20-node
+    Gauss-Jacobi rule for the weight (x-2)^theta.
 
     h must satisfy h <= 1/64 and 1/h must be an integer so the kinks of
     rho at integers land on grid nodes.
@@ -238,10 +233,13 @@ def dickman_rho(theta: float, u_max: float, h: float = 1.0 / 256) -> DickmanSolu
         values[lo + 1 : hi + 1] = np.cumsum(np.concatenate(([values[lo]], inc)))[1:]
 
     if n > 2 * m:
-        from scipy.integrate import quad  # here, not at import: only this panel needs the slow import
+        def a(t: np.ndarray) -> np.ndarray:
+            return -theta * (t - 1.0) ** (theta - 1.0) * t ** (-theta)
 
-        inc, _ = quad(lambda t: g(np.array([t]), 2)[0], grid[2 * m], grid[2 * m + 1],
-                      epsabs=1e-13, epsrel=1e-12, limit=200)
+        xs, ws = special.roots_jacobi(20, 0.0, theta)
+        tj = 2.0 + h / 2 * (1.0 + xs)
+        b = a(tj) * (_rho_on_12(theta, tj - 1.0) - 1.0) / (tj - 2.0) ** theta
+        inc = h / 2 * (a(2.0 + h / 2 * (1.0 + _GL_NODES)) @ _GL_WEIGHTS) + (h / 2) ** (theta + 1.0) * (b @ ws)
         values[2 * m + 1] = values[2 * m] + inc
     for k in range(2, (n + m - 1) // m):
         end = min((k + 1) * m, n)

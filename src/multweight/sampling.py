@@ -95,15 +95,19 @@ class WeightedIntegerSampler:
 def exact_pmf_from_values(table: WeightTable, values: np.ndarray) -> ExactPmf:
     """Exact law of a statistic given its per-n value array (index 0 unused).
 
-    Nonnegative integer values are binned directly; other values are
-    first ranked with np.unique.
+    Nonnegative integer values are binned directly, 2^20 at a time: the
+    sums are added in the order np.bincount adds them, without its int64
+    copy of the whole value array.  Other values are first ranked with
+    np.unique.
     """
     if len(values) != table.x + 1:
         raise ValueError("values array must cover 0..x")
     v = np.asarray(values[1:])
     w = table.alpha[1:]
     if np.issubdtype(v.dtype, np.integer) and v.min() >= 0:
-        mass = np.bincount(v, weights=w)
+        mass = np.zeros(int(v.max()) + 1)
+        for s in range(0, len(v), 2**20):
+            np.add.at(mass, v[s : s + 2**20], w[s : s + 2**20])
         uniq = np.arange(len(mass))
     else:
         uniq, inv = np.unique(v, return_inverse=True)

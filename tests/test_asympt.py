@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from multweight import arith, asympt
-from multweight.weights import builtin_weight
+from multweight.weights import EwensRegime, builtin_weight, catalog_weights
 
 
 def test_euler_constant_uniform_is_one():
@@ -38,6 +39,35 @@ def test_euler_constant_monotone_convergent_in_cutoff():
             continue  # constant to rounding (divisor: the factor is exactly 1)
         assert diffs[0] * diffs[1] >= 0, kind  # one direction
         assert abs(diffs[1]) <= abs(diffs[0]), kind  # converging
+
+
+def euler_constant_every_prime(w, cutoff):
+    # oracle: the loop that evaluated every prime at each k until the
+    # largest term of all fell below 1e-18; returns (A_alpha, tail_estimate)
+    reg = w.ewens()
+    ps = arith.primes_upto(cutoff).astype(float)
+    series = np.ones(len(ps))
+    k = 1
+    while True:
+        term = w.normalized_prime_power_values(ps.astype(np.int64), k, reg.d)
+        series += term
+        if float(term.max(initial=0.0)) < 1e-18:
+            break
+        k += 1
+    logs = np.log(series) + reg.theta * np.log1p(-1.0 / ps)
+    A = math.exp(float(np.sum(logs)) - gammaln(reg.theta)) / (reg.d + 1.0)
+    return A, abs(float(np.sum(logs[ps > cutoff / 2])))
+
+
+@pytest.mark.parametrize("w", [w for w in catalog_weights() if isinstance(w.regime, EwensRegime)]
+                         + [builtin_weight("power", z=0.0), builtin_weight("divisor", k=0.5),
+                            builtin_weight("sigma", z=-0.5)], ids=lambda w: w.name)
+def test_euler_constant_matches_every_prime_oracle(w):
+    # each prime stops at its own last term >= 1e-18; the later terms of the
+    # others are below half an ulp of their factor, so nothing moves
+    for cutoff in (10**4, 10**5):
+        a = asympt.euler_constant(w, cutoff=cutoff)
+        assert (a.A_alpha, a.tail_estimate) == euler_constant_every_prime(w, cutoff)
 
 
 def test_predict_S_ewens_uniform():

@@ -25,10 +25,18 @@ def strip_timing(doc):
     return doc
 
 
-def test_importing_the_cli_leaves_scipy_integrate_unloaded():
-    # every CLI start pays the import; only the Dickman solver needs scipy.integrate
+def test_the_dickman_and_smooth_ops_leave_scipy_integrate_unloaded(tmp_path):
+    # no module needs scipy.integrate, and importing it costs about 25 MB
+    # of RSS and 0.2 s: the benchmark's dickman ops and a smooth op run in
+    # a fresh interpreter without loading it
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys, multweight.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    code = (
+        "import sys, multweight.cli as c\n"
+        "for t in ('0.5', '1', '2'):\n"
+        f"    assert c.main(['dickman', '--theta', t, '--umax', '4', '--step', '0.00390625', '--json', r'{tmp_path}/d.json']) == 0\n"
+        f"assert c.main(['smooth', '--weight', 'power:0', '--x', '1e4', '--u', '1.5,2,3', '--json', r'{tmp_path}/s.json']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "[]"
@@ -379,6 +387,22 @@ def test_ewens_poly_gamma_zero_is_rejected(tmp_path):
 def test_non_prime_p_is_rejected(tmp_path, argv, capsys):
     assert run(argv + ["--json", str(tmp_path / "r.json")]) == 2
     assert "is not prime" in capsys.readouterr().err
+
+
+def test_exact_dist_smooth_at_an_exact_cube(tmp_path):
+    # 7^3 = 343: the 87 integers n <= 343 with p_1(n) <= 7, not the 57 with p_1 <= 5
+    rep = tmp_path / "sm.json"
+    assert run(["exact-dist", "--weight", "power:0", "--x", "343", "--statistic", "smooth", "--u", "3",
+                "--json", str(rep)]) == 0
+    assert read_json(rep)["results"]["mean"] == pytest.approx(87 / 343, rel=1e-15)
+
+
+def test_largest_ratio_below_x_2_is_rejected(tmp_path, capsys):
+    # log 1 = 0 used to write NaN into the report and exit 0
+    assert run(["exact-dist", "--weight", "power:0", "--x", "1", "--statistic", "largest_ratio",
+                "--json", str(tmp_path / "r.json")]) == 2
+    assert "error: largest_ratio needs x >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("argv", [

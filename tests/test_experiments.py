@@ -46,6 +46,20 @@ def test_statistic_rejects_bad_input(name, kwargs, match):
         experiments.Context().statistic(name, 100, **kwargs)
 
 
+@pytest.mark.parametrize("x, u", [(343, 3), (125, 3), (1331, 3), (2197, 3), (49, 2)])
+def test_smooth_counts_an_exact_root_as_smooth(x, u):
+    # p_1(n)^u <= x per n; the float root 343^(1/3) reads 6.999..., which
+    # dropped every n with p_1 = 7
+    ctx = experiments.Context()
+    want = [int(p) ** u <= x for p in ctx.p1(x)[1:]]
+    np.testing.assert_array_equal(ctx.statistic("smooth", x, u=float(u))[1:], want)
+
+
+def test_largest_ratio_needs_x_at_least_2():
+    with pytest.raises(ValueError, match="x >= 2"):
+        experiments.Context().statistic("largest_ratio", 1)
+
+
 def test_require_prime():
     assert [p for p in range(-2, 40) if _is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
     assert _is_prime(7919)

@@ -38,7 +38,7 @@ def test_smooth_two_term_tracks_exact_probability(p1_1e6):
     table = weights.build_weight_table(builtin_weight("power", z=0.0), p1_1e6)
     p = sampling.exact_pmf_from_values(table, (p1_1e6 <= math.sqrt(x)).astype(np.int8)).prob_of(1.0)
     rho = limitlaws.dickman_rho(1.0, 2.0, h=1.0 / 256)
-    two_term = rho.at_grid(2.0) + (1.0 - np.euler_gamma) * rho.at_grid(1.0) / math.log(x)
+    two_term = rho.rho(2.0) + (1.0 - np.euler_gamma) * rho.rho(1.0) / math.log(x)
     assert harness._smooth_two_term(x) == pytest.approx(two_term, abs=1e-9)
     assert abs(p - harness._smooth_two_term(x)) < 0.01
 

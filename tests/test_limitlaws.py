@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import kolmogi
+from scipy.special import exp1, kolmogi
 
 from multweight import cli
 from multweight import limitlaws as ll
@@ -83,11 +83,27 @@ def test_gem_remainder_truncation_rate(rng):
     assert rem.mean() == pytest.approx((theta / (theta + 1.0)) ** k, rel=0.2)
 
 
-def test_pd_largest_part_mean_oracle():
-    # Monte Carlo oracle for the PD(1) largest-part mean (0.62433 frozen
-    # from a 1e6-draw run; the analytic value is the Golomb-Dickman constant)
-    m = ll.pd_largest_part_mean(1.0, np.random.default_rng(99), draws=2 * 10**5)
-    assert m == pytest.approx(0.62433, abs=0.003)
+def pd1_largest_part_mean(k):
+    # E V_k of PD(1) = integral_0^inf E1(y)^(k-1)/(k-1)! e^(-y - E1(y)) dy
+    # (Shepp & Lloyd, Trans. AMS 121, 1966)
+    def f(y):
+        e1 = exp1(y)
+        return e1 ** (k - 1) / math.factorial(k - 1) * math.exp(-y - e1)
+
+    return quad(f, 0.0, 1.0, epsabs=1e-14, limit=200)[0] + quad(f, 1.0, np.inf, epsabs=1e-14, limit=200)[0]
+
+
+def test_pd_largest_part_means_match_shepp_lloyd_constants():
+    exact = [pd1_largest_part_mean(k) for k in (1, 2, 3)]
+    assert exact == pytest.approx([0.6243299885, 0.2095808743, 0.0883160989], abs=1e-10)
+    draws = 2 * 10**5
+    got = ll.pd_largest_part_means(1.0, np.random.default_rng(99), draws)
+    # standard deviations of the three parts from a separate pilot of 20000 rows
+    pilot = np.sort(ll.gem_matrix(1.0, 200, np.random.default_rng(98), 20000), axis=1)[:, :-4:-1]
+    se = pilot.std(axis=0) / math.sqrt(draws)
+    gap = np.abs(got - exact)
+    assert np.all(gap <= 5 * se), (gap, se)
+    assert np.all(gap <= 0.003), gap
 
 
 def test_size_biased_permutation_singleton(rng):
@@ -140,24 +156,32 @@ def test_residual_ratios_inverts_size_biased_pd(rng):
 def test_dickman_initial_conditions():
     for theta in (0.5, 1.0, 2.0):
         sol = ll.dickman_rho(theta, 3.0, 1.0 / 64)
-        assert sol.at_grid(0.5) == 1.0
-        assert sol.at_grid(1.0) == 1.0
+        assert sol.rho(0.5) == 1.0
+        assert sol.rho(1.0) == 1.0
 
 
 def test_dickman_rho1_at_2():
     sol = ll.dickman_rho(1.0, 3.0, 1.0 / 64)
-    assert sol.at_grid(2.0) == pytest.approx(1.0 - math.log(2.0), abs=1e-10)
+    assert sol.rho(2.0) == pytest.approx(1.0 - math.log(2.0), abs=1e-10)
 
 
 def test_dickman_rho1_matches_known_value_at_3():
     sol = ll.dickman_rho(1.0, 3.0, 1.0 / 256)
-    assert sol.at_grid(3.0) == pytest.approx(0.04860838829, abs=1e-8)
+    assert sol.rho(3.0) == pytest.approx(0.04860838829, abs=1e-8)
 
 
 def test_dickman_rho2_continuous_at_1():
     sol = ll.dickman_rho(2.0, 2.0, 1.0 / 128)
-    assert sol.at_grid(1.0) == 1.0
+    assert sol.rho(1.0) == 1.0
     assert sol.rho(1.0 + 1e-6) == pytest.approx(1.0, abs=1e-5)
+
+
+def test_rho_at_integer_u_is_the_grid_value():
+    # the report's rho at integer u reads rho(), which must return the node itself
+    for m in (64, 256, 1000):
+        for theta in (0.5, 1.0, 2.0):
+            sol = ll.dickman_rho(theta, 4.0, 1.0 / m)
+            assert [sol.rho(float(u)) for u in range(5)] == [1.0] + [sol.values[u * m] for u in range(1, 5)]
 
 
 def test_dickman_monotone_and_positive():
@@ -182,7 +206,7 @@ def test_dickman_against_adaptive_quadrature():
         val, _ = quad(
             lambda y: 0.5 * y ** (-0.5) * sol.rho(y), u - 1.0, u, epsabs=1e-12, limit=200
         )
-        assert sol.at_grid(u) == pytest.approx(val / u**0.5, abs=1e-8)
+        assert sol.rho(u) == pytest.approx(val / u**0.5, abs=1e-8)
 
 
 def test_dickman_parameter_validation():
@@ -250,6 +274,23 @@ def dickman_rho_sequential(theta, u_max, h):
         inc, _ = quad(g, grid[i], grid[i + 1], epsabs=1e-13, epsrel=1e-12, limit=200)
         values[i + 1] = values[i] + inc
     return values
+
+
+def quad_panel_past_2(theta, h):
+    # the adaptive rule the solver used on [2, 2+h] before the Gauss split
+    def g(t):
+        rho = float(ll._rho_on_12(theta, t - 1.0)[0])
+        return -theta * (t - 1.0) ** (theta - 1.0) * rho * t ** (-theta)
+
+    return quad(g, 2.0, 2.0 + h, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.5, 1.0, 2.0, 3.7])
+def test_panel_past_2_matches_adaptive_quadrature(theta):
+    for m in (64, 256, 1000):
+        sol = ll.dickman_rho(theta, 2.0 + 1.0 / m, 1.0 / m)  # the grid ends at 2 + h
+        inc = sol.values[2 * m + 1] - sol.values[2 * m]
+        assert abs(inc - quad_panel_past_2(theta, 1.0 / m)) <= 1e-15, m
 
 
 def _composite_simpson(fs, h):

@@ -137,6 +137,19 @@ def test_exact_pmf_integer_route_matches_unique_route(p1_1e5, kind_params):
         np.testing.assert_array_equal(fast.probs, slow.probs)
 
 
+def test_exact_pmf_blocks_match_bincount_bit_for_bit():
+    # the integer route adds 2^20 values at a time; np.bincount over the
+    # whole array is the oracle, at an x that spans three blocks
+    x = 5 * 2**19
+    p1 = arith.largest_prime_table(x)
+    table = make_table(("divisor", {"k": 2.0}), x, p1)
+    for v in (arith.big_omega_table(p1), arith.nu_p_table(x, 2), (p1 <= math.isqrt(x)).astype(np.int8)):
+        mass = np.bincount(v[1:], weights=table.alpha[1:])
+        got = sampling.exact_pmf_from_values(table, v)
+        np.testing.assert_array_equal(got.values, np.flatnonzero(mass))
+        np.testing.assert_array_equal(got.probs, mass[mass > 0] / mass.sum())
+
+
 def test_exact_pmf_skips_zero_weight(spf_1e4, p1_1e4):
     table = make_table(("powerfree", {"k": 2}), 20, p1_1e4)
     pmf = exact_pmf(table, lambda prof: dict(prof.factors).get(2, 0), spf_1e4)

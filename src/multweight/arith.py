@@ -5,9 +5,9 @@ numpy arrays, immutable by convention after construction, and safe to
 share across threads without synchronization.
 
 The dense tables of the exact scans rest on one fact: n <= x has at most
-one prime factor above sqrt(x).  largest_prime_table makes the one walk
-over the prime powers of the primes <= sqrt(x); Omega, omega and the
-weight tables read that prime off its p_1 table, where p_1(n) > sqrt(x).
+one prime factor above sqrt(x).  p_1, Omega, omega, nu_p and the weight
+tables share one walk (_blocks) over the prime powers of the primes <= sqrt(x),
+block by block of n <= x; all but p_1 and nu_p read the larger prime off p_1.
 The smallest-prime-factor (spf) table is kept for factoring integers one
 by one or a draw array at once, in O(log n) divisions each.
 """
@@ -31,11 +31,11 @@ class CapacityError(Exception):
     """Requested sieve exceeds the configured memory budget."""
 
 
-def sieve_budget() -> int:
-    raw = os.environ.get(MAX_SIEVE_ENV)
-    if raw is None:
-        return DEFAULT_MAX_SIEVE
-    return int(float(raw))
+def _check_budget(x: int) -> None:
+    """Raise CapacityError if a table of n <= x exceeds the entry budget."""
+    budget = int(float(os.environ.get(MAX_SIEVE_ENV, DEFAULT_MAX_SIEVE)))
+    if x > budget:
+        raise CapacityError(f"limit {x} exceeds entry budget {budget}; raise {MAX_SIEVE_ENV} to override")
 
 
 @dataclass(frozen=True)
@@ -78,11 +78,7 @@ def build_spf(x: int) -> SpfTable:
     """
     if x < 2:
         raise ValueError(f"sieve limit must be >= 2, got {x}")
-    if x > sieve_budget():
-        raise CapacityError(
-            f"sieve limit {x} exceeds entry budget {sieve_budget()} "
-            f"(4 bytes/entry; raise {MAX_SIEVE_ENV} to override)"
-        )
+    _check_budget(x)
     spf = np.zeros(x + 1, dtype=np.int32)
     for p in range(2, math.isqrt(x) + 1):
         if spf[p] == 0:
@@ -135,8 +131,7 @@ def primes_upto(x: int) -> np.ndarray:
     """Primes <= x, increasing, via a plain boolean Eratosthenes sieve (1 byte/entry)."""
     if x < 2:
         return np.array([], dtype=np.int64)
-    if x > sieve_budget():
-        raise CapacityError(f"sieve limit {x} exceeds entry budget {sieve_budget()}")
+    _check_budget(x)
     is_p = np.ones(x + 1, dtype=bool)
     is_p[:2] = False
     for p in range(2, math.isqrt(x) + 1):
@@ -151,66 +146,77 @@ def primes_upto(x: int) -> np.ndarray:
 # These are vectorized equivalents of mapping factorize() over 1..x, used
 # for exact distribution scans.  All but nu_p read a p_1 table, with x its
 # length - 1, so a prefix p1[:y+1] gives the tables at y.  Tests cross-check
-# them against the per-n FactorProfile route.
+# them against the per-n FactorProfile route and the dense walk they replaced.
 # ---------------------------------------------------------------------------
+
+BLOCK = 1 << 18  # entries per block of n <= x: a prime power's strided writes stay in cache
+
+
+def _root_levels(x: int) -> list[np.ndarray]:
+    """levels[k-1]: the primes p <= sqrt(x) with p^k <= x, increasing."""
+    levels = [ps := primes_upto(math.isqrt(x))]
+    while len(ps := ps[ps ** (len(levels) + 1) <= x]):
+        levels.append(ps)
+    return levels
+
+
+def _blocks(x: int, levels: list[np.ndarray], tags: list[list] | None = None):
+    """Yield (start, stop, walks) for the blocks [start, stop) of n = 1..x.
+
+    walks[k-1] lists (tag, p^k, o) for the primes p of levels[k-1] with a multiple
+    of p^k in the block, block[o::p^k]; the tag is p, or the entry of tags[k-1].
+    """
+    pks = [(ps**k).tolist() for k, ps in enumerate(levels, 1)]
+    tags = [ps.tolist() for ps in levels] if tags is None else tags
+    for start in range(1, x + 1, BLOCK):
+        n = min(BLOCK, x + 1 - start)
+        yield start, start + n, [[(t, q, o) for t, q in zip(*lv) if (o := -start % q) < n] for lv in zip(tags, pks)]
 
 
 def largest_prime_table(x: int) -> np.ndarray:
     """p_1(n), the largest prime factor, for n = 0..x (p_1(1) = 1), int32.
 
-    Dividing every n by the prime powers p^k <= x of the primes p <= sqrt(x)
-    leaves a cofactor that is 1 or the one prime factor of n above sqrt(x);
-    ascending overwrite by those primes leaves the largest of them dividing
-    n, and the cofactor exceeds them all.
+    Block by block, the multiples of each prime power p^k <= x, p <= sqrt(x),
+    are multiplied by p: that builds the sqrt(x)-smooth part s of each n, and
+    n // s is 1 or the one prime factor of n above sqrt(x).  It exceeds the
+    primes p | n, of which an ascending overwrite leaves the largest.
 
     Raises:
         CapacityError: x exceeds the configured entry budget.
     """
-    if x > sieve_budget():
-        raise CapacityError(
-            f"table limit {x} exceeds entry budget {sieve_budget()} "
-            f"(4 bytes/entry; raise {MAX_SIEVE_ENV} to override)"
-        )
-    cof = np.arange(x + 1, dtype=np.int32)
+    _check_budget(x)
     lpf = np.zeros(x + 1, dtype=np.int32)
-    lpf[1:2] = 1
-    for p in primes_upto(math.isqrt(x)).tolist():
-        lpf[p::p] = p
-        pk = p
-        while pk <= x:
-            cof[pk::pk] //= p
-            pk *= p
-    return np.maximum(lpf, cof, out=lpf)
-
-
-def root_prime_powers(p1: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """(levels, big) for the p_1 table of n <= x: levels[k-1] holds the primes
-    p <= sqrt(x) with p^k <= x, increasing; big[n] says that p_1(n) is the one
-    prime factor of n above sqrt(x)."""
-    x = len(p1) - 1
-    ps = primes_upto(math.isqrt(x))
-    levels = [ps]
-    while len(ps := ps[ps ** (len(levels) + 1) <= x]):
-        levels.append(ps)
-    return levels, p1 > math.isqrt(x)
+    for start, stop, walks in _blocks(x, _root_levels(x)):
+        out, sm = lpf[start:stop], np.ones(stop - start, dtype=np.int32)
+        for p, _, o in walks[0]:
+            out[o::p] = p
+        for walk in walks:
+            for p, pk, o in walk:
+                sm[o::pk] *= p
+        np.maximum(out, np.arange(start, stop, dtype=np.int32) // sm, out=out)
+    return lpf
 
 
 def big_omega_table(p1: np.ndarray) -> np.ndarray:
     """Omega(n) (prime factors with multiplicity) for n = 0..len(p1) - 1, int8."""
-    levels, big = root_prime_powers(p1)
-    om = big.astype(np.int8)
-    for k, ps in enumerate(levels, 1):
-        for p in ps.tolist():
-            om[p**k :: p**k] += 1
-    return om
+    return _count_table(len(p1) - 1, _root_levels(len(p1) - 1), p1)
 
 
 def omega_table(p1: np.ndarray) -> np.ndarray:
     """omega(n) (distinct prime factors) for n = 0..len(p1) - 1, int8."""
-    levels, big = root_prime_powers(p1)
-    om = big.astype(np.int8)
-    for p in levels[0].tolist():
-        om[p::p] += 1
+    return _count_table(len(p1) - 1, _root_levels(len(p1) - 1)[:1], p1)
+
+
+def _count_table(x: int, levels: list[np.ndarray], p1: np.ndarray | None = None) -> np.ndarray:
+    """For n = 0..x, int8: 1 per p^k | n of the levels, plus 1 where p_1(n) > sqrt(x) if p1 is given."""
+    om = np.zeros(x + 1, dtype=np.int8)
+    for start, stop, walks in _blocks(x, levels):
+        out = om[start:stop]
+        if p1 is not None:
+            np.greater(p1[start:stop], math.isqrt(x), out=out)
+        for walk in walks:
+            for _, pk, o in walk:
+                out[o::pk] += 1
     return om
 
 
@@ -222,11 +228,7 @@ def require_prime(p: int) -> None:
 def nu_p_table(x: int, p: int) -> np.ndarray:
     """nu_p(n) for n = 0..x and a prime p, int8; needs no sieve."""
     require_prime(p)
-    nu = np.zeros(x + 1, dtype=np.int8)
-    pk = p
-    while pk <= x:
-        nu[pk::pk] += 1
-        if pk > x // p:
-            break
-        pk *= p
-    return nu
+    k = 0
+    while p ** (k + 1) <= x:
+        k += 1
+    return _count_table(x, [np.array([p])] * k)

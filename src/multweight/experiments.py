@@ -54,14 +54,14 @@ class Context:
         if name == "smooth":
             if u <= 0:
                 raise ValueError(f"smoothness parameter u must be positive, got {u}")
-            # the largest integer y with y^u <= x: the float root rounds
-            # below an exact one (343^(1/3) reads 6.999...)
-            y = math.floor(x ** (1.0 / u))
-            with np.errstate(over="ignore"):  # (y+1)^u may pass the float range at large u
-                if np.float_power(y + 1, u) <= x:
-                    y += 1
-                elif np.float_power(y, u) > x:
-                    y -= 1
+            y = x  # at u <= 1 every n <= x is smooth, and the float root can overflow
+            if u > 1:  # the largest y with y^u <= x; 343^(1/3) reads 6.999...
+                y = math.floor(x ** (1.0 / u))
+                with np.errstate(over="ignore"):  # (y+1)^u may pass the float range at large u
+                    if np.float_power(y + 1, u) <= x:
+                        y += 1
+                    elif np.float_power(y, u) > x:
+                        y -= 1
             return (self.p1(x) <= y).astype(np.int8)
         if name not in STATISTICS:
             raise ValueError(f"unknown statistic {name!r}; known: {STATISTICS}")

@@ -13,10 +13,10 @@ reads the same table.  Two parameter regimes are tracked:
   summable tail over k >= 2.
 
 The dense table of alpha(n) for n <= x is sieved from the p_1 table of
-n <= x by multiplying the prime-power ratios of the primes up to sqrt(x),
-and alpha at the one larger prime factor n may have, into an all-ones
-array, O(x log log x) total work; per-n factorization is kept as the
-independent brute-force route for tests.
+n <= x, in arith's cache-sized blocks, by multiplying the prime-power ratios
+of the primes up to sqrt(x), and alpha at the one larger prime factor n may
+have, into an all-ones array, O(x log log x) total work; per-n factorization
+is kept as the independent brute-force route for tests.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .arith import SpfTable, factorize, primes_upto, root_prime_powers
+from .arith import SpfTable, _blocks, _root_levels, factorize, primes_upto
 
 
 @dataclass(frozen=True)
@@ -232,10 +232,7 @@ class WeightTable:
         return float(self.prefix[y])
 
 
-_CHUNK = 1 << 20
-
-
-def _compensated_cumsum(a: np.ndarray, out: np.ndarray, chunk: int = _CHUNK) -> np.ndarray:
+def _compensated_cumsum(a: np.ndarray, out: np.ndarray, chunk: int = 1 << 20) -> np.ndarray:
     """Cumulative sum of a written into out, with exactly-accumulated chunk offsets.
 
     Plain cumsum drifts like n*eps in the worst case; summing chunk totals
@@ -257,35 +254,36 @@ def build_weight_table(w: MultiplicativeWeight, p1: np.ndarray) -> WeightTable:
     """Sieve alpha(n) for all n <= x from the p_1 table of n <= x, x = len(p1) - 1.
 
     n <= x is a product of prime powers p^k, p <= sqrt(x), and a cofactor
-    q that is 1 or the prime p_1(n) > sqrt(x) (arith.root_prime_powers).
-    The multiples of each p^k are multiplied by alpha(p^k)/alpha(p^(k-1)),
-    and each n by alpha(q), in the order k = 1, q, k >= 2 with p increasing.
+    q that is 1 or the prime p_1(n) > sqrt(x).  Block by block of arith.BLOCK
+    entries, the multiples of each p^k are multiplied by alpha(p^k)/alpha(p^(k-1)),
+    and each n with a cofactor q > 1 by alpha(q), in the order k = 1, q, k >= 2
+    with p increasing: every alpha(n) is the same product whatever the block size.
     Weights where alpha(p^j) = 0 but alpha(p^k) != 0 for some k > j cannot
     be sieved this way and are rejected (no catalog weight does that).
     """
     x = len(p1) - 1
-    levels, big = root_prime_powers(p1)
-    alpha = np.ones(x + 1)
-    alpha[0] = 0.0
-    prev = np.ones(len(levels[0]))
+    levels = _root_levels(x)
+    ratios, prev = [], np.ones(len(levels[0]))
     for k, ps in enumerate(levels, 1):
         cur = _nonnegative(w, w.values_on_primes(ps, k))
         prev = prev[: len(ps)]
         bad = (prev == 0.0) & (cur != 0.0)
         if np.any(bad):
-            raise ValueError(
-                f"{w.name}: alpha(p^{k - 1}) = 0 but alpha(p^{k}) != 0 at p={int(ps[bad][0])}; "
-                "ratio sieving requires monotone-vanishing prime-power values"
-            )
-        ratio = np.divide(cur, prev, out=np.ones_like(cur), where=prev != 0.0)
-        for p, r in zip(ps.tolist(), ratio.tolist()):
-            if r != 1.0:
-                alpha[p**k :: p**k] *= r
-        if k == 1:
-            for start in range(0, x + 1, _CHUNK):
-                hit = np.nonzero(big[start : start + _CHUNK])[0] + start
-                alpha[hit] *= _nonnegative(w, w.values_on_primes(p1[hit].astype(np.int64), 1))
+            raise ValueError(f"{w.name}: alpha(p^{k - 1}) = 0 but alpha(p^{k}) != 0 at p={int(ps[bad][0])}; "
+                             "ratio sieving requires monotone-vanishing prime-power values")
+        ratios.append(np.divide(cur, prev, out=np.ones_like(cur), where=prev != 0.0).tolist())
         prev = cur
+    alpha = np.ones(x + 1)
+    alpha[0] = 0.0
+    for start, stop, walks in _blocks(x, levels, ratios):
+        out = alpha[start:stop]
+        for k, walk in enumerate(walks, 1):
+            for r, pk, o in walk:
+                if r != 1.0:
+                    out[o::pk] *= r
+            if k == 1:
+                hit = np.flatnonzero(p1[start:stop] > math.isqrt(x))
+                out[hit] *= _nonnegative(w, w.values_on_primes(p1[start:stop][hit].astype(np.int64), 1))
     prefix = np.empty(x + 1)
     prefix[0] = 0.0
     _compensated_cumsum(alpha[1:], prefix[1:])

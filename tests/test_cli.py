@@ -397,6 +397,20 @@ def test_exact_dist_smooth_at_an_exact_cube(tmp_path):
     assert read_json(rep)["results"]["mean"] == pytest.approx(87 / 343, rel=1e-15)
 
 
+def test_exact_dist_smooth_at_small_u_is_certain(tmp_path):
+    # x^(1/u) overflowed the float range at u = 0.001; at u <= 1 every n <= x is smooth
+    rep = tmp_path / "sm.json"
+    assert run(["exact-dist", "--weight", "power:0", "--x", "100", "--statistic", "smooth", "--u", "0.001",
+                "--json", str(rep)]) == 0
+    assert read_json(rep)["results"]["pmf_head"] == [{"probability": 1.0, "value": 1.0}]
+
+
+def test_smooth_at_small_u_is_certain(tmp_path):
+    rep = tmp_path / "sm.json"
+    assert run(["smooth", "--weight", "power:0", "--x", "100", "--u", "0.001,1", "--json", str(rep)]) == 0
+    assert [r["exact"] for r in read_json(rep)["results"]["rows"]] == [1.0, 1.0]
+
+
 def test_largest_ratio_below_x_2_is_rejected(tmp_path, capsys):
     # log 1 = 0 used to write NaN into the report and exit 0
     assert run(["exact-dist", "--weight", "power:0", "--x", "1", "--statistic", "largest_ratio",

@@ -1,0 +1,160 @@
+"""The blocked table walk against the dense one it replaced, bit for bit.
+
+The dense builders below make one strided pass per prime power over the
+whole range n <= x: p_1, Omega, omega, nu_p and alpha.  They are the oracles: the blocked tables of arith and
+weights must equal them exactly, at block edges and across several blocks.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from multweight import arith, weights
+from multweight.weights import builtin_weight, catalog_weights
+
+B = arith.BLOCK
+XS = (0, 1, 2, B - 1, B, B + 1, 2 * B + 7, 10**6)
+
+
+def dense_largest_prime_table(x):
+    cof = np.arange(x + 1, dtype=np.int32)
+    lpf = np.zeros(x + 1, dtype=np.int32)
+    lpf[1:2] = 1
+    for p in arith.primes_upto(math.isqrt(x)).tolist():
+        lpf[p::p] = p
+        pk = p
+        while pk <= x:
+            cof[pk::pk] //= p
+            pk *= p
+    return np.maximum(lpf, cof, out=lpf)
+
+
+def dense_levels(x):
+    ps = arith.primes_upto(math.isqrt(x))
+    levels = [ps]
+    while len(ps := ps[ps ** (len(levels) + 1) <= x]):
+        levels.append(ps)
+    return levels
+
+
+def dense_big_omega_table(p1):
+    x = len(p1) - 1
+    om = (p1 > math.isqrt(x)).astype(np.int8)
+    for k, ps in enumerate(dense_levels(x), 1):
+        for p in ps.tolist():
+            om[p**k :: p**k] += 1
+    return om
+
+
+def dense_omega_table(p1):
+    x = len(p1) - 1
+    om = (p1 > math.isqrt(x)).astype(np.int8)
+    for p in dense_levels(x)[0].tolist():
+        om[p::p] += 1
+    return om
+
+
+def dense_nu_p_table(x, p):
+    nu = np.zeros(x + 1, dtype=np.int8)
+    pk = p
+    while pk <= x:
+        nu[pk::pk] += 1
+        pk *= p
+    return nu
+
+
+def dense_weight_table(w, p1):
+    x = len(p1) - 1
+    levels, big = dense_levels(x), p1 > math.isqrt(x)
+    alpha = np.ones(x + 1)
+    alpha[0] = 0.0
+    prev = np.ones(len(levels[0]))
+    for k, ps in enumerate(levels, 1):
+        cur = w.values_on_primes(ps, k)
+        prev = prev[: len(ps)]
+        ratio = np.divide(cur, prev, out=np.ones_like(cur), where=prev != 0.0)
+        for p, r in zip(ps.tolist(), ratio.tolist()):
+            if r != 1.0:
+                alpha[p**k :: p**k] *= r
+        if k == 1:
+            hit = np.nonzero(big)[0]
+            alpha[hit] *= w.values_on_primes(p1[hit].astype(np.int64), 1)
+        prev = cur
+    prefix = np.empty(x + 1)
+    prefix[0] = 0.0
+    weights._compensated_cumsum(alpha[1:], prefix[1:])
+    return alpha, prefix
+
+
+WEIGHTS = catalog_weights() + [builtin_weight("power", z=0.0), builtin_weight("divisor", k=0.5),
+                               builtin_weight("sigma", z=-0.5)]
+
+
+@pytest.fixture(scope="module")
+def p1_tables():
+    return {x: arith.largest_prime_table(x) for x in XS}
+
+
+def test_block_edges_meet_prime_power_multiples():
+    # at 1e6 blocks start at 2^18 + 1 = 5 * 13 * 37 * 109 and 2^19 + 1 = 3 * 174763
+    # and end at 2^18 and 2^19: the walk must neither miss nor double such a multiple
+    blocks = list(arith._blocks(10**6, arith._root_levels(10**6)))
+    on_start = {pk for start, _, walks in blocks[1:] for walk in walks for _, pk, o in walk if o == 0}
+    assert {3, 5, 13, 37, 109} <= on_start
+    assert [stop - 1 for _, stop, _ in blocks[:2]] == [2**18, 2**19]
+
+
+@pytest.mark.parametrize("x", XS)
+def test_statistic_tables_equal_the_dense_walk(x, p1_tables):
+    p1 = p1_tables[x]
+    assert p1.dtype == np.int32
+    assert np.array_equal(p1, dense_largest_prime_table(x))
+    for blocked, dense in ((arith.big_omega_table, dense_big_omega_table), (arith.omega_table, dense_omega_table)):
+        table = blocked(p1)
+        assert table.dtype == np.int8
+        assert np.array_equal(table, dense(p1))
+    for p in (2, 3, 5, 1009):
+        assert np.array_equal(arith.nu_p_table(x, p), dense_nu_p_table(x, p))
+
+
+@pytest.mark.parametrize("x", [x for x in XS if x >= 1])
+def test_weight_tables_equal_the_dense_walk(x, p1_tables):
+    p1 = p1_tables[x]
+    for w in WEIGHTS:
+        table = weights.build_weight_table(w, p1)
+        alpha, prefix = dense_weight_table(w, p1)
+        assert np.array_equal(table.alpha, alpha), w.name
+        assert np.array_equal(table.prefix, prefix), w.name
+
+
+def test_weight_table_at_x_0_is_degenerate(p1_tables):
+    with pytest.raises(ValueError, match="degenerate"):
+        weights.build_weight_table(builtin_weight("power", z=0.0), p1_tables[0])
+
+
+def extra_bytes(build):
+    """Peak bytes a call allocates besides the arrays it returns."""
+    tracemalloc.start()
+    out = build()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    arrays = (out.alpha, out.prefix) if isinstance(out, weights.WeightTable) else (out,)
+    return peak - sum(a.nbytes for a in arrays)
+
+
+def test_builders_hold_one_block_besides_their_output():
+    # what a builder allocates besides its output must not grow with x: a
+    # whole-range temporary (a cofactor array, a big-prime mask) would add
+    # at least one byte per entry, 12 * B bytes from 4 * B to 16 * B
+    w = builtin_weight("sigma", z=1.0)
+    extra = []
+    for x in (4 * B, 16 * B):
+        p1 = arith.largest_prime_table(x)
+        extra.append([extra_bytes(lambda: arith.largest_prime_table(x)),
+                      extra_bytes(lambda: arith.big_omega_table(p1)),
+                      extra_bytes(lambda: arith.omega_table(p1)),
+                      extra_bytes(lambda: weights.build_weight_table(w, p1))])
+    for small, large in zip(*extra):
+        assert large - small < B

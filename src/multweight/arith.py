@@ -150,6 +150,7 @@ def primes_upto(x: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 BLOCK = 1 << 18  # entries per block of n <= x: a prime power's strided writes stay in cache
+COUNT_BLOCK = 8 * BLOCK  # int8 entries per block of a count table: the bytes of one float64 block
 
 
 def _root_levels(x: int) -> list[np.ndarray]:
@@ -160,16 +161,16 @@ def _root_levels(x: int) -> list[np.ndarray]:
     return levels
 
 
-def _blocks(x: int, levels: list[np.ndarray], tags: list[list] | None = None):
-    """Yield (start, stop, walks) for the blocks [start, stop) of n = 1..x.
+def _blocks(x: int, levels: list[np.ndarray], tags: list[list] | None = None, size: int = BLOCK):
+    """Yield (start, stop, walks) for the blocks [start, stop) of `size` entries of n = 1..x.
 
     walks[k-1] lists (tag, p^k, o) for the primes p of levels[k-1] with a multiple
     of p^k in the block, block[o::p^k]; the tag is p, or the entry of tags[k-1].
     """
     pks = [(ps**k).tolist() for k, ps in enumerate(levels, 1)]
     tags = [ps.tolist() for ps in levels] if tags is None else tags
-    for start in range(1, x + 1, BLOCK):
-        n = min(BLOCK, x + 1 - start)
+    for start in range(1, x + 1, size):
+        n = min(size, x + 1 - start)
         yield start, start + n, [[(t, q, o) for t, q in zip(*lv) if (o := -start % q) < n] for lv in zip(tags, pks)]
 
 
@@ -210,7 +211,7 @@ def omega_table(p1: np.ndarray) -> np.ndarray:
 def _count_table(x: int, levels: list[np.ndarray], p1: np.ndarray | None = None) -> np.ndarray:
     """For n = 0..x, int8: 1 per p^k | n of the levels, plus 1 where p_1(n) > sqrt(x) if p1 is given."""
     om = np.zeros(x + 1, dtype=np.int8)
-    for start, stop, walks in _blocks(x, levels):
+    for start, stop, walks in _blocks(x, levels, size=COUNT_BLOCK):
         out = om[start:stop]
         if p1 is not None:
             np.greater(p1[start:stop], math.isqrt(x), out=out)

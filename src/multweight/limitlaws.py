@@ -72,8 +72,8 @@ def pd_largest_part_means(theta: float, rng: np.random.Generator, draws: int) ->
     of 200 fractions drawn 20000 rows at a time from one stream."""
     acc = np.zeros(3)
     for i in range(0, draws, 20000):
-        rows = gem_matrix(theta, 200, rng, min(20000, draws - i))
-        acc += np.sort(rows, axis=1)[:, :-4:-1].sum(axis=0)
+        # no name holds a block, so the last one is freed before the next is drawn
+        acc += np.sort(gem_matrix(theta, 200, rng, min(20000, draws - i)), axis=1)[:, :-4:-1].sum(axis=0)
     return acc / draws
 
 

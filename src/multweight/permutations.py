@@ -7,9 +7,14 @@ table of h_m values solves the recursion
     m h_m = sum_{k=1}^{m} theta_k h_{m-k},
 
 a standard exponential-formula identity, as a divide-and-conquer online
-convolution (FFT across blocks, the direct sum inside the smallest ones);
-it is validated against the definitional sum by exhaustive enumeration for
-small n, and against the direct O(n^2) recursion in the tests.
+convolution: FFT across blocks, and inside each block of 256 entries one
+lower-triangular solve (BLAS dtrsv) of (diag(m) - Toeplitz(theta)) h = the
+terms of earlier blocks.  A block whose h spans more than the float range
+is solved in halves, each against its own log scale, down to single
+entries; an h_m that still cannot be held raises ValueError.  The table is
+validated against the definitional sum by exhaustive enumeration for small
+n, and against the direct O(n^2) recursion, in floats and in the log
+domain, in the tests.
 
 Generalized Ewens sampling removes, round by round, the cycle containing
 the smallest remaining element, which has length k with probability
@@ -77,8 +82,8 @@ class CycleLengths(NamedTuple):
 
 @dataclass(frozen=True)
 class PartitionFunctionTable:
-    """log h_0..log h_n for given cycle weights (log domain throughout,
-    so polynomially growing weights cannot overflow)."""
+    """log h_0..log h_n for given cycle weights (log domain, so h far past
+    the float range is held)."""
 
     weights: CycleWeights
     log_h: np.ndarray
@@ -88,9 +93,44 @@ class PartitionFunctionTable:
         return len(self.log_h) - 1
 
 
-# Blocks of _LEAF entries run the direct recursion; longer ones pass their
-# terms on in pieces of at most _PIECE entries, one FFT of twice that each.
+# Blocks of _LEAF entries are solved as one triangular system; longer ones
+# pass their terms on in pieces of at most _PIECE entries, one FFT of twice
+# that each.  The accumulator of their terms is rescaled by 1e-280 whenever a
+# solved h passes _WINDOW in it.
 _LEAF, _PIECE = 256, 1 << 14
+_WINDOW = 1e280
+
+
+def _solve_leaf(a: np.ndarray, r: np.ndarray, c: float, lo: int) -> np.ndarray:
+    """log h of a h = r e^c, a lower triangular, row 0 being h_lo.
+
+    r is divided by its largest entry first.  Where the solution holds a
+    value that is not finite or above _WINDOW, the rows are solved again as
+    two halves, the first half's terms added to the second half's
+    right-hand side against the larger of their two log scales.
+
+    Raises:
+        ValueError: a single h_m is still not finite.
+    """
+    from scipy.linalg.blas import dtrsv  # here, so importing the CLI does not load scipy.linalg
+
+    top = r.max()
+    if 0 < top < math.inf:
+        r, c = r / top, c + math.log(top)
+    h = dtrsv(a, r, lower=1)
+    if np.all(np.isfinite(h)) and h.max() <= _WINDOW:
+        with np.errstate(divide="ignore"):
+            return np.log(h) + c
+    if len(r) == 1:
+        raise ValueError(f"h_{lo} of the partition function cannot be held in floating point: the cycle weights grow too fast")
+    k = len(r) // 2
+    first = _solve_leaf(a[:k, :k], r[:k], c, lo)
+    rest, top = r[k:], first.max()
+    if top > -math.inf:
+        both = max(c, top)
+        rest = rest * math.exp(c - both) - a[k:, :k] @ np.exp(first - top) * math.exp(top - both)
+        c = both
+    return np.concatenate((first, _solve_leaf(a[k:, k:], rest, c, lo + k)))
 
 
 def partition_function(w: CycleWeights) -> PartitionFunctionTable:
@@ -98,36 +138,49 @@ def partition_function(w: CycleWeights) -> PartitionFunctionTable:
     O(n log^2 n) (van der Hoeven, Relax, but don't be too lazy, J. Symb.
     Comput. 2002).
 
-    h is solved _LEAF entries at a time by the direct recursion on top of
-    an accumulator of the terms theta_k h_i of earlier blocks.  Where a
+    h is solved _LEAF entries at a time on top of an accumulator acc of the
+    terms theta_k h_i of earlier blocks: the leaf's equations are
+    (D - T) h = acc, D = diag(m) and T the Toeplitz matrix of
+    theta_1..theta_(_LEAF - 1) below the diagonal, built once, so each leaf
+    is one BLAS triangular solve (dtrsv) after the diagonal is overwritten.
+    The right-hand side is divided by its largest entry before the solve;
+    where the solution still passes 1e280 or is not finite, the leaf is
+    solved in halves, down to single entries (see _solve_leaf).  Where a
     block [mid - half, mid) of half = 2^j _LEAF entries completes (mid an
     odd multiple of half), its terms for [mid, mid + half) are added by
-    FFT, so every term lands before its h_m is solved.  h lives in a
-    floating window, rescaled with the accumulator by 1e-280 whenever a
-    value passes 1e280 (the recursion is linear, so a uniform rescale is
-    invisible); logs are taken against the cumulative scale.  An FFT is
-    tilted, a_i e^(-tau i) and b_k e^(-tau k), by half the growth rate of
-    h, so its roundoff scales with the terms that dominate each h_m, not
-    the largest far ones; outputs within its roundoff bound are zero, so
-    an h_m that no cycle type reaches stays exactly 0.
+    FFT, so every term lands before its h_m is solved.  The accumulator
+    lives in a floating window, rescaled by 1e-280 whenever a solved h
+    passes 1e280 in it (the recursion is linear, so a uniform rescale is
+    invisible); the leaves' logs are taken against the cumulative scale.
+    An FFT is tilted, a_i e^(-tau i) and b_k e^(-tau k), by half the
+    growth rate of h, so its roundoff scales with the terms that dominate
+    each h_m, not the largest far ones; outputs within its roundoff bound
+    are zero, and zero terms stay exact zeros in the solve, so an h_m that
+    no cycle type reaches stays exactly 0.
+
+    Raises:
+        ValueError: an h_m that some cycle type reaches cannot be held
+            (the weights grow so fast that the accumulator overflows).
     """
     n = w.n
-    h = np.zeros(_LEAF)  # the block being solved, in the window
+    size = min(_LEAF, n + 1)
+    theta = np.concatenate(([0.0], w.theta[: size - 1]))
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    mat = np.asfortranarray(-theta[np.maximum(lag, 0)])  # -theta_(i-j) below the diagonal
+    diag = mat.reshape(-1, order="F")[:: size + 1]  # a view: D is written here per leaf
     acc = np.zeros(_LEAF << (n // _LEAF).bit_length())  # terms theta_k h_{m-k} of completed blocks
     log_h = np.full(n + 1, -math.inf)
-    scale = 0.0  # log of the cumulative rescale factor taken OUT of h
+    scale = 0.0  # log of the cumulative rescale factor taken OUT of acc
     for lo in range(0, n + 1, _LEAF):
-        h[:] = lo == 0  # h_0 = 1
-        for m in range(max(lo, 1), min(lo + _LEAF, n + 1)):
-            v = (acc[m] + float(np.dot(w.theta[: m - lo][::-1], h[: m - lo]))) / m
-            if v > 1e280:
-                h[: m - lo] *= 1e-280
-                acc[m:] *= 1e-280
-                v *= 1e-280
-                scale += math.log(1e280)
-            h[m - lo] = v
-        with np.errstate(divide="ignore"):
-            log_h[lo : lo + _LEAF] = np.log(h[: n + 1 - lo]) + scale
+        hi = min(lo + _LEAF, n + 1)
+        r = acc[lo:hi].copy()
+        diag[:] = np.arange(lo, lo + size)
+        if lo == 0:
+            r[0] = diag[0] = 1.0  # h_0 = 1
+        log_h[lo:hi] = _solve_leaf(mat[: hi - lo, : hi - lo], r, scale, lo)
+        while log_h[lo:hi].max() - scale > math.log(_WINDOW):
+            acc[hi:] /= _WINDOW
+            scale += math.log(_WINDOW)
         mid = lo + _LEAF
         if mid > n:
             break
@@ -154,7 +207,7 @@ def partition_function(w: CycleWeights) -> PartitionFunctionTable:
                 a, b = np.exp(a - sa), np.exp(b - sb)
                 c = np.fft.irfft(np.fft.rfft(a, 2 * step) * np.fft.rfft(b, 2 * step), 2 * step)[step - 1 : 2 * step - 1]
                 c[c <= 4 * _EPS * math.log2(2 * step) * math.sqrt(np.dot(a, a) * np.dot(b, b))] = 0.0
-                with np.errstate(divide="ignore"):
+                with np.errstate(divide="ignore", over="ignore"):
                     acc[q : q + step] += np.exp(np.log(c) + tau * np.arange(step - 1, 2 * step - 1) + (sa + sb - scale))
     return PartitionFunctionTable(weights=w, log_h=log_h)
 

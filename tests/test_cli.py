@@ -42,6 +42,34 @@ def test_the_dickman_and_smooth_ops_leave_scipy_integrate_unloaded(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
+def test_the_scan_and_draw_ops_leave_scipy_linalg_unloaded(tmp_path):
+    # partition_function loads scipy.linalg for its BLAS triangular solve, and
+    # importing it costs about 35 ms and 5 MB: importing the CLI and the
+    # benchmark's scan and draw ops, at small sizes, must not load it.  The
+    # smooth op is left out: dickman_rho loads it through special.roots_jacobi
+    src = str(Path(cli.__file__).resolve().parents[1])
+    ops = [
+        ["sieve-sum", "--weight", "theta_omega:2", "--x", "1e3,1e4", "--cutoff", "1e4"],
+        ["exact-dist", "--weight", "divisor:2", "--x", "1e4", "--statistic", "big_omega"],
+        ["small-prime", "--weight", "powerfree:2", "--x", "1e4", "--p", "2,3,5"],
+        ["poly-asym", "--x", "1e3,1e4", "--K", "1", "--gamma", "1", "--cutoff", "1e4"],
+        ["conditions", "--weight", "divisor:2", "--x", "1e3,1e4"],
+        ["sample", "--weight", "theta_omega:2", "--x", "1e4", "--n", "1000", "--seed", "1"],
+        ["pd-compare", "--weight", "power:0", "--x", "1e4", "--n", "1000", "--oracle-draws", "1000", "--seed", "1"],
+        ["poly-typical", "--x", "1e4", "--K", "1", "--gamma", "1", "--n", "1000", "--seed", "1"],
+    ]
+    code = (
+        "import sys, multweight.cli as c\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+        f"for op in {ops!r}:\n"
+        f"    assert c.main(op + ['--json', r'{tmp_path}/r.json']) == 0, op\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.split() == ["[]", "[]"]
+
+
 def test_sieve_sum_csv_and_json(tmp_path):
     out = tmp_path / "sum.csv"
     rep = tmp_path / "sum.json"
@@ -86,6 +114,20 @@ def test_ewens_sampled_report_and_csv_agree_and_repeat(tmp_path):
     assert len(rows) == 25
     assert all(sum(r) == 40 and r == sorted(r, reverse=True) for r in rows)
     assert json.loads(outs[0][1])["mean_cycles"] == sum(map(len, rows)) / 25
+
+
+def test_ewens_fast_growing_poly_weights(tmp_path, capsys):
+    # theta_k ~ k^10 passes 1e33; the partition table used to lose 1182 of
+    # its 2001 values, and the draws averaged 105 cycles instead of 1999.7
+    rep = tmp_path / "g10.json"
+    assert run(["ewens", "--poly-gamma", "10", "--n", "2000", "--samples", "5", "--seed", "1",
+                "--json", str(rep)]) == 0
+    assert read_json(rep)["results"]["mean_cycles"] == pytest.approx(1999.7, abs=1.0)
+    # at k^40 the terms in the accumulator overflow: an error, not a report
+    assert run(["ewens", "--poly-gamma", "40", "--n", "2000", "--samples", "5", "--seed", "1",
+                "--json", str(tmp_path / "g40.json")]) == 2
+    assert "error: h_768 of the partition function cannot be held" in capsys.readouterr().err
+    assert not (tmp_path / "g40.json").exists()
 
 
 def test_ewens_sampled_cycle_type_csv(tmp_path):

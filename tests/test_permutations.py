@@ -3,6 +3,7 @@ from itertools import permutations as iter_permutations
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from multweight import limitlaws, permutations as perm
 from multweight.sampling import ExactPmf
@@ -86,6 +87,20 @@ def quadratic_partition_function(w: perm.CycleWeights) -> np.ndarray:
             scale += math.log(1e280)
         h[m] = v
         log_h[m] = (math.log(v) if v > 0 else -math.inf) + scale
+    return log_h
+
+
+def log_domain_partition_function(w: perm.CycleWeights) -> np.ndarray:
+    """log h_0..log h_n by the direct recursion summed in the log domain (oracle).
+
+    log h_m = logsumexp_k (log theta_k + log h_{m-k}) - log m: no floating
+    window, so it holds every h whose log is finite.  O(n^2).
+    """
+    log_theta = w.log_theta()
+    log_h = np.full(w.n + 1, -math.inf)
+    log_h[0] = 0.0
+    for m in range(1, w.n + 1):
+        log_h[m] = logsumexp(log_theta[:m][::-1] + log_h[:m]) - math.log(m)
     return log_h
 
 
@@ -201,6 +216,50 @@ def test_partition_function_rescaling_large_poly():
     assert np.all(np.isfinite(t.log_h[1:]))
     assert np.all(np.diff(t.log_h[1:]) > 0)
     assert np.abs(t.log_h - quadratic_partition_function(w)).max() <= 1e-11
+
+
+@pytest.mark.parametrize("w", [
+    perm.poly_weights(3.0, 2000),
+    perm.poly_weights(5.0, 2000),
+    perm.constant_weights(2000, 1e3),
+    perm.constant_weights(2000, 3e3),
+], ids=["poly gamma=3", "poly gamma=5", "theta=1e3", "theta=3e3"])
+def test_partition_function_matches_log_domain_oracle(w):
+    # the quadratic oracle shares the 1e280 window, so it cannot check where
+    # the window fails; at theta = 3e3 log h_256 is about 893, past the
+    # float range, so the first leaf is solved in halves
+    want = log_domain_partition_function(w)
+    assert np.abs(perm.partition_function(w).log_h - want).max() <= 1e-10
+
+
+@pytest.mark.parametrize("theta", [1e4, 1e6])
+def test_partition_function_binomial_identity_past_the_float_range(theta):
+    # h_m = C(m + theta - 1, m) ~ theta^m / m!: at theta = 1e6 it passes the
+    # float range at m = 53 and reaches e^14426 at m = 2000
+    n = 2000
+    terms = np.log((theta + np.arange(n)) / np.arange(1, n + 1))
+    want = [math.fsum(terms[:m]) for m in range(n + 1)]
+    got = perm.partition_function(perm.constant_weights(n, theta)).log_h
+    assert got[0] == 0.0
+    assert want[-1] > 5000
+    assert np.abs(got - want).max() <= 1e-11
+
+
+@pytest.mark.parametrize("gamma", [10.0, 20.0])
+def test_partition_function_holds_fast_growing_poly_weights(gamma):
+    # theta_k ~ k^gamma passes 1e33 (gamma = 10) and 1e66 (gamma = 20), and
+    # log h_2000 is about 2.2e4 and 7.8e4: compared relative to log h
+    w = perm.poly_weights(gamma, 2000)
+    got, want = perm.partition_function(w).log_h, log_domain_partition_function(w)
+    assert np.all(np.isfinite(got))
+    assert np.abs(got - want).max() <= 1e-13 * want[-1]
+
+
+def test_partition_function_names_an_h_it_cannot_hold():
+    # theta_k ~ k^40 reaches 1e132, so the terms theta_k h_i of h in the
+    # accumulator's 1e280 window overflow
+    with pytest.raises(ValueError, match="h_768 of the partition function cannot be held"):
+        perm.partition_function(perm.poly_weights(40.0, 2000))
 
 
 def only_even_weights(n: int) -> perm.CycleWeights:

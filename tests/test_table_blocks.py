@@ -16,6 +16,8 @@ from multweight.weights import builtin_weight, catalog_weights
 
 B = arith.BLOCK
 XS = (0, 1, 2, B - 1, B, B + 1, 2 * B + 7, 10**6)
+C = arith.COUNT_BLOCK  # Omega, omega and nu_p walk blocks of C int8 entries
+COUNT_XS = (C - 1, C, C + 1, 2 * C + 7)
 
 
 def dense_largest_prime_table(x):
@@ -94,7 +96,7 @@ WEIGHTS = catalog_weights() + [builtin_weight("power", z=0.0), builtin_weight("d
 
 @pytest.fixture(scope="module")
 def p1_tables():
-    return {x: arith.largest_prime_table(x) for x in XS}
+    return {x: arith.largest_prime_table(x) for x in XS + COUNT_XS}
 
 
 def test_block_edges_meet_prime_power_multiples():
@@ -106,7 +108,17 @@ def test_block_edges_meet_prime_power_multiples():
     assert [stop - 1 for _, stop, _ in blocks[:2]] == [2**18, 2**19]
 
 
-@pytest.mark.parametrize("x", XS)
+def test_count_blocks_meet_prime_power_multiples():
+    # at 2C + 7 count blocks start at C + 1 = 3^2 * 43 * 5419 and 2C + 1 = 5 * 397 * 2113
+    # and end at C and 2C
+    x = 2 * C + 7
+    blocks = list(arith._blocks(x, arith._root_levels(x), size=C))
+    on_start = {pk for start, _, walks in blocks[1:] for walk in walks for _, pk, o in walk if o == 0}
+    assert {3, 9, 43, 5, 397} <= on_start
+    assert [stop - 1 for _, stop, _ in blocks] == [C, 2 * C, x]
+
+
+@pytest.mark.parametrize("x", XS + COUNT_XS)
 def test_statistic_tables_equal_the_dense_walk(x, p1_tables):
     p1 = p1_tables[x]
     assert p1.dtype == np.int32

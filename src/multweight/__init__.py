@@ -10,7 +10,6 @@ predictors.
 from .arith import (
     CapacityError,
     FactorProfile,
-    SpfTable,
     big_omega_table,
     build_spf,
     factor_matrix,

@@ -8,8 +8,9 @@ The dense tables of the exact scans rest on one fact: n <= x has at most
 one prime factor above sqrt(x).  p_1, Omega, omega, nu_p and the weight
 tables share one walk (_blocks) over the prime powers of the primes <= sqrt(x),
 block by block of n <= x; all but p_1 and nu_p read the larger prime off p_1.
-The smallest-prime-factor (spf) table is kept for factoring integers one
-by one or a draw array at once, in O(log n) divisions each.
+A draw array is factored from the same p_1 table, in O(log n) divisions
+per draw.  The smallest-prime-factor (spf) sieve is the independent oracle:
+it factors integers one by one for the tests and the brute-force case c01.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# spf entries are int32: 4 bytes per entry, so the default ceiling of
-# 10^8 entries costs ~400 MB.  Override with the environment variable
-# below (an integer number of entries).
+# p_1 and spf entries are int32: 4 bytes per entry, so the default ceiling
+# of 10^8 entries costs ~400 MB per table.  Override with the environment
+# variable below (a positive number of entries).
 DEFAULT_MAX_SIEVE = 10**8
 MAX_SIEVE_ENV = "MULTWEIGHT_MAX_SIEVE"
 
@@ -32,25 +33,17 @@ class CapacityError(Exception):
 
 
 def _check_budget(x: int) -> None:
-    """Raise CapacityError if a table of n <= x exceeds the entry budget."""
-    budget = int(float(os.environ.get(MAX_SIEVE_ENV, DEFAULT_MAX_SIEVE)))
+    """Raise CapacityError if a table of n <= x exceeds the entry budget, and
+    ValueError if the budget set in the environment is not a positive finite number."""
+    raw = os.environ.get(MAX_SIEVE_ENV, DEFAULT_MAX_SIEVE)
+    try:
+        budget = float(raw)
+    except ValueError:
+        budget = math.nan
+    if not 0 < budget < math.inf:
+        raise ValueError(f"{MAX_SIEVE_ENV}={raw!r} is not a positive finite number of entries")
     if x > budget:
-        raise CapacityError(f"limit {x} exceeds entry budget {budget}; raise {MAX_SIEVE_ENV} to override")
-
-
-@dataclass(frozen=True)
-class SpfTable:
-    """Smallest-prime-factor table for 2 <= n <= limit.
-
-    Attributes:
-        limit: largest indexable n.
-        spf: int32 array of length limit+1; spf[n] is the smallest prime
-            dividing n (spf[p] = p exactly when p is prime; entries 0 and
-            1 are unused).
-    """
-
-    limit: int
-    spf: np.ndarray
+        raise CapacityError(f"limit {x} exceeds entry budget {int(budget)}; raise {MAX_SIEVE_ENV} to override")
 
 
 @dataclass(frozen=True)
@@ -65,8 +58,9 @@ class FactorProfile:
     factors: tuple[tuple[int, int], ...]
 
 
-def build_spf(x: int) -> SpfTable:
-    """Sieve the smallest prime factor of every n <= x.
+def build_spf(x: int) -> np.ndarray:
+    """spf(n), the smallest prime factor, for n = 0..x, int32 (spf[p] = p
+    exactly when p is prime; entries 0 and 1 are unused).
 
     Eratosthenes-style: primes are visited in increasing order and mark
     only entries not already claimed by a smaller prime, so each
@@ -89,14 +83,13 @@ def build_spf(x: int) -> SpfTable:
     rem[:2] = False
     idx = np.nonzero(rem)[0]
     spf[idx] = idx
-    return SpfTable(limit=x, spf=spf)
+    return spf
 
 
-def factorize(n: int, t: SpfTable) -> FactorProfile:
+def factorize(n: int, spf: np.ndarray) -> FactorProfile:
     """Factor n by repeated division by spf[n]; n = 1 gives no factors."""
-    if n < 1 or n > t.limit:
-        raise ValueError(f"n={n} outside table range [1, {t.limit}]")
-    spf = t.spf
+    if n < 1 or n > len(spf) - 1:
+        raise ValueError(f"n={n} outside table range [1, {len(spf) - 1}]")
     factors = []
     m = n
     while m > 1:
@@ -109,22 +102,25 @@ def factorize(n: int, t: SpfTable) -> FactorProfile:
     return FactorProfile(n=n, factors=tuple(factors))
 
 
-def factor_matrix(ns: np.ndarray, t: SpfTable) -> np.ndarray:
-    """The prime factors of every n in ns at once: row i holds those of ns[i]
-    with multiplicity, nondecreasing, then 1s up to the largest Omega (int64).
-    Each round divides the unfinished n by their spf: at most log2 n rounds.
+def factor_matrix(ns: np.ndarray, p1: np.ndarray) -> np.ndarray:
+    """The prime factors of every n in ns at once, from the p_1 table of n <= x,
+    x = len(p1) - 1: row i holds 1s up to the largest Omega, then the primes
+    of ns[i] with multiplicity, nondecreasing (int64).  Each round divides the
+    unfinished n by their p_1 and writes the next column leftwards: at most
+    log2 n rounds.
     """
     rem = np.asarray(ns, dtype=np.int64)
-    if rem.size and (rem.min() < 1 or rem.max() > t.limit):
-        raise ValueError(f"n outside table range [1, {t.limit}]")
+    if rem.size and (rem.min() < 1 or rem.max() > len(p1) - 1):
+        raise ValueError(f"n outside table range [1, {len(p1) - 1}]")
     out = np.ones((len(rem), int(rem.max(initial=1)).bit_length() - 1), dtype=np.int64)
     idx = np.flatnonzero(rem > 1)
-    rem, j = rem[idx], 0
+    rem, j = rem[idx], out.shape[1]
     while len(idx):
-        out[idx, j] = p = t.spf[rem]
+        j -= 1
+        out[idx, j] = p = p1[rem]
         rem //= p
-        idx, rem, j = idx[rem > 1], rem[rem > 1], j + 1
-    return out[:, :j]
+        idx, rem = idx[rem > 1], rem[rem > 1]
+    return out[:, j:]
 
 
 def primes_upto(x: int) -> np.ndarray:

@@ -16,7 +16,7 @@ CSV column schemas, by subcommand:
   smooth        (u,exact,rho,diff)
   small-prime   (p,k,exact,limit,gap)
   poly-asym     (x,sigma,residual,exact,predicted,ratio)
-  poly-typical  (stat,ks,tv,n_samples,seed)
+  poly-typical  (stat,ks,n_samples,seed)
   ewens         (value,probability) with --exact; else one sampled cycle
                 type per row, lengths nonincreasing, no header
   dickman       (u,rho)
@@ -214,8 +214,8 @@ def cmd_poly_asym(args, ctx, w):
 def cmd_poly_typical(args, ctx, w):
     results = experiments.poly_typical(ctx, args.K, args.gamma, int(float(args.x)), args.n, args.seed)
     if args.out:
-        _write_csv(args.out, ["stat", "ks", "tv", "n_samples", "seed"],
-                   [("log_P1_scaled_vs_gamma", results["ks"], "", args.n, args.seed)])
+        _write_csv(args.out, ["stat", "ks", "n_samples", "seed"],
+                   [("log_P1_scaled_vs_gamma", results["ks"], args.n, args.seed)])
     return {**results, "seed": args.seed}
 
 

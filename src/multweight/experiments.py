@@ -199,18 +199,18 @@ def sample(ctx: Context, w: weights.MultiplicativeWeight, x: int, n: int, seed: 
     return sampling.WeightedIntegerSampler(table, np.random.default_rng(seed)).sample(n)
 
 
-def _factor_blocks(draws: np.ndarray, x: int):
-    """Factor matrices of the draws 2^16 at a time, in draw order; one has at
-    most 26 int64 columns up to x = 1e8, about 14 MB."""
-    spf = arith.build_spf(x)
-    return (arith.factor_matrix(draws[i : i + 2**16], spf) for i in range(0, len(draws), 2**16))
+def _factor_blocks(draws: np.ndarray, p1: np.ndarray):
+    """Factor matrices of the draws 2^16 at a time, in draw order, from the p_1
+    table they were drawn over; one has at most 26 int64 columns up to x = 1e8,
+    about 14 MB."""
+    return (arith.factor_matrix(draws[i : i + 2**16], p1) for i in range(0, len(draws), 2**16))
 
 
 def spectrum_draws(ctx: Context, w: weights.MultiplicativeWeight, x: int, n: int,
                    rng: np.random.Generator, k: int) -> np.ndarray:
     """log p_j/log x for j = 1..k of n draws from the measure on n <= x, one row per draw."""
     draws = sampling.WeightedIntegerSampler(ctx.weight_table(w, x), rng).sample(n)
-    return np.concatenate([sampling.spectrum(f, x, k) for f in _factor_blocks(draws, x)])
+    return np.concatenate([sampling.spectrum(f, x, k) for f in _factor_blocks(draws, ctx.p1(x))])
 
 
 def pd_compare(ctx: Context, w: weights.MultiplicativeWeight, x: int, n: int, oracle_draws: int,
@@ -231,7 +231,7 @@ def gamma_law_ks(ctx: Context, table: weights.WeightTable, K: float, gamma: floa
     The integers are drawn first, then one uniform per draw n > 1 in draw order.
     """
     draws = sampling.WeightedIntegerSampler(table, rng).sample(n)
-    ps = np.concatenate([sampling.size_biased_prime(f, rng) for f in _factor_blocks(draws, table.x)])
+    ps = np.concatenate([sampling.size_biased_prime(f, rng) for f in _factor_blocks(draws, ctx.p1(table.x))])
     vals = sampling.prime_logs(ps) / math.log(table.x) ** (1.0 / (gamma + 1.0))
     shape, rate = asympt.gamma_law_params(K, gamma)
     return limitlaws.ks_distance(vals, lambda t: limitlaws.gamma_cdf(shape, rate, t))

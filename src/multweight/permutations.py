@@ -39,7 +39,7 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class CycleWeights:
-    """Per-length cycle weights theta_1..theta_n (nonnegative, some positive)."""
+    """Per-length cycle weights theta_1..theta_n (finite, nonnegative, some positive)."""
 
     n: int
     theta: np.ndarray
@@ -48,8 +48,8 @@ class CycleWeights:
         t = np.asarray(self.theta, dtype=float)
         if len(t) != self.n:
             raise ValueError("need exactly n weights")
-        if np.any(t < 0) or not np.any(t > 0):
-            raise ValueError("weights must be nonnegative with at least one positive")
+        if not np.all(np.isfinite(t)) or np.any(t < 0) or not np.any(t > 0):
+            raise ValueError("weights must be finite and nonnegative with at least one positive")
         object.__setattr__(self, "theta", t)
 
     def log_theta(self) -> np.ndarray:
@@ -68,7 +68,8 @@ def poly_weights(gamma: float, n: int) -> CycleWeights:
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     i = np.arange(1, n + 1, dtype=float)
-    return CycleWeights(n=n, theta=np.exp(gammaln(gamma + i + 1.0) - gammaln(i + 1.0)))
+    with np.errstate(over="ignore"):  # a theta_i past the float range is rejected by CycleWeights
+        return CycleWeights(n=n, theta=np.exp(gammaln(gamma + i + 1.0) - gammaln(i + 1.0)))
 
 
 class CycleLengths(NamedTuple):
@@ -95,8 +96,8 @@ class PartitionFunctionTable:
 
 # Blocks of _LEAF entries are solved as one triangular system; longer ones
 # pass their terms on in pieces of at most _PIECE entries, one FFT of twice
-# that each.  The accumulator of their terms is rescaled by 1e-280 whenever a
-# solved h passes _WINDOW in it.
+# that each.  The accumulator of their terms is rescaled by 1/_WINDOW whenever
+# a solved h in it passes a ceiling of at most _WINDOW (see partition_function).
 _LEAF, _PIECE = 256, 1 << 14
 _WINDOW = 1e280
 
@@ -150,8 +151,11 @@ def partition_function(w: CycleWeights) -> PartitionFunctionTable:
     odd multiple of half), its terms for [mid, mid + half) are added by
     FFT, so every term lands before its h_m is solved.  The accumulator
     lives in a floating window, rescaled by 1e-280 whenever a solved h
-    passes 1e280 in it (the recursion is linear, so a uniform rescale is
-    invisible); the leaves' logs are taken against the cumulative scale.
+    passes its ceiling in it (the recursion is linear, so a uniform rescale
+    is invisible); the leaves' logs are taken against the cumulative scale.
+    The ceiling is 1e280 or, if lower, the float maximum / ((n + 1) theta_max)
+    with theta_max the largest of 1 and the theta_k: an entry of the
+    accumulator sums at most n + 1 terms theta_k h_i, so it cannot overflow.
     An FFT is tilted, a_i e^(-tau i) and b_k e^(-tau k), by half the
     growth rate of h, so its roundoff scales with the terms that dominate
     each h_m, not the largest far ones; outputs within its roundoff bound
@@ -160,7 +164,7 @@ def partition_function(w: CycleWeights) -> PartitionFunctionTable:
 
     Raises:
         ValueError: an h_m that some cycle type reaches cannot be held
-            (the weights grow so fast that the accumulator overflows).
+            (a sum of its terms theta_k h_i passes the float range).
     """
     n = w.n
     size = min(_LEAF, n + 1)
@@ -171,6 +175,7 @@ def partition_function(w: CycleWeights) -> PartitionFunctionTable:
     acc = np.zeros(_LEAF << (n // _LEAF).bit_length())  # terms theta_k h_{m-k} of completed blocks
     log_h = np.full(n + 1, -math.inf)
     scale = 0.0  # log of the cumulative rescale factor taken OUT of acc
+    ceiling = min(math.log(_WINDOW), math.log(np.finfo(float).max / (n + 1) / max(w.theta.max(), 1.0)))
     for lo in range(0, n + 1, _LEAF):
         hi = min(lo + _LEAF, n + 1)
         r = acc[lo:hi].copy()
@@ -178,7 +183,7 @@ def partition_function(w: CycleWeights) -> PartitionFunctionTable:
         if lo == 0:
             r[0] = diag[0] = 1.0  # h_0 = 1
         log_h[lo:hi] = _solve_leaf(mat[: hi - lo, : hi - lo], r, scale, lo)
-        while log_h[lo:hi].max() - scale > math.log(_WINDOW):
+        while log_h[lo:hi].max() - scale > ceiling:
             acc[hi:] /= _WINDOW
             scale += math.log(_WINDOW)
         mid = lo + _LEAF

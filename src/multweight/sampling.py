@@ -45,7 +45,7 @@ class ExactPmf:
         if not np.all(np.diff(v) > 0):
             raise ValueError("values must be strictly increasing")
         total = float(np.sum(p)) + self.tail_mass
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # so a NaN or inf atom or tail fails too
             raise ValueError(f"total mass {total} differs from 1 beyond 1e-12")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probs", p)
@@ -144,9 +144,10 @@ def prime_logs(a: np.ndarray) -> np.ndarray:
 
 
 def spectrum(primes: np.ndarray, x: int, k: int) -> np.ndarray:
-    """The k largest log p_i(n)/log x of each row's n, from its factor matrix
-    (`arith.factor_matrix`): nonincreasing, 0 beyond Omega(n)."""
-    top = np.sort(prime_logs(primes), axis=1)[:, ::-1][:, :k] / math.log(x)
+    """The k largest log p_i(n)/log x of each row's n, read backwards from its
+    factor matrix (`arith.factor_matrix`, whose rows end in the primes in
+    nondecreasing order): nonincreasing, 0 beyond Omega(n)."""
+    top = prime_logs(primes)[:, ::-1][:, :k] / math.log(x)
     return np.pad(top, ((0, 0), (0, k - top.shape[1])))
 
 
@@ -197,11 +198,8 @@ def nu_p_limit_pmf(
     if d is None:
         reg = w.regime
         d = reg.d if isinstance(reg, EwensRegime) else 0.0
-    terms = [1.0]
-    for k in range(1, kmax + 1):
-        t = w.value(p, k) / float(p) ** (k * (d + 1))
-        terms.append(t)
-    arr = np.array(terms)
+    # as euler_constant forms them: alpha(p^k) alone can pass the float range
+    arr = np.array([1.0] + [w.normalized_prime_power_values(np.array([p]), k, d)[0] for k in range(1, kmax + 1)])
     # geometric tail estimate from the last two nonzero terms
     nz = np.nonzero(arr)[0]
     tail = 0.0

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .arith import SpfTable, _blocks, _root_levels, factorize, primes_upto
+from .arith import _blocks, _root_levels, factorize, primes_upto
 
 
 @dataclass(frozen=True)
@@ -287,8 +287,8 @@ def build_weight_table(w: MultiplicativeWeight, p1: np.ndarray) -> WeightTable:
     prefix = np.empty(x + 1)
     prefix[0] = 0.0
     _compensated_cumsum(alpha[1:], prefix[1:])
-    if prefix[-1] <= 0:
-        raise ValueError(f"degenerate table: S({x}) = {prefix[-1]}")
+    if not 0 < prefix[-1] < math.inf:
+        raise ValueError(f"degenerate table: S({x}) = {prefix[-1]} is not positive and finite")
     return WeightTable(x=x, alpha=alpha, prefix=prefix)
 
 
@@ -298,8 +298,8 @@ def _nonnegative(w: MultiplicativeWeight, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def evaluate_weight(w: MultiplicativeWeight, n: int, spf: SpfTable) -> float:
-    """alpha(n) by direct factorization; the brute-force route for oracles."""
+def evaluate_weight(w: MultiplicativeWeight, n: int, spf: np.ndarray) -> float:
+    """alpha(n) by direct factorization with an arith.build_spf table; the brute-force route for oracles."""
     out = 1.0
     for p, k in factorize(n, spf).factors:
         out *= w.value(p, k)

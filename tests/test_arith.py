@@ -23,13 +23,13 @@ def is_prime_trial(n: int) -> bool:
 
 
 def test_spf_small_values():
-    t = arith.build_spf(10)
-    assert t.spf[2:11].tolist() == [2, 3, 2, 5, 2, 7, 2, 3, 2]
+    spf = arith.build_spf(10)
+    assert spf.dtype == np.int32 and len(spf) == 11
+    assert spf[2:11].tolist() == [2, 3, 2, 5, 2, 7, 2, 3, 2]
 
 
 def test_spf_minimal():
-    t = arith.build_spf(2)
-    assert t.spf[2] == 2
+    assert arith.build_spf(2)[2] == 2
 
 
 def test_spf_rejects_tiny_limit():
@@ -38,14 +38,14 @@ def test_spf_rejects_tiny_limit():
 
 
 def test_spf_prime_flags_match_trial_division(spf_1e4):
-    flags = spf_1e4.spf[2:] == np.arange(2, 10**4 + 1, dtype=np.int32)
+    flags = spf_1e4[2:] == np.arange(2, 10**4 + 1, dtype=np.int32)
     for n in range(2, 10**4 + 1):
         assert flags[n - 2] == is_prime_trial(n)
 
 
-def spf_primes(t):
+def spf_primes(spf):
     """p is prime iff spf[p] = p."""
-    return np.flatnonzero(t.spf[2:] == np.arange(2, t.limit + 1)) + 2
+    return np.flatnonzero(spf[2:] == np.arange(2, len(spf))) + 2
 
 
 def test_prime_count_1e6(spf_1e6):
@@ -60,7 +60,7 @@ def test_spf_matches_trial_division(spf_1e4):
         p = 2
         while n % p:
             p += 1
-        assert spf_1e4.spf[n] == p
+        assert spf_1e4[n] == p
 
 
 def test_capacity_budget(monkeypatch):
@@ -72,6 +72,16 @@ def test_capacity_budget(monkeypatch):
     monkeypatch.delenv(arith.MAX_SIEVE_ENV)
     arith.build_spf(10**4)
     arith.largest_prime_table(10**4)
+
+
+@pytest.mark.parametrize("raw", ["inf", "nan", "abc", "-5", "0", "1e400", ""])
+def test_capacity_budget_must_be_a_positive_finite_number(monkeypatch, raw):
+    # inf used to end in an OverflowError from int(), abc and nan in messages
+    # that did not name the variable
+    monkeypatch.setenv(arith.MAX_SIEVE_ENV, raw)
+    for build in (arith.build_spf, arith.largest_prime_table, arith.primes_upto):
+        with pytest.raises(ValueError, match=arith.MAX_SIEVE_ENV):
+            build(100)
 
 
 def big_omega(prof):
@@ -102,18 +112,42 @@ def test_factorize_recompose_exhaustive(spf_1e5):
         assert math.prod(p**k for p, k in arith.factorize(n, spf_1e5).factors) == n
 
 
-def test_factor_matrix_rows_are_the_factorizations(spf_1e5):
+def factor_rows(ns, spf):
+    """Factor matrix rows by the per-n spf route (oracle): leading 1s, then
+    the primes with multiplicity, nondecreasing."""
+    rows = [[p for p, k in arith.factorize(n, spf).factors for _ in range(k)] for n in ns]
+    width = max(map(len, rows))
+    return [[1] * (width - len(r)) + r for r in rows]
+
+
+def test_factor_matrix_rows_are_the_factorizations(spf_1e5, p1_1e5):
     ns = np.arange(1, 10**5 + 1)
-    F = arith.factor_matrix(ns, spf_1e5)
+    F = arith.factor_matrix(ns, p1_1e5)
     assert F.dtype == np.int64 and F.shape == (10**5, 16)  # Omega(2^16) = 16
     assert np.all(F[0] == 1)
-    for n, row in zip(ns.tolist(), F.tolist()):
-        expected = [p for p, k in arith.factorize(n, spf_1e5).factors for _ in range(k)]
-        assert row == expected + [1] * (16 - len(expected))
-        assert math.prod(row) == n
-    assert arith.factor_matrix(np.ones(3, dtype=np.int64), spf_1e5).shape == (3, 0)
+    assert F.tolist() == factor_rows(ns.tolist(), spf_1e5)
+    assert np.all(np.prod(F, axis=1) == ns)
+    assert arith.factor_matrix(np.ones(3, dtype=np.int64), p1_1e5).shape == (3, 0)
     with pytest.raises(ValueError):
-        arith.factor_matrix(np.array([5, 10**5 + 1]), spf_1e5)
+        arith.factor_matrix(np.array([5, 10**5 + 1]), p1_1e5)
+    with pytest.raises(ValueError):
+        arith.factor_matrix(np.array([0, 5]), p1_1e5)
+
+
+def test_factor_matrix_from_p1_matches_spf_factorization(spf_1e6, p1_1e6):
+    # 1, the largest primes <= x, the powers of 2, x itself and uniform draws,
+    # mixed in one matrix; and the same draws against a prefix of the table
+    x = 10**6
+    primes = spf_primes(spf_1e6)[-50:]
+    draws = np.random.default_rng(7).integers(1, x + 1, 5000)
+    ns = np.concatenate(([1, x], primes, 2 ** np.arange(20), draws))
+    F = arith.factor_matrix(ns, p1_1e6)
+    assert F.shape == (len(ns), 19)  # Omega(2^19) = 19
+    assert F.tolist() == factor_rows(ns.tolist(), spf_1e6)
+    small = draws[draws <= 10**4]
+    assert np.array_equal(arith.factor_matrix(small, p1_1e6[: 10**4 + 1]), arith.factor_matrix(small, p1_1e6))
+    with pytest.raises(ValueError):
+        arith.factor_matrix(np.array([10**4 + 1]), p1_1e6[: 10**4 + 1])
 
 
 @given(st.integers(min_value=1, max_value=10**4))

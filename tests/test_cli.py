@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from multweight import cli
@@ -123,11 +124,11 @@ def test_ewens_fast_growing_poly_weights(tmp_path, capsys):
     assert run(["ewens", "--poly-gamma", "10", "--n", "2000", "--samples", "5", "--seed", "1",
                 "--json", str(rep)]) == 0
     assert read_json(rep)["results"]["mean_cycles"] == pytest.approx(1999.7, abs=1.0)
-    # at k^40 the terms in the accumulator overflow: an error, not a report
-    assert run(["ewens", "--poly-gamma", "40", "--n", "2000", "--samples", "5", "--seed", "1",
-                "--json", str(tmp_path / "g40.json")]) == 2
-    assert "error: h_768 of the partition function cannot be held" in capsys.readouterr().err
-    assert not (tmp_path / "g40.json").exists()
+    # at k^100 the weights pass the float range: an error, not a report
+    assert run(["ewens", "--poly-gamma", "100", "--n", "2000", "--samples", "5", "--seed", "1",
+                "--json", str(tmp_path / "g100.json")]) == 2
+    assert "error: weights must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "g100.json").exists()
 
 
 def test_ewens_sampled_cycle_type_csv(tmp_path):
@@ -327,6 +328,38 @@ def test_nonpositive_step_is_rejected(tmp_path, argv, step, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_small_prime_limit_law_of_fast_growing_weight(tmp_path):
+    # alpha(2^k) = sigma_20(2^k) passes the float range at k = 52; the limit
+    # law used to end in an OverflowError traceback (exit 1)
+    rep = tmp_path / "sp.json"
+    assert run(["small-prime", "--weight", "sigma:20", "--x", "1e4", "--p", "2", "--json", str(rep)]) == 0
+    assert read_json(rep)["results"]["max_gap"] < 0.01
+
+
+@pytest.mark.parametrize("op", [
+    ["exact-dist", "--statistic", "big_omega"],
+    ["small-prime", "--p", "2"],
+])
+def test_weight_table_past_the_float_range_is_an_error(tmp_path, op, capsys):
+    # n^100 passes the float range at n = 1210, and S(1e4) is NaN: exact-dist
+    # used to write a report with "mean": NaN
+    rep = tmp_path / "r.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run([op[0], "--weight", "power:100", "--x", "1e4", *op[1:], "--json", str(rep)]) == 2
+    assert "error: degenerate table: S(10000)" in capsys.readouterr().err
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("raw", ["inf", "nan", "abc", "-1"])
+def test_bad_sieve_budget_is_an_error(tmp_path, monkeypatch, raw, capsys):
+    monkeypatch.setenv("MULTWEIGHT_MAX_SIEVE", raw)
+    rep = tmp_path / "r.json"
+    assert run(["exact-dist", "--weight", "power:0", "--x", "1e3", "--json", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: MULTWEIGHT_MAX_SIEVE=") and "Traceback" not in err
+    assert not rep.exists()
+
+
 def test_smooth_rejects_the_step_before_building_a_table(monkeypatch, capsys):
     def no_tables(*args):
         raise AssertionError("a table was built")
@@ -343,9 +376,19 @@ def test_smooth_rejects_the_step_before_building_a_table(monkeypatch, capsys):
     ["exact-dist", "--weight", "divisor:2", "--x", "1e4", "--statistic", "big_omega"],
     ["smooth", "--weight", "power:0", "--x", "1e4", "--u", "1.5,2", "--step", "0.0078125"],
     ["conditions", "--weight", "divisor:2", "--x", "1e3,1e4"],
+    ["sample", "--weight", "theta_omega:2", "--x", "1e4", "--n", "1000"],
+    ["pd-compare", "--weight", "power:0", "--x", "1e4", "--n", "1000", "--oracle-draws", "1000"],
+    ["poly-typical", "--x", "1e4", "--n", "1000"],
+    ["ewens", "--poly-gamma", "1", "--n", "1000", "--samples", "5"],
+    ["ek-compare", "--weight", "theta_omega:2", "--x", "1e3,1e4"],
+    ["small-prime", "--weight", "powerfree:2", "--x", "1e4", "--p", "2,3"],
+    ["poly-asym", "--x", "1e3,1e4", "--cutoff", "1e4"],
+    ["dickman", "--theta", "1", "--umax", "2"],
 ])
 def test_scans_build_no_spf_table(monkeypatch, argv):
-    # the exact scans read the p_1 table; spf is only for factoring draws
+    # no CLI op builds an spf table: the scans read the p_1 table, and the
+    # draws are factored from the p_1 table they were drawn over; the spf
+    # sieve is the oracle of the tests and of c01
     def no_spf(*args):
         raise AssertionError("an spf table was built")
 

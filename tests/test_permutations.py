@@ -245,21 +245,45 @@ def test_partition_function_binomial_identity_past_the_float_range(theta):
     assert np.abs(got - want).max() <= 1e-11
 
 
-@pytest.mark.parametrize("gamma", [10.0, 20.0])
-def test_partition_function_holds_fast_growing_poly_weights(gamma):
-    # theta_k ~ k^gamma passes 1e33 (gamma = 10) and 1e66 (gamma = 20), and
-    # log h_2000 is about 2.2e4 and 7.8e4: compared relative to log h
-    w = perm.poly_weights(gamma, 2000)
+@pytest.mark.parametrize("w", [
+    perm.poly_weights(10.0, 2000),
+    perm.poly_weights(20.0, 2000),
+    perm.poly_weights(40.0, 2000),
+    perm.constant_weights(600, 1e200),
+    perm.constant_weights(600, 1e307),
+], ids=["10.0", "20.0", "40.0", "theta=1e200", "theta=1e307"])
+def test_partition_function_holds_fast_growing_poly_weights(w):
+    # theta_k ~ k^gamma passes 1e33, 1e66 and 1e132 (gamma = 10, 20, 40), and
+    # log h_n is about 2.2e4, 7.8e4, 2.1e5, 2.7e5 and 4.2e5: compared relative
+    # to log h.  The accumulator's window is set below 1e280 by the largest
+    # theta_k, so its terms theta_k h_i stay in the float range: gamma = 40
+    # raised at h_768 and theta = 1e200 at h_512 under a fixed 1e280.
     got, want = perm.partition_function(w).log_h, log_domain_partition_function(w)
     assert np.all(np.isfinite(got))
     assert np.abs(got - want).max() <= 1e-13 * want[-1]
 
 
+def step_weights(n: int, k0: int, big: float) -> perm.CycleWeights:
+    theta = np.ones(n)
+    theta[k0 - 1 :] = big  # theta_k = big for k >= k0
+    return perm.CycleWeights(n=n, theta=theta)
+
+
 def test_partition_function_names_an_h_it_cannot_hold():
-    # theta_k ~ k^40 reaches 1e132, so the terms theta_k h_i of h in the
-    # accumulator's 1e280 window overflow
-    with pytest.raises(ValueError, match="h_768 of the partition function cannot be held"):
-        perm.partition_function(perm.poly_weights(40.0, 2000))
+    # h_0..h_99 = 1, and the eighteen terms 1e307 h_i, i <= 17, of 117 h_117
+    # sum past the float range in the first leaf, though h_117 is about 1.7e306
+    w = step_weights(600, 100, 1e307)
+    assert np.all(np.isfinite(log_domain_partition_function(w)))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="h_117 of the partition function cannot be held"):
+        perm.partition_function(w)
+
+
+def test_cycle_weights_past_the_float_range_are_rejected():
+    # theta_k ~ k^100 passes the float range at k = 1206
+    with pytest.raises(ValueError, match="finite"):
+        perm.poly_weights(100.0, 2000)
+    with pytest.raises(ValueError, match="finite"):
+        perm.constant_weights(10, math.inf)
 
 
 def only_even_weights(n: int) -> perm.CycleWeights:

@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -237,7 +238,7 @@ def test_prime_logs_are_math_log():
 def test_spectrum_matches_oracle_bit_for_bit(spf_1e6, p1_1e6):
     draws = _draws(p1_1e6, 10**4, 11)
     k = 21  # past the largest Omega, 19, so the zero padding is checked too
-    batch = sampling.spectrum(arith.factor_matrix(draws, spf_1e6), 10**6, k)
+    batch = sampling.spectrum(arith.factor_matrix(draws, p1_1e6), 10**6, k)
     oracle = [[spectrum_oracle(arith.factorize(int(m), spf_1e6), 10**6).ratio(j) for j in range(1, k + 1)]
               for m in draws]
     assert batch.shape == (10**4, k)
@@ -251,7 +252,7 @@ def test_size_biased_prime_matches_rng_choice_draw_by_draw(spf_1e6, p1_1e6):
     rng_a, rng_b = np.random.default_rng(13), np.random.default_rng(13)
     oracle = [0 if m == 1 else size_biased_prime_oracle(arith.factorize(int(m), spf_1e6), rng_a)
               for m in draws.tolist()]
-    batch = sampling.size_biased_prime(arith.factor_matrix(draws, spf_1e6), rng_b)
+    batch = sampling.size_biased_prime(arith.factor_matrix(draws, p1_1e6), rng_b)
     assert np.array_equal(batch, np.array(oracle))
     assert rng_a.random() == rng_b.random()  # one uniform per n > 1, none for n = 1
 
@@ -259,50 +260,51 @@ def test_size_biased_prime_matches_rng_choice_draw_by_draw(spf_1e6, p1_1e6):
 def test_size_biased_prime_matches_rng_choice_with_eight_primes():
     # 9699690 = 2*3*...*19 has eight distinct primes, where numpy sums the
     # weight vector pairwise rather than left to right
-    t = arith.build_spf(9699690)
-    ns = np.array([9699690, 9699690 // 19 * 16, 2**23, 1, 9699690, 3 * 5 * 7 * 11] * 500)
+    x = 9699690
+    spf, p1 = arith.build_spf(x), arith.largest_prime_table(x)
+    ns = np.array([x, x // 19 * 16, 2**23, 1, x, 3 * 5 * 7 * 11] * 500)
     rng_a, rng_b = np.random.default_rng(14), np.random.default_rng(14)
-    oracle = [0 if m == 1 else size_biased_prime_oracle(arith.factorize(m, t), rng_a) for m in ns.tolist()]
-    assert np.array_equal(sampling.size_biased_prime(arith.factor_matrix(ns, t), rng_b), np.array(oracle))
+    oracle = [0 if m == 1 else size_biased_prime_oracle(arith.factorize(m, spf), rng_a) for m in ns.tolist()]
+    assert np.array_equal(sampling.size_biased_prime(arith.factor_matrix(ns, p1), rng_b), np.array(oracle))
 
 
-def size_biased_primes_of(n, spf, rng, draws=1):
-    return sampling.size_biased_prime(arith.factor_matrix(np.full(draws, n), spf), rng)
+def size_biased_primes_of(n, p1, rng, draws=1):
+    return sampling.size_biased_prime(arith.factor_matrix(np.full(draws, n), p1), rng)
 
 
-def test_size_biased_prime_on_prime(spf_1e4, rng):
-    assert size_biased_primes_of(97, spf_1e4, rng).tolist() == [97]
+def test_size_biased_prime_on_prime(p1_1e4, rng):
+    assert size_biased_primes_of(97, p1_1e4, rng).tolist() == [97]
 
 
-def test_size_biased_prime_n6_frequencies(spf_1e4, rng):
-    draws = size_biased_primes_of(6, spf_1e4, rng, 20000)
+def test_size_biased_prime_n6_frequencies(p1_1e4, rng):
+    draws = size_biased_primes_of(6, p1_1e4, rng, 20000)
     p2 = np.mean(draws == 2)
     assert p2 == pytest.approx(math.log(2) / math.log(6), abs=0.01)
 
 
-def test_size_biased_prime_multiplicity_weighting(spf_1e4, rng):
-    draws = size_biased_primes_of(12, spf_1e4, rng, 20000)
+def test_size_biased_prime_multiplicity_weighting(p1_1e4, rng):
+    draws = size_biased_primes_of(12, p1_1e4, rng, 20000)
     assert np.mean(draws == 2) == pytest.approx(2 * math.log(2) / math.log(12), abs=0.01)
 
 
-def test_size_biased_prime_of_one_is_zero_and_takes_no_uniform(spf_1e4, rng):
+def test_size_biased_prime_of_one_is_zero_and_takes_no_uniform(spf_1e4, p1_1e4, rng):
     state = rng.bit_generator.state
-    assert size_biased_primes_of(1, spf_1e4, rng, 5).tolist() == [0] * 5
+    assert size_biased_primes_of(1, p1_1e4, rng, 5).tolist() == [0] * 5
     assert rng.bit_generator.state == state
     with pytest.raises(ValueError):
         size_biased_prime_oracle(arith.factorize(1, spf_1e4), rng)
 
 
-def spectrum_of(n, x, spf, k=4):
-    return sampling.spectrum(arith.factor_matrix(np.array([n]), spf), x, k)[0]
+def spectrum_of(n, x, p1, k=4):
+    return sampling.spectrum(arith.factor_matrix(np.array([n]), p1), x, k)[0]
 
 
-def test_spectrum_examples(spf_1e4):
+def test_spectrum_examples(p1_1e4):
     expected = np.array([math.log(3), math.log(2), math.log(2), 0.0]) / math.log(12)
-    np.testing.assert_allclose(spectrum_of(12, 12, spf_1e4), expected, rtol=1e-14)
-    assert spectrum_of(1, 50, spf_1e4).tolist() == [0.0] * 4
-    assert spectrum_of(97, 97, spf_1e4).tolist() == [1.0, 0.0, 0.0, 0.0]
-    assert spectrum_of(12, 12, spf_1e4, k=2).tolist() == spectrum_of(12, 12, spf_1e4)[:2].tolist()
+    np.testing.assert_allclose(spectrum_of(12, 12, p1_1e4), expected, rtol=1e-14)
+    assert spectrum_of(1, 50, p1_1e4).tolist() == [0.0] * 4
+    assert spectrum_of(97, 97, p1_1e4).tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert spectrum_of(12, 12, p1_1e4, k=2).tolist() == spectrum_of(12, 12, p1_1e4)[:2].tolist()
 
 
 @given(st.integers(min_value=2, max_value=9999))
@@ -319,7 +321,7 @@ _T = None
 def _table():
     global _T
     if _T is None:
-        _T = arith.build_spf(10**4)
+        _T = arith.largest_prime_table(10**4)
     return _T
 
 
@@ -327,6 +329,24 @@ def test_nu_p_limit_geometric():
     pmf = sampling.nu_p_limit_pmf(builtin_weight("power", z=0.0), 2)
     for k in range(6):
         assert pmf.prob_of(k) == pytest.approx(0.5**(k + 1), rel=1e-12)
+
+
+def test_nu_p_limit_sigma20_closed_form():
+    # sigma_20(2^k)/2^(21k) = sum_{j<=k} 2^(20j)/2^(21k): alpha(2^k) passes the
+    # float range at k = 52, where the law used to raise OverflowError
+    pmf = sampling.nu_p_limit_pmf(builtin_weight("sigma", z=20.0), 2)
+    total = 2 / (1 - Fraction(1, 2**21))
+    want = [sum(Fraction(2 ** (20 * j), 2 ** (21 * k)) for j in range(k + 1)) / total for k in range(65)]
+    assert pmf.values.tolist() == list(range(65))  # kmax = 64
+    for k in range(65):
+        assert pmf.prob_of(k) == pytest.approx(float(want[k]), rel=1e-12)
+    assert pmf.tail_mass == pytest.approx(float(1 - sum(want)), rel=1e-5)
+
+
+def test_nu_p_limit_power100_is_geometric():
+    pmf = sampling.nu_p_limit_pmf(builtin_weight("power", z=100.0), 3)
+    for k in range(40):
+        assert pmf.prob_of(k) == pytest.approx(2 / 3**(k + 1), rel=1e-12)
 
 
 def test_nu_p_limit_powerfree():
@@ -389,6 +409,15 @@ def test_exact_pmf_total_mass_and_sorting():
         sampling.ExactPmf(np.array([2.0, 1.0]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         sampling.ExactPmf(np.array([1.0, 2.0]), np.array([0.5, 0.6]))
+
+
+@pytest.mark.parametrize("probs", [[math.nan, math.nan], [0.5, math.inf], [1.0, math.nan]])
+def test_exact_pmf_rejects_non_finite_probabilities(probs):
+    # a NaN total mass used to pass the mass check: |NaN - 1| > 1e-12 is False
+    with pytest.raises(ValueError, match="total mass"):
+        sampling.ExactPmf(np.array([1.0, 2.0]), np.array(probs))
+    with pytest.raises(ValueError, match="total mass"):
+        sampling.ExactPmf(np.array([1.0]), np.array([1.0]), tail_mass=math.nan)
 
 
 def test_exact_pmf_affine():

@@ -146,6 +146,15 @@ def test_weight_table_at_x_0_is_degenerate(p1_tables):
         weights.build_weight_table(builtin_weight("power", z=0.0), p1_tables[0])
 
 
+@pytest.mark.parametrize("x, s", [(2000, "inf"), (B - 1, "nan")])
+def test_weight_table_past_the_float_range_is_degenerate(x, s):
+    # n^100 passes the float range at n = 1210, and S(x) = inf used to pass
+    # the S <= 0 check; from p^k = 2^12 on, inf/inf prime-power ratios make it NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=f"S\\({x}\\) = {s} is not positive and finite"):
+            weights.build_weight_table(builtin_weight("power", z=100.0), arith.largest_prime_table(x))
+
+
 def extra_bytes(build):
     """Peak bytes a call allocates besides the arrays it returns."""
     tracemalloc.start()

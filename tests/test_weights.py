@@ -172,7 +172,7 @@ def test_condition_I_linear_in_alpha():
 
 def test_condition_I_oracle_value_1e6(spf_1e6):
     # independent oracle: fsum of log p over the primes of the spf sieve (spf[p] = p)
-    ps = np.flatnonzero(spf_1e6.spf[2:] == np.arange(2, 10**6 + 1)) + 2
+    ps = np.flatnonzero(spf_1e6[2:] == np.arange(2, 10**6 + 1)) + 2
     oracle = math.fsum(math.log(int(p)) for p in ps) - 10**6
     [(_, r)] = weights.condition_I_residuals(builtin_weight("power", z=0.0), [10**6])
     assert r == pytest.approx(oracle, rel=1e-9)

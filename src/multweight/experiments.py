@@ -80,8 +80,8 @@ class Context:
 
 
 def sub_table(table: weights.WeightTable, x: int) -> weights.WeightTable:
-    """The table for a smaller range, as a view of a larger one."""
-    return weights.WeightTable(x=x, alpha=table.alpha[: x + 1], prefix=table.prefix[: x + 1])
+    """The table for a smaller range, as a view of a larger one's alpha."""
+    return weights.WeightTable(x=x, alpha=table.alpha[: x + 1])
 
 
 def atom_gaps(a: sampling.ExactPmf, b: sampling.ExactPmf) -> list[float]:

@@ -384,7 +384,7 @@ def _c14_pd_round_trip(ctx: Context, scale: str):
         rng = np.random.default_rng(20241400 + int(10 * theta))
         Z = limitlaws.gem_matrix(theta, k, rng, reps)
         parts = np.sort(Z, axis=1)[:, ::-1]
-        reordered = limitlaws.size_biased_permutation_matrix(parts, rng)[:, :6]
+        reordered = limitlaws.size_biased_permutation_matrix(parts, rng, k=6)
         # rows whose float remainder underflows to 0 within 6 picks cannot
         # be renormalized in double precision; drop them (O(1e-3) of rows
         # at theta=0.5, negligible against the 0.02 tolerance)

@@ -77,12 +77,21 @@ def pd_largest_part_means(theta: float, rng: np.random.Generator, draws: int) ->
     return acc / draws
 
 
-def size_biased_permutation_matrix(parts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Row-wise size-biased permutation of a replicates x parts matrix."""
+def size_biased_permutation_matrix(parts: np.ndarray, rng: np.random.Generator, k: int | None = None) -> np.ndarray:
+    """Row-wise size-biased permutation of a replicates x parts matrix, or its
+    first k columns: parts by increasing key Exp(1)/part, ties by column.  Only
+    the k smallest keys, found by argpartition, are sorted; rows whose keys tie
+    across the k-th (zero parts' inf keys) are sorted in full."""
     parts = np.asarray(parts, dtype=float)
     with np.errstate(divide="ignore"):
         keys = rng.exponential(size=parts.shape) / parts
-    order = np.argsort(keys, axis=1, kind="stable")
+    k = parts.shape[1] if k is None else k
+    cols = np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
+    top = np.take_along_axis(keys, cols, axis=1)
+    order = np.take_along_axis(cols, np.argsort(top, axis=1, kind="stable"), axis=1)
+    kth = top.max(axis=1)
+    tied = ~np.isfinite(kth) | (np.count_nonzero(keys <= kth[:, None], axis=1) > k)
+    order[tied] = np.argsort(keys[tied], axis=1, kind="stable")[:, :k]
     return np.take_along_axis(parts, order, axis=1)
 
 

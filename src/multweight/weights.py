@@ -16,11 +16,13 @@ The dense table of alpha(n) for n <= x is sieved from the p_1 table of
 n <= x, in arith's cache-sized blocks, by multiplying the prime-power ratios
 of the primes up to sqrt(x), and alpha at the one larger prime factor n may
 have, into an all-ones array, O(x log log x) total work; per-n factorization
-is kept as the independent brute-force route for tests.
+is kept as the independent brute-force route for tests.  S(y) is read from
+alpha; the dense prefix sum, as large again, is built for the sampler alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -212,27 +214,50 @@ def catalog_weights() -> list[MultiplicativeWeight]:
     return [builtin_weight(kind, **p) for kind, p in CATALOG]
 
 
+CHUNK = 1 << 20  # S(y) adds whole-chunk totals exactly, by math.fsum
+
+
 @dataclass(frozen=True)
 class WeightTable:
-    """Dense alpha(n) for 1 <= n <= x with prefix sums.
+    """Dense alpha(n) for 1 <= n <= x; alpha[0] is unused (0).
 
-    alpha[0] is unused (0); prefix[n] = S(n) = sum_{m<=n} alpha(m) with
-    prefix[0] = 0.  Immutable after construction; concurrent reads are safe.
+    S(y) = sum_{m<=y} alpha(m) is the math.fsum of the totals of the CHUNK-entry
+    chunks of alpha[1:] before y's, plus the cumsum of y's chunk: prefix[y],
+    bit for bit.  The dense prefix (prefix[0] = 0) is built on first use, by
+    the sampler.  Immutable after construction; concurrent reads are safe.
     """
 
     x: int
     alpha: np.ndarray
-    prefix: np.ndarray
 
-    @property
+    @functools.cached_property
+    def totals(self) -> list[float]:
+        a = self.alpha[1:]
+        return [float(np.sum(a[s : s + CHUNK])) for s in range(0, len(a), CHUNK)]
+
+    @functools.cached_property
+    def prefix(self) -> np.ndarray:
+        prefix = np.zeros(self.x + 1)
+        _compensated_cumsum(self.alpha[1:], prefix[1:])
+        return prefix
+
+    @functools.cached_property
     def S(self) -> float:
-        return float(self.prefix[-1])
+        return self.S_at(self.x)
 
     def S_at(self, y: int) -> float:
-        return float(self.prefix[y])
+        if not 0 <= y <= self.x:
+            raise IndexError(f"S({y}) is outside the table's range 0..{self.x}")
+        c = max(y - 1, 0) // CHUNK
+        s = float(np.cumsum(self.alpha[1 + c * CHUNK : y + 1])[-1]) if y else 0.0
+        try:
+            base = math.fsum(self.totals[:c])
+        except OverflowError:  # finite chunk totals whose sum passes the float range
+            base = math.inf
+        return s + base
 
 
-def _compensated_cumsum(a: np.ndarray, out: np.ndarray, chunk: int = 1 << 20) -> np.ndarray:
+def _compensated_cumsum(a: np.ndarray, out: np.ndarray, chunk: int = CHUNK) -> np.ndarray:
     """Cumulative sum of a written into out, with exactly-accumulated chunk offsets.
 
     Plain cumsum drifts like n*eps in the worst case; summing chunk totals
@@ -262,34 +287,33 @@ def build_weight_table(w: MultiplicativeWeight, p1: np.ndarray) -> WeightTable:
     be sieved this way and are rejected (no catalog weight does that).
     """
     x = len(p1) - 1
-    levels = _root_levels(x)
-    ratios, prev = [], np.ones(len(levels[0]))
-    for k, ps in enumerate(levels, 1):
-        cur = _nonnegative(w, w.values_on_primes(ps, k))
-        prev = prev[: len(ps)]
-        bad = (prev == 0.0) & (cur != 0.0)
-        if np.any(bad):
-            raise ValueError(f"{w.name}: alpha(p^{k - 1}) = 0 but alpha(p^{k}) != 0 at p={int(ps[bad][0])}; "
-                             "ratio sieving requires monotone-vanishing prime-power values")
-        ratios.append(np.divide(cur, prev, out=np.ones_like(cur), where=prev != 0.0).tolist())
-        prev = cur
-    alpha = np.ones(x + 1)
-    alpha[0] = 0.0
-    for start, stop, walks in _blocks(x, levels, ratios):
-        out = alpha[start:stop]
-        for k, walk in enumerate(walks, 1):
-            for r, pk, o in walk:
-                if r != 1.0:
-                    out[o::pk] *= r
-            if k == 1:
-                hit = np.flatnonzero(p1[start:stop] > math.isqrt(x))
-                out[hit] *= _nonnegative(w, w.values_on_primes(p1[start:stop][hit].astype(np.int64), 1))
-    prefix = np.empty(x + 1)
-    prefix[0] = 0.0
-    _compensated_cumsum(alpha[1:], prefix[1:])
-    if not 0 < prefix[-1] < math.inf:
-        raise ValueError(f"degenerate table: S({x}) = {prefix[-1]} is not positive and finite")
-    return WeightTable(x=x, alpha=alpha, prefix=prefix)
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range, S(x) below is inf or NaN
+        levels = _root_levels(x)
+        ratios, prev = [], np.ones(len(levels[0]))
+        for k, ps in enumerate(levels, 1):
+            cur = _nonnegative(w, w.values_on_primes(ps, k))
+            prev = prev[: len(ps)]
+            bad = (prev == 0.0) & (cur != 0.0)
+            if np.any(bad):
+                raise ValueError(f"{w.name}: alpha(p^{k - 1}) = 0 but alpha(p^{k}) != 0 at p={int(ps[bad][0])}; "
+                                 "ratio sieving requires monotone-vanishing prime-power values")
+            ratios.append(np.divide(cur, prev, out=np.ones_like(cur), where=prev != 0.0).tolist())
+            prev = cur
+        alpha = np.ones(x + 1)
+        alpha[0] = 0.0
+        for start, stop, walks in _blocks(x, levels, ratios):
+            out = alpha[start:stop]
+            for k, walk in enumerate(walks, 1):
+                for r, pk, o in walk:
+                    if r != 1.0:
+                        out[o::pk] *= r
+                if k == 1:
+                    hit = np.flatnonzero(p1[start:stop] > math.isqrt(x))
+                    out[hit] *= _nonnegative(w, w.values_on_primes(p1[start:stop][hit].astype(np.int64), 1))
+        table = WeightTable(x=x, alpha=alpha)
+        if not 0 < table.S < math.inf:
+            raise ValueError(f"{w.name}: degenerate table: S({x}) = {table.S} is not positive and finite")
+    return table
 
 
 def _nonnegative(w: MultiplicativeWeight, values: np.ndarray) -> np.ndarray:

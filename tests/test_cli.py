@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from multweight import cli
@@ -344,9 +343,23 @@ def test_weight_table_past_the_float_range_is_an_error(tmp_path, op, capsys):
     # n^100 passes the float range at n = 1210, and S(1e4) is NaN: exact-dist
     # used to write a report with "mean": NaN
     rep = tmp_path / "r.json"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run([op[0], "--weight", "power:100", "--x", "1e4", *op[1:], "--json", str(rep)]) == 2
-    assert "error: degenerate table: S(10000)" in capsys.readouterr().err
+    assert run([op[0], "--weight", "power:100", "--x", "1e4", *op[1:], "--json", str(rep)]) == 2
+    assert "error: power(100): degenerate table: S(10000)" in capsys.readouterr().err
+    assert not rep.exists()
+
+
+def test_weight_table_past_the_float_range_fails_without_numpy_warnings(tmp_path, capfd):
+    # the table engine used to print six numpy RuntimeWarnings, with source
+    # lines from weights.py, before the error; a fresh process shows stderr
+    # as a user sees it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    rep = tmp_path / "r.json"
+    argv = ["exact-dist", "--weight", "power:100", "--x", "1e4", "--statistic", "omega", "--json", str(rep)]
+    done = subprocess.run([sys.executable, "-m", "multweight.cli", *argv], env={**os.environ, "PYTHONPATH": src})
+    err = capfd.readouterr().err
+    assert done.returncode == 2
+    assert err == "error: power(100): degenerate table: S(10000) = nan is not positive and finite\n"
+    assert "RuntimeWarning" not in err
     assert not rep.exists()
 
 

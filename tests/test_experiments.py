@@ -82,7 +82,30 @@ def test_sub_table_equals_a_table_built_at_the_smaller_range(p1_1e5):
         direct = weights.build_weight_table(w, direct_p1)
         assert sub.x == direct.x
         np.testing.assert_array_equal(sub.alpha, direct.alpha)
+        assert [sub.S_at(y) for y in (0, 1, 5000, 10**4)] == [direct.S_at(y) for y in (0, 1, 5000, 10**4)]
         np.testing.assert_array_equal(sub.prefix, direct.prefix)
+
+
+def test_scans_leave_the_dense_prefix_unbuilt(monkeypatch):
+    # only the sampler reads the whole prefix sum; the scans read S(y) from alpha
+    built = []
+    weight_table = experiments.Context.weight_table
+
+    def record(self, w, x):
+        built.append(weight_table(self, w, x))
+        return built[-1]
+
+    monkeypatch.setattr(experiments.Context, "weight_table", record)
+    ctx, w = experiments.Context(), builtin_weight("theta_omega", theta=1.0)
+    experiments.sieve_sum(ctx, w, [10**3, 10**4], 10**4)
+    experiments.exact_dist(ctx, w, 10**4, "big_omega")
+    experiments.smooth(ctx, w, 10**4, [1.5, 2.0], 1 / 64)
+    experiments.small_prime(ctx, w, 10**4, [2, 3])
+    experiments.omega_clt_ks(ctx, w, [10**3, 10**4])
+    experiments.poly_asym(ctx, 1.0, 1.0, [10**3, 10**4], 10**4)
+    assert len(built) == 6 and not any("prefix" in vars(t) for t in built)
+    experiments.sample(ctx, w, 10**4, 10, 1)
+    assert "prefix" in vars(built[-1])
 
 
 def test_omega_clt_ks_per_x_is_independent_of_the_other_xs():

@@ -122,6 +122,50 @@ def test_size_biased_permutation_two_thirds(rng):
     assert np.mean(firsts == parts[0]) == pytest.approx(2.0 / 3.0, abs=0.01)
 
 
+def _stable_argsort_permutation(parts, e):
+    """The reference: parts by a stable argsort of their keys e / part."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keys = np.asarray(e) / parts
+    return np.take_along_axis(parts, np.argsort(keys, axis=1, kind="stable"), axis=1)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+def test_size_biased_permutation_first_k_columns_equal_the_full_sort(theta):
+    # c14's parts, with rows of fewer than k nonzero parts (their zero parts'
+    # inf keys tie across the k-th), of exactly k, and of none
+    parts = np.sort(ll.gem_matrix(theta, 200, np.random.default_rng(int(10 * theta)), 3000), axis=1)[:, ::-1]
+    parts[:40, 3:] = 0.0
+    parts[40:80, 6:] = 0.0
+    parts[80:90] = 0.0
+    full = _stable_argsort_permutation(parts, np.random.default_rng(7).exponential(size=parts.shape))
+    assert np.array_equal(ll.size_biased_permutation_matrix(parts, np.random.default_rng(7)), full)
+    for k in (1, 3, 6, 199):
+        assert np.array_equal(ll.size_biased_permutation_matrix(parts, np.random.default_rng(7), k=k), full[:, :k]), k
+
+
+class _GivenExponentials:
+    """An rng whose exponential draws are given."""
+
+    def __init__(self, e):
+        self.e = np.asarray(e, dtype=float)
+
+    def exponential(self, size):
+        assert size == self.e.shape
+        return self.e.copy()
+
+
+def test_size_biased_permutation_breaks_ties_by_column():
+    # keys 2, 3, 1, 1 and 2, 2, 1, 0 (argpartition finds the later of the
+    # tied columns at k = 1 and k = 3) and 4, inf, inf, 1: the first k
+    # columns must take tied keys by column, as the stable full sort does
+    parts = np.array([[0.5, 0.125, 0.25, 0.125], [0.5, 0.25, 0.125, 0.125], [0.25, 0.0, 0.0, 0.5]])
+    e = [[1.0, 0.375, 0.25, 0.125], [1.0, 0.5, 0.125, 0.0], [1.0, 1.0, 1.0, 0.5]]
+    full = _stable_argsort_permutation(parts, e)
+    assert full.tolist() == [[0.25, 0.125, 0.5, 0.125], [0.125, 0.125, 0.5, 0.25], [0.5, 0.25, 0.0, 0.0]]
+    for k in (1, 2, 3, 4):
+        assert np.array_equal(ll.size_biased_permutation_matrix(parts, _GivenExponentials(e), k=k), full[:, :k]), k
+
+
 def test_residual_ratios_examples():
     out = ll.residual_ratios(np.array([0.5, 0.25, 0.25]))
     np.testing.assert_allclose(out, [0.5, 0.5, 1.0], rtol=1e-14)

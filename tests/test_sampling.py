@@ -36,18 +36,14 @@ def test_sorted_search_matches_plain_searchsorted(p1_1e4):
 def test_degenerate_single_atom(spf_1e4, rng):
     alpha = np.zeros(101)
     alpha[6] = 3.0
-    prefix = np.concatenate([[0.0], np.cumsum(alpha[1:])])
-    table = weights.WeightTable(x=100, alpha=alpha, prefix=prefix)
+    table = weights.WeightTable(x=100, alpha=alpha)
     s = sampling.WeightedIntegerSampler(table, rng)
     assert set(np.unique(s.sample(1000))) == {6}
 
 
 def test_zero_table_rejected(rng):
     alpha = np.zeros(11)
-    table = weights.WeightTable.__new__(weights.WeightTable)
-    object.__setattr__(table, "x", 10)
-    object.__setattr__(table, "alpha", alpha)
-    object.__setattr__(table, "prefix", np.zeros(11))
+    table = weights.WeightTable(x=10, alpha=alpha)
     with pytest.raises(ValueError):
         sampling.WeightedIntegerSampler(table, rng)
 

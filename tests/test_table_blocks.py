@@ -7,11 +7,12 @@ weights must equal them exactly, at block edges and across several blocks.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from multweight import arith, weights
+from multweight import arith, experiments, weights
 from multweight.weights import builtin_weight, catalog_weights
 
 B = arith.BLOCK
@@ -149,26 +150,71 @@ def test_weight_table_at_x_0_is_degenerate(p1_tables):
 @pytest.mark.parametrize("x, s", [(2000, "inf"), (B - 1, "nan")])
 def test_weight_table_past_the_float_range_is_degenerate(x, s):
     # n^100 passes the float range at n = 1210, and S(x) = inf used to pass
-    # the S <= 0 check; from p^k = 2^12 on, inf/inf prime-power ratios make it NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=f"S\\({x}\\) = {s} is not positive and finite"):
+    # the S <= 0 check; from p^k = 2^12 on, inf/inf prime-power ratios make it
+    # NaN.  The error names the weight, and numpy warns of none of it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"power\\(100\\): degenerate table: S\\({x}\\) = {s} is not positive and finite"):
             weights.build_weight_table(builtin_weight("power", z=100.0), arith.largest_prime_table(x))
 
 
+CHUNK = weights.CHUNK  # S(y) sums alpha's chunks of CHUNK entries
+CHUNK_YS = (0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 5)
+
+
+@pytest.fixture(scope="module")
+def p1_chunks():
+    return arith.largest_prime_table(2 * CHUNK + 5)
+
+
+def test_S_at_and_sub_tables_equal_the_dense_prefix_at_chunk_edges(p1_chunks):
+    for w in catalog_weights():
+        table = weights.build_weight_table(w, p1_chunks)
+        alpha, prefix = dense_weight_table(w, p1_chunks)
+        assert np.array_equal(table.alpha, alpha), w.name
+        for y in CHUNK_YS:  # the last is x
+            assert table.S_at(y) == prefix[y], (w.name, y, table.S_at(y), prefix[y])
+        with pytest.raises(IndexError):
+            table.S_at(table.x + 1)
+        # a table cut at 2^20 + 1 from this one equals one built there
+        x = CHUNK + 1
+        sub, direct = experiments.sub_table(table, x), weights.build_weight_table(w, p1_chunks[: x + 1])
+        assert np.array_equal(sub.alpha, direct.alpha), w.name
+        assert sub.totals == direct.totals, w.name
+        for y in CHUNK_YS[:6]:
+            assert sub.S_at(y) == direct.S_at(y) == prefix[y], (w.name, y)
+        # S(y) never builds the dense prefix; built, it is the dense oracle's
+        assert not any("prefix" in vars(t) for t in (table, sub, direct)), w.name
+        assert np.array_equal(table.prefix, prefix), w.name
+        assert np.array_equal(sub.prefix, prefix[: x + 1]), w.name
+
+
+def test_weight_table_whose_chunk_totals_sum_past_the_float_range_is_degenerate(p1_chunks):
+    # theta^omega(n) with theta = 6e43: the totals of the first two chunks are
+    # finite, their sum is not, and math.fsum raised OverflowError on it
+    w = builtin_weight("theta_omega", theta=6e43)
+    assert 0 < weights.build_weight_table(w, p1_chunks[: CHUNK + 1]).S < math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"theta_omega\\(6e\\+43\\): degenerate table: S\\({2 * CHUNK + 5}\\) = inf"):
+            weights.build_weight_table(w, p1_chunks)
+
+
 def extra_bytes(build):
-    """Peak bytes a call allocates besides the arrays it returns."""
+    """Peak bytes a call allocates besides the array it returns (a weight table: alpha)."""
     tracemalloc.start()
     out = build()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    arrays = (out.alpha, out.prefix) if isinstance(out, weights.WeightTable) else (out,)
-    return peak - sum(a.nbytes for a in arrays)
+    held = out.alpha if isinstance(out, weights.WeightTable) else out
+    return peak - held.nbytes
 
 
 def test_builders_hold_one_block_besides_their_output():
     # what a builder allocates besides its output must not grow with x: a
-    # whole-range temporary (a cofactor array, a big-prime mask) would add
-    # at least one byte per entry, 12 * B bytes from 4 * B to 16 * B
+    # whole-range temporary (a cofactor array, a big-prime mask, a dense
+    # prefix sum) would add at least one byte per entry, 12 * B bytes from
+    # 4 * B to 16 * B
     w = builtin_weight("sigma", z=1.0)
     extra = []
     for x in (4 * B, 16 * B):
@@ -179,3 +225,5 @@ def test_builders_hold_one_block_besides_their_output():
                       extra_bytes(lambda: weights.build_weight_table(w, p1))])
     for small, large in zip(*extra):
         assert large - small < B
+    # a weight table holds alpha alone: S(x) adds one chunk's cumsum to the walk's blocks
+    assert extra[1][3] < 8 * CHUNK + 8 * B

@@ -4,17 +4,21 @@ Everything here is built once and then read-only: the tables are plain
 numpy arrays, immutable by convention after construction, and safe to
 share across threads without synchronization.
 
-The dense tables of the exact scans rest on one fact: n <= x has at most
-one prime factor above sqrt(x).  p_1, Omega, omega, nu_p and the weight
-tables share one walk (_blocks) over the prime powers of the primes <= sqrt(x),
-block by block of n <= x; all but p_1 and nu_p read the larger prime off p_1.
-A draw array is factored from the same p_1 table, in O(log n) divisions
-per draw.  The smallest-prime-factor (spf) sieve is the independent oracle:
-it factors integers one by one for the tests and the brute-force case c01.
+The exact scans rest on one fact: n <= x has at most one prime factor
+above sqrt(x).  One walk (Walk) visits n <= x block by block over the prime
+powers of the primes <= sqrt(x); a block multiplies out the sqrt(x)-smooth
+part sm of its n, and n // sm is 1 or that larger prime.  Each block gives
+p_1, Omega, omega and nu_p (and, in weights, alpha): the exact scans reduce
+the blocks as they come, and the dense tables, p_1 for the draws and the
+rest for the tests, copy them into one array.  A draw array is factored
+from the same p_1 table, in O(log n) divisions per draw.  The
+smallest-prime-factor (spf) sieve is the independent oracle: it factors
+integers one by one for the tests and the brute-force case c01.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -137,84 +141,118 @@ def primes_upto(x: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dense factorization-statistic tables.
-#
-# These are vectorized equivalents of mapping factorize() over 1..x, used
-# for exact distribution scans.  All but nu_p read a p_1 table, with x its
-# length - 1, so a prefix p1[:y+1] gives the tables at y.  Tests cross-check
-# them against the per-n FactorProfile route and the dense walk they replaced.
+# The walk over n <= x, and the dense tables copied from it.  Tests
+# cross-check them against the per-n FactorProfile route and the dense walk
+# they replaced.
 # ---------------------------------------------------------------------------
 
 BLOCK = 1 << 18  # entries per block of n <= x: a prime power's strided writes stay in cache
 COUNT_BLOCK = 8 * BLOCK  # int8 entries per block of a count table: the bytes of one float64 block
 
 
-def _root_levels(x: int) -> list[np.ndarray]:
-    """levels[k-1]: the primes p <= sqrt(x) with p^k <= x, increasing."""
-    levels = [ps := primes_upto(math.isqrt(x))]
-    while len(ps := ps[ps ** (len(levels) + 1) <= x]):
-        levels.append(ps)
-    return levels
+class Walk:
+    """The blocks of n = 1..x, each over the prime powers of the primes <= sqrt(x).
 
-
-def _blocks(x: int, levels: list[np.ndarray], tags: list[list] | None = None, size: int = BLOCK):
-    """Yield (start, stop, walks) for the blocks [start, stop) of `size` entries of n = 1..x.
-
-    walks[k-1] lists (tag, p^k, o) for the primes p of levels[k-1] with a multiple
-    of p^k in the block, block[o::p^k]; the tag is p, or the entry of tags[k-1].
+    levels[k-1] holds the primes p <= sqrt(x) with p^k <= x.  n <= x is its
+    sqrt(x)-smooth part sm times a cofactor n // sm that is 1 or the one
+    prime factor of n above sqrt(x), which is then p_1(n).  A block
+    multiplies out sm when it is first asked for that prime, or reads it
+    off p1 where a p_1 table of n <= x is given.  Entering a walk checks
+    the entry budget.
     """
-    pks = [(ps**k).tolist() for k, ps in enumerate(levels, 1)]
-    tags = [ps.tolist() for ps in levels] if tags is None else tags
-    for start in range(1, x + 1, size):
-        n = min(size, x + 1 - start)
-        yield start, start + n, [[(t, q, o) for t, q in zip(*lv) if (o := -start % q) < n] for lv in zip(tags, pks)]
+
+    def __init__(self, x: int, p1: np.ndarray | None = None, size: int = BLOCK):
+        _check_budget(x)
+        self.x, self.p1, self.size = x, p1, size
+        self.levels = [ps := primes_upto(math.isqrt(x))]
+        while len(ps := ps[ps ** (len(self.levels) + 1) <= x]):
+            self.levels.append(ps)
+
+    def __iter__(self):
+        pks = [list(zip(ps.tolist(), (ps**k).tolist())) for k, ps in enumerate(self.levels, 1)]
+        for start in range(1, self.x + 1, self.size):
+            n = min(self.size, self.x + 1 - start)
+            yield Block(self, start, start + n, [[(p, q, o) for p, q in lv if (o := -start % q) < n] for lv in pks])
+
+
+class Block:
+    """One block [start, stop) of a Walk over n <= x.
+
+    walks[k-1] lists (p, p^k, o) for the primes p of the walk's levels[k-1]
+    with a multiple of p^k in the block, at block[o::p^k].
+    """
+
+    def __init__(self, walk: Walk, start: int, stop: int, walks: list[list[tuple[int, int, int]]]):
+        self.walk, self.start, self.stop, self.walks = walk, start, stop, walks
+
+    @functools.cached_property
+    def top(self) -> np.ndarray:
+        """int32: the cofactor n // sm, 1 or the prime p_1(n) > sqrt(x); where
+        the walk reads a p_1 table, p_1(n), which exceeds sqrt(x) exactly there."""
+        walk = self.walk
+        if walk.p1 is not None:
+            return walk.p1[self.start : self.stop]
+        sm = np.ones(self.stop - self.start, dtype=np.int32)
+        for walks in self.walks:
+            for p, pk, o in walks:
+                sm[o::pk] *= p
+        top = np.arange(self.start, self.stop, dtype=np.int32)
+        top //= sm
+        return top
+
+    @functools.cached_property
+    def largest_prime(self) -> np.ndarray:
+        """p_1(n), int32 (p_1(1) = 1): an ascending overwrite by the primes <= sqrt(x), then the larger one."""
+        out = np.zeros(self.stop - self.start, dtype=np.int32)
+        for _, p, o in self.walks[0]:
+            out[o::p] = p
+        return np.maximum(out, self.top, out=out)
+
+    def count(self, levels: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        """int8: 1 per p^k | n in the first `levels` levels (all if None), plus 1 per
+        prime factor above sqrt(x): Omega(n), or omega(n) at levels=1."""
+        out = np.empty(self.stop - self.start, dtype=np.int8) if out is None else out
+        np.greater(self.top, math.isqrt(self.walk.x), out=out)
+        for walks in self.walks[:levels]:
+            for _, pk, o in walks:
+                out[o::pk] += 1
+        return out
+
+    def nu(self, p: int, out: np.ndarray | None = None) -> np.ndarray:
+        """nu_p(n) for a prime p, int8: 1 per p^k <= x dividing n."""
+        out = np.zeros(self.stop - self.start, dtype=np.int8) if out is None else out
+        pk = p
+        while pk <= self.walk.x:
+            out[-self.start % pk :: pk] += 1
+            pk *= p
+        return out
+
+
+def _fill(walk: Walk, values, dtype) -> np.ndarray:
+    """values(block, out) written into each block's slice out of one zeroed array for n = 0..x."""
+    out = np.zeros(walk.x + 1, dtype=dtype)
+    for b in walk:
+        values(b, out[b.start : b.stop])
+    return out
 
 
 def largest_prime_table(x: int) -> np.ndarray:
     """p_1(n), the largest prime factor, for n = 0..x (p_1(1) = 1), int32.
 
-    Block by block, the multiples of each prime power p^k <= x, p <= sqrt(x),
-    are multiplied by p: that builds the sqrt(x)-smooth part s of each n, and
-    n // s is 1 or the one prime factor of n above sqrt(x).  It exceeds the
-    primes p | n, of which an ascending overwrite leaves the largest.
-
     Raises:
         CapacityError: x exceeds the configured entry budget.
     """
-    _check_budget(x)
-    lpf = np.zeros(x + 1, dtype=np.int32)
-    for start, stop, walks in _blocks(x, _root_levels(x)):
-        out, sm = lpf[start:stop], np.ones(stop - start, dtype=np.int32)
-        for p, _, o in walks[0]:
-            out[o::p] = p
-        for walk in walks:
-            for p, pk, o in walk:
-                sm[o::pk] *= p
-        np.maximum(out, np.arange(start, stop, dtype=np.int32) // sm, out=out)
-    return lpf
+    return _fill(Walk(x), lambda b, out: np.copyto(out, b.largest_prime), np.int32)
 
 
 def big_omega_table(p1: np.ndarray) -> np.ndarray:
     """Omega(n) (prime factors with multiplicity) for n = 0..len(p1) - 1, int8."""
-    return _count_table(len(p1) - 1, _root_levels(len(p1) - 1), p1)
+    return _fill(Walk(len(p1) - 1, p1, COUNT_BLOCK), lambda b, out: b.count(None, out), np.int8)
 
 
 def omega_table(p1: np.ndarray) -> np.ndarray:
     """omega(n) (distinct prime factors) for n = 0..len(p1) - 1, int8."""
-    return _count_table(len(p1) - 1, _root_levels(len(p1) - 1)[:1], p1)
-
-
-def _count_table(x: int, levels: list[np.ndarray], p1: np.ndarray | None = None) -> np.ndarray:
-    """For n = 0..x, int8: 1 per p^k | n of the levels, plus 1 where p_1(n) > sqrt(x) if p1 is given."""
-    om = np.zeros(x + 1, dtype=np.int8)
-    for start, stop, walks in _blocks(x, levels, size=COUNT_BLOCK):
-        out = om[start:stop]
-        if p1 is not None:
-            np.greater(p1[start:stop], math.isqrt(x), out=out)
-        for walk in walks:
-            for _, pk, o in walk:
-                out[o::pk] += 1
-    return om
+    return _fill(Walk(len(p1) - 1, p1, COUNT_BLOCK), lambda b, out: b.count(1, out), np.int8)
 
 
 def require_prime(p: int) -> None:
@@ -223,9 +261,6 @@ def require_prime(p: int) -> None:
 
 
 def nu_p_table(x: int, p: int) -> np.ndarray:
-    """nu_p(n) for n = 0..x and a prime p, int8; needs no sieve."""
+    """nu_p(n) for n = 0..x and a prime p, int8; reads no cofactor."""
     require_prime(p)
-    k = 0
-    while p ** (k + 1) <= x:
-        k += 1
-    return _count_table(x, [np.array([p])] * k)
+    return _fill(Walk(x, size=COUNT_BLOCK), lambda b, out: b.nu(p, out), np.int8)

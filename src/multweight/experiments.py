@@ -1,8 +1,10 @@
 """The experiments, each computed by one function.
 
-Every function takes a Context (the table cache) and its parameters and
-returns its numbers.  `cli` writes them as CSV/JSON reports and `harness`
-applies tolerances to them, so both read the same computation.
+Every function takes a Context (the dense tables of the draws) and its
+parameters and returns its numbers.  The exact laws and sums reduce one
+walk over n <= x as it goes (scan) and build no table.  `cli` writes the
+numbers as CSV/JSON reports and `harness` applies tolerances to them, so
+both read the same computation.
 """
 
 from __future__ import annotations
@@ -17,17 +19,16 @@ STATISTICS = ("omega", "big_omega", "nu", "largest_prime", "largest_ratio", "smo
 
 
 class Context:
-    """Lazily built tables shared by the experiments of one run.
+    """The dense p_1 table of one run, for the draw ops, and the weight tables built from it.
 
-    One p_1 table, grown to the largest range asked for, and the statistic
-    tables built from it are kept and served as prefixes.  Weight tables
-    are built from it and not kept: each lives as long as the experiment
-    that holds it.
+    One p_1 table, grown to the largest range asked for, is kept and served
+    as prefixes.  Weight tables are built from it and not kept: each lives
+    as long as the experiment that holds it.  The exact scans build neither:
+    they reduce one walk over n <= x block by block (scan).
     """
 
     def __init__(self):
         self._p1: np.ndarray | None = None
-        self._stat: dict[tuple[str, int], np.ndarray] = {}
 
     def p1(self, x: int) -> np.ndarray:
         """p_1(n) for n = 0..x, a prefix of the kept table."""
@@ -36,45 +37,6 @@ class Context:
             self._p1 = arith.largest_prime_table(x)
         return self._p1[: x + 1]
 
-    def statistic(self, name: str, x: int, p: int = 2, u: float = 2.0) -> np.ndarray:
-        """Values of a factorization statistic for n = 0..x.
-
-        omega, big_omega and nu (nu_p for a prime p) are built over the whole
-        p_1 range and kept; largest_prime is p_1 itself (p_1(1) = 1);
-        largest_ratio (log p_1/log x, x >= 2) and smooth (1 where
-        p_1^u <= x) are derived from p_1 on each call.
-        """
-        if name == "largest_ratio":
-            if x < 2:
-                raise ValueError(f"largest_ratio needs x >= 2, got x={x}")
-            with np.errstate(divide="ignore"):
-                out = np.log(self.p1(x)) / math.log(x)
-            out[0] = 0.0
-            return out
-        if name == "smooth":
-            if u <= 0:
-                raise ValueError(f"smoothness parameter u must be positive, got {u}")
-            y = x  # at u <= 1 every n <= x is smooth, and the float root can overflow
-            if u > 1:  # the largest y with y^u <= x; 343^(1/3) reads 6.999...
-                y = math.floor(x ** (1.0 / u))
-                with np.errstate(over="ignore"):  # (y+1)^u may pass the float range at large u
-                    if np.float_power(y + 1, u) <= x:
-                        y += 1
-                    elif np.float_power(y, u) > x:
-                        y -= 1
-            return (self.p1(x) <= y).astype(np.int8)
-        if name not in STATISTICS:
-            raise ValueError(f"unknown statistic {name!r}; known: {STATISTICS}")
-        if name == "largest_prime":
-            return self.p1(x)
-        key = (name, p if name == "nu" else 0)
-        arr = self._stat.get(key)
-        if arr is None or len(arr) <= x:
-            self.p1(x)  # grows the kept p_1 table to x; the tables span all of it
-            arr = arith.nu_p_table(len(self._p1) - 1, p) if name == "nu" else getattr(arith, f"{name}_table")(self._p1)
-            self._stat[key] = arr
-        return arr[: x + 1]
-
     def weight_table(self, w: weights.MultiplicativeWeight, x: int) -> weights.WeightTable:
         return weights.build_weight_table(w, self.p1(x))
 
@@ -82,6 +44,88 @@ class Context:
 def sub_table(table: weights.WeightTable, x: int) -> weights.WeightTable:
     """The table for a smaller range, as a view of a larger one's alpha."""
     return weights.WeightTable(x=x, alpha=table.alpha[: x + 1])
+
+
+def statistic(name: str, x: int, p: int = 2, u: float = 2.0):
+    """The values of a factorization statistic of n <= x on one block of a walk (arith.Block).
+
+    omega, big_omega and nu (nu_p for a prime p) are int8 counts;
+    largest_prime is p_1 (p_1(1) = 1); largest_ratio is log p_1/log x
+    (x >= 2); smooth is 1 where p_1^u <= x, int8.
+    """
+    if name not in STATISTICS:
+        raise ValueError(f"unknown statistic {name!r}; known: {STATISTICS}")
+    if name == "largest_ratio":
+        if x < 2:
+            raise ValueError(f"largest_ratio needs x >= 2, got x={x}")
+        return lambda b: np.log(b.largest_prime) / math.log(x)
+    if name == "smooth":
+        if u <= 0:
+            raise ValueError(f"smoothness parameter u must be positive, got {u}")
+        y = x  # at u <= 1 every n <= x is smooth, and the float root can overflow
+        if u > 1:  # the largest y with y^u <= x; 343^(1/3) reads 6.999...
+            y = math.floor(x ** (1.0 / u))
+            with np.errstate(over="ignore"):  # (y+1)^u may pass the float range at large u
+                if np.float_power(y + 1, u) <= x:
+                    y += 1
+                elif np.float_power(y, u) > x:
+                    y -= 1
+        return lambda b: (b.largest_prime <= y).astype(np.int8)
+    if name == "nu":
+        arith.require_prime(p)
+        return lambda b: b.nu(p)
+    if name == "largest_prime":
+        return lambda b: b.largest_prime
+    return lambda b: b.count(1 if name == "omega" else None)
+
+
+def joint_nu(x: int, p: int, q: int):
+    """The values nu_p(n) k + nu_q(n) of n <= x on one block, k = 1 + the largest
+    nu_q(n), n <= x, and k: the codes of sampling.joint_pmf_from_values."""
+    k = 1
+    while q**k <= x:
+        k += 1
+    return (lambda b: b.nu(p).astype(np.int64) * k + b.nu(q)), k
+
+
+def _added(mass: np.ndarray, v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """mass with a[i] added at v[i] in order (np.add.at), grown to the largest v."""
+    if len(v) and v.max() >= len(mass):
+        mass = np.concatenate([mass, np.zeros(int(v.max()) + 1 - len(mass))])
+    np.add.at(mass, v, a)
+    return mass
+
+
+def scan(w: weights.MultiplicativeWeight, x: int, ys: list[int] = (), laws: list = ()):
+    """One walk over n <= x under w, reduced block by block: no array of x entries.
+
+    Returns S(y) for each y in ys, 0 <= y <= x, read as the walk passes y,
+    and for each law (values, stops), values as from `statistic`, the
+    alpha-mass of each value over n <= stop for each stop <= x: an array
+    indexed by value up to the largest value met, added in n order as
+    exact_pmf_from_values adds it.  Raises ValueError where S(x) is not
+    positive and finite.
+    """
+    S, mass, at = {0: 0.0}, [np.zeros(1) for _ in laws], [{} for _ in laws]
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range, S(x) below is inf or NaN
+        walk = weights.AlphaWalk(w, x)
+        for b, a in walk:
+            S.update((y, walk.S_at(y)) for y in ys if b.start <= y < b.stop)
+            for j, (values, stops) in enumerate(laws):
+                if b.start > max(stops):
+                    continue
+                v, lo = values(b), 0
+                for hi in sorted(y + 1 - b.start for y in stops if b.start <= y < b.stop):
+                    mass[j] = _added(mass[j], v[lo:hi], a[lo:hi])  # the law at a stop: split the block there
+                    at[j][b.start + hi - 1], lo = mass[j].copy(), hi
+                mass[j] = _added(mass[j], v[lo:], a[lo:])
+        weights.check_S(w, x, walk.S_at(x))
+    return [S[y] for y in ys], [[at[j][y] for y in stops] for j, (_, stops) in enumerate(laws)]
+
+
+def exact_laws(w: weights.MultiplicativeWeight, x: int, laws: list) -> list[list[sampling.ExactPmf]]:
+    """The exact law of each (values, stops) over n <= each stop, from one scan."""
+    return [[sampling.exact_pmf_from_mass(m) for m in ms] for ms in scan(w, x, laws=laws)[1]]
 
 
 def atom_gaps(a: sampling.ExactPmf, b: sampling.ExactPmf) -> list[float]:
@@ -97,15 +141,14 @@ def atom_gaps(a: sampling.ExactPmf, b: sampling.ExactPmf) -> list[float]:
 
 def sieve_sum(ctx: Context, w: weights.MultiplicativeWeight, xs: list[int], cutoff: int) -> list[dict]:
     """Exact S(x) against the Euler-product (Ewens) or saddle-point (poly) predictor."""
-    table = ctx.weight_table(w, max(xs))
+    exact, _ = scan(w, max(xs), ys=xs)
     if isinstance(w.regime, weights.EwensRegime):
         a = asympt.euler_constant(w, cutoff=cutoff)
         preds = [asympt.predict_S_ewens(a, x) for x in xs]
     else:
         saddle = asympt.solve_saddle(w.poly().K, w.poly().gamma, max(xs), prime_cutoff=cutoff)
         preds = [asympt.predict_S_poly(saddle, x) for x in xs]
-    return [{"x": x, "exact": table.S_at(x), "predicted": pred, "ratio": table.S_at(x) / pred}
-            for x, pred in zip(xs, preds)]
+    return [{"x": x, "exact": e, "predicted": pred, "ratio": e / pred} for x, e, pred in zip(xs, exact, preds)]
 
 
 def conditions(ctx: Context, w: weights.MultiplicativeWeight, xs: list[int]) -> dict:
@@ -118,13 +161,13 @@ def conditions(ctx: Context, w: weights.MultiplicativeWeight, xs: list[int]) -> 
 
 def poly_asym(ctx: Context, K: float, gamma: float, xs: list[int], cutoff: int) -> list[dict]:
     """Exact S(x) under poly_log(K, gamma) against the saddle-point predictor solved at each x."""
-    table = ctx.weight_table(weights.builtin_weight("poly_log", K=K, gamma=gamma), max(xs))
+    exact, _ = scan(weights.builtin_weight("poly_log", K=K, gamma=gamma), max(xs), ys=xs)
     rows = []
-    for x in xs:
+    for x, e in zip(xs, exact):
         s = asympt.solve_saddle(K, gamma, x, prime_cutoff=cutoff)
         pred = asympt.predict_S_poly(s, x)
-        rows.append({"x": x, "sigma": s.sigma, "residual": s.residual, "exact": table.S_at(x),
-                     "predicted": pred, "ratio": table.S_at(x) / pred})
+        rows.append({"x": x, "sigma": s.sigma, "residual": s.residual, "exact": e, "predicted": pred,
+                     "ratio": e / pred})
     return rows
 
 
@@ -133,50 +176,37 @@ def poly_asym(ctx: Context, K: float, gamma: float, xs: list[int], cutoff: int) 
 # --------------------------------------------------------------------------
 
 
-def exact_dist(ctx: Context, w: weights.MultiplicativeWeight, x: int, statistic: str,
+def exact_dist(ctx: Context, w: weights.MultiplicativeWeight, x: int, name: str,
                p: int = 2, u: float = 2.0) -> sampling.ExactPmf:
-    table = ctx.weight_table(w, x)
-    return sampling.exact_pmf_from_values(table, ctx.statistic(statistic, x, p=p, u=u))
+    values = statistic(name, x, p=p, u=u)
+    if name in ("largest_prime", "largest_ratio"):  # O(x) atoms: binned over the whole range at once
+        dense = np.concatenate([[0], *(values(b) for b in arith.Walk(x, ctx.p1(x)))])
+        return sampling.exact_pmf_from_values(ctx.weight_table(w, x), dense)
+    return exact_laws(w, x, [(values, [x])])[0][0]
 
 
 def omega_clt_ks(ctx: Context, w: weights.MultiplicativeWeight, xs: list[int]) -> list[float]:
     """KS distance of (Omega - c)/sqrt(c), c = theta log log x, to N(0,1), exactly at each x."""
     theta = w.ewens().theta
-    table = ctx.weight_table(w, max(xs))
     out = []
-    for x in xs:
-        pmf = sampling.exact_pmf_from_values(sub_table(table, x), ctx.statistic("big_omega", x))
+    for x, pmf in zip(xs, exact_laws(w, max(xs), [(statistic("big_omega", max(xs)), xs)])[0]):
         c = theta * math.log(math.log(x))
         out.append(limitlaws.ks_distance(pmf.affine(c, math.sqrt(c)), limitlaws.normal_cdf))
     return out
 
 
-def smooth_probability(ctx: Context, table: weights.WeightTable, u: float) -> float:
-    """Exact P(p_1(N) <= x^(1/u)) under the table's measure on n <= x."""
-    smooth = ctx.statistic("smooth", table.x, u=u)
-    return sampling.exact_pmf_from_values(table, smooth).prob_of(1.0)
-
-
 def smooth(ctx: Context, w: weights.MultiplicativeWeight, x: int, us: list[float], step: float) -> list[dict]:
-    """Exact smoothness probabilities at x against rho_theta(u)."""
-    # solved first: it rejects a bad step before any table is built
+    """Exact smoothness probabilities P(p_1(N) <= x^(1/u)) at x against rho_theta(u)."""
+    # solved first: it rejects a bad step before any table is walked
     sol = limitlaws.dickman_rho(w.ewens().theta, max(max(us), 1.0) + 1e-9, h=step)
-    table = ctx.weight_table(w, x)
-    exact = [smooth_probability(ctx, table, u) for u in us]
-    return [{"u": u, "exact": e, "rho": sol.rho(u)} for u, e in zip(us, exact)]
-
-
-def nu_p_pmf(ctx: Context, table: weights.WeightTable, p: int) -> sampling.ExactPmf:
-    """Exact law of nu_p(N) under the table's measure."""
-    return sampling.exact_pmf_from_values(table, ctx.statistic("nu", table.x, p=p))
+    laws = exact_laws(w, x, [(statistic("smooth", x, u=u), [x]) for u in us])
+    return [{"u": u, "exact": pmfs[0].prob_of(1.0), "rho": sol.rho(u)} for u, pmfs in zip(us, laws)]
 
 
 def small_prime(ctx: Context, w: weights.MultiplicativeWeight, x: int, ps: list[int]) -> list[dict]:
     """Per-atom gaps of the exact nu_p laws at x to their limit laws."""
-    table = ctx.weight_table(w, x)
     rows = []
-    for p in ps:
-        exact = nu_p_pmf(ctx, table, p)
+    for p, (exact,) in zip(ps, exact_laws(w, x, [(statistic("nu", x, p=p), [x]) for p in ps])):
         limit = sampling.nu_p_limit_pmf(w, p)
         rows += [{"p": p, "k": k, "exact": exact.prob_of(k), "limit": limit.prob_of(k), "gap": gap}
                  for k, gap in enumerate(atom_gaps(exact, limit))]
@@ -185,7 +215,7 @@ def small_prime(ctx: Context, w: weights.MultiplicativeWeight, x: int, ps: list[
 
 def mean_big_omega(ctx: Context, table: weights.WeightTable) -> float:
     """Exact E Omega(N) under the table's measure."""
-    om = ctx.statistic("big_omega", table.x)
+    om = arith.big_omega_table(ctx.p1(table.x))
     return float(np.dot(om[1:].astype(float), table.alpha[1:])) / table.S
 
 

@@ -189,9 +189,10 @@ def _c06_smoothness(ctx: Context, scale: str):
     xs = _p(scale, [10**5, 10**6, 10**7], [10**4, 10**5, 10**6])
     x = xs[-1]
     checks = []
-    uni = ctx.weight_table(weights.builtin_weight("power", z=0.0), x)
     rho1 = 1.0 - math.log(2.0)
-    p1s = [experiments.smooth_probability(ctx, sub_table(uni, y), 2.0) for y in xs]
+    sqrt_smooth = [(experiments.statistic("smooth", y, u=2.0), [y]) for y in xs]  # P(p1 <= sqrt y) over n <= y
+    uniform = experiments.exact_laws(weights.builtin_weight("power", z=0.0), x, sqrt_smooth)
+    p1s = [pmfs[0].prob_of(1.0) for pmfs in uniform]
     p1 = p1s[-1]
     ref1 = _smooth_two_term(x)
     gap1 = abs(p1 - ref1)
@@ -211,7 +212,7 @@ def _c06_smoothness(ctx: Context, scale: str):
             f"gaps={['%.4f' % g for g in gaps]}",
         )
     )
-    p2 = experiments.smooth_probability(ctx, ctx.weight_table(weights.builtin_weight("divisor", k=2.0), x), 2.0)
+    p2 = experiments.exact_laws(weights.builtin_weight("divisor", k=2.0), x, sqrt_smooth[-1:])[0][0].prob_of(1.0)
     rho2 = limitlaws.dickman_rho(2.0, 2.0, h=1.0 / 256).rho(2.0)
     gap2 = abs(p2 - rho2)
     checks.append(
@@ -287,13 +288,13 @@ def _c10_poly_typical(ctx: Context, scale: str):
 def _c11_small_primes(ctx: Context, scale: str):
     xs = _p(scale, [10**5, 10**6, 10**7], [10**4, 10**5, 10**6])
     x = xs[-1]
-    nu2 = ctx.statistic("nu", x, p=2)
-    nu3 = ctx.statistic("nu", x, p=3)
+    nu2 = experiments.statistic("nu", x, p=2)
+    nu23, kb = experiments.joint_nu(x, 2, 3)
     checks = []
     for kind, params in (("theta_omega", {"theta": 2.0}), ("powerfree", {"k": 2})):
         w = weights.builtin_weight(kind, **params)
-        table = ctx.weight_table(w, x)
-        exacts = [experiments.nu_p_pmf(ctx, sub_table(table, y), 2) for y in xs]
+        _, (masses, (joint_mass,)) = experiments.scan(w, x, laws=[(nu2, xs), (nu23, [x])])
+        exacts = [sampling.exact_pmf_from_mass(m) for m in masses]
         gap = max(atom_gaps(exacts[-1], _nu_p_first_order(w, 2, x)))
         limit = sampling.nu_p_limit_pmf(w, 2)
         lim_gaps = [max(atom_gaps(e, limit)) for e in exacts]
@@ -312,7 +313,7 @@ def _c11_small_primes(ctx: Context, scale: str):
                 f"gaps={['%.2e' % g for g in lim_gaps]}",
             )
         )
-        joint = sampling.joint_pmf_from_values(table, nu2, nu3)
+        joint = sampling.joint_pmf_from_mass(joint_mass, kb)
         m2: dict[int, float] = {}
         m3: dict[int, float] = {}
         for (a, b), pr in joint.items():
@@ -473,9 +474,8 @@ def _c16_extended_sieve(ctx: Context, scale: str):
     # extended tier only: 10^8 exactness smoke for the uniform weight
     x = 10**8
     w = weights.builtin_weight("power", z=0.0)
-    table = weights.build_weight_table(w, arith.largest_prime_table(x))
-    ok = table.S == float(x)
-    return [(f"S(1e8) for alpha=1 equals 1e8 exactly", ok, f"S={table.S!r}")]
+    (S,), _ = experiments.scan(w, x, ys=[x])
+    return [(f"S(1e8) for alpha=1 equals 1e8 exactly", S == float(x), f"S={S!r}")]
 
 
 CASES: tuple[AcceptanceCase, ...] = (

@@ -108,13 +108,16 @@ def exact_pmf_from_values(table: WeightTable, values: np.ndarray) -> ExactPmf:
         mass = np.zeros(int(v.max()) + 1)
         for s in range(0, len(v), 2**20):
             np.add.at(mass, v[s : s + 2**20], w[s : s + 2**20])
-        uniq = np.arange(len(mass))
-    else:
-        uniq, inv = np.unique(v, return_inverse=True)
-        mass = np.bincount(inv, weights=w, minlength=len(uniq))
-    total = mass.sum()
+        return exact_pmf_from_mass(mass)
+    uniq, inv = np.unique(v, return_inverse=True)
+    return exact_pmf_from_mass(np.bincount(inv, weights=w, minlength=len(uniq)), uniq)
+
+
+def exact_pmf_from_mass(mass: np.ndarray, atoms: np.ndarray | None = None) -> ExactPmf:
+    """The law with mass[i] (unnormalized) on atoms[i], by default on i."""
     keep = mass > 0
-    return ExactPmf(uniq[keep].astype(float), mass[keep] / total)
+    atoms = np.flatnonzero(keep) if atoms is None else atoms[keep]
+    return ExactPmf(atoms.astype(float), mass[keep] / mass.sum())
 
 
 def joint_pmf_from_values(
@@ -125,6 +128,13 @@ def joint_pmf_from_values(
     bv = np.asarray(b[1:], dtype=np.int64)
     kb = int(bv.max()) + 1
     mass = np.bincount(av * kb + bv, weights=table.alpha[1:], minlength=(int(av.max()) + 1) * kb)
+    return joint_pmf_from_mass(mass, kb)
+
+
+def joint_pmf_from_mass(mass: np.ndarray, kb: int) -> dict[tuple[int, int], float]:
+    """The joint law with mass[a kb + b] (unnormalized) on (a, b), as a dict;
+    mass is first padded with zeros to whole rows of kb."""
+    mass = np.concatenate([mass, np.zeros(-len(mass) % kb)])
     mass = mass / mass.sum()
     out = {}
     for code, m in enumerate(mass):

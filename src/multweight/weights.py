@@ -12,12 +12,12 @@ reads the same table.  Two parameter regimes are tracked:
 * Poly(K, gamma): alpha(p) = K log^gamma p up to O(log^-2 p), with a
   summable tail over k >= 2.
 
-The dense table of alpha(n) for n <= x is sieved from the p_1 table of
-n <= x, in arith's cache-sized blocks, by multiplying the prime-power ratios
-of the primes up to sqrt(x), and alpha at the one larger prime factor n may
-have, into an all-ones array, O(x log log x) total work; per-n factorization
-is kept as the independent brute-force route for tests.  S(y) is read from
-alpha; the dense prefix sum, as large again, is built for the sampler alone.
+alpha(n) for n <= x is sieved block by block along arith's walk, by
+multiplying the prime-power ratios of the primes up to sqrt(x), and alpha
+at the one larger prime factor n may have, into ones, O(x log log x) total
+work; per-n factorization is kept as the independent brute-force route for
+tests.  The exact scans reduce alpha block by block (AlphaWalk); the dense
+table, and the prefix sum as large again, are built for the draws.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .arith import _blocks, _root_levels, factorize, primes_upto
+from . import arith
+from .arith import factorize, primes_upto
 
 
 @dataclass(frozen=True)
@@ -217,6 +218,16 @@ def catalog_weights() -> list[MultiplicativeWeight]:
 CHUNK = 1 << 20  # S(y) adds whole-chunk totals exactly, by math.fsum
 
 
+def _S(totals: list[float], part: np.ndarray) -> float:
+    """S(y) from the totals of the whole chunks before y's and y's chunk up to y."""
+    s = float(np.cumsum(part)[-1]) if len(part) else 0.0
+    try:
+        base = math.fsum(totals)
+    except OverflowError:  # finite chunk totals whose sum passes the float range
+        base = math.inf
+    return s + base
+
+
 @dataclass(frozen=True)
 class WeightTable:
     """Dense alpha(n) for 1 <= n <= x; alpha[0] is unused (0).
@@ -249,12 +260,7 @@ class WeightTable:
         if not 0 <= y <= self.x:
             raise IndexError(f"S({y}) is outside the table's range 0..{self.x}")
         c = max(y - 1, 0) // CHUNK
-        s = float(np.cumsum(self.alpha[1 + c * CHUNK : y + 1])[-1]) if y else 0.0
-        try:
-            base = math.fsum(self.totals[:c])
-        except OverflowError:  # finite chunk totals whose sum passes the float range
-            base = math.inf
-        return s + base
+        return _S(self.totals[:c], self.alpha[1 + c * CHUNK : y + 1])
 
 
 def _compensated_cumsum(a: np.ndarray, out: np.ndarray, chunk: int = CHUNK) -> np.ndarray:
@@ -275,44 +281,78 @@ def _compensated_cumsum(a: np.ndarray, out: np.ndarray, chunk: int = CHUNK) -> n
     return out
 
 
-def build_weight_table(w: MultiplicativeWeight, p1: np.ndarray) -> WeightTable:
-    """Sieve alpha(n) for all n <= x from the p_1 table of n <= x, x = len(p1) - 1.
+class AlphaWalk:
+    """alpha on the blocks of the walk over n <= x (arith.Walk, reading p1 where given).
 
     n <= x is a product of prime powers p^k, p <= sqrt(x), and a cofactor
-    q that is 1 or the prime p_1(n) > sqrt(x).  Block by block of arith.BLOCK
-    entries, the multiples of each p^k are multiplied by alpha(p^k)/alpha(p^(k-1)),
-    and each n with a cofactor q > 1 by alpha(q), in the order k = 1, q, k >= 2
-    with p increasing: every alpha(n) is the same product whatever the block size.
-    Weights where alpha(p^j) = 0 but alpha(p^k) != 0 for some k > j cannot
-    be sieved this way and are rejected (no catalog weight does that).
+    q that is 1 or the prime p_1(n) > sqrt(x).  alpha(b, out) writes alpha
+    on block b into out: from ones, the multiples of each p^k are multiplied
+    by alpha(p^k)/alpha(p^(k-1)), and each n with a cofactor q > 1 by
+    alpha(q), in the order k = 1, q, k >= 2 with p increasing, so every
+    alpha(n) is the same product whatever the block size and x.  Weights
+    where alpha(p^j) = 0 but alpha(p^k) != 0 for some k > j cannot be sieved
+    this way and are rejected (no catalog weight does that).
+
+    Iterating yields (block, alpha on it), written into one CHUNK-entry
+    buffer (the walk's blocks nest in chunks): np.sum sees the chunks that
+    WeightTable.totals sums, and S_at(y) equals WeightTable.S_at(y) for
+    y = 0 and for y in the chunk of the last block yielded.  Past the float
+    range alpha is inf or NaN, without a warning only under the caller's
+    np.errstate.
     """
-    x = len(p1) - 1
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range, S(x) below is inf or NaN
-        levels = _root_levels(x)
-        ratios, prev = [], np.ones(len(levels[0]))
-        for k, ps in enumerate(levels, 1):
+
+    def __init__(self, w: MultiplicativeWeight, x: int, p1: np.ndarray | None = None):
+        self.w, self.walk, self.ratios = w, arith.Walk(x, p1), []
+        prev = np.ones(len(self.walk.levels[0]))
+        for k, ps in enumerate(self.walk.levels, 1):
             cur = _nonnegative(w, w.values_on_primes(ps, k))
             prev = prev[: len(ps)]
             bad = (prev == 0.0) & (cur != 0.0)
             if np.any(bad):
                 raise ValueError(f"{w.name}: alpha(p^{k - 1}) = 0 but alpha(p^{k}) != 0 at p={int(ps[bad][0])}; "
                                  "ratio sieving requires monotone-vanishing prime-power values")
-            ratios.append(np.divide(cur, prev, out=np.ones_like(cur), where=prev != 0.0).tolist())
+            ratio = np.divide(cur, prev, out=np.ones_like(cur), where=prev != 0.0)
+            self.ratios.append(dict(zip(ps.tolist(), ratio.tolist())))
             prev = cur
-        alpha = np.ones(x + 1)
-        alpha[0] = 0.0
-        for start, stop, walks in _blocks(x, levels, ratios):
-            out = alpha[start:stop]
-            for k, walk in enumerate(walks, 1):
-                for r, pk, o in walk:
-                    if r != 1.0:
-                        out[o::pk] *= r
-                if k == 1:
-                    hit = np.flatnonzero(p1[start:stop] > math.isqrt(x))
-                    out[hit] *= _nonnegative(w, w.values_on_primes(p1[start:stop][hit].astype(np.int64), 1))
-        table = WeightTable(x=x, alpha=alpha)
-        if not 0 < table.S < math.inf:
-            raise ValueError(f"{w.name}: degenerate table: S({x}) = {table.S} is not positive and finite")
+
+    def alpha(self, b: arith.Block, out: np.ndarray) -> np.ndarray:
+        hit = np.flatnonzero(b.top > math.isqrt(self.walk.x))  # the whole sqrt(x)-smooth part first
+        out.fill(1.0)
+        for k, (walks, rs) in enumerate(zip(b.walks, self.ratios)):
+            for p, pk, o in walks:
+                if rs[p] != 1.0:
+                    out[o::pk] *= rs[p]
+            if k == 0:
+                out[hit] *= _nonnegative(self.w, self.w.values_on_primes(b.top[hit].astype(np.int64), 1))
+        return out
+
+    def __iter__(self):
+        self.totals, self.chunk = [], np.empty(CHUNK)
+        for b in self.walk:
+            o = (b.start - 1) % CHUNK
+            if o == 0 and b.start > 1:
+                self.totals.append(float(np.sum(self.chunk)))
+            yield b, self.alpha(b, self.chunk[o : o + b.stop - b.start])
+
+    def S_at(self, y: int) -> float:
+        return _S(self.totals, self.chunk[: y - len(self.totals) * CHUNK])
+
+
+def check_S(w: MultiplicativeWeight, x: int, S: float) -> None:
+    if not 0 < S < math.inf:
+        raise ValueError(f"{w.name}: degenerate table: S({x}) = {S} is not positive and finite")
+
+
+def build_weight_table(w: MultiplicativeWeight, p1: np.ndarray) -> WeightTable:
+    """alpha(n) for all n <= x, x = len(p1) - 1, from the AlphaWalk that reads p1, into one array.
+
+    Raises ValueError where S(x) is not positive and finite.
+    """
+    x = len(p1) - 1
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range, S(x) below is inf or NaN
+        walk = AlphaWalk(w, x, p1)
+        table = WeightTable(x=x, alpha=arith._fill(walk.walk, walk.alpha, float))
+        check_S(w, x, table.S)
     return table
 
 

@@ -380,6 +380,7 @@ def test_smooth_rejects_the_step_before_building_a_table(monkeypatch, capsys):
     monkeypatch.setattr(cli.arith, "build_spf", no_tables)
     monkeypatch.setattr(cli.arith, "largest_prime_table", no_tables)
     monkeypatch.setattr(cli.weights, "build_weight_table", no_tables)
+    monkeypatch.setattr(cli.arith, "Walk", no_tables)
     assert run(["smooth", "--weight", "power:0", "--x", "1e7", "--u", "2", "--step", "0"]) == 2
     assert "must be positive" in capsys.readouterr().err
 

@@ -7,30 +7,36 @@ from multweight import arith, experiments, weights
 from multweight.weights import builtin_weight
 
 
+def values(name, x, **kwargs):
+    """A statistic's values for n = 0..x (entry 0 is 0), from its blocks of the walk over n <= x."""
+    f = experiments.statistic(name, x, **kwargs)
+    blocks = [f(b) for b in arith.Walk(x)]
+    return np.concatenate([np.zeros(1, blocks[0].dtype), *blocks])
+
+
 def test_statistic_dispatch_matches_the_tables(p1_1e4):
-    ctx = experiments.Context()
     x = 10**4
     lpf = p1_1e4
-    np.testing.assert_array_equal(ctx.statistic("omega", x), arith.omega_table(lpf))
-    np.testing.assert_array_equal(ctx.statistic("big_omega", x), arith.big_omega_table(lpf))
-    np.testing.assert_array_equal(ctx.statistic("largest_prime", x), lpf)
-    np.testing.assert_array_equal(ctx.statistic("nu", x, p=3), arith.nu_p_table(x, 3))
-    ratio = ctx.statistic("largest_ratio", x)
+    np.testing.assert_array_equal(values("omega", x), arith.omega_table(lpf))
+    np.testing.assert_array_equal(values("big_omega", x), arith.big_omega_table(lpf))
+    np.testing.assert_array_equal(values("largest_prime", x), lpf)
+    np.testing.assert_array_equal(values("nu", x, p=3), arith.nu_p_table(x, 3))
+    ratio = values("largest_ratio", x)
     assert ratio[0] == 0.0 and ratio[1] == 0.0
     np.testing.assert_array_equal(ratio[2:], np.log(lpf[2:].astype(float)) / math.log(x))
-    smooth = ctx.statistic("smooth", x, u=2.0)
+    smooth = values("smooth", x, u=2.0)
     assert smooth.dtype == np.int8
     np.testing.assert_array_equal(smooth[1:], (lpf[1:] <= 100).astype(np.int8))
     assert smooth[97 * 101] == 0 and smooth[97 * 89] == 1 and smooth[10**4] == 1
 
 
-def test_statistics_grow_with_the_range_and_are_served_as_prefixes():
+def test_p1_table_grows_with_the_range_and_is_served_as_prefixes():
     ctx = experiments.Context()
-    small = ctx.statistic("big_omega", 100).copy()
-    big = ctx.statistic("big_omega", 10**4)
+    small = ctx.p1(100).copy()
+    big = ctx.p1(10**4)
     assert np.shares_memory(ctx.p1(50), ctx.p1(10**4)) and len(ctx.p1(50)) == 51
     np.testing.assert_array_equal(big[:101], small)
-    again = ctx.statistic("big_omega", 100)
+    again = ctx.p1(100)
     assert len(again) == 101 and np.shares_memory(again, big)
 
 
@@ -43,7 +49,7 @@ def test_statistics_grow_with_the_range_and_are_served_as_prefixes():
 ])
 def test_statistic_rejects_bad_input(name, kwargs, match):
     with pytest.raises(ValueError, match=match):
-        experiments.Context().statistic(name, 100, **kwargs)
+        experiments.statistic(name, 100, **kwargs)
 
 
 @pytest.mark.parametrize("x, u", [(343, 3), (125, 3), (1331, 3), (2197, 3), (49, 2)])
@@ -52,12 +58,12 @@ def test_smooth_counts_an_exact_root_as_smooth(x, u):
     # dropped every n with p_1 = 7
     ctx = experiments.Context()
     want = [int(p) ** u <= x for p in ctx.p1(x)[1:]]
-    np.testing.assert_array_equal(ctx.statistic("smooth", x, u=float(u))[1:], want)
+    np.testing.assert_array_equal(values("smooth", x, u=float(u))[1:], want)
 
 
 def test_largest_ratio_needs_x_at_least_2():
     with pytest.raises(ValueError, match="x >= 2"):
-        experiments.Context().statistic("largest_ratio", 1)
+        experiments.statistic("largest_ratio", 1)
 
 
 def test_require_prime():
@@ -87,15 +93,16 @@ def test_sub_table_equals_a_table_built_at_the_smaller_range(p1_1e5):
 
 
 def test_scans_leave_the_dense_prefix_unbuilt(monkeypatch):
-    # only the sampler reads the whole prefix sum; the scans read S(y) from alpha
+    # only the sampler reads the whole prefix sum; the scans reduce the walk
+    # block by block and build no weight table at all
     built = []
-    weight_table = experiments.Context.weight_table
+    build = weights.build_weight_table
 
-    def record(self, w, x):
-        built.append(weight_table(self, w, x))
+    def record(w, p1):
+        built.append(build(w, p1))
         return built[-1]
 
-    monkeypatch.setattr(experiments.Context, "weight_table", record)
+    monkeypatch.setattr(weights, "build_weight_table", record)
     ctx, w = experiments.Context(), builtin_weight("theta_omega", theta=1.0)
     experiments.sieve_sum(ctx, w, [10**3, 10**4], 10**4)
     experiments.exact_dist(ctx, w, 10**4, "big_omega")
@@ -103,7 +110,7 @@ def test_scans_leave_the_dense_prefix_unbuilt(monkeypatch):
     experiments.small_prime(ctx, w, 10**4, [2, 3])
     experiments.omega_clt_ks(ctx, w, [10**3, 10**4])
     experiments.poly_asym(ctx, 1.0, 1.0, [10**3, 10**4], 10**4)
-    assert len(built) == 6 and not any("prefix" in vars(t) for t in built)
+    assert len(built) == 0 and not any("prefix" in vars(t) for t in built)
     experiments.sample(ctx, w, 10**4, 10, 1)
     assert "prefix" in vars(built[-1])
 

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from multweight import arith, experiments, weights
+from multweight import arith, experiments, sampling, weights
 from multweight.weights import builtin_weight, catalog_weights
 
 B = arith.BLOCK
@@ -103,20 +103,20 @@ def p1_tables():
 def test_block_edges_meet_prime_power_multiples():
     # at 1e6 blocks start at 2^18 + 1 = 5 * 13 * 37 * 109 and 2^19 + 1 = 3 * 174763
     # and end at 2^18 and 2^19: the walk must neither miss nor double such a multiple
-    blocks = list(arith._blocks(10**6, arith._root_levels(10**6)))
-    on_start = {pk for start, _, walks in blocks[1:] for walk in walks for _, pk, o in walk if o == 0}
+    blocks = list(arith.Walk(10**6))
+    on_start = {pk for b in blocks[1:] for walk in b.walks for _, pk, o in walk if o == 0}
     assert {3, 5, 13, 37, 109} <= on_start
-    assert [stop - 1 for _, stop, _ in blocks[:2]] == [2**18, 2**19]
+    assert [b.stop - 1 for b in blocks[:2]] == [2**18, 2**19]
 
 
 def test_count_blocks_meet_prime_power_multiples():
     # at 2C + 7 count blocks start at C + 1 = 3^2 * 43 * 5419 and 2C + 1 = 5 * 397 * 2113
     # and end at C and 2C
     x = 2 * C + 7
-    blocks = list(arith._blocks(x, arith._root_levels(x), size=C))
-    on_start = {pk for start, _, walks in blocks[1:] for walk in walks for _, pk, o in walk if o == 0}
+    blocks = list(arith.Walk(x, size=C))
+    on_start = {pk for b in blocks[1:] for walk in b.walks for _, pk, o in walk if o == 0}
     assert {3, 9, 43, 5, 397} <= on_start
-    assert [stop - 1 for _, stop, _ in blocks] == [C, 2 * C, x]
+    assert [b.stop - 1 for b in blocks] == [C, 2 * C, x]
 
 
 @pytest.mark.parametrize("x", XS + COUNT_XS)
@@ -201,13 +201,13 @@ def test_weight_table_whose_chunk_totals_sum_past_the_float_range_is_degenerate(
 
 
 def extra_bytes(build):
-    """Peak bytes a call allocates besides the array it returns (a weight table: alpha)."""
+    """Peak bytes a call allocates besides the array it returns (a weight table: alpha; a law: none)."""
     tracemalloc.start()
     out = build()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     held = out.alpha if isinstance(out, weights.WeightTable) else out
-    return peak - held.nbytes
+    return peak - getattr(held, "nbytes", 0)
 
 
 def test_builders_hold_one_block_besides_their_output():
@@ -227,3 +227,85 @@ def test_builders_hold_one_block_besides_their_output():
         assert large - small < B
     # a weight table holds alpha alone: S(x) adds one chunk's cumsum to the walk's blocks
     assert extra[1][3] < 8 * CHUNK + 8 * B
+
+
+# ---------------------------------------------------------------------------
+# The streamed scan against the dense route, bit for bit: the same laws from
+# whole tables (exact_pmf_from_values over a weight table and a statistic
+# table), at chunk edges and at an x that is not aligned to a block.
+# ---------------------------------------------------------------------------
+
+SCAN_XS = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5, 1_234_567)
+SMOOTH_US = ((3, 2), (2, 1), (3, 1))  # u = 1.5, 2, 3 as a/b
+
+
+def smooth_root(x, a, b):
+    """The largest y with y^(a/b) <= x, in integers: y^a <= x^b."""
+    y = round(x ** (b / a))
+    while y**a > x**b:
+        y -= 1
+    while (y + 1) ** a <= x**b:
+        y += 1
+    return y
+
+
+def same_law(streamed, dense):
+    return np.array_equal(streamed.values, dense.values) and np.array_equal(streamed.probs, dense.probs)
+
+
+@pytest.mark.parametrize("x", SCAN_XS)
+def test_streamed_laws_and_S_equal_the_dense_route(x):
+    p1 = arith.largest_prime_table(x)
+    stats = [("omega", {}, arith.omega_table(p1)), ("big_omega", {}, arith.big_omega_table(p1)),
+             ("nu", {"p": 2}, arith.nu_p_table(x, 2)), ("nu", {"p": 3}, arith.nu_p_table(x, 3))]
+    stats += [("smooth", {"u": a / b}, (p1 <= smooth_root(x, a, b)).astype(np.int8)) for a, b in SMOOTH_US]
+    laws = [(experiments.statistic(name, x, **kw), [x]) for name, kw, _ in stats]
+    ys = [0, 1, 2, 777, B + 12345, 3 * B + 5, x // 2 + 3, x - 1, x]  # mid-block, and both ends
+    for w in catalog_weights():
+        table = weights.build_weight_table(w, p1)
+        S, masses = experiments.scan(w, x, ys=ys, laws=laws)
+        assert S == [table.S_at(y) for y in ys], w.name
+        for (name, kw, values), (mass,) in zip(stats, masses):
+            want = sampling.exact_pmf_from_values(table, values)
+            assert same_law(sampling.exact_pmf_from_mass(mass), want), (w.name, name, kw)
+
+
+def test_checkpoint_laws_equal_the_sub_table_route(p1_chunks):
+    # one walk at x; the law at each y < x snapshots the mass, splitting a block at y
+    x = len(p1_chunks) - 1
+    ys = [1, 1000, B, B + 1, CHUNK + 777, x]
+    om = arith.big_omega_table(p1_chunks)
+    for w in catalog_weights():
+        table = weights.build_weight_table(w, p1_chunks)
+        laws = [(experiments.statistic("big_omega", x), ys)]
+        laws += [(experiments.statistic("smooth", y, u=2.0), [y]) for y in ys]
+        _, (omegas, *smooths) = experiments.scan(w, x, laws=laws)
+        for y, mass, (smooth,) in zip(ys, omegas, smooths):
+            sub = experiments.sub_table(table, y)
+            assert same_law(sampling.exact_pmf_from_mass(mass), sampling.exact_pmf_from_values(sub, om[: y + 1]))
+            dense = (p1_chunks[: y + 1] <= math.isqrt(y)).astype(np.int8)
+            assert same_law(sampling.exact_pmf_from_mass(smooth), sampling.exact_pmf_from_values(sub, dense))
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, 10**4, 10**6, CHUNK + 1])
+def test_streamed_joint_law_equals_joint_pmf_from_values(x, p1_chunks):
+    # at 1e6 the mass of power(0.5) sums to another float without the
+    # trailing zeros that make joint_pmf_from_values' table whole rows
+    values, kb = experiments.joint_nu(x, 2, 3)
+    for w in catalog_weights():
+        table = weights.build_weight_table(w, p1_chunks[: x + 1])
+        _, ((mass,),) = experiments.scan(w, x, laws=[(values, [x])])
+        want = sampling.joint_pmf_from_values(table, arith.nu_p_table(x, 2), arith.nu_p_table(x, 3))
+        assert sampling.joint_pmf_from_mass(mass, kb) == want, (w.name, x)
+
+
+def test_streamed_scan_holds_a_few_chunks():
+    # the scan holds one CHUNK of alpha, the cumsum of that chunk for S(x) and
+    # one block's temporaries; nothing that grows with x but the walk's lists
+    # of the prime powers of the primes up to sqrt(x)
+    w = builtin_weight("divisor", k=2.0)
+    extra = [extra_bytes(lambda: experiments.exact_dist(experiments.Context(), w, x, "big_omega"))
+             for x in (2**21, 2**23)]
+    assert max(extra) < 3 * 8 * CHUNK
+    prime_powers = sum(len(level) for level in arith.Walk(2**23).levels)
+    assert extra[1] - extra[0] < 128 * prime_powers

@@ -53,7 +53,7 @@ from .permutations import (
 from .sampling import (
     ExactPmf,
     WeightedIntegerSampler,
-    exact_pmf_from_values,
+    exact_pmf_from_mass,
     nu_p_limit_pmf,
     size_biased_prime,
     spectrum,
@@ -62,7 +62,6 @@ from .weights import (
     EwensRegime,
     MultiplicativeWeight,
     PolyRegime,
-    WeightTable,
     build_weight_table,
     builtin_weight,
     catalog_weights,

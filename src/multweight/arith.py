@@ -8,10 +8,11 @@ The exact scans rest on one fact: n <= x has at most one prime factor
 above sqrt(x).  One walk (Walk) visits n <= x block by block over the prime
 powers of the primes <= sqrt(x); a block multiplies out the sqrt(x)-smooth
 part sm of its n, and n // sm is 1 or that larger prime.  Each block gives
-p_1, Omega, omega and nu_p (and, in weights, alpha): the exact scans reduce
-the blocks as they come, and the dense tables, p_1 for the draws and the
-rest for the tests, copy them into one array.  A draw array is factored
-from the same p_1 table, in O(log n) divisions per draw.  The
+p_1, Omega, omega and nu_p (and, in weights, alpha): every exact law, sum
+and mean reduces the blocks as they come.  The dense tables copy them into
+one array: p_1 for the draws (from which weights sums alpha into its prefix
+sum), and Omega, omega and nu_p as the tests' oracles.  A draw array is
+factored from the same p_1 table, in O(log n) divisions per draw.  The
 smallest-prime-factor (spf) sieve is the independent oracle: it factors
 integers one by one for the tests and the brute-force case c01.
 """

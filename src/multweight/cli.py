@@ -139,13 +139,13 @@ def _load_config(path: str, ap: argparse.ArgumentParser, command: str) -> None:
 
 
 def cmd_sieve_sum(args, ctx, w):
-    rows = experiments.sieve_sum(ctx, w, _parse_x_list(args.x), args.cutoff)
+    rows = experiments.sieve_sum(w, _parse_x_list(args.x), args.cutoff)
     _write_rows(args.out, rows)
     return {"rows": rows}
 
 
 def cmd_conditions(args, ctx, w):
-    results = experiments.conditions(ctx, w, _parse_x_list(args.x))
+    results = experiments.conditions(w, _parse_x_list(args.x))
     _write_rows(args.out, results["condition_I_residuals"])
     return results
 
@@ -166,7 +166,7 @@ def cmd_sample(args, ctx, w):
 
 
 def cmd_exact_dist(args, ctx, w):
-    pmf = experiments.exact_dist(ctx, w, int(float(args.x)), args.statistic, p=args.p, u=args.u)
+    pmf = experiments.exact_dist(w, int(float(args.x)), args.statistic, p=args.p, u=args.u)
     if args.out:
         _write_csv(args.out, ["value", "probability"], zip(pmf.values.tolist(), pmf.probs.tolist()))
     return {"statistic": args.statistic, "mean": pmf.mean(), "atoms": len(pmf.values),
@@ -176,7 +176,7 @@ def cmd_exact_dist(args, ctx, w):
 
 def cmd_ek_compare(args, ctx, w):
     xs = _parse_x_list(args.x)
-    kss = experiments.omega_clt_ks(ctx, w, xs)
+    kss = experiments.omega_clt_ks(w, xs)
     rows = [{"x": x, "ks": ks} for x, ks in zip(xs, kss)]
     _write_rows(args.out, rows)
     return {"rows": rows}
@@ -190,7 +190,7 @@ def cmd_pd_compare(args, ctx, w):
 
 def cmd_smooth(args, ctx, w):
     us = [float(t) for t in str(args.u).split(",")]
-    rows = experiments.smooth(ctx, w, int(float(args.x)), us, args.step)
+    rows = experiments.smooth(w, int(float(args.x)), us, args.step)
     if args.out:
         _write_csv(args.out, ["u", "exact", "rho", "diff"],
                    [(r["u"], r["exact"], r["rho"], r["exact"] - r["rho"]) for r in rows])
@@ -199,13 +199,13 @@ def cmd_smooth(args, ctx, w):
 
 def cmd_small_prime(args, ctx, w):
     ps = [int(t) for t in str(args.p).split(",")]
-    rows = experiments.small_prime(ctx, w, int(float(args.x)), ps)
+    rows = experiments.small_prime(w, int(float(args.x)), ps)
     _write_rows(args.out, rows)
     return {"max_gap": max(r["gap"] for r in rows), "atoms": len(rows)}
 
 
 def cmd_poly_asym(args, ctx, w):
-    rows = experiments.poly_asym(ctx, args.K, args.gamma, _parse_x_list(args.x), args.cutoff)
+    rows = experiments.poly_asym(args.K, args.gamma, _parse_x_list(args.x), args.cutoff)
     _write_rows(args.out, rows)
     return {"rows": [{"x": r["x"], "sigma": r["sigma"], "ratio": r["ratio"]} for r in rows],
             "double_ratios": [b["ratio"] / a["ratio"] for a, b in zip(rows, rows[1:])]}

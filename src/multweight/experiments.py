@@ -1,10 +1,10 @@
 """The experiments, each computed by one function.
 
-Every function takes a Context (the dense tables of the draws) and its
-parameters and returns its numbers.  The exact laws and sums reduce one
-walk over n <= x as it goes (scan) and build no table.  `cli` writes the
-numbers as CSV/JSON reports and `harness` applies tolerances to them, so
-both read the same computation.
+Every function takes its parameters, and the draw ops a Context (the dense
+tables of the draws), and returns its numbers.  The exact laws, sums and
+means reduce one walk over n <= x as it goes (scan) and build no table.
+`cli` writes the numbers as CSV/JSON reports and `harness` applies
+tolerances to them, so both read the same computation.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ class Context:
     """The dense p_1 table of one run, for the draw ops, and the weight tables built from it.
 
     One p_1 table, grown to the largest range asked for, is kept and served
-    as prefixes.  Weight tables are built from it and not kept: each lives
-    as long as the experiment that holds it.  The exact scans build neither:
-    they reduce one walk over n <= x block by block (scan).
+    as prefixes.  Weight tables (prefix sums S(0..x)) are built from it and
+    not kept: each lives as long as the experiment that holds it; a slice
+    prefix[:y + 1] is the table at y.  The exact scans build neither: they
+    reduce one walk over n <= x block by block (scan).
     """
 
     def __init__(self):
@@ -37,13 +38,8 @@ class Context:
             self._p1 = arith.largest_prime_table(x)
         return self._p1[: x + 1]
 
-    def weight_table(self, w: weights.MultiplicativeWeight, x: int) -> weights.WeightTable:
+    def weight_table(self, w: weights.MultiplicativeWeight, x: int) -> np.ndarray:
         return weights.build_weight_table(w, self.p1(x))
-
-
-def sub_table(table: weights.WeightTable, x: int) -> weights.WeightTable:
-    """The table for a smaller range, as a view of a larger one's alpha."""
-    return weights.WeightTable(x=x, alpha=table.alpha[: x + 1])
 
 
 def statistic(name: str, x: int, p: int = 2, u: float = 2.0):
@@ -81,19 +77,36 @@ def statistic(name: str, x: int, p: int = 2, u: float = 2.0):
 
 def joint_nu(x: int, p: int, q: int):
     """The values nu_p(n) k + nu_q(n) of n <= x on one block, k = 1 + the largest
-    nu_q(n), n <= x, and k: the codes of sampling.joint_pmf_from_values."""
+    nu_q(n), n <= x, and k: the codes of sampling.joint_pmf_from_mass."""
     k = 1
     while q**k <= x:
         k += 1
     return (lambda b: b.nu(p).astype(np.int64) * k + b.nu(q)), k
 
 
-def _added(mass: np.ndarray, v: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """mass with a[i] added at v[i] in order (np.add.at), grown to the largest v."""
-    if len(v) and v.max() >= len(mass):
-        mass = np.concatenate([mass, np.zeros(int(v.max()) + 1 - len(mass))])
-    np.add.at(mass, v, a)
-    return mass
+class _Mass:
+    """The alpha-mass of each value of one law, added in n order (np.add.at).
+
+    `mass` runs up to the largest value met.  Its array grows to fit that
+    value, and once the value passes CHUNK, to x + 1 at once, so a law whose
+    values grow block by block (p_1) is not copied at each block.
+    """
+
+    def __init__(self, x: int):
+        self.x, self.array, self.top = x, np.zeros(1), 1
+
+    def add(self, v: np.ndarray, a: np.ndarray) -> None:
+        if len(v):
+            self.top = max(self.top, int(v.max()) + 1)
+            if self.top > len(self.array):
+                grown = np.zeros(self.top if self.top <= weights.CHUNK else max(self.top, self.x + 1))
+                grown[: len(self.array)] = self.array
+                self.array = grown
+            np.add.at(self.array, v, a)
+
+    @property
+    def mass(self) -> np.ndarray:
+        return self.array[: self.top]
 
 
 def scan(w: weights.MultiplicativeWeight, x: int, ys: list[int] = (), laws: list = ()):
@@ -103,24 +116,26 @@ def scan(w: weights.MultiplicativeWeight, x: int, ys: list[int] = (), laws: list
     and for each law (values, stops), values as from `statistic`, the
     alpha-mass of each value over n <= stop for each stop <= x: an array
     indexed by value up to the largest value met, added in n order as
-    exact_pmf_from_values adds it.  Raises ValueError where S(x) is not
-    positive and finite.
+    np.bincount adds it.  A law at a stop below x is a copy taken as the
+    walk passes it; at x it is the mass itself.  Raises ValueError where
+    S(x) is not positive and finite.
     """
-    S, mass, at = {0: 0.0}, [np.zeros(1) for _ in laws], [{} for _ in laws]
+    S, masses, at = {0: 0.0}, [_Mass(x) for _ in laws], [{} for _ in laws]
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range, S(x) below is inf or NaN
         walk = weights.AlphaWalk(w, x)
         for b, a in walk:
             S.update((y, walk.S_at(y)) for y in ys if b.start <= y < b.stop)
-            for j, (values, stops) in enumerate(laws):
+            for law, (values, stops), at_stop in zip(masses, laws, at):
                 if b.start > max(stops):
                     continue
                 v, lo = values(b), 0
-                for hi in sorted(y + 1 - b.start for y in stops if b.start <= y < b.stop):
-                    mass[j] = _added(mass[j], v[lo:hi], a[lo:hi])  # the law at a stop: split the block there
-                    at[j][b.start + hi - 1], lo = mass[j].copy(), hi
-                mass[j] = _added(mass[j], v[lo:], a[lo:])
+                for hi in sorted(y + 1 - b.start for y in stops if b.start <= y < min(b.stop, x)):
+                    law.add(v[lo:hi], a[lo:hi])  # the law at a stop: split the block there
+                    at_stop[b.start + hi - 1], lo = law.mass.copy(), hi
+                law.add(v[lo:], a[lo:])
         weights.check_S(w, x, walk.S_at(x))
-    return [S[y] for y in ys], [[at[j][y] for y in stops] for j, (_, stops) in enumerate(laws)]
+    return [S[y] for y in ys], [[law.mass if y == x else at_stop[y] for y in stops]
+                                for law, (_, stops), at_stop in zip(masses, laws, at)]
 
 
 def exact_laws(w: weights.MultiplicativeWeight, x: int, laws: list) -> list[list[sampling.ExactPmf]]:
@@ -139,7 +154,7 @@ def atom_gaps(a: sampling.ExactPmf, b: sampling.ExactPmf) -> list[float]:
 # --------------------------------------------------------------------------
 
 
-def sieve_sum(ctx: Context, w: weights.MultiplicativeWeight, xs: list[int], cutoff: int) -> list[dict]:
+def sieve_sum(w: weights.MultiplicativeWeight, xs: list[int], cutoff: int) -> list[dict]:
     """Exact S(x) against the Euler-product (Ewens) or saddle-point (poly) predictor."""
     exact, _ = scan(w, max(xs), ys=xs)
     if isinstance(w.regime, weights.EwensRegime):
@@ -151,7 +166,7 @@ def sieve_sum(ctx: Context, w: weights.MultiplicativeWeight, xs: list[int], cuto
     return [{"x": x, "exact": e, "predicted": pred, "ratio": e / pred} for x, e, pred in zip(xs, exact, preds)]
 
 
-def conditions(ctx: Context, w: weights.MultiplicativeWeight, xs: list[int]) -> dict:
+def conditions(w: weights.MultiplicativeWeight, xs: list[int]) -> dict:
     res = weights.condition_I_residuals(w, xs)
     return {
         "condition_I_residuals": [{"x": x, "residual": r} for x, r in res],
@@ -159,7 +174,7 @@ def conditions(ctx: Context, w: weights.MultiplicativeWeight, xs: list[int]) -> 
     }
 
 
-def poly_asym(ctx: Context, K: float, gamma: float, xs: list[int], cutoff: int) -> list[dict]:
+def poly_asym(K: float, gamma: float, xs: list[int], cutoff: int) -> list[dict]:
     """Exact S(x) under poly_log(K, gamma) against the saddle-point predictor solved at each x."""
     exact, _ = scan(weights.builtin_weight("poly_log", K=K, gamma=gamma), max(xs), ys=xs)
     rows = []
@@ -176,16 +191,17 @@ def poly_asym(ctx: Context, K: float, gamma: float, xs: list[int], cutoff: int) 
 # --------------------------------------------------------------------------
 
 
-def exact_dist(ctx: Context, w: weights.MultiplicativeWeight, x: int, name: str,
-               p: int = 2, u: float = 2.0) -> sampling.ExactPmf:
-    values = statistic(name, x, p=p, u=u)
-    if name in ("largest_prime", "largest_ratio"):  # O(x) atoms: binned over the whole range at once
-        dense = np.concatenate([[0], *(values(b) for b in arith.Walk(x, ctx.p1(x)))])
-        return sampling.exact_pmf_from_values(ctx.weight_table(w, x), dense)
-    return exact_laws(w, x, [(values, [x])])[0][0]
+def exact_dist(w: weights.MultiplicativeWeight, x: int, name: str, p: int = 2, u: float = 2.0) -> sampling.ExactPmf:
+    values = statistic(name, x, p=p, u=u)  # checks the input
+    if name != "largest_ratio":
+        return exact_laws(w, x, [(values, [x])])[0][0]
+    # float atoms log p/log x, binned by the prime p: the law of p_1 with its atoms mapped
+    ((mass,),) = scan(w, x, laws=[(statistic("largest_prime", x), [x])])[1]
+    p1 = np.flatnonzero(mass > 0)
+    return sampling.exact_pmf_from_mass(mass[p1], np.log(p1) / math.log(x))
 
 
-def omega_clt_ks(ctx: Context, w: weights.MultiplicativeWeight, xs: list[int]) -> list[float]:
+def omega_clt_ks(w: weights.MultiplicativeWeight, xs: list[int]) -> list[float]:
     """KS distance of (Omega - c)/sqrt(c), c = theta log log x, to N(0,1), exactly at each x."""
     theta = w.ewens().theta
     out = []
@@ -195,7 +211,7 @@ def omega_clt_ks(ctx: Context, w: weights.MultiplicativeWeight, xs: list[int]) -
     return out
 
 
-def smooth(ctx: Context, w: weights.MultiplicativeWeight, x: int, us: list[float], step: float) -> list[dict]:
+def smooth(w: weights.MultiplicativeWeight, x: int, us: list[float], step: float) -> list[dict]:
     """Exact smoothness probabilities P(p_1(N) <= x^(1/u)) at x against rho_theta(u)."""
     # solved first: it rejects a bad step before any table is walked
     sol = limitlaws.dickman_rho(w.ewens().theta, max(max(us), 1.0) + 1e-9, h=step)
@@ -203,7 +219,7 @@ def smooth(ctx: Context, w: weights.MultiplicativeWeight, x: int, us: list[float
     return [{"u": u, "exact": pmfs[0].prob_of(1.0), "rho": sol.rho(u)} for u, pmfs in zip(us, laws)]
 
 
-def small_prime(ctx: Context, w: weights.MultiplicativeWeight, x: int, ps: list[int]) -> list[dict]:
+def small_prime(w: weights.MultiplicativeWeight, x: int, ps: list[int]) -> list[dict]:
     """Per-atom gaps of the exact nu_p laws at x to their limit laws."""
     rows = []
     for p, (exact,) in zip(ps, exact_laws(w, x, [(statistic("nu", x, p=p), [x]) for p in ps])):
@@ -213,10 +229,9 @@ def small_prime(ctx: Context, w: weights.MultiplicativeWeight, x: int, ps: list[
     return rows
 
 
-def mean_big_omega(ctx: Context, table: weights.WeightTable) -> float:
-    """Exact E Omega(N) under the table's measure."""
-    om = arith.big_omega_table(ctx.p1(table.x))
-    return float(np.dot(om[1:].astype(float), table.alpha[1:])) / table.S
+def mean_big_omega(w: weights.MultiplicativeWeight, xs: list[int]) -> list[float]:
+    """Exact E Omega(N) under w's measure on n <= x, for each x in xs, from one scan."""
+    return [pmf.mean() for pmf in exact_laws(w, max(xs), [(statistic("big_omega", max(xs)), xs)])[0]]
 
 
 # --------------------------------------------------------------------------
@@ -225,8 +240,7 @@ def mean_big_omega(ctx: Context, table: weights.WeightTable) -> float:
 
 
 def sample(ctx: Context, w: weights.MultiplicativeWeight, x: int, n: int, seed: int) -> np.ndarray:
-    table = ctx.weight_table(w, x)
-    return sampling.WeightedIntegerSampler(table, np.random.default_rng(seed)).sample(n)
+    return sampling.WeightedIntegerSampler(ctx.weight_table(w, x), np.random.default_rng(seed)).sample(n)
 
 
 def _factor_blocks(draws: np.ndarray, p1: np.ndarray):
@@ -253,26 +267,28 @@ def pd_compare(ctx: Context, w: weights.MultiplicativeWeight, x: int, n: int, or
              "pd_oracle": float(oracle[j])} for j in range(3)]
 
 
-def gamma_law_ks(ctx: Context, table: weights.WeightTable, K: float, gamma: float, n: int,
+def gamma_law_ks(ctx: Context, prefix: np.ndarray, K: float, gamma: float, n: int,
                  rng: np.random.Generator) -> float:
     """KS distance of log P / log^(1/(gamma+1)) x, P a size-biased prime of n
-    draws, to its gamma law under poly_log(K, gamma); log P = 0 for a draw n = 1.
+    draws from the weight table (prefix sum) of n <= x, to its gamma law under
+    poly_log(K, gamma); log P = 0 for a draw n = 1.
 
     The integers are drawn first, then one uniform per draw n > 1 in draw order.
     """
-    draws = sampling.WeightedIntegerSampler(table, rng).sample(n)
-    ps = np.concatenate([sampling.size_biased_prime(f, rng) for f in _factor_blocks(draws, ctx.p1(table.x))])
-    vals = sampling.prime_logs(ps) / math.log(table.x) ** (1.0 / (gamma + 1.0))
+    x = len(prefix) - 1
+    draws = sampling.WeightedIntegerSampler(prefix, rng).sample(n)
+    ps = np.concatenate([sampling.size_biased_prime(f, rng) for f in _factor_blocks(draws, ctx.p1(x))])
+    vals = sampling.prime_logs(ps) / math.log(x) ** (1.0 / (gamma + 1.0))
     shape, rate = asympt.gamma_law_params(K, gamma)
     return limitlaws.ks_distance(vals, lambda t: limitlaws.gamma_cdf(shape, rate, t))
 
 
 def poly_typical(ctx: Context, K: float, gamma: float, x: int, n: int, seed: int) -> dict:
-    table = ctx.weight_table(weights.builtin_weight("poly_log", K=K, gamma=gamma), x)
-    eo = mean_big_omega(ctx, table)
+    w = weights.builtin_weight("poly_log", K=K, gamma=gamma)
+    (eo,) = mean_big_omega(w, [x])
     pred = asympt.predict_mean_omega_poly(K, gamma, x)
     shape, rate = asympt.gamma_law_params(K, gamma)
-    ks = gamma_law_ks(ctx, table, K, gamma, n, np.random.default_rng(seed))
+    ks = gamma_law_ks(ctx, ctx.weight_table(w, x), K, gamma, n, np.random.default_rng(seed))
     return {"mean_omega_exact": eo, "mean_omega_predicted": pred, "ratio": eo / pred,
             "gamma_law": {"shape": shape, "rate": rate}, "ks": ks}
 

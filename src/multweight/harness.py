@@ -26,7 +26,7 @@ import numpy as np
 from scipy import special
 
 from . import arith, asympt, experiments, limitlaws, permutations, sampling, weights
-from .experiments import Context, atom_gaps, sub_table
+from .experiments import Context, atom_gaps
 
 
 @dataclass(frozen=True)
@@ -116,12 +116,12 @@ def _c01_exact_sums(ctx: Context, scale: str):
         k += 1
         ps = ps[ps**k <= x]
     for w in ws:
-        table = ctx.weight_table(w, x)
+        S = float(ctx.weight_table(w, x)[-1])
         # alpha(p^k) from one vectorized call per k; the per-n product is the oracle
         alpha = {(p, k): v for k, pk in levels for p, v in zip(pk.tolist(), w.values_on_primes(pk, k).tolist())}
         brute = math.fsum(math.prod(alpha[f] for f in prof.factors) for prof in profiles)
-        rel = abs(table.S - brute) / brute
-        checks.append((f"S({x:.0e}) {w.name}", rel <= 1e-10, f"sieve={table.S!r} brute={brute!r} rel={rel:.2e}"))
+        rel = abs(S - brute) / brute
+        checks.append((f"S({x:.0e}) {w.name}", rel <= 1e-10, f"sieve={S!r} brute={brute!r} rel={rel:.2e}"))
     return checks
 
 
@@ -145,7 +145,7 @@ def _c03_ewens_mean_value(ctx: Context, scale: str):
     checks = []
     for kind, params in (("theta_omega", {"theta": 2.0}), ("powerfree", {"k": 2})):
         w = weights.builtin_weight(kind, **params)
-        gaps = [abs(r["ratio"] - 1.0) for r in experiments.sieve_sum(ctx, w, xs, _p(scale, 10**6, 10**5))]
+        gaps = [abs(r["ratio"] - 1.0) for r in experiments.sieve_sum(w, xs, _p(scale, 10**6, 10**5))]
         # below 1e-4 the gap sits at truncated-constant/error-term noise scale,
         # where strict monotonicity is vacuous (powerfree converges like x^-1/2)
         dec = all(b < a_ or b <= 1e-4 for a_, b in zip(gaps, gaps[1:]))
@@ -162,7 +162,7 @@ def _c04_prime_factor_clt(ctx: Context, scale: str):
             w = weights.builtin_weight("power", z=0.0)
         else:
             w = weights.builtin_weight("divisor", k=theta)
-        ks_lo, ks_hi = experiments.omega_clt_ks(ctx, w, [10**4, 10**6])
+        ks_lo, ks_hi = experiments.omega_clt_ks(w, [10**4, 10**6])
         checks.append((f"theta={theta:g} KS(1e6) <= 0.25", ks_hi <= 0.25, f"KS={ks_hi:.4f}"))
         checks.append((f"theta={theta:g} KS(1e6) < KS(1e4)", ks_hi < ks_lo, f"{ks_hi:.4f} < {ks_lo:.4f}"))
     return checks
@@ -253,7 +253,7 @@ def _c08_saddle(ctx: Context, scale: str):
 def _c09_poly_partition_sum(ctx: Context, scale: str):
     x1, x2 = _p(scale, (10**6, 10**7), (10**5, 10**6))
     w = weights.builtin_weight("poly_log", K=1.0, gamma=1.0)
-    r1, r2 = (r["ratio"] for r in experiments.sieve_sum(ctx, w, [x1, x2], _p(scale, 10**6, 10**5)))
+    r1, r2 = (r["ratio"] for r in experiments.sieve_sum(w, [x1, x2], _p(scale, 10**6, 10**5)))
     dr = r2 / r1
     return [
         (
@@ -269,17 +269,16 @@ def _c10_poly_typical(ctx: Context, scale: str):
     draws = _p(scale, 10**4, 3 * 10**3)
     K, gamma = 1.0, 1.0
     x_top = xs[-1]
-    table = ctx.weight_table(weights.builtin_weight("poly_log", K=K, gamma=gamma), x_top)
+    w = weights.builtin_weight("poly_log", K=K, gamma=gamma)
     checks = []
-    gaps = []
-    for x in xs:
-        eo = experiments.mean_big_omega(ctx, sub_table(table, x))
-        gaps.append(abs(eo / asympt.predict_mean_omega_poly(K, gamma, x) - 1.0))
+    gaps = [abs(eo / asympt.predict_mean_omega_poly(K, gamma, x) - 1.0)
+            for x, eo in zip(xs, experiments.mean_big_omega(w, xs))]
     dec = all(b < a for a, b in zip(gaps, gaps[1:]))
     checks.append(("E Omega / prediction monotonically approaching 1", dec, f"|ratio-1|={['%.4f' % g for g in gaps]}"))
 
-    ks_lo = experiments.gamma_law_ks(ctx, sub_table(table, xs[0]), K, gamma, draws, np.random.default_rng(20241001))
-    ks_hi = experiments.gamma_law_ks(ctx, table, K, gamma, draws, np.random.default_rng(20241002))
+    prefix = ctx.weight_table(w, x_top)  # a slice prefix[:y + 1] is the table at y
+    ks_lo = experiments.gamma_law_ks(ctx, prefix[: xs[0] + 1], K, gamma, draws, np.random.default_rng(20241001))
+    ks_hi = experiments.gamma_law_ks(ctx, prefix, K, gamma, draws, np.random.default_rng(20241002))
     checks.append((f"KS at {x_top:.0e} <= 0.15", ks_hi <= 0.15, f"KS={ks_hi:.4f}"))
     checks.append((f"KS decreasing from {xs[0]:.0e}", ks_hi < ks_lo, f"{ks_hi:.4f} < {ks_lo:.4f}"))
     return checks

@@ -3,7 +3,9 @@
 The measure puts mass alpha(n)/S(x) on each n <= x.  Sampling inverts the
 prefix-sum CDF by binary search: exact, O(log x) per draw, no rejection
 tuning.  Wherever a full scan over n <= x is affordable, exact pmfs are
-preferred to Monte Carlo so acceptance checks carry no sampling noise.
+preferred to Monte Carlo so acceptance checks carry no sampling noise: a
+law is the alpha-mass of each value of a statistic, added up along the
+walk over n <= x (experiments.scan), normalized here.
 
 Per-draw statistics (log-prime spectrum, size-biased prime) are computed
 for all draws at once from their factor matrix, bit for bit as per draw.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weights import EwensRegime, MultiplicativeWeight, WeightTable
+from .weights import EwensRegime, MultiplicativeWeight
 
 
 @dataclass(frozen=True)
@@ -68,21 +70,22 @@ class ExactPmf:
 
 
 class WeightedIntegerSampler:
-    """Draws integers with probability alpha(n)/S(x) by inverse CDF.
+    """Draws integers with probability alpha(n)/S(x) by inverse CDF on the
+    prefix sum S(0..x) of weights.build_weight_table.
 
-    Holds only read access to the table; independent instances with
+    Holds only read access to the prefix; independent instances with
     independent generators may run concurrently.
     """
 
-    def __init__(self, table: WeightTable, rng: np.random.Generator):
-        if table.S <= 0:
+    def __init__(self, prefix: np.ndarray, rng: np.random.Generator):
+        if prefix[-1] <= 0:
             raise ValueError("degenerate table: S(x) <= 0")
-        self.table = table
+        self.prefix = prefix
         self.rng = rng
 
     def sample(self, size: int) -> np.ndarray:
         """An int64 array of `size` draws."""
-        prefix = self.table.prefix
+        prefix = self.prefix
         # map U[0,1) to (0, S] so u = 0 cannot select the empty prefix[0]
         u = (1.0 - self.rng.random(size)) * prefix[-1]
         # sorted keys make the binary searches walk the table in order
@@ -92,43 +95,11 @@ class WeightedIntegerSampler:
         return n
 
 
-def exact_pmf_from_values(table: WeightTable, values: np.ndarray) -> ExactPmf:
-    """Exact law of a statistic given its per-n value array (index 0 unused).
-
-    Nonnegative integer values are binned directly, 2^20 at a time: the
-    sums are added in the order np.bincount adds them, without its int64
-    copy of the whole value array.  Other values are first ranked with
-    np.unique.
-    """
-    if len(values) != table.x + 1:
-        raise ValueError("values array must cover 0..x")
-    v = np.asarray(values[1:])
-    w = table.alpha[1:]
-    if np.issubdtype(v.dtype, np.integer) and v.min() >= 0:
-        mass = np.zeros(int(v.max()) + 1)
-        for s in range(0, len(v), 2**20):
-            np.add.at(mass, v[s : s + 2**20], w[s : s + 2**20])
-        return exact_pmf_from_mass(mass)
-    uniq, inv = np.unique(v, return_inverse=True)
-    return exact_pmf_from_mass(np.bincount(inv, weights=w, minlength=len(uniq)), uniq)
-
-
 def exact_pmf_from_mass(mass: np.ndarray, atoms: np.ndarray | None = None) -> ExactPmf:
     """The law with mass[i] (unnormalized) on atoms[i], by default on i."""
     keep = mass > 0
     atoms = np.flatnonzero(keep) if atoms is None else atoms[keep]
     return ExactPmf(atoms.astype(float), mass[keep] / mass.sum())
-
-
-def joint_pmf_from_values(
-    table: WeightTable, a: np.ndarray, b: np.ndarray
-) -> dict[tuple[int, int], float]:
-    """Exact joint law of two small-integer statistics as a dict."""
-    av = np.asarray(a[1:], dtype=np.int64)
-    bv = np.asarray(b[1:], dtype=np.int64)
-    kb = int(bv.max()) + 1
-    mass = np.bincount(av * kb + bv, weights=table.alpha[1:], minlength=(int(av.max()) + 1) * kb)
-    return joint_pmf_from_mass(mass, kb)
 
 
 def joint_pmf_from_mass(mass: np.ndarray, kb: int) -> dict[tuple[int, int], float]:

@@ -1,4 +1,4 @@
-"""Multiplicative weight functions and dense weight tables.
+"""Multiplicative weight functions and their prefix sums.
 
 A weight alpha is multiplicative (alpha(1) = 1, alpha(nm) = alpha(n)alpha(m)
 for coprime n, m) and therefore determined by its values on prime powers.
@@ -16,13 +16,13 @@ alpha(n) for n <= x is sieved block by block along arith's walk, by
 multiplying the prime-power ratios of the primes up to sqrt(x), and alpha
 at the one larger prime factor n may have, into ones, O(x log log x) total
 work; per-n factorization is kept as the independent brute-force route for
-tests.  The exact scans reduce alpha block by block (AlphaWalk); the dense
-table, and the prefix sum as large again, are built for the draws.
+tests.  The exact scans reduce alpha block by block (AlphaWalk); the draws
+read the one dense table, the prefix sum S(y) for y <= x, which is alpha
+summed in place (build_weight_table).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -218,67 +218,11 @@ def catalog_weights() -> list[MultiplicativeWeight]:
 CHUNK = 1 << 20  # S(y) adds whole-chunk totals exactly, by math.fsum
 
 
-def _S(totals: list[float], part: np.ndarray) -> float:
-    """S(y) from the totals of the whole chunks before y's and y's chunk up to y."""
-    s = float(np.cumsum(part)[-1]) if len(part) else 0.0
+def _fsum(totals: list[float]) -> float:
     try:
-        base = math.fsum(totals)
+        return math.fsum(totals)
     except OverflowError:  # finite chunk totals whose sum passes the float range
-        base = math.inf
-    return s + base
-
-
-@dataclass(frozen=True)
-class WeightTable:
-    """Dense alpha(n) for 1 <= n <= x; alpha[0] is unused (0).
-
-    S(y) = sum_{m<=y} alpha(m) is the math.fsum of the totals of the CHUNK-entry
-    chunks of alpha[1:] before y's, plus the cumsum of y's chunk: prefix[y],
-    bit for bit.  The dense prefix (prefix[0] = 0) is built on first use, by
-    the sampler.  Immutable after construction; concurrent reads are safe.
-    """
-
-    x: int
-    alpha: np.ndarray
-
-    @functools.cached_property
-    def totals(self) -> list[float]:
-        a = self.alpha[1:]
-        return [float(np.sum(a[s : s + CHUNK])) for s in range(0, len(a), CHUNK)]
-
-    @functools.cached_property
-    def prefix(self) -> np.ndarray:
-        prefix = np.zeros(self.x + 1)
-        _compensated_cumsum(self.alpha[1:], prefix[1:])
-        return prefix
-
-    @functools.cached_property
-    def S(self) -> float:
-        return self.S_at(self.x)
-
-    def S_at(self, y: int) -> float:
-        if not 0 <= y <= self.x:
-            raise IndexError(f"S({y}) is outside the table's range 0..{self.x}")
-        c = max(y - 1, 0) // CHUNK
-        return _S(self.totals[:c], self.alpha[1 + c * CHUNK : y + 1])
-
-
-def _compensated_cumsum(a: np.ndarray, out: np.ndarray, chunk: int = CHUNK) -> np.ndarray:
-    """Cumulative sum of a written into out, with exactly-accumulated chunk offsets.
-
-    Plain cumsum drifts like n*eps in the worst case; summing chunk totals
-    with math.fsum keeps the relative error of S(x) near 1e-15 even at
-    x = 10^8.
-    """
-    offset_terms: list[float] = []
-    for start in range(0, len(a), chunk):
-        end = min(start + chunk, len(a))
-        np.cumsum(a[start:end], out=out[start:end])
-        base = math.fsum(offset_terms)
-        if base != 0.0:
-            out[start:end] += base
-        offset_terms.append(float(np.sum(a[start:end])))
-    return out
+        return math.inf
 
 
 class AlphaWalk:
@@ -294,11 +238,11 @@ class AlphaWalk:
     this way and are rejected (no catalog weight does that).
 
     Iterating yields (block, alpha on it), written into one CHUNK-entry
-    buffer (the walk's blocks nest in chunks): np.sum sees the chunks that
-    WeightTable.totals sums, and S_at(y) equals WeightTable.S_at(y) for
-    y = 0 and for y in the chunk of the last block yielded.  Past the float
-    range alpha is inf or NaN, without a warning only under the caller's
-    np.errstate.
+    buffer (the walk's blocks nest in chunks): np.sum sees the chunks whose
+    totals the prefix sum of build_weight_table adds, and S_at(y) equals its
+    entry y for y = 0 and for y in the chunk of the last block yielded.
+    Past the float range alpha is inf or NaN, without a warning only under
+    the caller's np.errstate.
     """
 
     def __init__(self, w: MultiplicativeWeight, x: int, p1: np.ndarray | None = None):
@@ -335,7 +279,9 @@ class AlphaWalk:
             yield b, self.alpha(b, self.chunk[o : o + b.stop - b.start])
 
     def S_at(self, y: int) -> float:
-        return _S(self.totals, self.chunk[: y - len(self.totals) * CHUNK])
+        """S(y): the totals of the whole chunks before y's, and y's chunk up to y."""
+        part = self.chunk[: y - len(self.totals) * CHUNK]
+        return (float(np.cumsum(part)[-1]) if len(part) else 0.0) + _fsum(self.totals)
 
 
 def check_S(w: MultiplicativeWeight, x: int, S: float) -> None:
@@ -343,17 +289,28 @@ def check_S(w: MultiplicativeWeight, x: int, S: float) -> None:
         raise ValueError(f"{w.name}: degenerate table: S({x}) = {S} is not positive and finite")
 
 
-def build_weight_table(w: MultiplicativeWeight, p1: np.ndarray) -> WeightTable:
-    """alpha(n) for all n <= x, x = len(p1) - 1, from the AlphaWalk that reads p1, into one array.
+def build_weight_table(w: MultiplicativeWeight, p1: np.ndarray) -> np.ndarray:
+    """The prefix sum S(y) = sum_{n<=y} alpha(n), y = 0..x, x = len(p1) - 1, float64 (S(0) = 0).
 
+    alpha from the AlphaWalk that reads p1 is written into the output, then
+    each CHUNK-entry chunk of it is replaced, in place, by its cumsum plus
+    the math.fsum of the np.sum totals of the chunks before it: a plain
+    cumsum drifts like n*eps, this one only within a chunk, whatever x.
     Raises ValueError where S(x) is not positive and finite.
     """
-    x = len(p1) - 1
+    x, totals = len(p1) - 1, []
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range, S(x) below is inf or NaN
         walk = AlphaWalk(w, x, p1)
-        table = WeightTable(x=x, alpha=arith._fill(walk.walk, walk.alpha, float))
-        check_S(w, x, table.S)
-    return table
+        prefix = arith._fill(walk.walk, walk.alpha, float)
+        for start in range(1, x + 1, CHUNK):
+            chunk = prefix[start : start + CHUNK]
+            total = float(np.sum(chunk))
+            np.cumsum(chunk, out=chunk)
+            if totals:
+                chunk += _fsum(totals)
+            totals.append(total)
+        check_S(w, x, prefix[-1])
+    return prefix
 
 
 def _nonnegative(w: MultiplicativeWeight, values: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multweight import arith
+from multweight import arith, weights
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +37,16 @@ def p1_1e6():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def alpha_of():
+    """alpha(w, p1): alpha(n) for n = 0..x (alpha[0] = 0), x = len(p1) - 1, the
+    blocks of the AlphaWalk that reads p1 concatenated; the dense alpha that
+    the tests compare with their oracles."""
+
+    def alpha(w, p1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.concatenate([np.zeros(1), *(a.copy() for _, a in weights.AlphaWalk(w, len(p1) - 1, p1))])
+
+    return alpha

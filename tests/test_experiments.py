@@ -80,20 +80,17 @@ def _is_prime(p):
 
 
 def test_sub_table_equals_a_table_built_at_the_smaller_range(p1_1e5):
-    # the experiments slice one table at max(xs) instead of building one per x
+    # the experiments slice one table (prefix sum) at max(xs) instead of building one per x
     direct_p1 = arith.largest_prime_table(10**4)
     for w in weights.catalog_weights():
-        big = weights.build_weight_table(w, p1_1e5)
-        sub = experiments.sub_table(big, 10**4)
+        sub = weights.build_weight_table(w, p1_1e5)[: 10**4 + 1]
         direct = weights.build_weight_table(w, direct_p1)
-        assert sub.x == direct.x
-        np.testing.assert_array_equal(sub.alpha, direct.alpha)
-        assert [sub.S_at(y) for y in (0, 1, 5000, 10**4)] == [direct.S_at(y) for y in (0, 1, 5000, 10**4)]
-        np.testing.assert_array_equal(sub.prefix, direct.prefix)
+        assert len(sub) == len(direct) == 10**4 + 1
+        np.testing.assert_array_equal(sub, direct)
 
 
 def test_scans_leave_the_dense_prefix_unbuilt(monkeypatch):
-    # only the sampler reads the whole prefix sum; the scans reduce the walk
+    # only the sampler reads the prefix sum; the scans reduce the walk
     # block by block and build no weight table at all
     built = []
     build = weights.build_weight_table
@@ -104,22 +101,36 @@ def test_scans_leave_the_dense_prefix_unbuilt(monkeypatch):
 
     monkeypatch.setattr(weights, "build_weight_table", record)
     ctx, w = experiments.Context(), builtin_weight("theta_omega", theta=1.0)
-    experiments.sieve_sum(ctx, w, [10**3, 10**4], 10**4)
-    experiments.exact_dist(ctx, w, 10**4, "big_omega")
-    experiments.smooth(ctx, w, 10**4, [1.5, 2.0], 1 / 64)
-    experiments.small_prime(ctx, w, 10**4, [2, 3])
-    experiments.omega_clt_ks(ctx, w, [10**3, 10**4])
-    experiments.poly_asym(ctx, 1.0, 1.0, [10**3, 10**4], 10**4)
-    assert len(built) == 0 and not any("prefix" in vars(t) for t in built)
+    experiments.sieve_sum(w, [10**3, 10**4], 10**4)
+    for name in ("big_omega", "largest_prime", "largest_ratio"):
+        experiments.exact_dist(w, 10**4, name)
+    experiments.smooth(w, 10**4, [1.5, 2.0], 1 / 64)
+    experiments.small_prime(w, 10**4, [2, 3])
+    experiments.omega_clt_ks(w, [10**3, 10**4])
+    experiments.poly_asym(1.0, 1.0, [10**3, 10**4], 10**4)
+    experiments.mean_big_omega(w, [10**3, 10**4])
+    assert len(built) == 0
     experiments.sample(ctx, w, 10**4, 10, 1)
-    assert "prefix" in vars(built[-1])
+    assert len(built) == 1 and len(built[0]) == 10**4 + 1
 
 
 def test_omega_clt_ks_per_x_is_independent_of_the_other_xs():
     w = builtin_weight("divisor", k=2.0)
-    both = experiments.omega_clt_ks(experiments.Context(), w, [10**3, 10**4])
-    alone = [experiments.omega_clt_ks(experiments.Context(), w, [x])[0] for x in (10**3, 10**4)]
+    both = experiments.omega_clt_ks(w, [10**3, 10**4])
+    alone = [experiments.omega_clt_ks(w, [x])[0] for x in (10**3, 10**4)]
     assert both == alone
+
+
+def test_mean_big_omega_is_the_mean_of_the_streamed_law(p1_1e4, alpha_of):
+    # one scan with a stop at each x; the dense dot product of Omega and alpha is the oracle
+    w = builtin_weight("poly_log", K=1.0, gamma=1.0)
+    xs = [10**3, 5000, 10**4]
+    means = experiments.mean_big_omega(w, xs)
+    assert means == [experiments.exact_dist(w, x, "big_omega").mean() for x in xs]
+    alpha, om = alpha_of(w, p1_1e4), arith.big_omega_table(p1_1e4).astype(float)
+    for x, mean in zip(xs, means):
+        dense = np.dot(om[1 : x + 1], alpha[1 : x + 1]) / math.fsum(alpha[1 : x + 1].tolist())
+        assert mean == pytest.approx(dense, rel=1e-13), x
 
 
 def test_atom_gaps_cover_both_supports():

@@ -8,13 +8,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from multweight import arith, sampling, weights
+from multweight import arith, experiments, sampling, weights
 from multweight.weights import builtin_weight
 
 
 def make_table(kind_params, x, p1):
+    """The weight table (prefix sum S(0..x)) of a catalog weight."""
     kind, params = kind_params
     return weights.build_weight_table(builtin_weight(kind, **params), p1[: x + 1])
+
+
+def bincount_law(alpha, values):
+    """Oracle: the exact law of a nonnegative integer statistic, binned over whole tables by np.bincount."""
+    return sampling.exact_pmf_from_mass(np.bincount(values[1:], weights=alpha[1:]))
 
 
 def test_uniform_sampler_chi_square(p1_1e4, rng):
@@ -29,37 +35,35 @@ def test_uniform_sampler_chi_square(p1_1e4, rng):
 def test_sorted_search_matches_plain_searchsorted(p1_1e4):
     table = make_table(("divisor", {"k": 2.0}), 10**4, p1_1e4)
     draws = sampling.WeightedIntegerSampler(table, np.random.default_rng(3)).sample(10**5)
-    u = (1.0 - np.random.default_rng(3).random(10**5)) * table.prefix[-1]
-    assert np.array_equal(draws, np.searchsorted(table.prefix, u, side="left"))
+    u = (1.0 - np.random.default_rng(3).random(10**5)) * table[-1]
+    assert np.array_equal(draws, np.searchsorted(table, u, side="left"))
 
 
 def test_degenerate_single_atom(spf_1e4, rng):
     alpha = np.zeros(101)
     alpha[6] = 3.0
-    table = weights.WeightTable(x=100, alpha=alpha)
-    s = sampling.WeightedIntegerSampler(table, rng)
+    s = sampling.WeightedIntegerSampler(np.cumsum(alpha), rng)
     assert set(np.unique(s.sample(1000))) == {6}
 
 
 def test_zero_table_rejected(rng):
-    alpha = np.zeros(11)
-    table = weights.WeightTable(x=10, alpha=alpha)
     with pytest.raises(ValueError):
-        sampling.WeightedIntegerSampler(table, rng)
+        sampling.WeightedIntegerSampler(np.zeros(11), rng)
 
 
-def test_probability_ratio_theta_omega(p1_1e4):
-    table = make_table(("theta_omega", {"theta": 2.0}), 30, p1_1e4)
-    assert table.alpha[2] / table.alpha[1] == pytest.approx(2.0, rel=1e-14)
+def test_probability_ratio_theta_omega(p1_1e4, alpha_of):
+    alpha = alpha_of(builtin_weight("theta_omega", theta=2.0), p1_1e4[:31])
+    assert alpha[2] / alpha[1] == pytest.approx(2.0, rel=1e-14)
 
 
-def test_cdf_interval_widths_match_alpha(p1_1e4):
+def test_cdf_interval_widths_match_alpha(p1_1e4, alpha_of):
     table = make_table(("divisor", {"k": 2.0}), 10**4, p1_1e4)
-    widths = np.diff(table.prefix)
-    np.testing.assert_allclose(widths, table.alpha[1:], rtol=0, atol=1e-9 * table.S)
+    widths = np.diff(table)
+    alpha = alpha_of(builtin_weight("divisor", k=2.0), p1_1e4)
+    np.testing.assert_allclose(widths, alpha[1:], rtol=0, atol=1e-9 * table[-1])
 
 
-def test_empirical_matches_exact_tv(p1_1e4, rng):
+def test_empirical_matches_exact_tv(p1_1e4, rng, alpha_of):
     # 1e6 draws at x = 1e3; TV to the exact law under the sampling measure.
     # The TV noise floor scales with sum_n sqrt(alpha(n)/S), so the 0.01
     # budget needs a weight with concentrated mass; a spread-out law sits
@@ -68,21 +72,23 @@ def test_empirical_matches_exact_tv(p1_1e4, rng):
     s = sampling.WeightedIntegerSampler(table, rng)
     draws = s.sample(10**6)
     counts = np.bincount(draws, minlength=10**3 + 1)[1:]
-    tv = 0.5 * np.abs(counts / counts.sum() - table.alpha[1:] / table.S).sum()
+    alpha = alpha_of(builtin_weight("power", z=6.0), p1_1e4[: 10**3 + 1])
+    tv = 0.5 * np.abs(counts / counts.sum() - alpha[1:] / table[-1]).sum()
     assert tv <= 0.01
 
     uni = make_table(("power", {"z": 0.0}), 10**3, p1_1e4)
     draws = sampling.WeightedIntegerSampler(uni, rng).sample(10**6)
     counts = np.bincount(draws, minlength=10**3 + 1)[1:]
-    tv_uni = 0.5 * np.abs(counts / counts.sum() - uni.alpha[1:] / uni.S).sum()
+    alpha = alpha_of(builtin_weight("power", z=0.0), p1_1e4[: 10**3 + 1])
+    tv_uni = 0.5 * np.abs(counts / counts.sum() - alpha[1:] / uni[-1]).sum()
     assert tv_uni <= 0.015
 
 
-def exact_pmf(table, statistic, spf):
-    """Oracle: the law of statistic(FactorProfile) by factorizing every n <= x."""
+def exact_pmf(alpha, statistic, spf):
+    """Oracle: the law of statistic(FactorProfile) by factorizing every n <= x, x = len(alpha) - 1."""
     acc = {}
-    for n in range(1, table.x + 1):
-        a = table.alpha[n]
+    for n in range(1, len(alpha)):
+        a = alpha[n]
         if a == 0.0:
             continue
         v = float(statistic(arith.factorize(n, spf)))
@@ -92,88 +98,89 @@ def exact_pmf(table, statistic, spf):
     return sampling.ExactPmf(vals, probs / probs.sum())
 
 
-def test_exact_pmf_omega_x4(spf_1e4, p1_1e4):
-    table = make_table(("power", {"z": 0.0}), 4, p1_1e4)
-    pmf = exact_pmf(table, lambda prof: sum(k for _, k in prof.factors), spf_1e4)
+def test_exact_pmf_omega_x4(spf_1e4, p1_1e4, alpha_of):
+    pmf = exact_pmf(alpha_of(builtin_weight("power", z=0.0), p1_1e4[:5]), lambda prof: sum(k for _, k in prof.factors), spf_1e4)
     assert pmf.values.tolist() == [0.0, 1.0, 2.0]
     assert pmf.probs.tolist() == [0.25, 0.5, 0.25]
 
 
-def test_exact_pmf_nu2_x8(spf_1e4, p1_1e4):
-    table = make_table(("power", {"z": 0.0}), 8, p1_1e4)
-    pmf = exact_pmf(table, lambda prof: dict(prof.factors).get(2, 0), spf_1e4)
+def test_exact_pmf_nu2_x8(spf_1e4, p1_1e4, alpha_of):
+    pmf = exact_pmf(alpha_of(builtin_weight("power", z=0.0), p1_1e4[:9]), lambda prof: dict(prof.factors).get(2, 0), spf_1e4)
     assert pmf.values.tolist() == [0.0, 1.0, 2.0, 3.0]
     assert pmf.probs.tolist() == [0.5, 0.25, 0.125, 0.125]
 
 
-def test_exact_pmf_two_routes_agree(spf_1e4, p1_1e4):
+def test_exact_pmf_two_routes_agree(spf_1e4, p1_1e4, alpha_of):
+    # the streamed scan against per-n factorization
     x = 2000
-    table = make_table(("divisor", {"k": 2.0}), x, p1_1e4)
-    slow = exact_pmf(table, lambda prof: sum(k for _, k in prof.factors), spf_1e4)
-    fast = sampling.exact_pmf_from_values(table, arith.big_omega_table(p1_1e4[: x + 1]))
+    w = builtin_weight("divisor", k=2.0)
+    slow = exact_pmf(alpha_of(w, p1_1e4[: x + 1]), lambda prof: sum(k for _, k in prof.factors), spf_1e4)
+    fast = experiments.exact_dist(w, x, "big_omega")
     np.testing.assert_allclose(slow.values, fast.values)
     np.testing.assert_allclose(slow.probs, fast.probs, rtol=1e-12)
 
 
 @pytest.mark.parametrize("kind_params", [("divisor", {"k": 2.0}), ("powerfree", {"k": 2})])
-def test_exact_pmf_integer_route_matches_unique_route(p1_1e5, kind_params):
-    # small nonnegative integer statistics are binned directly; as floats
-    # they take the np.unique route, and both must give the same atoms
+def test_exact_pmf_integer_route_matches_unique_route(p1_1e5, kind_params, alpha_of):
+    # small nonnegative integer statistics are binned directly by the scan;
+    # as floats they are ranked with np.unique first, and both must give the same atoms
     x = 10**5
-    table = make_table(kind_params, x, p1_1e5)
+    w = builtin_weight(kind_params[0], **kind_params[1])
+    alpha = alpha_of(w, p1_1e5)
     statistic_tables = [
-        arith.big_omega_table(p1_1e5),
-        arith.nu_p_table(x, 2),
-        (p1_1e5 <= math.sqrt(x)).astype(np.int8),
+        ("big_omega", {}, arith.big_omega_table(p1_1e5)),
+        ("nu", {"p": 2}, arith.nu_p_table(x, 2)),
+        ("smooth", {"u": 2.0}, (p1_1e5 <= math.sqrt(x)).astype(np.int8)),
     ]
-    for v in statistic_tables:
+    for name, kw, v in statistic_tables:
         assert v.dtype == np.int8
-        fast = sampling.exact_pmf_from_values(table, v)
-        slow = sampling.exact_pmf_from_values(table, v.astype(float))
+        fast = experiments.exact_dist(w, x, name, **kw)
+        uniq, inv = np.unique(v[1:].astype(float), return_inverse=True)
+        slow = sampling.exact_pmf_from_mass(np.bincount(inv, weights=alpha[1:], minlength=len(uniq)), uniq)
         np.testing.assert_array_equal(fast.values, slow.values)
         np.testing.assert_array_equal(fast.probs, slow.probs)
 
 
-def test_exact_pmf_blocks_match_bincount_bit_for_bit():
-    # the integer route adds 2^20 values at a time; np.bincount over the
-    # whole array is the oracle, at an x that spans three blocks
+def test_exact_pmf_blocks_match_bincount_bit_for_bit(alpha_of):
+    # the scan adds one block of the walk at a time; np.bincount over the
+    # whole array is the oracle, at an x that spans ten blocks and three chunks
     x = 5 * 2**19
     p1 = arith.largest_prime_table(x)
-    table = make_table(("divisor", {"k": 2.0}), x, p1)
-    for v in (arith.big_omega_table(p1), arith.nu_p_table(x, 2), (p1 <= math.isqrt(x)).astype(np.int8)):
-        mass = np.bincount(v[1:], weights=table.alpha[1:])
-        got = sampling.exact_pmf_from_values(table, v)
+    w = builtin_weight("divisor", k=2.0)
+    alpha = alpha_of(w, p1)
+    for name, kw, v in (("big_omega", {}, arith.big_omega_table(p1)), ("nu", {"p": 2}, arith.nu_p_table(x, 2)),
+                        ("smooth", {"u": 2.0}, (p1 <= math.isqrt(x)).astype(np.int8))):
+        mass = np.bincount(v[1:], weights=alpha[1:])
+        got = experiments.exact_dist(w, x, name, **kw)
         np.testing.assert_array_equal(got.values, np.flatnonzero(mass))
         np.testing.assert_array_equal(got.probs, mass[mass > 0] / mass.sum())
 
 
-def test_exact_pmf_skips_zero_weight(spf_1e4, p1_1e4):
-    table = make_table(("powerfree", {"k": 2}), 20, p1_1e4)
-    pmf = exact_pmf(table, lambda prof: dict(prof.factors).get(2, 0), spf_1e4)
+def test_exact_pmf_skips_zero_weight(spf_1e4, p1_1e4, alpha_of):
+    pmf = exact_pmf(alpha_of(builtin_weight("powerfree", k=2), p1_1e4[:21]), lambda prof: dict(prof.factors).get(2, 0), spf_1e4)
     assert pmf.values.tolist() == [0.0, 1.0]  # nu_2 >= 2 has zero mass
 
 
-def test_smoothness_statistic_converges_toward_dickman(p1_1e6):
+def test_smoothness_statistic_converges_toward_dickman(p1_1e6, alpha_of):
     # finite-x smoothness probabilities drift toward rho_1(2) = 1 - log 2;
     # the gap at 1e6, ~0.037, is de Bruijn's (1 - gamma)/log x term plus
     # 0.0068 (acceptance case c06 checks against the two-term value)
     rho = 1.0 - math.log(2.0)
     gaps = []
+    alpha = alpha_of(builtin_weight("power", z=0.0), p1_1e6)
     for x in (10**4, 10**5, 10**6):
-        table = make_table(("power", {"z": 0.0}), x, p1_1e6)
         ind = (p1_1e6[: x + 1] <= math.sqrt(x)).astype(np.int8)
-        p = sampling.exact_pmf_from_values(table, ind).prob_of(1.0)
+        p = bincount_law(alpha[: x + 1], ind).prob_of(1.0)
         gaps.append(abs(p - rho))
     assert gaps[2] < gaps[1] < gaps[0]
     assert gaps[2] == pytest.approx(0.0374, abs=0.002)
 
 
-def test_smooth_probability_matches_large_prime_count(p1_1e6):
+def test_smooth_probability_matches_large_prime_count():
     # independent oracle for c06: each n <= x has at most one prime factor
     # p > sqrt x, so exactly floor(x/p) multiples of p are not sqrt-smooth
     x = 10**6
-    table = make_table(("power", {"z": 0.0}), x, p1_1e6)
-    p = sampling.exact_pmf_from_values(table, (p1_1e6 <= math.sqrt(x)).astype(np.int8)).prob_of(1.0)
+    p = experiments.exact_dist(builtin_weight("power", z=0.0), x, "smooth", u=2.0).prob_of(1.0)
     ps = arith.primes_upto(x)
     large = ps[ps > math.sqrt(x)].astype(np.int64)
     oracle = (x - int(np.sum(x // large))) / x
@@ -367,12 +374,11 @@ def test_nu_p_limit_divergence_detected():
         sampling.nu_p_limit_pmf(bad, 2)
 
 
-def test_nu_p_exact_converges_to_limit(p1_1e6):
+def test_nu_p_exact_converges_to_limit():
     # powerfree: essentially converged by 1e6; theta_omega: gap shrinks in x
     w = builtin_weight("powerfree", k=2)
     lim = sampling.nu_p_limit_pmf(w, 2)
-    table = make_table(("powerfree", {"k": 2}), 10**6, p1_1e6)
-    exact = sampling.exact_pmf_from_values(table, arith.nu_p_table(10**6, 2))
+    exact = experiments.exact_dist(w, 10**6, "nu", p=2)
     for k in range(3):
         assert abs(exact.prob_of(k) - lim.prob_of(k)) <= 0.01
 
@@ -380,16 +386,16 @@ def test_nu_p_exact_converges_to_limit(p1_1e6):
     lim2 = sampling.nu_p_limit_pmf(w2, 2)
     gaps = []
     for x in (10**4, 10**5, 10**6):
-        t2 = make_table(("theta_omega", {"theta": 2.0}), x, p1_1e6)
-        e2 = sampling.exact_pmf_from_values(t2, arith.nu_p_table(x, 2))
+        e2 = experiments.exact_dist(w2, x, "nu", p=2)
         gaps.append(max(abs(e2.prob_of(k) - lim2.prob_of(k)) for k in range(8)))
     assert gaps[2] < gaps[1] < gaps[0]
 
 
-def test_joint_pmf_factorizes_at_moderate_x(p1_1e6):
+def test_joint_pmf_factorizes_at_moderate_x():
     x = 10**6
-    table = make_table(("powerfree", {"k": 2}), x, p1_1e6)
-    joint = sampling.joint_pmf_from_values(table, arith.nu_p_table(x, 2), arith.nu_p_table(x, 3))
+    values, kb = experiments.joint_nu(x, 2, 3)
+    _, ((mass,),) = experiments.scan(builtin_weight("powerfree", k=2), x, laws=[(values, [x])])
+    joint = sampling.joint_pmf_from_mass(mass, kb)
     m2, m3 = {}, {}
     for (a, b), p in joint.items():
         m2[a] = m2.get(a, 0.0) + p

@@ -89,17 +89,17 @@ def test_regimes():
 def test_table_uniform_prefix(p1_1e4):
     w = builtin_weight("power", z=0.0)
     t = weights.build_weight_table(w, p1_1e4[:101])
-    assert t.S_at(100) == 100.0
+    assert t[100] == 100.0 and t[0] == 0.0
 
 
 def test_table_small_sums(p1_1e4):
     t = weights.build_weight_table(builtin_weight("powerfree", k=2), p1_1e4[:11])
-    assert t.S_at(10) == 7.0
+    assert t[10] == 7.0
     t = weights.build_weight_table(builtin_weight("divisor", k=2.0), p1_1e4[:11])
-    assert t.S_at(10) == pytest.approx(27.0, rel=1e-12)
+    assert t[10] == pytest.approx(27.0, rel=1e-12)
 
 
-def test_table_matches_direct_evaluation(spf_1e4, p1_1e4):
+def test_table_matches_direct_evaluation(spf_1e4, p1_1e4, alpha_of):
     # x = 1e4, and both sides of the squares 4, 9, 25, 49 and 121, where
     # sqrt(x) gains a prime, with a p_1 table built at x and a prefix of the 1e4 one
     tables = [p1_1e4]
@@ -110,28 +110,29 @@ def test_table_matches_direct_evaluation(spf_1e4, p1_1e4):
         for w in catalog_weights():
             table = weights.build_weight_table(w, p1)
             direct = np.array([weights.evaluate_weight(w, n, spf_1e4) for n in range(1, x + 1)])
-            assert table.x == x
-            np.testing.assert_allclose(table.alpha[1:], direct, rtol=1e-12, atol=0)
+            assert len(table) == x + 1
+            np.testing.assert_allclose(alpha_of(w, p1)[1:], direct, rtol=1e-12, atol=0)
+            assert table[-1] == pytest.approx(math.fsum(direct.tolist()), rel=1e-12)
 
 
-def test_table_multiplicativity_random_coprime_pairs(p1_1e5, rng):
+def test_table_multiplicativity_random_coprime_pairs(p1_1e5, rng, alpha_of):
     x = 10**5
     w = builtin_weight("sigma", z=1.0)
-    table = weights.build_weight_table(w, p1_1e5)
+    alpha = alpha_of(w, p1_1e5)
     done = 0
     while done < 1000:
         a = int(rng.integers(2, 400))
         b = int(rng.integers(2, x // a))
         if math.gcd(a, b) != 1:
             continue
-        assert table.alpha[a * b] == pytest.approx(table.alpha[a] * table.alpha[b], rel=1e-9)
+        assert alpha[a * b] == pytest.approx(alpha[a] * alpha[b], rel=1e-9)
         done += 1
 
 
 def test_prefix_monotone_and_theta1_identity(p1_1e5):
     t = weights.build_weight_table(builtin_weight("theta_omega", theta=1.0), p1_1e5)
-    assert np.all(np.diff(t.prefix) >= 0)
-    assert t.S == float(10**5)  # theta=1 makes alpha identically 1
+    assert np.all(np.diff(t) >= 0)
+    assert t[-1] == float(10**5)  # theta=1 makes alpha identically 1
 
 
 def test_rejects_non_monotone_vanishing(p1_1e4):
@@ -203,19 +204,37 @@ def test_condition_II_margin_matches_per_prime_power_loop():
         assert weights.condition_II_margin(w, p_max=300, k_max=12) == loop, w.name
 
 
-def test_compensated_cumsum_matches_fsum(rng):
-    a = rng.random(10**5) * 10.0
-    cs = weights._compensated_cumsum(a, np.empty(len(a)), chunk=1 << 10)
-    assert cs[-1] == pytest.approx(math.fsum(a.tolist()), rel=1e-14)
-    assert cs[0] == a[0]
+CHUNK = weights.CHUNK  # the prefix sum adds the totals of its CHUNK-entry chunks by math.fsum
+CHUNK_EDGES = (1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 2 * CHUNK + 5)
 
 
-def test_compensated_cumsum_writes_into_out(rng):
-    # the values of a chunked cumsum plus the fsum of the earlier chunk totals, bit for bit
-    a = rng.random(5000) * 10.0
-    out = np.empty(len(a))
-    assert weights._compensated_cumsum(a, out, chunk=1 << 10) is out
-    chunks = np.split(a, range(1 << 10, len(a), 1 << 10))
+@pytest.fixture(scope="module")
+def chunks_p1():
+    return arith.largest_prime_table(2 * CHUNK + 5)
+
+
+def test_compensated_cumsum_matches_fsum(chunks_p1, alpha_of):
+    # the prefix sum at the chunk edges against the exactly rounded sum of
+    # alpha: the error is that of one chunk's cumsum (2^20 additions), at
+    # most 6.5e-14 here, not one that grows with the number of chunks
+    for w in (builtin_weight("euler_ratio"), builtin_weight("power", z=0.5)):
+        prefix = weights.build_weight_table(w, chunks_p1)
+        alpha = alpha_of(w, chunks_p1)
+        for y in CHUNK_EDGES:
+            assert prefix[y] == pytest.approx(math.fsum(alpha[1 : y + 1].tolist()), rel=1e-12), (w.name, y)
+        assert prefix[0] == 0.0 and prefix[1] == alpha[1] == 1.0
+
+
+def test_compensated_cumsum_writes_into_out(p1_1e5, alpha_of, monkeypatch):
+    # built in place: each chunk's cumsum plus the fsum of the earlier chunk
+    # totals, bit for bit; at the 2^10-entry chunks of this test there are
+    # 98 of them, and for 78 of the partial sums of their totals a plain sum
+    # rounds differently from math.fsum
+    w = builtin_weight("euler_ratio")
+    alpha = alpha_of(w, p1_1e5)
+    monkeypatch.setattr(weights, "CHUNK", 1 << 10)
+    prefix = weights.build_weight_table(w, p1_1e5)
+    chunks = np.split(alpha[1:], range(1 << 10, len(alpha) - 1, 1 << 10))
     totals = [float(np.sum(c)) for c in chunks]
-    expected = np.concatenate([np.cumsum(c) + math.fsum(totals[:i]) for i, c in enumerate(chunks)])
-    assert out.tobytes() == expected.tobytes()
+    expected = np.concatenate([[0.0], *(np.cumsum(c) + math.fsum(totals[:i]) for i, c in enumerate(chunks))])
+    assert prefix.dtype == np.float64 and prefix.tobytes() == expected.tobytes()

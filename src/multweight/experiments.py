@@ -197,8 +197,9 @@ def exact_dist(w: weights.MultiplicativeWeight, x: int, name: str, p: int = 2, u
         return exact_laws(w, x, [(values, [x])])[0][0]
     # float atoms log p/log x, binned by the prime p: the law of p_1 with its atoms mapped
     ((mass,),) = scan(w, x, laws=[(statistic("largest_prime", x), [x])])[1]
-    p1 = np.flatnonzero(mass > 0)
-    return sampling.exact_pmf_from_mass(mass[p1], np.log(p1) / math.log(x))
+    p1 = np.flatnonzero(mass)
+    mass = mass[p1]
+    return sampling.ExactPmf(np.log(p1) / math.log(x), mass / mass.sum())
 
 
 def omega_clt_ks(w: weights.MultiplicativeWeight, xs: list[int]) -> list[float]:

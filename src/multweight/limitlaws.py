@@ -2,9 +2,11 @@
 
 Covers the beta/gamma/normal conventions used throughout (gamma is
 shape/rate: density rate^shape x^(shape-1) e^(-rate x)/Gamma(shape)),
-GEM stick-breaking draws and their sorted rows (the Poisson-Dirichlet
-law), row-wise size-biased permutation and residual ratios, and the
-Dickman-type function rho_theta solving
+GEM stick-breaking draws, the Monte Carlo means of the three largest of
+the first 200 GEM parts (the Poisson-Dirichlet largest parts; each row is
+drawn in growing chunks and stops once the stick it has left is no longer
+than its third-largest part), row-wise size-biased permutation and
+residual ratios, and the Dickman-type function rho_theta solving
 
     rho(x) x^theta = integral_{x-1}^{x} theta y^(theta-1) rho(y) dy,
 
@@ -68,12 +70,32 @@ def gem_matrix(theta: float, k: int, rng: np.random.Generator, size: int) -> np.
 
 
 def pd_largest_part_means(theta: float, rng: np.random.Generator, draws: int) -> np.ndarray:
-    """Monte Carlo means of the three largest PD(theta) parts, from GEM rows
-    of 200 fractions drawn 20000 rows at a time from one stream."""
+    """Monte Carlo means of the three largest of the first 200 GEM(theta)
+    parts (the PD(theta) largest parts, truncated), over `draws` rows drawn
+    20000 at a time from one stream.
+
+    Each row is drawn in column chunks of 8, 16, 32, ... fractions, 200 in
+    all, and stops once the stick it has left is no longer than its
+    third-largest part so far: every later part is at most that stick, so
+    none of them can enter the top three.  At theta = 1 a row draws about 8
+    fractions; for large theta the 200 cap binds."""
     acc = np.zeros(3)
     for i in range(0, draws, 20000):
-        # no name holds a block, so the last one is freed before the next is drawn
-        acc += np.sort(gem_matrix(theta, 200, rng, min(20000, draws - i)), axis=1)[:, :-4:-1].sum(axis=0)
+        top = np.zeros((min(20000, draws - i), 3))  # the live rows' three largest parts, descending
+        stick = np.ones(len(top))
+        drawn, width = 0, 8
+        while len(top) and drawn < 200:
+            y = beta_sample(1.0, theta, rng, size=(len(top), min(width, 200 - drawn)))
+            rest = stick[:, None] * np.cumprod(1.0 - y, axis=1)  # the stick left after each fraction
+            y[:, 0] *= stick
+            y[:, 1:] *= rest[:, :-1]  # y now holds the parts
+            top = np.sort(np.concatenate([top, y], axis=1), axis=1)[:, :-4:-1]
+            stick = rest[:, -1]
+            settled = stick <= top[:, 2]
+            acc += top[settled].sum(axis=0)
+            top, stick = top[~settled], stick[~settled]
+            drawn, width = drawn + y.shape[1], 2 * width
+        acc += top.sum(axis=0)
     return acc / draws
 
 

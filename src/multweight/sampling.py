@@ -96,9 +96,10 @@ class WeightedIntegerSampler:
 
 
 def exact_pmf_from_mass(mass: np.ndarray, atoms: np.ndarray | None = None) -> ExactPmf:
-    """The law with mass[i] (unnormalized) on atoms[i], by default on i."""
-    keep = mass > 0
-    atoms = np.flatnonzero(keep) if atoms is None else atoms[keep]
+    """The law with mass[i] (unnormalized, nonnegative) on atoms[i], by default
+    on i; zero masses are dropped, indexed once with no mask of len(mass)."""
+    keep = np.flatnonzero(mass)
+    atoms = keep if atoms is None else atoms[keep]
     return ExactPmf(atoms.astype(float), mass[keep] / mass.sum())
 
 

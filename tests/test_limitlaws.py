@@ -83,18 +83,19 @@ def test_gem_remainder_truncation_rate(rng):
     assert rem.mean() == pytest.approx((theta / (theta + 1.0)) ** k, rel=0.2)
 
 
-def pd1_largest_part_mean(k):
-    # E V_k of PD(1) = integral_0^inf E1(y)^(k-1)/(k-1)! e^(-y - E1(y)) dy
-    # (Shepp & Lloyd, Trans. AMS 121, 1966)
+def pd_largest_part_mean(k, theta=1.0):
+    # E V_k of PD(theta) = integral_0^inf (theta E1(y))^(k-1)/(k-1)! e^(-y - theta E1(y)) dy,
+    # from the gamma-subordinator form of PD(theta) (Kingman 1975; Griffiths 1979);
+    # at theta = 1 these are the Shepp-Lloyd constants (Trans. AMS 121, 1966)
     def f(y):
-        e1 = exp1(y)
+        e1 = theta * exp1(y)
         return e1 ** (k - 1) / math.factorial(k - 1) * math.exp(-y - e1)
 
     return quad(f, 0.0, 1.0, epsabs=1e-14, limit=200)[0] + quad(f, 1.0, np.inf, epsabs=1e-14, limit=200)[0]
 
 
 def test_pd_largest_part_means_match_shepp_lloyd_constants():
-    exact = [pd1_largest_part_mean(k) for k in (1, 2, 3)]
+    exact = [pd_largest_part_mean(k) for k in (1, 2, 3)]
     assert exact == pytest.approx([0.6243299885, 0.2095808743, 0.0883160989], abs=1e-10)
     draws = 2 * 10**5
     got = ll.pd_largest_part_means(1.0, np.random.default_rng(99), draws)
@@ -104,6 +105,75 @@ def test_pd_largest_part_means_match_shepp_lloyd_constants():
     gap = np.abs(got - exact)
     assert np.all(gap <= 5 * se), (gap, se)
     assert np.all(gap <= 0.003), gap
+
+
+def top_three_sd(theta, seed):
+    """Standard deviations of the three largest of 200 GEM(theta) parts, from
+    a pilot of 20000 rows."""
+    return np.sort(ll.gem_matrix(theta, 200, np.random.default_rng(seed), 20000), axis=1)[:, :-4:-1].std(axis=0)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0])
+def test_pd_largest_part_means_match_the_quadrature(theta):
+    # the 200-part truncation moves E V_k by at most E(remainder) = (theta/(1+theta))^200 < 1e-35
+    exact = [pd_largest_part_mean(k, theta) for k in (1, 2, 3)]
+    draws = 2 * 10**5
+    got = ll.pd_largest_part_means(theta, np.random.default_rng(int(10 * theta)), draws)
+    gap = np.abs(got - exact)
+    assert np.all(gap <= 5 * top_three_sd(theta, 98) / math.sqrt(draws)), gap
+
+
+def test_pd_quadrature_reproduces_the_rho_theta_values():
+    # E V_1 = 1 - integral_1^inf rho_theta(u) u^-2 du, evaluated earlier at these theta
+    assert [pd_largest_part_mean(1, t) for t in (0.5, 1.0, 2.0)] == pytest.approx([0.7578230, 0.6243300, 0.4756394], abs=1e-6)
+
+
+@pytest.mark.parametrize("theta", [1.0, 50.0, 200.0])
+def test_pd_largest_part_means_equal_sorted_gem_rows_in_law(theta):
+    # the early stop leaves the law alone: the top three of the first 200 parts,
+    # where the truncation is felt (theta = 50: E remainder = 0.019) and where not
+    draws = 40000
+    got = ll.pd_largest_part_means(theta, np.random.default_rng(3), draws)
+    want = np.sort(ll.gem_matrix(theta, 200, np.random.default_rng(4), draws), axis=1)[:, :-4:-1].mean(axis=0)
+    gap = np.abs(got - want)
+    assert np.all(gap <= 5 * top_three_sd(theta, 98) * math.sqrt(2.0 / draws)), gap
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0, 200.0])
+def test_pd_largest_parts_of_one_row_are_its_first_200_parts_top_three(theta):
+    # one row draws its chunks from the start of the uniform stream, as a
+    # 200-fraction GEM row from the same seed does, so the stopped row must
+    # give that row's three largest parts (up to the rounding of the stick)
+    for seed in range(300):
+        got = ll.pd_largest_part_means(theta, np.random.default_rng(seed), 1)
+        row = ll.gem_matrix(theta, 200, np.random.default_rng(seed), 1)[0]
+        assert got == pytest.approx(np.sort(row)[:-4:-1], rel=1e-12, abs=0.0), seed
+
+
+def counted_fractions(monkeypatch, theta, draws):
+    """The (rows, columns) of every beta_sample call of pd_largest_part_means."""
+    shapes = []
+    beta = ll.beta_sample
+
+    def counting(a, b, rng, size=None):
+        shapes.append(size)
+        return beta(a, b, rng, size)
+
+    monkeypatch.setattr(ll, "beta_sample", counting)
+    ll.pd_largest_part_means(theta, np.random.default_rng(5), draws)
+    return shapes
+
+
+def test_pd_rows_stop_early_and_never_pass_200_fractions(monkeypatch):
+    # one block: at theta = 200 no row settles before the cap, so every call
+    # draws for all rows, and the widths add up to exactly 200
+    shapes = counted_fractions(monkeypatch, 200.0, 5000)
+    assert [c for _, c in shapes] == [8, 16, 32, 64, 80]
+    assert all(rows == 5000 for rows, _ in shapes)
+    # at theta = 1 most rows settle within their first 8 fractions
+    draws = 50000
+    shapes = counted_fractions(monkeypatch, 1.0, draws)
+    assert sum(rows * c for rows, c in shapes) / draws < 16
 
 
 def test_size_biased_permutation_singleton(rng):

@@ -23,10 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 from .arith import primes_upto
 from .weights import MultiplicativeWeight, PolyRegime
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def euler_constant(w: MultiplicativeWeight, cutoff: int = 10**6) -> EwensAsympto
     logs = np.log(series) + reg.theta * np.log1p(-1.0 / ps)
     total = float(np.sum(logs))
     half = float(np.sum(logs[ps > cutoff / 2]))
-    A = math.exp(total - gammaln(reg.theta)) / (reg.d + 1.0)
+    A = math.exp(total - math.lgamma(reg.theta)) / (reg.d + 1.0)
     return EwensAsymptotic(
         theta=reg.theta, d=reg.d, A_alpha=A, prime_cutoff=cutoff, tail_estimate=abs(half)
     )
@@ -115,12 +116,48 @@ def predict_S_ewens(a: EwensAsymptotic, x: float) -> float:
     return a.A_alpha * x ** (a.d + 1.0) * math.log(x) ** (a.theta - 1.0)
 
 
+def upper_gamma(a: float, y: float) -> float:
+    """The upper incomplete gamma function Gamma(a, y), a > 0 and y > 0.
+
+    Below y = a + 1 it is Gamma(a) less the lower function's series
+    e^-y y^a sum_n y^n / (a (a+1) ... (a+n)); from there on it is the
+    continued fraction e^-y y^a / (y+1-a - 1(1-a)/(y+3-a - 2(2-a)/(y+5-a - ...))),
+    evaluated by the modified Lentz method (Press et al., Numerical Recipes,
+    3rd ed., sec. 6.2).  Both stop once a step moves the value by less
+    than an ulp.
+    """
+    scale = math.exp(a * math.log(y) - y)
+    if y < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while term > total * _EPS:
+            n += 1.0
+            term *= y / n
+            total += term
+        return math.gamma(a) - scale * total
+    tiny = 1e-300  # keeps a Lentz denominator off zero
+    b = y + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h, i = d, 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        h *= d * c
+        if abs(d * c - 1.0) <= _EPS:
+            return scale * h
+
+
 def G_eval(gamma: float, s: float, k: int = 0, prime_cutoff: int = 10**6) -> GEval:
     """Evaluate G^(k)(s) over primes <= prime_cutoff plus a density tail.
 
     The tail integral substitutes u = log t:
-    integral_T^inf u^(g-1) e^(-(s-1)u) du = Gamma(g) Q(g, (s-1) log T) / (s-1)^g
-    with g = gamma + k and Q the regularized upper incomplete gamma.  Its
+    integral_T^inf u^(g-1) e^(-(s-1)u) du = Gamma(g, (s-1) log T) / (s-1)^g
+    with g = gamma + k and Gamma(., .) the upper incomplete gamma.  Its
     own error is a PNT-size fraction of the estimate; tail_bound caps the
     discarded prime sum with the Chebyshev-type bound pi(t) <= 1.3 t/log t.
     """
@@ -132,7 +169,7 @@ def G_eval(gamma: float, s: float, k: int = 0, prime_cutoff: int = 10**6) -> GEv
     cache = _prime_cache(prime_cutoff)
     truncated = float(np.sum(cache.logs**g / cache.primes**s))
     L = math.log(prime_cutoff)
-    tail = math.exp(gammaln(g)) * float(gammaincc(g, (s - 1.0) * L)) / (s - 1.0) ** g
+    tail = upper_gamma(g, (s - 1.0) * L) / (s - 1.0) ** g
     # crude rigorous cap: 1.3x the density integral with one extra log
     bound = 1.3 * tail * (1.0 + g / ((s - 1.0) * L))
     sign = -1.0 if k % 2 else 1.0
@@ -163,12 +200,12 @@ class PolySaddle:
 
 def B_constant(K: float, gamma: float) -> float:
     """B = (1 + 1/gamma) (K Gamma(gamma+1))^(1/(gamma+1))."""
-    return (1.0 + 1.0 / gamma) * (K * math.exp(gammaln(gamma + 1.0))) ** (1.0 / (gamma + 1.0))
+    return (1.0 + 1.0 / gamma) * (K * math.exp(math.lgamma(gamma + 1.0))) ** (1.0 / (gamma + 1.0))
 
 
 def sigma_leading_order(K: float, gamma: float, x: float) -> float:
     """(K Gamma(gamma+1))^(1/(gamma+1)) (log x)^(-1/(gamma+1))."""
-    return (K * math.exp(gammaln(gamma + 1.0))) ** (1.0 / (gamma + 1.0)) * math.log(x) ** (
+    return (K * math.exp(math.lgamma(gamma + 1.0))) ** (1.0 / (gamma + 1.0)) * math.log(x) ** (
         -1.0 / (gamma + 1.0)
     )
 
@@ -243,7 +280,7 @@ def predict_mean_omega_poly(K: float, gamma: float, x: float) -> float:
     """(log x)^(gamma/(gamma+1)) (K Gamma(gamma)/gamma^gamma)^(1/(gamma+1))."""
     PolyRegime(K=K, gamma=gamma)  # validate parameters
     return math.log(x) ** (gamma / (gamma + 1.0)) * (
-        K * math.exp(gammaln(gamma)) / gamma**gamma
+        K * math.exp(math.lgamma(gamma)) / gamma**gamma
     ) ** (1.0 / (gamma + 1.0))
 
 
@@ -252,5 +289,5 @@ def gamma_law_params(K: float, gamma: float) -> tuple[float, float]:
     with shape gamma+1 and rate (K Gamma(gamma+1))^(1/(gamma+1))."""
     PolyRegime(K=K, gamma=gamma)
     shape = gamma + 1.0
-    rate = (K * math.exp(gammaln(gamma + 1.0))) ** (1.0 / (gamma + 1.0))
+    rate = (K * math.exp(math.lgamma(gamma + 1.0))) ** (1.0 / (gamma + 1.0))
     return shape, rate

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import resource
 import sys
 import time
 
@@ -88,7 +89,12 @@ def _report(args, results: dict, t0: float):
         },
         "version": __version__,
         "results": results,
-        "timing": {"runtime_seconds": time.time() - t0, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")},
+        "timing": {
+            "runtime_seconds": time.time() - t0,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            # the process's peak resident set so far (ru_maxrss is in KiB on Linux)
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        },
     }
     text = json.dumps(doc, indent=2, sort_keys=True)
     if args.json_path:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from . import arith, asympt, experiments, limitlaws, permutations, sampling, weights
 from .experiments import Context, atom_gaps
@@ -80,7 +79,9 @@ def _smooth_two_term(x: int) -> float:
 
 def _poisson_pmf(k: np.ndarray, mu: float) -> np.ndarray:
     """exp(k log mu - log k! - mu), evaluated as scipy.stats.poisson.pmf does."""
-    return np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu)
+    from scipy.special import gammaln, xlogy
+
+    return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
 
 
 def _nu_p_first_order(w: weights.MultiplicativeWeight, p: int, x: int) -> sampling.ExactPmf:
@@ -326,13 +327,15 @@ def _c11_small_primes(ctx: Context, scale: str):
 
 
 def _c12_partition_function(ctx: Context, scale: str):
+    from scipy.special import gammaln
+
     checks = []
     for theta in (0.5, 1.0, 2.0):
         w = permutations.constant_weights(50, theta)
         t = permutations.partition_function(w)
         worst = 0.0
         for m in range(51):
-            ref = special.gammaln(m + theta) - special.gammaln(theta) - special.gammaln(m + 1)
+            ref = gammaln(m + theta) - gammaln(theta) - gammaln(m + 1)
             worst = max(worst, abs(math.exp(t.log_h[m] - ref) - 1.0))
         checks.append(
             (f"h_m = binom(m+theta-1, m), theta={theta:g}, n<=50", worst <= 1e-10, f"max rel err={worst:.2e}")

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .sampling import ExactPmf
 
@@ -39,22 +38,30 @@ def beta_sample(a: float, b: float, rng: np.random.Generator, size=None):
 
 
 # The special functions scipy.stats evaluates, clipped to the support as it
-# clips: importing scipy.stats itself takes about half a second.
+# clips: importing scipy.stats itself takes about half a second.  Each loads
+# scipy.special (about a quarter second) on its first call, so an op that
+# draws no CDF does not pay for it.
 
 
 def beta_cdf(a: float, b: float, t):
-    return special.betainc(a, b, np.clip(t, 0.0, 1.0))
+    from scipy.special import betainc
+
+    return betainc(a, b, np.clip(t, 0.0, 1.0))
 
 
 def gamma_cdf(shape: float, rate: float, t):
     """CDF of the gamma law with mean shape/rate (shape-rate convention)."""
     if shape <= 0 or rate <= 0:
         raise ValueError("gamma parameters must be positive")
-    return special.gammainc(shape, np.maximum(np.divide(t, 1.0 / rate), 0.0))
+    from scipy.special import gammainc
+
+    return gammainc(shape, np.maximum(np.divide(t, 1.0 / rate), 0.0))
 
 
 def normal_cdf(t):
-    return special.ndtr(t)
+    from scipy.special import ndtr
+
+    return ndtr(t)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +218,39 @@ def _cubic_eval(values: np.ndarray, h: float, y: np.ndarray) -> np.ndarray:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
+def _jacobi_p(n: int, a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """The Jacobi polynomial P_n^(a,b)(x) by its three-term recurrence (DLMF 18.9.2)."""
+    prev, p = np.ones_like(x), (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
+    if n == 0:
+        return prev
+    for k in range(2, n + 1):
+        t = 2.0 * k + a + b
+        prev, p = p, ((t - 1.0) * (t * (t - 2.0) * x + a * a - b * b) * p
+                      - 2.0 * (k + a - 1.0) * (k + b - 1.0) * t * prev) / (2.0 * k * (k + a + b) * (t - 2.0))
+    return p
+
+
+def gauss_jacobi(n: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule for the weight (1+x)^theta on [-1, 1].
+
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the symmetric tridiagonal Jacobi matrix of P^(0,theta).  Each node then
+    takes one Newton step on P_n, as scipy.special.roots_jacobi does, and
+    the weights are 1/((1-x^2) P_n'(x)^2) at the nodes, scaled to the
+    weight's mass 2^(theta+1)/(theta+1).
+    """
+    k = np.arange(n, dtype=float)
+    t = 2.0 * k + theta
+    diag = np.where(k == 0, theta / (2.0 + theta), theta * theta / (t * (t + 2.0)))
+    k, t = k[1:], t[1:]
+    off = 2.0 * k * (k + theta) / (t * np.sqrt((t + 1.0) * (t - 1.0)))
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    # P_n' = (n + theta + 1)/2 P_(n-1)^(1,theta+1)
+    x = x - _jacobi_p(n, 0.0, theta, x) / (0.5 * (n + theta + 1.0) * _jacobi_p(n - 1, 1.0, theta + 1.0, x))
+    w = 1.0 / ((1.0 - x * x) * _jacobi_p(n - 1, 1.0, theta + 1.0, x) ** 2)
+    return x, w * (2.0 ** (theta + 1.0) / (theta + 1.0) / w.sum())
+
+
 def dickman_rho(theta: float, u_max: float, h: float = 1.0 / 256) -> DickmanSolution:
     """Solve the delay equation for rho_theta on [0, u_max].
 
@@ -267,7 +307,7 @@ def dickman_rho(theta: float, u_max: float, h: float = 1.0 / 256) -> DickmanSolu
         def a(t: np.ndarray) -> np.ndarray:
             return -theta * (t - 1.0) ** (theta - 1.0) * t ** (-theta)
 
-        xs, ws = special.roots_jacobi(20, 0.0, theta)
+        xs, ws = gauss_jacobi(20, theta)
         tj = 2.0 + h / 2 * (1.0 + xs)
         b = a(tj) * (_rho_on_12(theta, tj - 1.0) - 1.0) / (tj - 2.0) ** theta
         inc = h / 2 * (a(2.0 + h / 2 * (1.0 + _GL_NODES)) @ _GL_WEIGHTS) + (h / 2) ** (theta + 1.0) * (b @ ws)

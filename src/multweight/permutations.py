@@ -32,7 +32,6 @@ from itertools import permutations as iter_permutations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 _EPS = float(np.finfo(float).eps)
 
@@ -67,6 +66,8 @@ def poly_weights(gamma: float, n: int) -> CycleWeights:
     """theta_i = Gamma(gamma + i + 1)/i! = (1 + o(1)) i^gamma, in log-gamma form."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
+    from scipy.special import gammaln  # vector log-gamma; here, so importing the CLI does not load scipy
+
     i = np.arange(1, n + 1, dtype=float)
     with np.errstate(over="ignore"):  # a theta_i past the float range is rejected by CycleWeights
         return CycleWeights(n=n, theta=np.exp(gammaln(gamma + i + 1.0) - gammaln(i + 1.0)))
@@ -371,11 +372,11 @@ def _partitions(n: int, max_part: int | None = None):
 
 
 def _class_size_log(n: int, counts: dict[int, int]) -> float:
-    # conjugacy class size n!/prod(i^C_i C_i!)
-    out = gammaln(n + 1)
+    # log of the conjugacy class size n!/prod(i^C_i C_i!), an exact integer
+    size = math.factorial(n)
     for i, c in counts.items():
-        out -= c * math.log(i) + gammaln(c + 1)
-    return float(out)
+        size //= i**c * math.factorial(c)
+    return math.log(size)
 
 
 @dataclass(frozen=True)

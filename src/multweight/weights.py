@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from . import arith
 from .arith import factorize, primes_upto
@@ -117,6 +116,24 @@ WEIGHT_KINDS: dict[str, tuple[str, ...]] = {
 }
 
 
+def _multiset_count(c: float, i: int) -> float:
+    """C(i + c - 1, i) by C_j = C_(j-1) (j + c - 1)/j: exact for integer c."""
+    out = 1.0
+    for j in range(1, i + 1):
+        out = out * (c + (j - 1)) / j
+    return out
+
+
+def _log_sum_exp(a: np.ndarray) -> np.ndarray:
+    """log sum_j exp(a[:, j]) with each row's largest terms held out of the
+    sum, as scipy.special.logsumexp forms it: log1p(rest/m) + log m + max."""
+    top = a.max(axis=1, keepdims=True)
+    is_top = a == top
+    m = is_top.sum(axis=1).astype(float)
+    rest = np.where(is_top, 0.0, np.exp(a - top)).sum(axis=1)
+    return np.log1p(rest / m) + np.log(m) + top[:, 0]
+
+
 def builtin_weight(kind: str, **params) -> MultiplicativeWeight:
     """Construct one of the catalog weights; every parameter is a float.
 
@@ -157,11 +174,8 @@ def builtin_weight(kind: str, **params) -> MultiplicativeWeight:
         (c,) = args
         if c <= 0:
             raise ValueError("divisor requires k > 0")
-        # C(i + c - 1, i) for real c, via log-gamma to survive large i
         return MultiplicativeWeight(
-            f"divisor({c:g})",
-            EwensRegime(theta=c),
-            lambda ps, i: np.full(len(ps), math.exp(gammaln(i + c) - gammaln(c) - gammaln(i + 1))),
+            f"divisor({c:g})", EwensRegime(theta=c), lambda ps, i: np.full(len(ps), _multiset_count(c, i))
         )
     if kind == "powerfree":
         (c,) = args
@@ -179,7 +193,7 @@ def builtin_weight(kind: str, **params) -> MultiplicativeWeight:
             f"sigma({z:g})",
             EwensRegime(theta=1.0, d=max(z, 0.0)),
             lambda ps, k: np.sum(np.float_power(ps.astype(float)[:, None], z * np.arange(k + 1)[None, :]), axis=1),
-            lambda ps, k: logsumexp(z * np.arange(k + 1)[None, :] * np.log(ps.astype(float))[:, None], axis=1),
+            lambda ps, k: _log_sum_exp(z * np.arange(k + 1)[None, :] * np.log(ps.astype(float))[:, None]),
         )
     if kind == "power":
         (z,) = args

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from multweight import arith, asympt
 from multweight.weights import EwensRegime, builtin_weight, catalog_weights
@@ -55,7 +54,7 @@ def euler_constant_every_prime(w, cutoff):
             break
         k += 1
     logs = np.log(series) + reg.theta * np.log1p(-1.0 / ps)
-    A = math.exp(float(np.sum(logs)) - gammaln(reg.theta)) / (reg.d + 1.0)
+    A = math.exp(float(np.sum(logs)) - math.lgamma(reg.theta)) / (reg.d + 1.0)
     return A, abs(float(np.sum(logs[ps > cutoff / 2])))
 
 
@@ -87,6 +86,38 @@ def test_predict_scale_consistency():
     r1 = asympt.predict_S_ewens(a, x1) / x1 ** (a.d + 1)
     r2 = asympt.predict_S_ewens(a, x2) / x2 ** (a.d + 1)
     assert r1 == pytest.approx(r2 * (math.log(x1) / math.log(x2)) ** (a.theta - 1), rel=1e-12)
+
+
+def upper_gamma_closed_form(a, y):
+    # Gamma(n, y) = (n-1)! e^-y sum_{k<n} y^k/k!, Gamma(1/2, y) = sqrt(pi) erfc(sqrt y),
+    # Gamma(3/2, y) = sqrt(y) e^-y + Gamma(1/2, y)/2
+    if a == 0.5:
+        return math.sqrt(math.pi) * math.erfc(math.sqrt(y))
+    if a == 1.5:
+        return math.sqrt(y) * math.exp(-y) + 0.5 * math.sqrt(math.pi) * math.erfc(math.sqrt(y))
+    n = int(a)
+    return math.factorial(n - 1) * math.exp(-y) * math.fsum(y**k / math.factorial(k) for k in range(n))
+
+
+def _both_sides_of_a_plus_1(a):
+    # the series serves y < a + 1, the continued fraction y >= a + 1
+    return (0.05, 0.3, (a + 1.0) / 2, a + 0.5, a + 0.99, a + 1.0, a + 1.5, a + 4.0, 3 * a + 10.0, 60.0)
+
+
+@pytest.mark.parametrize("a", [1.0, 1.5, 2.0, 2.5, 3.0, 3.7, 4.0])
+def test_upper_gamma_matches_scipy(a):
+    from scipy.special import gamma, gammaincc
+
+    for y in _both_sides_of_a_plus_1(a):
+        assert asympt.upper_gamma(a, y) == pytest.approx(gamma(a) * gammaincc(a, y), rel=1e-14, abs=0), y
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+def test_upper_gamma_matches_closed_forms(a):
+    # a = 1/2 is checked here only: scipy's gammaincc(0.5, y) is 2e-14 off
+    # erfc near y = 1
+    for y in _both_sides_of_a_plus_1(a):
+        assert asympt.upper_gamma(a, y) == pytest.approx(upper_gamma_closed_form(a, y), rel=1e-14, abs=0), y
 
 
 def test_G_eval_reference_value():

@@ -25,49 +25,71 @@ def strip_timing(doc):
     return doc
 
 
+def _scipy_modules_loaded(tmp_path, ops, prefixes, then=()):
+    """In a fresh interpreter: the modules under `prefixes` loaded by
+    importing the CLI, after running `ops` as well, and after `then` too."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys, multweight.cli as c\n"
+        f"loaded = lambda: sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r}))\n"
+        "print(loaded())\n"
+        f"for op in {list(ops)!r}:\n"
+        f"    assert c.main(op + ['--json', r'{tmp_path}/r.json']) == 0, op\n"
+        "print(loaded())\n"
+        f"for op in {list(then)!r}:\n"
+        f"    assert c.main(op + ['--json', r'{tmp_path}/r.json']) == 0, op\n"
+        "print(loaded())"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    return [line.strip() for line in done.stdout.splitlines()]
+
+
+# The benchmark's six scan ops, its two draw ops that need no CDF, and its
+# three dickman ops, at small sizes.
+_SCAN_OPS = [
+    ["sieve-sum", "--weight", "theta_omega:2", "--x", "1e3,1e4", "--cutoff", "1e4"],
+    ["exact-dist", "--weight", "divisor:2", "--x", "1e4", "--statistic", "big_omega"],
+    ["smooth", "--weight", "power:0", "--x", "1e4", "--u", "1.5,2,3", "--step", "0.00390625"],
+    ["small-prime", "--weight", "powerfree:2", "--x", "1e4", "--p", "2,3,5"],
+    ["poly-asym", "--x", "1e3,1e4", "--K", "1", "--gamma", "1", "--cutoff", "1e4"],
+    ["conditions", "--weight", "divisor:2", "--x", "1e3,1e4"],
+]
+_DRAW_OPS = [
+    ["sample", "--weight", "theta_omega:2", "--x", "1e4", "--n", "1000", "--seed", "1"],
+    ["pd-compare", "--weight", "power:0", "--x", "1e4", "--n", "1000", "--oracle-draws", "1000", "--seed", "1"],
+]
+_DICKMAN_OPS = [["dickman", "--theta", t, "--umax", "4", "--step", "0.00390625"] for t in ("0.5", "1", "2")]
+_TYPICAL = ["poly-typical", "--x", "1e4", "--K", "1", "--gamma", "1", "--n", "1000", "--seed", "1"]
+
+
 def test_the_dickman_and_smooth_ops_leave_scipy_integrate_unloaded(tmp_path):
     # no module needs scipy.integrate, and importing it costs about 25 MB
     # of RSS and 0.2 s: the benchmark's dickman ops and a smooth op run in
     # a fresh interpreter without loading it
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = (
-        "import sys, multweight.cli as c\n"
-        "for t in ('0.5', '1', '2'):\n"
-        f"    assert c.main(['dickman', '--theta', t, '--umax', '4', '--step', '0.00390625', '--json', r'{tmp_path}/d.json']) == 0\n"
-        f"assert c.main(['smooth', '--weight', 'power:0', '--x', '1e4', '--u', '1.5,2,3', '--json', r'{tmp_path}/s.json']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
-    )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.strip() == "[]"
+    assert _scipy_modules_loaded(tmp_path, _DICKMAN_OPS + [_SCAN_OPS[2]], ["scipy.integrate"]) == ["[]"] * 3
 
 
 def test_the_scan_and_draw_ops_leave_scipy_linalg_unloaded(tmp_path):
     # partition_function loads scipy.linalg for its BLAS triangular solve, and
     # importing it costs about 35 ms and 5 MB: importing the CLI and the
-    # benchmark's scan and draw ops, at small sizes, must not load it.  The
-    # smooth op is left out: dickman_rho loads it through special.roots_jacobi
-    src = str(Path(cli.__file__).resolve().parents[1])
-    ops = [
-        ["sieve-sum", "--weight", "theta_omega:2", "--x", "1e3,1e4", "--cutoff", "1e4"],
-        ["exact-dist", "--weight", "divisor:2", "--x", "1e4", "--statistic", "big_omega"],
-        ["small-prime", "--weight", "powerfree:2", "--x", "1e4", "--p", "2,3,5"],
-        ["poly-asym", "--x", "1e3,1e4", "--K", "1", "--gamma", "1", "--cutoff", "1e4"],
-        ["conditions", "--weight", "divisor:2", "--x", "1e3,1e4"],
-        ["sample", "--weight", "theta_omega:2", "--x", "1e4", "--n", "1000", "--seed", "1"],
-        ["pd-compare", "--weight", "power:0", "--x", "1e4", "--n", "1000", "--oracle-draws", "1000", "--seed", "1"],
-        ["poly-typical", "--x", "1e4", "--K", "1", "--gamma", "1", "--n", "1000", "--seed", "1"],
-    ]
-    code = (
-        "import sys, multweight.cli as c\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
-        f"for op in {ops!r}:\n"
-        f"    assert c.main(op + ['--json', r'{tmp_path}/r.json']) == 0, op\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
-    )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.split() == ["[]", "[]"]
+    # benchmark's scan and draw ops, at small sizes, must not load it
+    assert _scipy_modules_loaded(tmp_path, _SCAN_OPS + _DRAW_OPS, ["scipy.linalg"], [_TYPICAL]) == ["[]"] * 3
+
+
+def test_importing_the_cli_and_the_scan_ops_load_no_scipy_special(tmp_path):
+    # scipy.special takes about a quarter second to import: the scan ops,
+    # sample, pd-compare and dickman use numpy and the standard library
+    # alone.  poly-typical's gamma CDF and ek-compare's normal CDF still load
+    # it, on their first call
+    before, after, then = _scipy_modules_loaded(
+        tmp_path, _SCAN_OPS + _DRAW_OPS + _DICKMAN_OPS, ["scipy.special", "scipy.linalg"], [_TYPICAL])
+    assert before == after == "[]"
+    assert "'scipy.special'" in then  # the guard sees a module that is loaded
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    assert _scipy_modules_loaded(tmp_path, [], ["scipy"])[0] == "[]"
 
 
 def test_sieve_sum_csv_and_json(tmp_path):
@@ -174,6 +196,14 @@ def test_sample_deterministic_and_reports_match(tmp_path):
                     "--seed", "42", "--json", str(rep)]) == 0
         reps.append(strip_timing(read_json(rep)))
     assert json.dumps(reps[0], sort_keys=True) == json.dumps(reps[1], sort_keys=True)
+
+
+def test_the_timing_block_reports_peak_rss(tmp_path):
+    rep = tmp_path / "r.json"
+    assert run(["sieve-sum", "--weight", "divisor:2", "--x", "1e3", "--json", str(rep)]) == 0
+    timing = read_json(rep)["timing"]
+    assert set(timing) == {"runtime_seconds", "timestamp", "peak_rss_mb"}
+    assert timing["peak_rss_mb"] > 1.0
 
 
 def test_config_file_merging(tmp_path):

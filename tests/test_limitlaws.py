@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import exp1, kolmogi
+from scipy.special import exp1, kolmogi, roots_jacobi
 
 from multweight import cli
 from multweight import limitlaws as ll
@@ -397,6 +397,40 @@ def quad_panel_past_2(theta, h):
         return -theta * (t - 1.0) ** (theta - 1.0) * rho * t ** (-theta)
 
     return quad(g, 2.0, 2.0 + h, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+
+
+def gauss_jacobi_50_digits(n, theta):
+    # oracle: the exact n-point rule for (1+x)^theta, the roots of P_n^(0,theta)
+    # by Newton at 50 digits and w = 2^(theta+1)/((1-x^2) P_n'(x)^2)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        b = mp.mpf(theta)
+        dp = lambda x: (n + b + 1) / 2 * mp.jacobi(n - 1, 1, b + 1, x)  # noqa: E731
+        xs, ws = [], []
+        for x0 in roots_jacobi(n, 0.0, theta)[0]:
+            x = mp.mpf(x0)
+            for _ in range(3):
+                x -= mp.jacobi(n, 0, b, x) / dp(x)
+            xs.append(float(x))
+            ws.append(float(2 ** (b + 1) / ((1 - x * x) * dp(x) ** 2)))
+    return np.array(xs), np.array(ws)
+
+
+@pytest.mark.parametrize("theta", [0.25, 0.5, 1.0, 2.0, 5.0])
+def test_gauss_jacobi_matches_roots_jacobi_and_the_exact_rule(theta):
+    x, w = ll.gauss_jacobi(20, theta)
+    xs, ws = roots_jacobi(20, 0.0, theta)
+    exact_x, exact_w = gauss_jacobi_50_digits(20, theta)
+    assert np.max(np.abs(x - xs)) <= 1e-14
+    assert np.max(np.abs(x - exact_x)) <= 1e-14
+    assert np.max(np.abs(w - exact_w)) <= 1e-14
+    # roots_jacobi's own weights are up to 3e-14 off the exact ones at
+    # theta = 5, so they are matched to 1e-14 beyond their own error
+    assert np.all(np.abs(w - ws) <= np.abs(ws - exact_w) + 1e-14)
+    # and the rule integrates (1+x)^j, j < 40, exactly
+    j = np.arange(40)
+    moments = ((1.0 + x)[:, None] ** j * w[:, None]).sum(axis=0)
+    assert np.max(np.abs(moments / (2.0 ** (theta + j + 1) / (theta + j + 1)) - 1.0)) <= 1e-14
 
 
 @pytest.mark.parametrize("theta", [0.3, 0.5, 1.0, 2.0, 3.7])

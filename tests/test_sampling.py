@@ -156,6 +156,20 @@ def test_exact_pmf_blocks_match_bincount_bit_for_bit(alpha_of):
         np.testing.assert_array_equal(got.probs, mass[mass > 0] / mass.sum())
 
 
+@pytest.mark.parametrize("kind_params", [("euler_ratio", {}), ("sigma", {"z": -0.5})], ids=lambda kp: kp[0])
+def test_a_sparse_law_is_normalized_by_its_whole_mass(kind_params, p1_1e5, alpha_of):
+    # the largest_prime law at 1e5 has mass only at the primes: its total is
+    # the sum over the whole mass, zeros included, as the dense np.bincount
+    # route divides.  For these weights a sum over the nonzero masses alone
+    # differs from it in the last bit
+    x = 10**5
+    w = builtin_weight(kind_params[0], **kind_params[1])
+    mass = np.bincount(p1_1e5[1:], weights=alpha_of(w, p1_1e5)[1:])
+    got = experiments.exact_dist(w, x, "largest_prime")
+    np.testing.assert_array_equal(got.values, np.flatnonzero(mass))
+    np.testing.assert_array_equal(got.probs, mass[mass > 0] / mass.sum())
+
+
 def test_exact_pmf_skips_zero_weight(spf_1e4, p1_1e4, alpha_of):
     pmf = exact_pmf(alpha_of(builtin_weight("powerfree", k=2), p1_1e4[:21]), lambda prof: dict(prof.factors).get(2, 0), spf_1e4)
     assert pmf.values.tolist() == [0.0, 1.0]  # nu_2 >= 2 has zero mass

@@ -3,15 +3,47 @@ import math
 import numpy as np
 import pytest
 
-from multweight import arith, weights
+from multweight import arith, experiments, weights
 from multweight.weights import builtin_weight, catalog_weights
 
 
 def test_divisor_prime_power_value():
     w = builtin_weight("divisor", k=2.0)
     # d_2(p^3) = C(4, 3) = 4
-    assert w.value(7, 3) == pytest.approx(4.0, rel=1e-12)
-    assert w.value(3, 1) == pytest.approx(2.0, rel=1e-12)
+    assert w.value(7, 3) == 4.0
+    assert w.value(3, 1) == 2.0
+    # C(i + k - 1, i) by the product recurrence is exact for integer k
+    for k in (2, 3, 5):
+        w = builtin_weight("divisor", k=float(k))
+        for i in range(1, 30):
+            assert w.value(2, i) == math.comb(i + k - 1, i), (k, i)
+
+
+def test_divisor_3_mass_at_one_prime_factor_is_three_times_pi():
+    # alpha(p) = 3 exactly, so the Omega = 1 mass at 1e4 is 3 pi(1e4) = 3687
+    x = 10**4
+    w = builtin_weight("divisor", k=3.0)
+    ((mass,),) = experiments.scan(w, x, laws=[(experiments.statistic("big_omega", x), [x])])[1]
+    assert mass[1] == 3 * 1229
+
+
+def test_divisor_2_sum_is_the_dirichlet_hyperbola_sum():
+    # sum_{n <= x} d(n) = 2 sum_{k <= sqrt x} floor(x/k) - floor(sqrt x)^2
+    x = 10**6
+    r = math.isqrt(x)
+    (S,), _ = experiments.scan(builtin_weight("divisor", k=2.0), x, ys=[x])
+    assert S == 2 * sum(x // k for k in range(1, r + 1)) - r * r
+
+
+def test_sigma_log_values_equal_scipy_logsumexp_bit_for_bit():
+    from scipy.special import logsumexp
+
+    ps = np.array([2, 3, 5, 7, 101, 1009, 999983])
+    for z in (-2.0, -0.5, 0.0, 0.3, 1.0, 2.5):
+        w = builtin_weight("sigma", z=z)
+        for k in range(1, 40):
+            ref = logsumexp(z * np.arange(k + 1)[None, :] * np.log(ps.astype(float))[:, None], axis=1)
+            np.testing.assert_array_equal(w.log_values(ps, k), ref)
 
 
 def test_theta_omega_values():

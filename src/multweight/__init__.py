@@ -10,13 +10,9 @@ predictors.
 from .arith import (
     CapacityError,
     FactorProfile,
-    big_omega_table,
     build_spf,
     factor_matrix,
     factorize,
-    largest_prime_table,
-    nu_p_table,
-    omega_table,
     primes_upto,
 )
 from .asympt import (

@@ -8,13 +8,13 @@ The exact scans rest on one fact: n <= x has at most one prime factor
 above sqrt(x).  One walk (Walk) visits n <= x block by block over the prime
 powers of the primes <= sqrt(x); a block multiplies out the sqrt(x)-smooth
 part sm of its n, and n // sm is 1 or that larger prime.  Each block gives
-p_1, Omega, omega and nu_p (and, in weights, alpha): every exact law, sum
-and mean reduces the blocks as they come.  The dense tables copy them into
-one array: p_1 for the draws (from which weights sums alpha into its prefix
-sum), and Omega, omega and nu_p as the tests' oracles.  A draw array is
-factored from the same p_1 table, in O(log n) divisions per draw.  The
-smallest-prime-factor (spf) sieve is the independent oracle: it factors
-integers one by one for the tests and the brute-force case c01.
+p_1, Omega and omega (and, in weights, alpha), and nu_p_table gives nu_p on
+its range: every exact law, sum and mean reduces the blocks as they come, and the draws copy p_1 and the
+prefix sum of alpha into their two dense tables from one walk
+(weights.build_weight_table).  A draw array is factored from that p_1
+table, in O(log n) divisions per draw.  The smallest-prime-factor (spf)
+sieve is the independent oracle: it factors integers one by one for the
+tests and the brute-force case c01.
 """
 
 from __future__ import annotations
@@ -142,13 +142,11 @@ def primes_upto(x: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The walk over n <= x, and the dense tables copied from it.  Tests
-# cross-check them against the per-n FactorProfile route and the dense walk
-# they replaced.
+# The walk over n <= x.  Tests cross-check its blocks against the per-n
+# FactorProfile route and the dense walk they replaced.
 # ---------------------------------------------------------------------------
 
 BLOCK = 1 << 18  # entries per block of n <= x: a prime power's strided writes stay in cache
-COUNT_BLOCK = 8 * BLOCK  # int8 entries per block of a count table: the bytes of one float64 block
 
 
 class Walk:
@@ -157,22 +155,21 @@ class Walk:
     levels[k-1] holds the primes p <= sqrt(x) with p^k <= x.  n <= x is its
     sqrt(x)-smooth part sm times a cofactor n // sm that is 1 or the one
     prime factor of n above sqrt(x), which is then p_1(n).  A block
-    multiplies out sm when it is first asked for that prime, or reads it
-    off p1 where a p_1 table of n <= x is given.  Entering a walk checks
-    the entry budget.
+    multiplies out sm when it is first asked for that prime.  Entering a
+    walk checks the entry budget.
     """
 
-    def __init__(self, x: int, p1: np.ndarray | None = None, size: int = BLOCK):
+    def __init__(self, x: int):
         _check_budget(x)
-        self.x, self.p1, self.size = x, p1, size
+        self.x = x
         self.levels = [ps := primes_upto(math.isqrt(x))]
         while len(ps := ps[ps ** (len(self.levels) + 1) <= x]):
             self.levels.append(ps)
 
     def __iter__(self):
         pks = [list(zip(ps.tolist(), (ps**k).tolist())) for k, ps in enumerate(self.levels, 1)]
-        for start in range(1, self.x + 1, self.size):
-            n = min(self.size, self.x + 1 - start)
+        for start in range(1, self.x + 1, BLOCK):
+            n = min(BLOCK, self.x + 1 - start)
             yield Block(self, start, start + n, [[(p, q, o) for p, q in lv if (o := -start % q) < n] for lv in pks])
 
 
@@ -188,11 +185,7 @@ class Block:
 
     @functools.cached_property
     def top(self) -> np.ndarray:
-        """int32: the cofactor n // sm, 1 or the prime p_1(n) > sqrt(x); where
-        the walk reads a p_1 table, p_1(n), which exceeds sqrt(x) exactly there."""
-        walk = self.walk
-        if walk.p1 is not None:
-            return walk.p1[self.start : self.stop]
+        """int32: the cofactor n // sm, 1 or the prime p_1(n) > sqrt(x)."""
         sm = np.ones(self.stop - self.start, dtype=np.int32)
         for walks in self.walks:
             for p, pk, o in walks:
@@ -209,51 +202,14 @@ class Block:
             out[o::p] = p
         return np.maximum(out, self.top, out=out)
 
-    def count(self, levels: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    def count(self, levels: int | None = None) -> np.ndarray:
         """int8: 1 per p^k | n in the first `levels` levels (all if None), plus 1 per
         prime factor above sqrt(x): Omega(n), or omega(n) at levels=1."""
-        out = np.empty(self.stop - self.start, dtype=np.int8) if out is None else out
-        np.greater(self.top, math.isqrt(self.walk.x), out=out)
+        out = np.greater(self.top, math.isqrt(self.walk.x), out=np.empty(self.stop - self.start, dtype=np.int8))
         for walks in self.walks[:levels]:
             for _, pk, o in walks:
                 out[o::pk] += 1
         return out
-
-    def nu(self, p: int, out: np.ndarray | None = None) -> np.ndarray:
-        """nu_p(n) for a prime p, int8: 1 per p^k <= x dividing n."""
-        out = np.zeros(self.stop - self.start, dtype=np.int8) if out is None else out
-        pk = p
-        while pk <= self.walk.x:
-            out[-self.start % pk :: pk] += 1
-            pk *= p
-        return out
-
-
-def _fill(walk: Walk, values, dtype) -> np.ndarray:
-    """values(block, out) written into each block's slice out of one zeroed array for n = 0..x."""
-    out = np.zeros(walk.x + 1, dtype=dtype)
-    for b in walk:
-        values(b, out[b.start : b.stop])
-    return out
-
-
-def largest_prime_table(x: int) -> np.ndarray:
-    """p_1(n), the largest prime factor, for n = 0..x (p_1(1) = 1), int32.
-
-    Raises:
-        CapacityError: x exceeds the configured entry budget.
-    """
-    return _fill(Walk(x), lambda b, out: np.copyto(out, b.largest_prime), np.int32)
-
-
-def big_omega_table(p1: np.ndarray) -> np.ndarray:
-    """Omega(n) (prime factors with multiplicity) for n = 0..len(p1) - 1, int8."""
-    return _fill(Walk(len(p1) - 1, p1, COUNT_BLOCK), lambda b, out: b.count(None, out), np.int8)
-
-
-def omega_table(p1: np.ndarray) -> np.ndarray:
-    """omega(n) (distinct prime factors) for n = 0..len(p1) - 1, int8."""
-    return _fill(Walk(len(p1) - 1, p1, COUNT_BLOCK), lambda b, out: b.count(1, out), np.int8)
 
 
 def require_prime(p: int) -> None:
@@ -261,7 +217,13 @@ def require_prime(p: int) -> None:
         raise ValueError(f"p={p} is not prime")
 
 
-def nu_p_table(x: int, p: int) -> np.ndarray:
-    """nu_p(n) for n = 0..x and a prime p, int8; reads no cofactor."""
+def nu_p_table(x: int, p: int, start: int, stop: int) -> np.ndarray:
+    """nu_p(n) for start <= n < stop (start >= 1) and a prime p, int8: 1 per p^k <= x
+    dividing n.  It needs no cofactor, so a block of a Walk over n <= x passes only its edges."""
     require_prime(p)
-    return _fill(Walk(x, size=COUNT_BLOCK), lambda b, out: b.nu(p, out), np.int8)
+    out = np.zeros(stop - start, dtype=np.int8)
+    pk = p
+    while pk <= x:
+        out[-start % pk :: pk] += 1
+        pk *= p
+    return out

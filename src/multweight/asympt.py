@@ -59,18 +59,11 @@ class GEval:
     tail_bound: float
 
 
-class PrimeLogCache:
-    """Primes <= cutoff and their logs, shared across G evaluations."""
-
-    def __init__(self, cutoff: int):
-        self.cutoff = int(cutoff)
-        self.primes = primes_upto(self.cutoff).astype(float)
-        self.logs = np.log(self.primes)
-
-
 @functools.lru_cache(maxsize=4)
-def _prime_cache(cutoff: int) -> PrimeLogCache:
-    return PrimeLogCache(cutoff)
+def _prime_cache(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes <= cutoff, as floats, and their logs, shared across G evaluations."""
+    primes = primes_upto(int(cutoff)).astype(float)
+    return primes, np.log(primes)
 
 
 def euler_constant(w: MultiplicativeWeight, cutoff: int = 10**6) -> EwensAsymptotic:
@@ -83,8 +76,7 @@ def euler_constant(w: MultiplicativeWeight, cutoff: int = 10**6) -> EwensAsympto
     practical proxy for the (logarithmic) truncation error.
     """
     reg = w.ewens()
-    cache = _prime_cache(cutoff)
-    ps = cache.primes
+    ps, _ = _prime_cache(cutoff)
     ips = ps.astype(np.int64)
     series = np.ones(len(ps))
     live = np.arange(len(ps))  # the primes whose last term was >= 1e-18
@@ -166,8 +158,8 @@ def G_eval(gamma: float, s: float, k: int = 0, prime_cutoff: int = 10**6) -> GEv
     if not 0 <= k <= 3:
         raise ValueError("derivative order must be 0..3")
     g = gamma + k
-    cache = _prime_cache(prime_cutoff)
-    truncated = float(np.sum(cache.logs**g / cache.primes**s))
+    primes, logs = _prime_cache(prime_cutoff)
+    truncated = float(np.sum(logs**g / primes**s))
     L = math.log(prime_cutoff)
     tail = upper_gamma(g, (s - 1.0) * L) / (s - 1.0) ** g
     # crude rigorous cap: 1.3x the density integral with one extra log
@@ -215,8 +207,8 @@ def poly_euler_factor(K: float, gamma: float, prime_cutoff: int) -> float:
     for the poly weight alpha(p) = K log^gamma p, zero at k >= 2, whose
     Euler factor at p is 1 + K log^gamma p / p.
     """
-    cache = _prime_cache(prime_cutoff)
-    u = K * cache.logs**gamma / cache.primes
+    primes, logs = _prime_cache(prime_cutoff)
+    u = K * logs**gamma / primes
     return float(math.exp(np.sum(np.log1p(u) - u)))
 
 

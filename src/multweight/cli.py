@@ -60,8 +60,22 @@ def _positive_int(raw: str) -> int:
     return int(v)
 
 
+def _cutoff(raw: str) -> int:
+    """A prime cutoff: a positive integer >= 2, since the Euler product and G(s) need a prime."""
+    v = _positive_int(raw)
+    if v < 2:
+        raise argparse.ArgumentTypeError(f"need an integer >= 2, got {raw}")
+    return v
+
+
+def _x_spec(raw: str) -> str:
+    """An --x value whose entries are positive integers, kept as written for the report's config."""
+    _parse_x_list(raw)
+    return raw
+
+
 def _parse_x_list(raw: str) -> list[int]:
-    return [int(float(t)) for t in str(raw).split(",") if t]
+    return [_positive_int(t) for t in str(raw).split(",") if t]
 
 
 def _write_csv(path, header, rows):
@@ -144,20 +158,20 @@ def _load_config(path: str, ap: argparse.ArgumentParser, command: str) -> None:
 # --------------------------------------------------------------------------
 
 
-def cmd_sieve_sum(args, ctx, w):
+def cmd_sieve_sum(args, w):
     rows = experiments.sieve_sum(w, _parse_x_list(args.x), args.cutoff)
     _write_rows(args.out, rows)
     return {"rows": rows}
 
 
-def cmd_conditions(args, ctx, w):
+def cmd_conditions(args, w):
     results = experiments.conditions(w, _parse_x_list(args.x))
     _write_rows(args.out, results["condition_I_residuals"])
     return results
 
 
-def cmd_sample(args, ctx, w):
-    draws = experiments.sample(ctx, w, int(float(args.x)), args.n, args.seed)
+def cmd_sample(args, w):
+    draws = experiments.sample(w, _positive_int(args.x), args.n, args.seed)
     if args.out:
         _write_csv(args.out, ["value"], [(int(v),) for v in draws])
     vals, counts = np.unique(draws, return_counts=True)
@@ -171,8 +185,8 @@ def cmd_sample(args, ctx, w):
     }
 
 
-def cmd_exact_dist(args, ctx, w):
-    pmf = experiments.exact_dist(w, int(float(args.x)), args.statistic, p=args.p, u=args.u)
+def cmd_exact_dist(args, w):
+    pmf = experiments.exact_dist(w, _positive_int(args.x), args.statistic, p=args.p, u=args.u)
     if args.out:
         _write_csv(args.out, ["value", "probability"], zip(pmf.values.tolist(), pmf.probs.tolist()))
     return {"statistic": args.statistic, "mean": pmf.mean(), "atoms": len(pmf.values),
@@ -180,7 +194,7 @@ def cmd_exact_dist(args, ctx, w):
                          zip(pmf.values[:20], pmf.probs[:20])]}
 
 
-def cmd_ek_compare(args, ctx, w):
+def cmd_ek_compare(args, w):
     xs = _parse_x_list(args.x)
     kss = experiments.omega_clt_ks(w, xs)
     rows = [{"x": x, "ks": ks} for x, ks in zip(xs, kss)]
@@ -188,44 +202,44 @@ def cmd_ek_compare(args, ctx, w):
     return {"rows": rows}
 
 
-def cmd_pd_compare(args, ctx, w):
-    rows = experiments.pd_compare(ctx, w, int(float(args.x)), args.n, args.oracle_draws, args.seed)
+def cmd_pd_compare(args, w):
+    rows = experiments.pd_compare(w, _positive_int(args.x), args.n, args.oracle_draws, args.seed)
     _write_rows(args.out, rows)
     return {"rows": rows, "n_samples": args.n, "seed": args.seed}
 
 
-def cmd_smooth(args, ctx, w):
+def cmd_smooth(args, w):
     us = [float(t) for t in str(args.u).split(",")]
-    rows = experiments.smooth(w, int(float(args.x)), us, args.step)
+    rows = experiments.smooth(w, _positive_int(args.x), us, args.step)
     if args.out:
         _write_csv(args.out, ["u", "exact", "rho", "diff"],
                    [(r["u"], r["exact"], r["rho"], r["exact"] - r["rho"]) for r in rows])
     return {"rows": rows}
 
 
-def cmd_small_prime(args, ctx, w):
+def cmd_small_prime(args, w):
     ps = [int(t) for t in str(args.p).split(",")]
-    rows = experiments.small_prime(w, int(float(args.x)), ps)
+    rows = experiments.small_prime(w, _positive_int(args.x), ps)
     _write_rows(args.out, rows)
     return {"max_gap": max(r["gap"] for r in rows), "atoms": len(rows)}
 
 
-def cmd_poly_asym(args, ctx, w):
+def cmd_poly_asym(args, w):
     rows = experiments.poly_asym(args.K, args.gamma, _parse_x_list(args.x), args.cutoff)
     _write_rows(args.out, rows)
     return {"rows": [{"x": r["x"], "sigma": r["sigma"], "ratio": r["ratio"]} for r in rows],
             "double_ratios": [b["ratio"] / a["ratio"] for a, b in zip(rows, rows[1:])]}
 
 
-def cmd_poly_typical(args, ctx, w):
-    results = experiments.poly_typical(ctx, args.K, args.gamma, int(float(args.x)), args.n, args.seed)
+def cmd_poly_typical(args, w):
+    results = experiments.poly_typical(args.K, args.gamma, _positive_int(args.x), args.n, args.seed)
     if args.out:
         _write_csv(args.out, ["stat", "ks", "n_samples", "seed"],
                    [("log_P1_scaled_vs_gamma", results["ks"], args.n, args.seed)])
     return {**results, "seed": args.seed}
 
 
-def cmd_ewens(args, ctx, w):
+def cmd_ewens(args, w):
     n = args.n
     cycles = experiments.cycle_weights(n, args.theta, args.poly_gamma)
     if args.exact:
@@ -250,14 +264,14 @@ def cmd_ewens(args, ctx, w):
     }
 
 
-def cmd_dickman(args, ctx, w):
+def cmd_dickman(args, w):
     sol, results = experiments.dickman(args.theta, args.umax, args.step)
     if args.out:
         _write_csv(args.out, ["u", "rho"], zip(sol.grid.tolist(), sol.values.tolist()))
     return results
 
 
-def cmd_selftest(args, ctx, w):
+def cmd_selftest(args, w):
     results = harness.run_all(args.scale, case_ids=args.cases.split(",") if args.cases else None)
     if args.junit:
         harness.write_junit(results, args.junit)
@@ -277,7 +291,7 @@ def _add_common(sp, *, weight=True, x=True, seed=False, out=True):
     if weight:
         sp.add_argument("--weight", help="weight spec, e.g. theta_omega:2 or divisor:2")
     if x:
-        sp.add_argument("--x", help="range bound(s), comma separated; 1e6 style accepted")
+        sp.add_argument("--x", type=_x_spec, help="range bound(s), comma separated; 1e6 style accepted")
     if seed:
         sp.add_argument("--seed", type=int, default=0)
     if out:
@@ -292,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sieve-sum", help="exact S(x) against the mean-value predictor")
     _add_common(sp, seed=False)
-    sp.add_argument("--cutoff", type=lambda v: int(float(v)), default=10**6, help="prime cutoff for constants")
+    sp.add_argument("--cutoff", type=_cutoff, default=10**6, help="prime cutoff for constants")
     sp.set_defaults(func=cmd_sieve_sum)
 
     sp = sub.add_parser("conditions", help="numeric residuals of the weight hypotheses")
@@ -336,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, weight=False)
     sp.add_argument("--K", type=float, default=1.0)
     sp.add_argument("--gamma", type=float, default=1.0)
-    sp.add_argument("--cutoff", type=lambda v: int(float(v)), default=10**6)
+    sp.add_argument("--cutoff", type=_cutoff, default=10**6)
     sp.set_defaults(func=cmd_poly_asym)
 
     sp = sub.add_parser("poly-typical", help="typical prime and mean Omega in the polynomial regime")
@@ -390,7 +404,7 @@ def main(argv=None) -> int:
                 sp.error(f"invalid weight {args.weight!r}: {e}")
     t0 = time.time()
     try:
-        results = args.func(args, experiments.Context(), w)
+        results = args.func(args, w)
     except (arith.CapacityError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

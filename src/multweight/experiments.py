@@ -1,8 +1,9 @@
 """The experiments, each computed by one function.
 
-Every function takes its parameters, and the draw ops a Context (the dense
-tables of the draws), and returns its numbers.  The exact laws, sums and
-means reduce one walk over n <= x as it goes (scan) and build no table.
+Every function takes its parameters and returns its numbers.  The exact
+laws, sums and means reduce one walk over n <= x as it goes (scan) and
+build no table; a draw op builds its two dense tables, p_1 and the prefix
+sum, from one more walk (weights.build_weight_table).
 `cli` writes the numbers as CSV/JSON reports and `harness` applies
 tolerances to them, so both read the same computation.
 """
@@ -16,30 +17,6 @@ import numpy as np
 from . import arith, asympt, limitlaws, permutations, sampling, weights
 
 STATISTICS = ("omega", "big_omega", "nu", "largest_prime", "largest_ratio", "smooth")
-
-
-class Context:
-    """The dense p_1 table of one run, for the draw ops, and the weight tables built from it.
-
-    One p_1 table, grown to the largest range asked for, is kept and served
-    as prefixes.  Weight tables (prefix sums S(0..x)) are built from it and
-    not kept: each lives as long as the experiment that holds it; a slice
-    prefix[:y + 1] is the table at y.  The exact scans build neither: they
-    reduce one walk over n <= x block by block (scan).
-    """
-
-    def __init__(self):
-        self._p1: np.ndarray | None = None
-
-    def p1(self, x: int) -> np.ndarray:
-        """p_1(n) for n = 0..x, a prefix of the kept table."""
-        if self._p1 is None or len(self._p1) <= x:
-            # looked up at call time, so the arith.*_table functions can be wrapped
-            self._p1 = arith.largest_prime_table(x)
-        return self._p1[: x + 1]
-
-    def weight_table(self, w: weights.MultiplicativeWeight, x: int) -> np.ndarray:
-        return weights.build_weight_table(w, self.p1(x))
 
 
 def statistic(name: str, x: int, p: int = 2, u: float = 2.0):
@@ -56,8 +33,8 @@ def statistic(name: str, x: int, p: int = 2, u: float = 2.0):
             raise ValueError(f"largest_ratio needs x >= 2, got x={x}")
         return lambda b: np.log(b.largest_prime) / math.log(x)
     if name == "smooth":
-        if u <= 0:
-            raise ValueError(f"smoothness parameter u must be positive, got {u}")
+        if not 0 < u < math.inf:
+            raise ValueError(f"smoothness parameter u must be positive and finite, got {u}")
         y = x  # at u <= 1 every n <= x is smooth, and the float root can overflow
         if u > 1:  # the largest y with y^u <= x; 343^(1/3) reads 6.999...
             y = math.floor(x ** (1.0 / u))
@@ -69,7 +46,7 @@ def statistic(name: str, x: int, p: int = 2, u: float = 2.0):
         return lambda b: (b.largest_prime <= y).astype(np.int8)
     if name == "nu":
         arith.require_prime(p)
-        return lambda b: b.nu(p)
+        return lambda b: arith.nu_p_table(x, p, b.start, b.stop)
     if name == "largest_prime":
         return lambda b: b.largest_prime
     return lambda b: b.count(1 if name == "omega" else None)
@@ -81,7 +58,12 @@ def joint_nu(x: int, p: int, q: int):
     k = 1
     while q**k <= x:
         k += 1
-    return (lambda b: b.nu(p).astype(np.int64) * k + b.nu(q)), k
+
+    def values(b):
+        nu_p, nu_q = (arith.nu_p_table(x, r, b.start, b.stop) for r in (p, q))
+        return nu_p.astype(np.int64) * k + nu_q
+
+    return values, k
 
 
 class _Mass:
@@ -214,10 +196,10 @@ def omega_clt_ks(w: weights.MultiplicativeWeight, xs: list[int]) -> list[float]:
 
 def smooth(w: weights.MultiplicativeWeight, x: int, us: list[float], step: float) -> list[dict]:
     """Exact smoothness probabilities P(p_1(N) <= x^(1/u)) at x against rho_theta(u)."""
-    # solved first: it rejects a bad step before any table is walked
+    # each u and the step are checked before any table is walked
+    laws = [(statistic("smooth", x, u=u), [x]) for u in us]
     sol = limitlaws.dickman_rho(w.ewens().theta, max(max(us), 1.0) + 1e-9, h=step)
-    laws = exact_laws(w, x, [(statistic("smooth", x, u=u), [x]) for u in us])
-    return [{"u": u, "exact": pmfs[0].prob_of(1.0), "rho": sol.rho(u)} for u, pmfs in zip(us, laws)]
+    return [{"u": u, "exact": pmfs[0].prob_of(1.0), "rho": sol.rho(u)} for u, pmfs in zip(us, exact_laws(w, x, laws))]
 
 
 def small_prime(w: weights.MultiplicativeWeight, x: int, ps: list[int]) -> list[dict]:
@@ -240,8 +222,9 @@ def mean_big_omega(w: weights.MultiplicativeWeight, xs: list[int]) -> list[float
 # --------------------------------------------------------------------------
 
 
-def sample(ctx: Context, w: weights.MultiplicativeWeight, x: int, n: int, seed: int) -> np.ndarray:
-    return sampling.WeightedIntegerSampler(ctx.weight_table(w, x), np.random.default_rng(seed)).sample(n)
+def sample(w: weights.MultiplicativeWeight, x: int, n: int, seed: int) -> np.ndarray:
+    prefix = weights.build_weight_table(w, x).prefix
+    return sampling.WeightedIntegerSampler(prefix, np.random.default_rng(seed)).sample(n)
 
 
 def _factor_blocks(draws: np.ndarray, p1: np.ndarray):
@@ -251,45 +234,44 @@ def _factor_blocks(draws: np.ndarray, p1: np.ndarray):
     return (arith.factor_matrix(draws[i : i + 2**16], p1) for i in range(0, len(draws), 2**16))
 
 
-def spectrum_draws(ctx: Context, w: weights.MultiplicativeWeight, x: int, n: int,
-                   rng: np.random.Generator, k: int) -> np.ndarray:
+def spectrum_draws(w: weights.MultiplicativeWeight, x: int, n: int, rng: np.random.Generator,
+                   k: int) -> np.ndarray:
     """log p_j/log x for j = 1..k of n draws from the measure on n <= x, one row per draw."""
-    draws = sampling.WeightedIntegerSampler(ctx.weight_table(w, x), rng).sample(n)
-    return np.concatenate([sampling.spectrum(f, x, k) for f in _factor_blocks(draws, ctx.p1(x))])
+    tables = weights.build_weight_table(w, x)
+    draws = sampling.WeightedIntegerSampler(tables.prefix, rng).sample(n)
+    return np.concatenate([sampling.spectrum(f, x, k) for f in _factor_blocks(draws, tables.p1)])
 
 
-def pd_compare(ctx: Context, w: weights.MultiplicativeWeight, x: int, n: int, oracle_draws: int,
-               seed: int) -> list[dict]:
+def pd_compare(w: weights.MultiplicativeWeight, x: int, n: int, oracle_draws: int, seed: int) -> list[dict]:
     """Mean of the three largest log-prime ratios against the PD(theta) parts."""
     theta = w.ewens().theta
-    coords = spectrum_draws(ctx, w, x, n, np.random.default_rng(seed), 3)
+    coords = spectrum_draws(w, x, n, np.random.default_rng(seed), 3)
     oracle = limitlaws.pd_largest_part_means(theta, np.random.default_rng(seed + 1), oracle_draws)
     return [{"stat": f"coord_{j + 1}_mean", "sample": float(coords[:, j].mean()),
              "pd_oracle": float(oracle[j])} for j in range(3)]
 
 
-def gamma_law_ks(ctx: Context, prefix: np.ndarray, K: float, gamma: float, n: int,
-                 rng: np.random.Generator) -> float:
+def gamma_law_ks(tables: weights.DrawTables, K: float, gamma: float, n: int, rng: np.random.Generator) -> float:
     """KS distance of log P / log^(1/(gamma+1)) x, P a size-biased prime of n
-    draws from the weight table (prefix sum) of n <= x, to its gamma law under
-    poly_log(K, gamma); log P = 0 for a draw n = 1.
+    draws from the tables of n <= x, to its gamma law under poly_log(K,
+    gamma); log P = 0 for a draw n = 1.
 
     The integers are drawn first, then one uniform per draw n > 1 in draw order.
     """
-    x = len(prefix) - 1
-    draws = sampling.WeightedIntegerSampler(prefix, rng).sample(n)
-    ps = np.concatenate([sampling.size_biased_prime(f, rng) for f in _factor_blocks(draws, ctx.p1(x))])
+    x = len(tables.prefix) - 1
+    draws = sampling.WeightedIntegerSampler(tables.prefix, rng).sample(n)
+    ps = np.concatenate([sampling.size_biased_prime(f, rng) for f in _factor_blocks(draws, tables.p1)])
     vals = sampling.prime_logs(ps) / math.log(x) ** (1.0 / (gamma + 1.0))
     shape, rate = asympt.gamma_law_params(K, gamma)
     return limitlaws.ks_distance(vals, lambda t: limitlaws.gamma_cdf(shape, rate, t))
 
 
-def poly_typical(ctx: Context, K: float, gamma: float, x: int, n: int, seed: int) -> dict:
+def poly_typical(K: float, gamma: float, x: int, n: int, seed: int) -> dict:
     w = weights.builtin_weight("poly_log", K=K, gamma=gamma)
     (eo,) = mean_big_omega(w, [x])
     pred = asympt.predict_mean_omega_poly(K, gamma, x)
     shape, rate = asympt.gamma_law_params(K, gamma)
-    ks = gamma_law_ks(ctx, ctx.weight_table(w, x), K, gamma, n, np.random.default_rng(seed))
+    ks = gamma_law_ks(weights.build_weight_table(w, x), K, gamma, n, np.random.default_rng(seed))
     return {"mean_omega_exact": eo, "mean_omega_predicted": pred, "ratio": eo / pred,
             "gamma_law": {"shape": shape, "rate": rate}, "ks": ks}
 

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import arith, asympt, experiments, limitlaws, permutations, sampling, weights
-from .experiments import Context, atom_gaps
+from .experiments import atom_gaps
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class AcceptanceCase:
     oracle: str
     tolerance: str
     budget_s: float
-    fn: Callable[["Context", str], list[tuple[str, bool, str]]]
+    fn: Callable[[str], list[tuple[str, bool, str]]]
 
 
 @dataclass
@@ -105,7 +105,7 @@ def _nu_p_first_order(w: weights.MultiplicativeWeight, p: int, x: int) -> sampli
 # --------------------------------------------------------------------------
 
 
-def _c01_exact_sums(ctx: Context, scale: str):
+def _c01_exact_sums(scale: str):
     x = _p(scale, 10**5, 2 * 10**4)
     spf = arith.build_spf(x)
     ws = weights.catalog_weights()
@@ -117,7 +117,7 @@ def _c01_exact_sums(ctx: Context, scale: str):
         k += 1
         ps = ps[ps**k <= x]
     for w in ws:
-        S = float(ctx.weight_table(w, x)[-1])
+        S = float(weights.build_weight_table(w, x).prefix[-1])
         # alpha(p^k) from one vectorized call per k; the per-n product is the oracle
         alpha = {(p, k): v for k, pk in levels for p, v in zip(pk.tolist(), w.values_on_primes(pk, k).tolist())}
         brute = math.fsum(math.prod(alpha[f] for f in prof.factors) for prof in profiles)
@@ -126,7 +126,7 @@ def _c01_exact_sums(ctx: Context, scale: str):
     return checks
 
 
-def _c02_euler_constants(ctx: Context, scale: str):
+def _c02_euler_constants(scale: str):
     oracle_cut = _p(scale, 10**7, 10**6)
     cut = _p(scale, 10**6, 10**5)
     checks = []
@@ -141,7 +141,7 @@ def _c02_euler_constants(ctx: Context, scale: str):
     return checks
 
 
-def _c03_ewens_mean_value(ctx: Context, scale: str):
+def _c03_ewens_mean_value(scale: str):
     xs = _p(scale, [10**4, 10**5, 10**6, 10**7], [10**4, 10**5, 10**6])
     checks = []
     for kind, params in (("theta_omega", {"theta": 2.0}), ("powerfree", {"k": 2})):
@@ -155,7 +155,7 @@ def _c03_ewens_mean_value(ctx: Context, scale: str):
     return checks
 
 
-def _c04_prime_factor_clt(ctx: Context, scale: str):
+def _c04_prime_factor_clt(scale: str):
     checks = []
     for theta in (1.0, 2.0):
         # d_theta weights: the canonical family with Ewens parameter theta
@@ -169,12 +169,12 @@ def _c04_prime_factor_clt(ctx: Context, scale: str):
     return checks
 
 
-def _c05_pd_largest_part(ctx: Context, scale: str):
+def _c05_pd_largest_part(scale: str):
     x = _p(scale, 10**7, 10**6)
     draws = _p(scale, 10**4, 5 * 10**3)
     oracle_draws = _p(scale, 10**6, 2 * 10**5)
     rng = np.random.default_rng(20240105)
-    vals = experiments.spectrum_draws(ctx, weights.builtin_weight("power", z=0.0), x, draws, rng, 1)[:, 0]
+    vals = experiments.spectrum_draws(weights.builtin_weight("power", z=0.0), x, draws, rng, 1)[:, 0]
     oracle = limitlaws.pd_largest_part_means(1.0, np.random.default_rng(20240205), oracle_draws)[0]
     gap = abs(float(vals.mean()) - oracle)
     return [
@@ -186,7 +186,7 @@ def _c05_pd_largest_part(ctx: Context, scale: str):
     ]
 
 
-def _c06_smoothness(ctx: Context, scale: str):
+def _c06_smoothness(scale: str):
     xs = _p(scale, [10**5, 10**6, 10**7], [10**4, 10**5, 10**6])
     x = xs[-1]
     checks = []
@@ -226,7 +226,7 @@ def _c06_smoothness(ctx: Context, scale: str):
     return checks
 
 
-def _c07_dickman(ctx: Context, scale: str):
+def _c07_dickman(scale: str):
     u_max = _p(scale, 4.0, 3.0)
     res = {theta: experiments.dickman(theta, u_max, 1.0 / 256)[1] for theta in (0.5, 1.0, 2.0)}
     gap = abs(res[1.0]["rho"]["2"] - (1.0 - math.log(2.0)))
@@ -237,7 +237,7 @@ def _c07_dickman(ctx: Context, scale: str):
     return checks
 
 
-def _c08_saddle(ctx: Context, scale: str):
+def _c08_saddle(scale: str):
     cutoff = _p(scale, 10**6, 10**5)
     xs = [10**4, 10**6, 10**8]
     checks = []
@@ -251,7 +251,7 @@ def _c08_saddle(ctx: Context, scale: str):
     return checks
 
 
-def _c09_poly_partition_sum(ctx: Context, scale: str):
+def _c09_poly_partition_sum(scale: str):
     x1, x2 = _p(scale, (10**6, 10**7), (10**5, 10**6))
     w = weights.builtin_weight("poly_log", K=1.0, gamma=1.0)
     r1, r2 = (r["ratio"] for r in experiments.sieve_sum(w, [x1, x2], _p(scale, 10**6, 10**5)))
@@ -265,7 +265,7 @@ def _c09_poly_partition_sum(ctx: Context, scale: str):
     ]
 
 
-def _c10_poly_typical(ctx: Context, scale: str):
+def _c10_poly_typical(scale: str):
     xs = _p(scale, [10**5, 10**6, 10**7], [10**4, 10**5, 10**6])
     draws = _p(scale, 10**4, 3 * 10**3)
     K, gamma = 1.0, 1.0
@@ -277,15 +277,16 @@ def _c10_poly_typical(ctx: Context, scale: str):
     dec = all(b < a for a, b in zip(gaps, gaps[1:]))
     checks.append(("E Omega / prediction monotonically approaching 1", dec, f"|ratio-1|={['%.4f' % g for g in gaps]}"))
 
-    prefix = ctx.weight_table(w, x_top)  # a slice prefix[:y + 1] is the table at y
-    ks_lo = experiments.gamma_law_ks(ctx, prefix[: xs[0] + 1], K, gamma, draws, np.random.default_rng(20241001))
-    ks_hi = experiments.gamma_law_ks(ctx, prefix, K, gamma, draws, np.random.default_rng(20241002))
+    top = weights.build_weight_table(w, x_top)  # sliced at y, both tables are the tables at y
+    low = weights.DrawTables(top.p1[: xs[0] + 1], top.prefix[: xs[0] + 1])
+    ks_lo = experiments.gamma_law_ks(low, K, gamma, draws, np.random.default_rng(20241001))
+    ks_hi = experiments.gamma_law_ks(top, K, gamma, draws, np.random.default_rng(20241002))
     checks.append((f"KS at {x_top:.0e} <= 0.15", ks_hi <= 0.15, f"KS={ks_hi:.4f}"))
     checks.append((f"KS decreasing from {xs[0]:.0e}", ks_hi < ks_lo, f"{ks_hi:.4f} < {ks_lo:.4f}"))
     return checks
 
 
-def _c11_small_primes(ctx: Context, scale: str):
+def _c11_small_primes(scale: str):
     xs = _p(scale, [10**5, 10**6, 10**7], [10**4, 10**5, 10**6])
     x = xs[-1]
     nu2 = experiments.statistic("nu", x, p=2)
@@ -326,7 +327,7 @@ def _c11_small_primes(ctx: Context, scale: str):
     return checks
 
 
-def _c12_partition_function(ctx: Context, scale: str):
+def _c12_partition_function(scale: str):
     from scipy.special import gammaln
 
     checks = []
@@ -363,7 +364,7 @@ def _c12_partition_function(ctx: Context, scale: str):
     return checks
 
 
-def _c13_conjugation_invariance(ctx: Context, scale: str):
+def _c13_conjugation_invariance(scale: str):
     checks = []
     for n in range(2, 8):
         for label, w in (
@@ -379,7 +380,7 @@ def _c13_conjugation_invariance(ctx: Context, scale: str):
     return checks
 
 
-def _c14_pd_round_trip(ctx: Context, scale: str):
+def _c14_pd_round_trip(scale: str):
     reps = _p(scale, 10**5, 2 * 10**4)
     k = 200
     checks = []
@@ -408,7 +409,7 @@ def _c14_pd_round_trip(ctx: Context, scale: str):
     return checks
 
 
-def _c15_permutation_trends(ctx: Context, scale: str):
+def _c15_permutation_trends(scale: str):
     checks = []
     # cycle-count CLT trend (constant weights)
     reps = _p(scale, 4000, 2000)
@@ -472,7 +473,7 @@ def _c15_permutation_trends(ctx: Context, scale: str):
     return checks
 
 
-def _c16_extended_sieve(ctx: Context, scale: str):
+def _c16_extended_sieve(scale: str):
     # extended tier only: 10^8 exactness smoke for the uniform weight
     x = 10**8
     w = weights.builtin_weight("power", z=0.0)
@@ -505,13 +506,12 @@ EXTENDED_CASES: tuple[AcceptanceCase, ...] = (
 CASES_BY_ID: dict[str, AcceptanceCase] = {c.id: c for c in CASES + EXTENDED_CASES}
 
 
-def run_case(case_id: str, scale: str = "desk", ctx: Context | None = None) -> CaseResult:
+def run_case(case_id: str, scale: str = "desk") -> CaseResult:
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}")
     case = CASES_BY_ID[case_id]
-    ctx = ctx or Context()
     t0 = time.perf_counter()
-    checks = case.fn(ctx, scale)
+    checks = case.fn(scale)
     dt = time.perf_counter() - t0
     checks = list(checks)
     checks.append(
@@ -530,10 +530,9 @@ def run_all(scale: str = "desk", case_ids: list[str] | None = None, verbose: boo
         missing = wanted - {c.id for c in cases}
         if missing:
             raise ValueError(f"unknown case ids: {sorted(missing)}")
-    ctx = Context()
     results = []
     for case in cases:
-        res = run_case(case.id, scale, ctx)
+        res = run_case(case.id, scale)
         results.append(res)
         if verbose:
             print(res.line())

@@ -272,11 +272,11 @@ def dickman_rho(theta: float, u_max: float, h: float = 1.0 / 256) -> DickmanSolu
     h must satisfy h <= 1/64 and 1/h must be an integer so the kinks of
     rho at integers land on grid nodes.
     """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    if u_max < 1:
-        raise ValueError("u_max must be >= 1")
-    if h <= 0:
+    if not 0 < theta < math.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
+    if not 1 <= u_max < math.inf:
+        raise ValueError(f"u_max must be >= 1 and finite, got {u_max}")
+    if not 0 < h:
         raise ValueError(f"step {h} must be positive")
     if h > 1.0 / 64 + 1e-15:
         raise ValueError(f"step {h} too large; need h <= 1/64")

@@ -17,8 +17,8 @@ multiplying the prime-power ratios of the primes up to sqrt(x), and alpha
 at the one larger prime factor n may have, into ones, O(x log log x) total
 work; per-n factorization is kept as the independent brute-force route for
 tests.  The exact scans reduce alpha block by block (AlphaWalk); the draws
-read the one dense table, the prefix sum S(y) for y <= x, which is alpha
-summed in place (build_weight_table).
+read two dense tables from one walk (build_weight_table): p_1, from which
+they are factored, and the prefix sum S(y) for y <= x, alpha summed in place.
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ def _fsum(totals: list[float]) -> float:
 
 
 class AlphaWalk:
-    """alpha on the blocks of the walk over n <= x (arith.Walk, reading p1 where given).
+    """alpha on the blocks of the walk over n <= x (arith.Walk).
 
     n <= x is a product of prime powers p^k, p <= sqrt(x), and a cofactor
     q that is 1 or the prime p_1(n) > sqrt(x).  alpha(b, out) writes alpha
@@ -259,8 +259,8 @@ class AlphaWalk:
     the caller's np.errstate.
     """
 
-    def __init__(self, w: MultiplicativeWeight, x: int, p1: np.ndarray | None = None):
-        self.w, self.walk, self.ratios = w, arith.Walk(x, p1), []
+    def __init__(self, w: MultiplicativeWeight, x: int):
+        self.w, self.walk, self.ratios = w, arith.Walk(x), []
         prev = np.ones(len(self.walk.levels[0]))
         for k, ps in enumerate(self.walk.levels, 1):
             cur = _nonnegative(w, w.values_on_primes(ps, k))
@@ -303,19 +303,34 @@ def check_S(w: MultiplicativeWeight, x: int, S: float) -> None:
         raise ValueError(f"{w.name}: degenerate table: S({x}) = {S} is not positive and finite")
 
 
-def build_weight_table(w: MultiplicativeWeight, p1: np.ndarray) -> np.ndarray:
-    """The prefix sum S(y) = sum_{n<=y} alpha(n), y = 0..x, x = len(p1) - 1, float64 (S(0) = 0).
+@dataclass(frozen=True)
+class DrawTables:
+    """The dense tables of the draws over n <= x, from one walk.
 
-    alpha from the AlphaWalk that reads p1 is written into the output, then
-    each CHUNK-entry chunk of it is replaced, in place, by its cumsum plus
-    the math.fsum of the np.sum totals of the chunks before it: a plain
-    cumsum drifts like n*eps, this one only within a chunk, whatever x.
+    p1[n] is p_1(n), the largest prime factor, int32 (p1[0] = 0, p1[1] = 1);
+    prefix[y] is S(y) = sum_{n<=y} alpha(n), float64 (S(0) = 0).  Slices
+    p1[:y + 1] and prefix[:y + 1] are the tables at y.
+    """
+
+    p1: np.ndarray
+    prefix: np.ndarray
+
+
+def build_weight_table(w: MultiplicativeWeight, x: int) -> DrawTables:
+    """p_1 and the prefix sum S(y), y = 0..x, of one walk over n <= x.
+
+    Each block's alpha and p_1 are written into the outputs, then each
+    CHUNK-entry chunk of alpha is replaced, in place, by its cumsum plus the
+    math.fsum of the np.sum totals of the chunks before it: a plain cumsum
+    drifts like n*eps, this one only within a chunk, whatever x.
     Raises ValueError where S(x) is not positive and finite.
     """
-    x, totals = len(p1) - 1, []
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range, S(x) below is inf or NaN
-        walk = AlphaWalk(w, x, p1)
-        prefix = arith._fill(walk.walk, walk.alpha, float)
+        walk = AlphaWalk(w, x)  # checks the entry budget and the weight before the outputs are allocated
+        p1, prefix, totals = np.zeros(x + 1, dtype=np.int32), np.zeros(x + 1), []
+        for b in walk.walk:  # alpha first, so the block's p_1 is allocated after alpha's temporaries are freed
+            walk.alpha(b, prefix[b.start : b.stop])
+            p1[b.start : b.stop] = b.largest_prime
         for start in range(1, x + 1, CHUNK):
             chunk = prefix[start : start + CHUNK]
             total = float(np.sum(chunk))
@@ -324,7 +339,7 @@ def build_weight_table(w: MultiplicativeWeight, p1: np.ndarray) -> np.ndarray:
                 chunk += _fsum(totals)
             totals.append(total)
         check_S(w, x, prefix[-1])
-    return prefix
+    return DrawTables(p1, prefix)
 
 
 def _nonnegative(w: MultiplicativeWeight, values: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dense import dense_largest_prime_table
 from multweight import arith, weights
 
 
@@ -21,17 +22,17 @@ def spf_1e6():
 
 @pytest.fixture(scope="session")
 def p1_1e4():
-    return arith.largest_prime_table(10**4)
+    return dense_largest_prime_table(10**4)
 
 
 @pytest.fixture(scope="session")
 def p1_1e5():
-    return arith.largest_prime_table(10**5)
+    return dense_largest_prime_table(10**5)
 
 
 @pytest.fixture(scope="session")
 def p1_1e6():
-    return arith.largest_prime_table(10**6)
+    return dense_largest_prime_table(10**6)
 
 
 @pytest.fixture()
@@ -41,12 +42,12 @@ def rng():
 
 @pytest.fixture(scope="session")
 def alpha_of():
-    """alpha(w, p1): alpha(n) for n = 0..x (alpha[0] = 0), x = len(p1) - 1, the
-    blocks of the AlphaWalk that reads p1 concatenated; the dense alpha that
-    the tests compare with their oracles."""
+    """alpha(w, x): alpha(n) for n = 0..x (alpha[0] = 0), the blocks of the
+    AlphaWalk over n <= x concatenated; the dense alpha that the tests
+    compare with their oracles."""
 
-    def alpha(w, p1):
+    def alpha(w, x):
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.concatenate([np.zeros(1), *(a.copy() for _, a in weights.AlphaWalk(w, len(p1) - 1, p1))])
+            return np.concatenate([np.zeros(1), *(a.copy() for _, a in weights.AlphaWalk(w, x))])
 
     return alpha

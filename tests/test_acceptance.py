@@ -21,16 +21,7 @@ separately that the gap to the bare limit shrinks as x grows:
 
 from unittest import mock
 
-from multweight import experiments, harness
-
-_CTX = None
-
-
-def _ctx():
-    global _CTX
-    if _CTX is None:
-        _CTX = experiments.Context()
-    return _CTX
+from multweight import harness
 
 
 def _no_spf(*args):
@@ -40,7 +31,7 @@ def _no_spf(*args):
 def _run(case_id):
     # the spf sieve is c01's per-n oracle; every other case reads p_1 tables
     with mock.patch.object(harness.arith, "build_spf", harness.arith.build_spf if case_id == "c01" else _no_spf):
-        res = harness.run_case(case_id, scale="desk", ctx=_ctx())
+        res = harness.run_case(case_id, scale="desk")
     print()
     print(res.line())
     for name, ok, detail in res.checks:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multweight import arith
+from dense import joined
+from multweight import arith, weights
 
 
 def is_prime_trial(n: int) -> bool:
@@ -63,15 +64,22 @@ def test_spf_matches_trial_division(spf_1e4):
         assert spf_1e4[n] == p
 
 
+def draw_tables(x):
+    return weights.build_weight_table(weights.builtin_weight("power", z=0.0), x)
+
+
 def test_capacity_budget(monkeypatch):
     monkeypatch.setenv(arith.MAX_SIEVE_ENV, "1000")
     with pytest.raises(arith.CapacityError):
         arith.build_spf(10**4)
-    with pytest.raises(arith.CapacityError):
-        arith.largest_prime_table(10**4)
+    # the 12 bytes per entry of the draw tables at x = 1e15 are past any
+    # address space: allocating them before the check raised MemoryError
+    for x in (10**4, 10**15):
+        with pytest.raises(arith.CapacityError):
+            draw_tables(x)
     monkeypatch.delenv(arith.MAX_SIEVE_ENV)
     arith.build_spf(10**4)
-    arith.largest_prime_table(10**4)
+    draw_tables(10**4)
 
 
 @pytest.mark.parametrize("raw", ["inf", "nan", "abc", "-5", "0", "1e400", ""])
@@ -79,7 +87,7 @@ def test_capacity_budget_must_be_a_positive_finite_number(monkeypatch, raw):
     # inf used to end in an OverflowError from int(), abc and nan in messages
     # that did not name the variable
     monkeypatch.setenv(arith.MAX_SIEVE_ENV, raw)
-    for build in (arith.build_spf, arith.largest_prime_table, arith.primes_upto):
+    for build in (arith.build_spf, draw_tables, arith.primes_upto):
         with pytest.raises(ValueError, match=arith.MAX_SIEVE_ENV):
             build(100)
 
@@ -180,7 +188,7 @@ def test_omega_inequality_and_squarefree(spf_1e4):
 def test_nu_p_table_rejects_non_prime(p):
     # p = 1 used to loop forever; p = 4 counted powers of 4
     with pytest.raises(ValueError, match="not prime"):
-        arith.nu_p_table(100, p)
+        arith.nu_p_table(100, p, 1, 101)
 
 
 def test_primes_upto_matches_spf(spf_1e5):
@@ -193,14 +201,13 @@ def test_primes_upto_matches_spf(spf_1e5):
 WALK_EDGES = (2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122)
 
 
-def test_statistic_tables_match_profiles(spf_1e4, p1_1e4):
-    # each x both with its own p_1 table and with a prefix of the 1e4 one
-    tables = [p1_1e4] + [t for x in WALK_EDGES for t in (arith.largest_prime_table(x), p1_1e4[: x + 1])]
-    for lpf in tables:
-        x = len(lpf) - 1
-        om = arith.big_omega_table(lpf)
-        wm = arith.omega_table(lpf)
-        nu3 = arith.nu_p_table(x, 3)
+def test_statistic_tables_match_profiles(spf_1e4):
+    # the blocks of the walk over n <= x, joined into tables
+    for x in (10**4, *WALK_EDGES):
+        blocks = list(arith.Walk(x))
+        lpf, om, wm, nu3 = (joined(blocks, f) for f in (lambda b: b.largest_prime, lambda b: b.count(),
+                                                          lambda b: b.count(1),
+                                                          lambda b: arith.nu_p_table(x, 3, b.start, b.stop)))
         assert lpf.dtype == np.int32
         assert (len(om), len(wm)) == (x + 1, x + 1)
         assert (om[0], wm[0], lpf[0]) == (0, 0, 0)

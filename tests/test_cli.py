@@ -357,6 +357,43 @@ def test_nonpositive_step_is_rejected(tmp_path, argv, step, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["exact-dist", "--weight", "power:0", "--x", "1000.7"], "--x"),
+    (["sample", "--weight", "power:0", "--x", "2.9"], "--x"),
+    (["sieve-sum", "--weight", "theta_omega:2", "--x", "1e3", "--cutoff", "0.5"], "--cutoff"),
+], ids=["exact-dist-x", "sample-x", "sieve-sum-cutoff"])
+def test_fractional_x_and_cutoff_are_rejected(tmp_path, argv, flag, capsys):
+    # these ran at x = 1000, at x = 2 and at cutoff 0 (an empty Euler
+    # product), and exited 0
+    with pytest.raises(SystemExit) as e:
+        run(argv + ["--json", str(tmp_path / "r.json")])
+    assert e.value.code == 2
+    assert f"argument {flag}: need" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_report_config_keeps_x_as_written_and_cutoff_as_an_integer(tmp_path):
+    rep = tmp_path / "r.json"
+    assert run(["sieve-sum", "--weight", "theta_omega:2", "--x", "1e3,2e3", "--cutoff", "1e4", "--json", str(rep)]) == 0
+    config = read_json(rep)["config"]
+    assert config["x"] == "1e3,2e3"
+    assert config["cutoff"] == 10**4 and isinstance(config["cutoff"], int)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["exact-dist", "--weight", "power:0", "--x", "1e3", "--statistic", "smooth", "--u", "nan"],
+     "smoothness parameter u must be positive and finite, got nan"),
+    (["dickman", "--theta", "1", "--umax", "inf"], "u_max must be >= 1 and finite, got inf"),
+    (["dickman", "--theta", "nan"], "theta must be positive and finite, got nan"),
+], ids=["smooth-u-nan", "dickman-umax-inf", "dickman-theta-nan"])
+def test_non_finite_parameters_are_rejected(tmp_path, argv, message, capsys):
+    # u = nan reported P(smooth) = 1 and exited 0, u_max = inf ended in an
+    # OverflowError traceback, and theta = nan in "Eigenvalues did not converge"
+    assert run(argv + ["--json", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_small_prime_limit_law_of_fast_growing_weight(tmp_path):
     # alpha(2^k) = sigma_20(2^k) passes the float range at k = 52; the limit
     # law used to end in an OverflowError traceback (exit 1)
@@ -408,7 +445,6 @@ def test_smooth_rejects_the_step_before_building_a_table(monkeypatch, capsys):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(cli.arith, "build_spf", no_tables)
-    monkeypatch.setattr(cli.arith, "largest_prime_table", no_tables)
     monkeypatch.setattr(cli.weights, "build_weight_table", no_tables)
     monkeypatch.setattr(cli.arith, "Walk", no_tables)
     assert run(["smooth", "--weight", "power:0", "--x", "1e7", "--u", "2", "--step", "0"]) == 2

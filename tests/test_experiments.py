@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dense import dense_big_omega_table, dense_largest_prime_table, dense_nu_p_table, dense_omega_table
 from multweight import arith, experiments, weights
 from multweight.weights import builtin_weight
 
@@ -17,10 +18,10 @@ def values(name, x, **kwargs):
 def test_statistic_dispatch_matches_the_tables(p1_1e4):
     x = 10**4
     lpf = p1_1e4
-    np.testing.assert_array_equal(values("omega", x), arith.omega_table(lpf))
-    np.testing.assert_array_equal(values("big_omega", x), arith.big_omega_table(lpf))
+    np.testing.assert_array_equal(values("omega", x), dense_omega_table(lpf))
+    np.testing.assert_array_equal(values("big_omega", x), dense_big_omega_table(lpf))
     np.testing.assert_array_equal(values("largest_prime", x), lpf)
-    np.testing.assert_array_equal(values("nu", x, p=3), arith.nu_p_table(x, 3))
+    np.testing.assert_array_equal(values("nu", x, p=3), dense_nu_p_table(x, 3))
     ratio = values("largest_ratio", x)
     assert ratio[0] == 0.0 and ratio[1] == 0.0
     np.testing.assert_array_equal(ratio[2:], np.log(lpf[2:].astype(float)) / math.log(x))
@@ -28,16 +29,6 @@ def test_statistic_dispatch_matches_the_tables(p1_1e4):
     assert smooth.dtype == np.int8
     np.testing.assert_array_equal(smooth[1:], (lpf[1:] <= 100).astype(np.int8))
     assert smooth[97 * 101] == 0 and smooth[97 * 89] == 1 and smooth[10**4] == 1
-
-
-def test_p1_table_grows_with_the_range_and_is_served_as_prefixes():
-    ctx = experiments.Context()
-    small = ctx.p1(100).copy()
-    big = ctx.p1(10**4)
-    assert np.shares_memory(ctx.p1(50), ctx.p1(10**4)) and len(ctx.p1(50)) == 51
-    np.testing.assert_array_equal(big[:101], small)
-    again = ctx.p1(100)
-    assert len(again) == 101 and np.shares_memory(again, big)
 
 
 @pytest.mark.parametrize("name, kwargs, match", [
@@ -56,8 +47,7 @@ def test_statistic_rejects_bad_input(name, kwargs, match):
 def test_smooth_counts_an_exact_root_as_smooth(x, u):
     # p_1(n)^u <= x per n; the float root 343^(1/3) reads 6.999..., which
     # dropped every n with p_1 = 7
-    ctx = experiments.Context()
-    want = [int(p) ** u <= x for p in ctx.p1(x)[1:]]
+    want = [int(p) ** u <= x for p in dense_largest_prime_table(x)[1:]]
     np.testing.assert_array_equal(values("smooth", x, u=float(u))[1:], want)
 
 
@@ -79,14 +69,13 @@ def _is_prime(p):
     return True
 
 
-def test_sub_table_equals_a_table_built_at_the_smaller_range(p1_1e5):
-    # the experiments slice one table (prefix sum) at max(xs) instead of building one per x
-    direct_p1 = arith.largest_prime_table(10**4)
+def test_sub_table_equals_a_table_built_at_the_smaller_range():
+    # c10 slices the draw tables at max(xs) instead of building them again at a smaller x
     for w in weights.catalog_weights():
-        sub = weights.build_weight_table(w, p1_1e5)[: 10**4 + 1]
-        direct = weights.build_weight_table(w, direct_p1)
-        assert len(sub) == len(direct) == 10**4 + 1
-        np.testing.assert_array_equal(sub, direct)
+        big, direct = weights.build_weight_table(w, 10**5), weights.build_weight_table(w, 10**4)
+        assert len(direct.prefix) == len(direct.p1) == 10**4 + 1
+        np.testing.assert_array_equal(big.prefix[: 10**4 + 1], direct.prefix)
+        np.testing.assert_array_equal(big.p1[: 10**4 + 1], direct.p1)
 
 
 def test_scans_leave_the_dense_prefix_unbuilt(monkeypatch):
@@ -95,12 +84,12 @@ def test_scans_leave_the_dense_prefix_unbuilt(monkeypatch):
     built = []
     build = weights.build_weight_table
 
-    def record(w, p1):
-        built.append(build(w, p1))
+    def record(w, x):
+        built.append(build(w, x))
         return built[-1]
 
     monkeypatch.setattr(weights, "build_weight_table", record)
-    ctx, w = experiments.Context(), builtin_weight("theta_omega", theta=1.0)
+    w = builtin_weight("theta_omega", theta=1.0)
     experiments.sieve_sum(w, [10**3, 10**4], 10**4)
     for name in ("big_omega", "largest_prime", "largest_ratio"):
         experiments.exact_dist(w, 10**4, name)
@@ -110,8 +99,26 @@ def test_scans_leave_the_dense_prefix_unbuilt(monkeypatch):
     experiments.poly_asym(1.0, 1.0, [10**3, 10**4], 10**4)
     experiments.mean_big_omega(w, [10**3, 10**4])
     assert len(built) == 0
-    experiments.sample(ctx, w, 10**4, 10, 1)
-    assert len(built) == 1 and len(built[0]) == 10**4 + 1
+    experiments.sample(w, 10**4, 10, 1)
+    assert len(built) == 1 and len(built[0].prefix) == 10**4 + 1
+
+
+def test_draw_ops_walk_once_per_table_kind(monkeypatch):
+    # one walk gives the draws both p_1 and the prefix sum; E Omega in
+    # poly_typical is a scan, the second walk
+    walks = []
+
+    class CountedWalk(arith.Walk):
+        def __init__(self, x):
+            walks.append(x)
+            super().__init__(x)
+
+    monkeypatch.setattr(arith, "Walk", CountedWalk)
+    experiments.pd_compare(builtin_weight("power", z=0.0), 10**4, 100, 100, 1)
+    assert walks == [10**4]
+    walks.clear()
+    experiments.poly_typical(1.0, 1.0, 10**4, 100, 1)
+    assert walks == [10**4, 10**4]
 
 
 def test_omega_clt_ks_per_x_is_independent_of_the_other_xs():
@@ -127,7 +134,7 @@ def test_mean_big_omega_is_the_mean_of_the_streamed_law(p1_1e4, alpha_of):
     xs = [10**3, 5000, 10**4]
     means = experiments.mean_big_omega(w, xs)
     assert means == [experiments.exact_dist(w, x, "big_omega").mean() for x in xs]
-    alpha, om = alpha_of(w, p1_1e4), arith.big_omega_table(p1_1e4).astype(float)
+    alpha, om = alpha_of(w, 10**4), dense_big_omega_table(p1_1e4).astype(float)
     for x, mean in zip(xs, means):
         dense = np.dot(om[1 : x + 1], alpha[1 : x + 1]) / math.fsum(alpha[1 : x + 1].tolist())
         assert mean == pytest.approx(dense, rel=1e-13), x

@@ -575,3 +575,28 @@ def test_enumeration_size_limits():
         perm.enumerate_Sn(25, perm.constant_weights(25, 1.0))
     with pytest.raises(ValueError):
         perm.enumerate_Sn_by_permutations(9, perm.constant_weights(9, 1.0))
+
+
+def _cycle_type(sigma):
+    """{length: count} of the cycles of a permutation of 0..n-1, as a sorted tuple of pairs."""
+    seen, counts = set(), {}
+    for start in range(len(sigma)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i, length = sigma[i], length + 1
+        if length:
+            counts[length] = counts.get(length, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_class_size_log_is_the_log_of_the_counted_class_size(n):
+    # every cycle type counted over all n! permutations; the log of the exact
+    # integer, bit for bit (math.lgamma sums of the factorials miss most types)
+    sizes = {}
+    for sigma in iter_permutations(range(n)):
+        key = _cycle_type(sigma)
+        sizes[key] = sizes.get(key, 0) + 1
+    for key, size in sizes.items():
+        assert perm._class_size_log(n, dict(key)) == math.log(size), (n, key)

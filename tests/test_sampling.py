@@ -8,14 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from dense import dense_big_omega_table, dense_largest_prime_table, dense_nu_p_table
 from multweight import arith, experiments, sampling, weights
 from multweight.weights import builtin_weight
 
 
-def make_table(kind_params, x, p1):
+def make_table(kind_params, x):
     """The weight table (prefix sum S(0..x)) of a catalog weight."""
     kind, params = kind_params
-    return weights.build_weight_table(builtin_weight(kind, **params), p1[: x + 1])
+    return weights.build_weight_table(builtin_weight(kind, **params), x).prefix
 
 
 def bincount_law(alpha, values):
@@ -23,8 +24,8 @@ def bincount_law(alpha, values):
     return sampling.exact_pmf_from_mass(np.bincount(values[1:], weights=alpha[1:]))
 
 
-def test_uniform_sampler_chi_square(p1_1e4, rng):
-    table = make_table(("power", {"z": 0.0}), 100, p1_1e4)
+def test_uniform_sampler_chi_square(rng):
+    table = make_table(("power", {"z": 0.0}), 100)
     s = sampling.WeightedIntegerSampler(table, rng)
     draws = s.sample(10**6)
     counts = np.bincount(draws, minlength=101)[1:]
@@ -32,8 +33,8 @@ def test_uniform_sampler_chi_square(p1_1e4, rng):
     assert p > 0.001
 
 
-def test_sorted_search_matches_plain_searchsorted(p1_1e4):
-    table = make_table(("divisor", {"k": 2.0}), 10**4, p1_1e4)
+def test_sorted_search_matches_plain_searchsorted():
+    table = make_table(("divisor", {"k": 2.0}), 10**4)
     draws = sampling.WeightedIntegerSampler(table, np.random.default_rng(3)).sample(10**5)
     u = (1.0 - np.random.default_rng(3).random(10**5)) * table[-1]
     assert np.array_equal(draws, np.searchsorted(table, u, side="left"))
@@ -51,35 +52,35 @@ def test_zero_table_rejected(rng):
         sampling.WeightedIntegerSampler(np.zeros(11), rng)
 
 
-def test_probability_ratio_theta_omega(p1_1e4, alpha_of):
-    alpha = alpha_of(builtin_weight("theta_omega", theta=2.0), p1_1e4[:31])
+def test_probability_ratio_theta_omega(alpha_of):
+    alpha = alpha_of(builtin_weight("theta_omega", theta=2.0), 30)
     assert alpha[2] / alpha[1] == pytest.approx(2.0, rel=1e-14)
 
 
-def test_cdf_interval_widths_match_alpha(p1_1e4, alpha_of):
-    table = make_table(("divisor", {"k": 2.0}), 10**4, p1_1e4)
+def test_cdf_interval_widths_match_alpha(alpha_of):
+    table = make_table(("divisor", {"k": 2.0}), 10**4)
     widths = np.diff(table)
-    alpha = alpha_of(builtin_weight("divisor", k=2.0), p1_1e4)
+    alpha = alpha_of(builtin_weight("divisor", k=2.0), 10**4)
     np.testing.assert_allclose(widths, alpha[1:], rtol=0, atol=1e-9 * table[-1])
 
 
-def test_empirical_matches_exact_tv(p1_1e4, rng, alpha_of):
+def test_empirical_matches_exact_tv(rng, alpha_of):
     # 1e6 draws at x = 1e3; TV to the exact law under the sampling measure.
     # The TV noise floor scales with sum_n sqrt(alpha(n)/S), so the 0.01
     # budget needs a weight with concentrated mass; a spread-out law sits
     # at ~0.013 with this many draws (checked loosely below).
-    table = make_table(("power", {"z": 6.0}), 10**3, p1_1e4)
+    table = make_table(("power", {"z": 6.0}), 10**3)
     s = sampling.WeightedIntegerSampler(table, rng)
     draws = s.sample(10**6)
     counts = np.bincount(draws, minlength=10**3 + 1)[1:]
-    alpha = alpha_of(builtin_weight("power", z=6.0), p1_1e4[: 10**3 + 1])
+    alpha = alpha_of(builtin_weight("power", z=6.0), 10**3)
     tv = 0.5 * np.abs(counts / counts.sum() - alpha[1:] / table[-1]).sum()
     assert tv <= 0.01
 
-    uni = make_table(("power", {"z": 0.0}), 10**3, p1_1e4)
+    uni = make_table(("power", {"z": 0.0}), 10**3)
     draws = sampling.WeightedIntegerSampler(uni, rng).sample(10**6)
     counts = np.bincount(draws, minlength=10**3 + 1)[1:]
-    alpha = alpha_of(builtin_weight("power", z=0.0), p1_1e4[: 10**3 + 1])
+    alpha = alpha_of(builtin_weight("power", z=0.0), 10**3)
     tv_uni = 0.5 * np.abs(counts / counts.sum() - alpha[1:] / uni[-1]).sum()
     assert tv_uni <= 0.015
 
@@ -98,23 +99,23 @@ def exact_pmf(alpha, statistic, spf):
     return sampling.ExactPmf(vals, probs / probs.sum())
 
 
-def test_exact_pmf_omega_x4(spf_1e4, p1_1e4, alpha_of):
-    pmf = exact_pmf(alpha_of(builtin_weight("power", z=0.0), p1_1e4[:5]), lambda prof: sum(k for _, k in prof.factors), spf_1e4)
+def test_exact_pmf_omega_x4(spf_1e4, alpha_of):
+    pmf = exact_pmf(alpha_of(builtin_weight("power", z=0.0), 4), lambda prof: sum(k for _, k in prof.factors), spf_1e4)
     assert pmf.values.tolist() == [0.0, 1.0, 2.0]
     assert pmf.probs.tolist() == [0.25, 0.5, 0.25]
 
 
-def test_exact_pmf_nu2_x8(spf_1e4, p1_1e4, alpha_of):
-    pmf = exact_pmf(alpha_of(builtin_weight("power", z=0.0), p1_1e4[:9]), lambda prof: dict(prof.factors).get(2, 0), spf_1e4)
+def test_exact_pmf_nu2_x8(spf_1e4, alpha_of):
+    pmf = exact_pmf(alpha_of(builtin_weight("power", z=0.0), 8), lambda prof: dict(prof.factors).get(2, 0), spf_1e4)
     assert pmf.values.tolist() == [0.0, 1.0, 2.0, 3.0]
     assert pmf.probs.tolist() == [0.5, 0.25, 0.125, 0.125]
 
 
-def test_exact_pmf_two_routes_agree(spf_1e4, p1_1e4, alpha_of):
+def test_exact_pmf_two_routes_agree(spf_1e4, alpha_of):
     # the streamed scan against per-n factorization
     x = 2000
     w = builtin_weight("divisor", k=2.0)
-    slow = exact_pmf(alpha_of(w, p1_1e4[: x + 1]), lambda prof: sum(k for _, k in prof.factors), spf_1e4)
+    slow = exact_pmf(alpha_of(w, x), lambda prof: sum(k for _, k in prof.factors), spf_1e4)
     fast = experiments.exact_dist(w, x, "big_omega")
     np.testing.assert_allclose(slow.values, fast.values)
     np.testing.assert_allclose(slow.probs, fast.probs, rtol=1e-12)
@@ -126,10 +127,10 @@ def test_exact_pmf_integer_route_matches_unique_route(p1_1e5, kind_params, alpha
     # as floats they are ranked with np.unique first, and both must give the same atoms
     x = 10**5
     w = builtin_weight(kind_params[0], **kind_params[1])
-    alpha = alpha_of(w, p1_1e5)
+    alpha = alpha_of(w, x)
     statistic_tables = [
-        ("big_omega", {}, arith.big_omega_table(p1_1e5)),
-        ("nu", {"p": 2}, arith.nu_p_table(x, 2)),
+        ("big_omega", {}, dense_big_omega_table(p1_1e5)),
+        ("nu", {"p": 2}, dense_nu_p_table(x, 2)),
         ("smooth", {"u": 2.0}, (p1_1e5 <= math.sqrt(x)).astype(np.int8)),
     ]
     for name, kw, v in statistic_tables:
@@ -145,10 +146,10 @@ def test_exact_pmf_blocks_match_bincount_bit_for_bit(alpha_of):
     # the scan adds one block of the walk at a time; np.bincount over the
     # whole array is the oracle, at an x that spans ten blocks and three chunks
     x = 5 * 2**19
-    p1 = arith.largest_prime_table(x)
+    p1 = dense_largest_prime_table(x)
     w = builtin_weight("divisor", k=2.0)
-    alpha = alpha_of(w, p1)
-    for name, kw, v in (("big_omega", {}, arith.big_omega_table(p1)), ("nu", {"p": 2}, arith.nu_p_table(x, 2)),
+    alpha = alpha_of(w, x)
+    for name, kw, v in (("big_omega", {}, dense_big_omega_table(p1)), ("nu", {"p": 2}, dense_nu_p_table(x, 2)),
                         ("smooth", {"u": 2.0}, (p1 <= math.isqrt(x)).astype(np.int8))):
         mass = np.bincount(v[1:], weights=alpha[1:])
         got = experiments.exact_dist(w, x, name, **kw)
@@ -164,14 +165,14 @@ def test_a_sparse_law_is_normalized_by_its_whole_mass(kind_params, p1_1e5, alpha
     # differs from it in the last bit
     x = 10**5
     w = builtin_weight(kind_params[0], **kind_params[1])
-    mass = np.bincount(p1_1e5[1:], weights=alpha_of(w, p1_1e5)[1:])
+    mass = np.bincount(p1_1e5[1:], weights=alpha_of(w, x)[1:])
     got = experiments.exact_dist(w, x, "largest_prime")
     np.testing.assert_array_equal(got.values, np.flatnonzero(mass))
     np.testing.assert_array_equal(got.probs, mass[mass > 0] / mass.sum())
 
 
-def test_exact_pmf_skips_zero_weight(spf_1e4, p1_1e4, alpha_of):
-    pmf = exact_pmf(alpha_of(builtin_weight("powerfree", k=2), p1_1e4[:21]), lambda prof: dict(prof.factors).get(2, 0), spf_1e4)
+def test_exact_pmf_skips_zero_weight(spf_1e4, alpha_of):
+    pmf = exact_pmf(alpha_of(builtin_weight("powerfree", k=2), 20), lambda prof: dict(prof.factors).get(2, 0), spf_1e4)
     assert pmf.values.tolist() == [0.0, 1.0]  # nu_2 >= 2 has zero mass
 
 
@@ -181,7 +182,7 @@ def test_smoothness_statistic_converges_toward_dickman(p1_1e6, alpha_of):
     # 0.0068 (acceptance case c06 checks against the two-term value)
     rho = 1.0 - math.log(2.0)
     gaps = []
-    alpha = alpha_of(builtin_weight("power", z=0.0), p1_1e6)
+    alpha = alpha_of(builtin_weight("power", z=0.0), 10**6)
     for x in (10**4, 10**5, 10**6):
         ind = (p1_1e6[: x + 1] <= math.sqrt(x)).astype(np.int8)
         p = bincount_law(alpha[: x + 1], ind).prob_of(1.0)
@@ -235,10 +236,10 @@ def size_biased_prime_oracle(profile, rng):
     return ps[rng.choice(len(ps), p=wts / wts.sum())]
 
 
-def _draws(p1, n, seed):
+def _draws(n, seed):
     """n draws at x = 1e6 with n = 1 and primes where np.log and math.log
     differ in the last bit (and their multiples) mixed in."""
-    table = make_table(("theta_omega", {"theta": 2.0}), 10**6, p1)
+    table = make_table(("theta_omega", {"theta": 2.0}), 10**6)
     draws = sampling.WeightedIntegerSampler(table, np.random.default_rng(seed)).sample(n)
     draws[::97] = 1
     special = [285343, 2 * 285343, 3 * 287549, 351497, 504631, 664679]
@@ -253,7 +254,7 @@ def test_prime_logs_are_math_log():
 
 
 def test_spectrum_matches_oracle_bit_for_bit(spf_1e6, p1_1e6):
-    draws = _draws(p1_1e6, 10**4, 11)
+    draws = _draws(10**4, 11)
     k = 21  # past the largest Omega, 19, so the zero padding is checked too
     batch = sampling.spectrum(arith.factor_matrix(draws, p1_1e6), 10**6, k)
     oracle = [[spectrum_oracle(arith.factorize(int(m), spf_1e6), 10**6).ratio(j) for j in range(1, k + 1)]
@@ -263,7 +264,7 @@ def test_spectrum_matches_oracle_bit_for_bit(spf_1e6, p1_1e6):
 
 
 def test_size_biased_prime_matches_rng_choice_draw_by_draw(spf_1e6, p1_1e6):
-    draws = _draws(p1_1e6, 10**4, 12)
+    draws = _draws(10**4, 12)
     ones = draws == 1
     assert 0 < ones.sum() < len(draws)
     rng_a, rng_b = np.random.default_rng(13), np.random.default_rng(13)
@@ -278,7 +279,7 @@ def test_size_biased_prime_matches_rng_choice_with_eight_primes():
     # 9699690 = 2*3*...*19 has eight distinct primes, where numpy sums the
     # weight vector pairwise rather than left to right
     x = 9699690
-    spf, p1 = arith.build_spf(x), arith.largest_prime_table(x)
+    spf, p1 = arith.build_spf(x), dense_largest_prime_table(x)
     ns = np.array([x, x // 19 * 16, 2**23, 1, x, 3 * 5 * 7 * 11] * 500)
     rng_a, rng_b = np.random.default_rng(14), np.random.default_rng(14)
     oracle = [0 if m == 1 else size_biased_prime_oracle(arith.factorize(m, spf), rng_a) for m in ns.tolist()]
@@ -338,7 +339,7 @@ _T = None
 def _table():
     global _T
     if _T is None:
-        _T = arith.largest_prime_table(10**4)
+        _T = dense_largest_prime_table(10**4)
     return _T
 
 
@@ -443,8 +444,8 @@ def test_exact_pmf_affine():
     assert shifted.probs.tolist() == [0.5, 0.5]
 
 
-def test_sampler_deterministic_given_seed(p1_1e4):
-    table = make_table(("divisor", {"k": 2.0}), 500, p1_1e4)
+def test_sampler_deterministic_given_seed():
+    table = make_table(("divisor", {"k": 2.0}), 500)
     a = sampling.WeightedIntegerSampler(table, np.random.default_rng(7)).sample(64)
     b = sampling.WeightedIntegerSampler(table, np.random.default_rng(7)).sample(64)
     assert np.array_equal(a, b)

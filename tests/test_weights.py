@@ -118,39 +118,34 @@ def test_regimes():
         builtin_weight("poly_log", K=1.0, gamma=1.0).ewens()
 
 
-def test_table_uniform_prefix(p1_1e4):
+def test_table_uniform_prefix():
     w = builtin_weight("power", z=0.0)
-    t = weights.build_weight_table(w, p1_1e4[:101])
+    t = weights.build_weight_table(w, 100).prefix
     assert t[100] == 100.0 and t[0] == 0.0
 
 
-def test_table_small_sums(p1_1e4):
-    t = weights.build_weight_table(builtin_weight("powerfree", k=2), p1_1e4[:11])
+def test_table_small_sums():
+    t = weights.build_weight_table(builtin_weight("powerfree", k=2), 10).prefix
     assert t[10] == 7.0
-    t = weights.build_weight_table(builtin_weight("divisor", k=2.0), p1_1e4[:11])
+    t = weights.build_weight_table(builtin_weight("divisor", k=2.0), 10).prefix
     assert t[10] == pytest.approx(27.0, rel=1e-12)
 
 
-def test_table_matches_direct_evaluation(spf_1e4, p1_1e4, alpha_of):
-    # x = 1e4, and both sides of the squares 4, 9, 25, 49 and 121, where
-    # sqrt(x) gains a prime, with a p_1 table built at x and a prefix of the 1e4 one
-    tables = [p1_1e4]
-    for x in (2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122):
-        tables += [arith.largest_prime_table(x), p1_1e4[: x + 1]]
-    for p1 in tables:
-        x = len(p1) - 1
+def test_table_matches_direct_evaluation(spf_1e4, alpha_of):
+    # x = 1e4, and both sides of the squares 4, 9, 25, 49 and 121, where sqrt(x) gains a prime
+    for x in (10**4, 2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122):
         for w in catalog_weights():
-            table = weights.build_weight_table(w, p1)
+            table = weights.build_weight_table(w, x).prefix
             direct = np.array([weights.evaluate_weight(w, n, spf_1e4) for n in range(1, x + 1)])
             assert len(table) == x + 1
-            np.testing.assert_allclose(alpha_of(w, p1)[1:], direct, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(alpha_of(w, x)[1:], direct, rtol=1e-12, atol=0)
             assert table[-1] == pytest.approx(math.fsum(direct.tolist()), rel=1e-12)
 
 
-def test_table_multiplicativity_random_coprime_pairs(p1_1e5, rng, alpha_of):
+def test_table_multiplicativity_random_coprime_pairs(rng, alpha_of):
     x = 10**5
     w = builtin_weight("sigma", z=1.0)
-    alpha = alpha_of(w, p1_1e5)
+    alpha = alpha_of(w, x)
     done = 0
     while done < 1000:
         a = int(rng.integers(2, 400))
@@ -161,23 +156,23 @@ def test_table_multiplicativity_random_coprime_pairs(p1_1e5, rng, alpha_of):
         done += 1
 
 
-def test_prefix_monotone_and_theta1_identity(p1_1e5):
-    t = weights.build_weight_table(builtin_weight("theta_omega", theta=1.0), p1_1e5)
+def test_prefix_monotone_and_theta1_identity():
+    t = weights.build_weight_table(builtin_weight("theta_omega", theta=1.0), 10**5).prefix
     assert np.all(np.diff(t) >= 0)
     assert t[-1] == float(10**5)  # theta=1 makes alpha identically 1
 
 
-def test_rejects_non_monotone_vanishing(p1_1e4):
+def test_rejects_non_monotone_vanishing():
     for values in (
         lambda ps, k: np.full(len(ps), 0.0 if k == 1 else 1.0),
         lambda ps, k: np.full(len(ps), 0.0 if k <= 2 else 1.0),  # vanishes at k = 1, 2, returns at 3
     ):
         bad = weights.MultiplicativeWeight(name="bad", regime=weights.EwensRegime(theta=1.0), values=values)
         with pytest.raises(ValueError, match="monotone"):
-            weights.build_weight_table(bad, p1_1e4[:101])
+            weights.build_weight_table(bad, 100)
 
 
-def test_rejects_negative_values_at_large_primes(p1_1e4):
+def test_rejects_negative_values_at_large_primes():
     # negative only at primes above sqrt(100), which the table reaches
     # through the cofactor of n rather than through a prime-power slice
     bad = weights.MultiplicativeWeight(
@@ -186,7 +181,7 @@ def test_rejects_negative_values_at_large_primes(p1_1e4):
         values=lambda ps, k: np.where(ps > 10, -1.0, 1.0),
     )
     with pytest.raises(ValueError, match="negative"):
-        weights.build_weight_table(bad, p1_1e4[:101])
+        weights.build_weight_table(bad, 100)
 
 
 def test_condition_I_single_prime():
@@ -240,32 +235,27 @@ CHUNK = weights.CHUNK  # the prefix sum adds the totals of its CHUNK-entry chunk
 CHUNK_EDGES = (1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 2 * CHUNK + 5)
 
 
-@pytest.fixture(scope="module")
-def chunks_p1():
-    return arith.largest_prime_table(2 * CHUNK + 5)
-
-
-def test_compensated_cumsum_matches_fsum(chunks_p1, alpha_of):
+def test_compensated_cumsum_matches_fsum(alpha_of):
     # the prefix sum at the chunk edges against the exactly rounded sum of
     # alpha: the error is that of one chunk's cumsum (2^20 additions), at
     # most 6.5e-14 here, not one that grows with the number of chunks
     for w in (builtin_weight("euler_ratio"), builtin_weight("power", z=0.5)):
-        prefix = weights.build_weight_table(w, chunks_p1)
-        alpha = alpha_of(w, chunks_p1)
+        prefix = weights.build_weight_table(w, 2 * CHUNK + 5).prefix
+        alpha = alpha_of(w, 2 * CHUNK + 5)
         for y in CHUNK_EDGES:
             assert prefix[y] == pytest.approx(math.fsum(alpha[1 : y + 1].tolist()), rel=1e-12), (w.name, y)
         assert prefix[0] == 0.0 and prefix[1] == alpha[1] == 1.0
 
 
-def test_compensated_cumsum_writes_into_out(p1_1e5, alpha_of, monkeypatch):
+def test_compensated_cumsum_writes_into_out(alpha_of, monkeypatch):
     # built in place: each chunk's cumsum plus the fsum of the earlier chunk
     # totals, bit for bit; at the 2^10-entry chunks of this test there are
     # 98 of them, and for 78 of the partial sums of their totals a plain sum
     # rounds differently from math.fsum
     w = builtin_weight("euler_ratio")
-    alpha = alpha_of(w, p1_1e5)
+    alpha = alpha_of(w, 10**5)
     monkeypatch.setattr(weights, "CHUNK", 1 << 10)
-    prefix = weights.build_weight_table(w, p1_1e5)
+    prefix = weights.build_weight_table(w, 10**5).prefix
     chunks = np.split(alpha[1:], range(1 << 10, len(alpha) - 1, 1 << 10))
     totals = [float(np.sum(c)) for c in chunks]
     expected = np.concatenate([[0.0], *(np.cumsum(c) + math.fsum(totals[:i]) for i, c in enumerate(chunks))])

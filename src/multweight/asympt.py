@@ -39,26 +39,6 @@ class EwensAsymptotic:
     tail_estimate: float  # magnitude of the log-product tail beyond the cutoff
 
 
-@dataclass(frozen=True)
-class GEval:
-    """A truncated evaluation of G^(k)(s) = (-1)^k sum_p log^(gamma+k) p / p^s.
-
-    value includes the prime-density tail integral
-    (-1)^k * integral_T^inf log^(gamma+k-1) t / t^s dt (closed form via the
-    upper incomplete gamma function); tail_estimate is that integral and
-    tail_bound a Chebyshev-type rigorous cap on the discarded prime sum.
-    """
-
-    gamma: float
-    s: float
-    k: int
-    prime_cutoff: int
-    value: float
-    truncated_sum: float
-    tail_estimate: float
-    tail_bound: float
-
-
 @functools.lru_cache(maxsize=4)
 def _prime_cache(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """The primes <= cutoff, as floats, and their logs, shared across G evaluations."""
@@ -144,14 +124,13 @@ def upper_gamma(a: float, y: float) -> float:
             return scale * h
 
 
-def G_eval(gamma: float, s: float, k: int = 0, prime_cutoff: int = 10**6) -> GEval:
-    """Evaluate G^(k)(s) over primes <= prime_cutoff plus a density tail.
+def G_eval(gamma: float, s: float, k: int = 0, prime_cutoff: int = 10**6) -> float:
+    """G^(k)(s) = (-1)^k sum_p log^(gamma+k) p / p^s over primes <= prime_cutoff plus a density tail.
 
     The tail integral substitutes u = log t:
     integral_T^inf u^(g-1) e^(-(s-1)u) du = Gamma(g, (s-1) log T) / (s-1)^g
     with g = gamma + k and Gamma(., .) the upper incomplete gamma.  Its
-    own error is a PNT-size fraction of the estimate; tail_bound caps the
-    discarded prime sum with the Chebyshev-type bound pi(t) <= 1.3 t/log t.
+    own error is a PNT-size fraction of the estimate.
     """
     if s <= 1.0:
         raise ValueError("G(s) requires s > 1")
@@ -162,44 +141,23 @@ def G_eval(gamma: float, s: float, k: int = 0, prime_cutoff: int = 10**6) -> GEv
     truncated = float(np.sum(logs**g / primes**s))
     L = math.log(prime_cutoff)
     tail = upper_gamma(g, (s - 1.0) * L) / (s - 1.0) ** g
-    # crude rigorous cap: 1.3x the density integral with one extra log
-    bound = 1.3 * tail * (1.0 + g / ((s - 1.0) * L))
     sign = -1.0 if k % 2 else 1.0
-    return GEval(
-        gamma=gamma,
-        s=s,
-        k=k,
-        prime_cutoff=prime_cutoff,
-        value=sign * (truncated + tail),
-        truncated_sum=sign * truncated,
-        tail_estimate=tail,
-        tail_bound=bound,
-    )
+    return sign * (truncated + tail)
 
 
-@dataclass(frozen=True)
-class PolySaddle:
-    K: float
-    gamma: float
-    x: float
-    sigma: float
-    residual: float  # |K G'(sigma) + log x| for the truncated-plus-tail G'
-    sigma_leading: float  # closed-form leading order of sigma - 1
-    B: float
-    A_alpha_poly: float  # Euler-product factor, up to the absolute constant
-    prime_cutoff: int
+def _rate(K: float, gamma: float) -> float:
+    """(K Gamma(gamma+1))^(1/(gamma+1)), the scale of sigma - 1, B and the gamma law."""
+    return (K * math.exp(math.lgamma(gamma + 1.0))) ** (1.0 / (gamma + 1.0))
 
 
 def B_constant(K: float, gamma: float) -> float:
     """B = (1 + 1/gamma) (K Gamma(gamma+1))^(1/(gamma+1))."""
-    return (1.0 + 1.0 / gamma) * (K * math.exp(math.lgamma(gamma + 1.0))) ** (1.0 / (gamma + 1.0))
+    return (1.0 + 1.0 / gamma) * _rate(K, gamma)
 
 
 def sigma_leading_order(K: float, gamma: float, x: float) -> float:
-    """(K Gamma(gamma+1))^(1/(gamma+1)) (log x)^(-1/(gamma+1))."""
-    return (K * math.exp(math.lgamma(gamma + 1.0))) ** (1.0 / (gamma + 1.0)) * math.log(x) ** (
-        -1.0 / (gamma + 1.0)
-    )
+    """(K Gamma(gamma+1))^(1/(gamma+1)) (log x)^(-1/(gamma+1)), the leading order of sigma - 1."""
+    return _rate(K, gamma) * math.log(x) ** (-1.0 / (gamma + 1.0))
 
 
 def poly_euler_factor(K: float, gamma: float, prime_cutoff: int) -> float:
@@ -212,8 +170,8 @@ def poly_euler_factor(K: float, gamma: float, prime_cutoff: int) -> float:
     return float(math.exp(np.sum(np.log1p(u) - u)))
 
 
-def solve_saddle(K: float, gamma: float, x: float, prime_cutoff: int = 10**6) -> PolySaddle:
-    """Solve K G'(sigma) = -log x by bisection on sigma in (1, 2].
+def solve_saddle(K: float, gamma: float, x: float, prime_cutoff: int = 10**6) -> tuple[float, float]:
+    """(sigma, |K G'(sigma) + log x|): the root of K G'(sigma) = -log x by bisection in (1, 2].
 
     G' is strictly increasing there (each summand is), so bracketing is
     monotone-safe; bisection runs to 1e-13 in sigma, far below the 1e-9
@@ -224,7 +182,7 @@ def solve_saddle(K: float, gamma: float, x: float, prime_cutoff: int = 10**6) ->
     logx = math.log(x)
 
     def f(s: float) -> float:
-        return K * G_eval(gamma, s, k=1, prime_cutoff=prime_cutoff).value + logx
+        return K * G_eval(gamma, s, k=1, prime_cutoff=prime_cutoff) + logx
 
     lo, hi = 1.0 + 1e-14, 2.0
     if f(hi) < 0:
@@ -238,33 +196,24 @@ def solve_saddle(K: float, gamma: float, x: float, prime_cutoff: int = 10**6) ->
         if hi - lo < 1e-13:
             break
     sigma = 0.5 * (lo + hi)
-    return PolySaddle(
-        K=K,
-        gamma=gamma,
-        x=x,
-        sigma=sigma,
-        residual=abs(f(sigma)),
-        sigma_leading=sigma_leading_order(K, gamma, x),
-        B=B_constant(K, gamma),
-        A_alpha_poly=poly_euler_factor(K, gamma, prime_cutoff),
-        prime_cutoff=prime_cutoff,
-    )
+    return sigma, abs(f(sigma))
 
 
-def predict_S_poly(p: PolySaddle, x: float) -> float:
+def predict_S_poly(K: float, gamma: float, x: float, prime_cutoff: int = 10**6) -> float:
     """Poly-regime partition-sum predictor, up to one absolute constant.
 
     x * euler_factor * exp(B (log x)^(gamma/(gamma+1))) / (log x)^((gamma+2)/(2(gamma+1))).
     Use ratios of exact/predicted across x values so the missing absolute
     constant cancels.
     """
+    if x < 2:
+        raise ValueError("x must be >= 2")
     L = math.log(x)
-    g = p.gamma
     return (
         x
-        * p.A_alpha_poly
-        * math.exp(p.B * L ** (g / (g + 1.0)))
-        * L ** (-(g + 2.0) / (2.0 * (g + 1.0)))
+        * poly_euler_factor(K, gamma, prime_cutoff)
+        * math.exp(B_constant(K, gamma) * L ** (gamma / (gamma + 1.0)))
+        * L ** (-(gamma + 2.0) / (2.0 * (gamma + 1.0)))
     )
 
 
@@ -280,6 +229,4 @@ def gamma_law_params(K: float, gamma: float) -> tuple[float, float]:
     """Limit law of log P_1(N_x)/(log x)^(1/(gamma+1)): gamma distribution
     with shape gamma+1 and rate (K Gamma(gamma+1))^(1/(gamma+1))."""
     PolyRegime(K=K, gamma=gamma)
-    shape = gamma + 1.0
-    rate = (K * math.exp(math.lgamma(gamma + 1.0))) ** (1.0 / (gamma + 1.0))
-    return shape, rate
+    return gamma + 1.0, _rate(K, gamma)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import resource
 import sys
 import time
@@ -54,7 +55,10 @@ def parse_weight_spec(spec) -> weights.MultiplicativeWeight:
 
 def _positive_int(raw: str) -> int:
     """A positive integer, 1e4 style accepted: a draw count or a size."""
-    v = float(raw)
+    try:
+        v = float(raw)
+    except ValueError:
+        v = math.nan
     if not (v >= 1 and v.is_integer()):
         raise argparse.ArgumentTypeError(f"need a positive integer, got {raw}")
     return int(v)
@@ -68,14 +72,37 @@ def _cutoff(raw: str) -> int:
     return v
 
 
-def _x_spec(raw: str) -> str:
-    """An --x value whose entries are positive integers, kept as written for the report's config."""
-    _parse_x_list(raw)
-    return raw
-
-
 def _parse_x_list(raw: str) -> list[int]:
     return [_positive_int(t) for t in str(raw).split(",") if t]
+
+
+def _parse_u_list(raw: str) -> list[float]:
+    try:
+        return [float(t) for t in str(raw).split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need comma-separated numbers, got {raw}") from None
+
+
+def _parse_p_list(raw: str) -> list[int]:
+    try:
+        return [int(t) for t in str(raw).split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need comma-separated integers, got {raw}") from None
+
+
+def _as_written(parse):
+    """A flag type that checks its value with `parse` and keeps it as written
+    for the report's config; the command parses it again."""
+
+    def check(raw: str) -> str:
+        parse(raw)
+        return raw
+
+    return check
+
+
+_x_spec = _as_written(_parse_x_list)
+_one_x = _as_written(_positive_int)
 
 
 def _write_csv(path, header, rows):
@@ -209,7 +236,7 @@ def cmd_pd_compare(args, w):
 
 
 def cmd_smooth(args, w):
-    us = [float(t) for t in str(args.u).split(",")]
+    us = _parse_u_list(args.u)
     rows = experiments.smooth(w, _positive_int(args.x), us, args.step)
     if args.out:
         _write_csv(args.out, ["u", "exact", "rho", "diff"],
@@ -218,7 +245,7 @@ def cmd_smooth(args, w):
 
 
 def cmd_small_prime(args, w):
-    ps = [int(t) for t in str(args.p).split(",")]
+    ps = _parse_p_list(args.p)
     rows = experiments.small_prime(w, _positive_int(args.x), ps)
     _write_rows(args.out, rows)
     return {"max_gap": max(r["gap"] for r in rows), "atoms": len(rows)}
@@ -286,12 +313,14 @@ def cmd_selftest(args, w):
 # --------------------------------------------------------------------------
 
 
-def _add_common(sp, *, weight=True, x=True, seed=False, out=True):
+def _add_common(sp, *, weight=True, x=_x_spec, seed=False, out=True):
+    """The flags most commands share; x is the --x type (_x_spec for a list,
+    _one_x for one bound) or None for a command without --x."""
     sp.add_argument("--config", help="JSON config file; CLI flags override its keys")
     if weight:
         sp.add_argument("--weight", help="weight spec, e.g. theta_omega:2 or divisor:2")
     if x:
-        sp.add_argument("--x", type=_x_spec, help="range bound(s), comma separated; 1e6 style accepted")
+        sp.add_argument("--x", type=x, help="range bound(s), comma separated where several; 1e6 style accepted")
     if seed:
         sp.add_argument("--seed", type=int, default=0)
     if out:
@@ -305,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("sieve-sum", help="exact S(x) against the mean-value predictor")
-    _add_common(sp, seed=False)
+    _add_common(sp)
     sp.add_argument("--cutoff", type=_cutoff, default=10**6, help="prime cutoff for constants")
     sp.set_defaults(func=cmd_sieve_sum)
 
@@ -314,12 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_conditions)
 
     sp = sub.add_parser("sample", help="draw integers from the weighted measure")
-    _add_common(sp, seed=True)
+    _add_common(sp, x=_one_x, seed=True)
     sp.add_argument("--n", type=_positive_int, default=1000, help="number of draws")
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("exact-dist", help="exact law of a factorization statistic")
-    _add_common(sp)
+    _add_common(sp, x=_one_x)
     sp.add_argument("--statistic", default="big_omega", help=f"one of {experiments.STATISTICS}")
     sp.add_argument("--p", type=int, default=2, help="prime for the nu statistic")
     sp.add_argument("--u", type=float, default=2.0, help="smoothness parameter for the smooth statistic")
@@ -330,20 +359,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_ek_compare)
 
     sp = sub.add_parser("pd-compare", help="log-prime spectrum against the Poisson-Dirichlet law")
-    _add_common(sp, seed=True)
+    _add_common(sp, x=_one_x, seed=True)
     sp.add_argument("--n", type=_positive_int, default=10**4, help="number of draws")
     sp.add_argument("--oracle-draws", type=_positive_int, default=10**5)
     sp.set_defaults(func=cmd_pd_compare)
 
     sp = sub.add_parser("smooth", help="exact smoothness probabilities against rho_theta")
-    _add_common(sp, seed=False)
-    sp.add_argument("--u", default="2", help="u values, comma separated (smooth means p1 <= x^(1/u))")
+    _add_common(sp, x=_one_x)
+    sp.add_argument("--u", type=_as_written(_parse_u_list), default="2",
+                    help="u values, comma separated (smooth means p1 <= x^(1/u))")
     sp.add_argument("--step", type=float, default=1.0 / 256)
     sp.set_defaults(func=cmd_smooth)
 
     sp = sub.add_parser("small-prime", help="exact nu_p law against its limit")
-    _add_common(sp)
-    sp.add_argument("--p", default="2", help="primes, comma separated")
+    _add_common(sp, x=_one_x)
+    sp.add_argument("--p", type=_as_written(_parse_p_list), default="2", help="primes, comma separated")
     sp.set_defaults(func=cmd_small_prime)
 
     sp = sub.add_parser("poly-asym", help="polynomial-regime partition-sum predictor")
@@ -354,14 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_poly_asym)
 
     sp = sub.add_parser("poly-typical", help="typical prime and mean Omega in the polynomial regime")
-    _add_common(sp, weight=False, seed=True)
+    _add_common(sp, weight=False, x=_one_x, seed=True)
     sp.add_argument("--K", type=float, default=1.0)
     sp.add_argument("--gamma", type=float, default=1.0)
     sp.add_argument("--n", type=_positive_int, default=10**4, help="number of draws")
     sp.set_defaults(func=cmd_poly_typical)
 
     sp = sub.add_parser("ewens", help="Ewens / generalized Ewens cycle statistics")
-    _add_common(sp, weight=False, x=False, seed=True)
+    _add_common(sp, weight=False, x=None, seed=True)
     sp.add_argument("--n", type=_positive_int, help="permutation size")
     sp.add_argument("--theta", type=float, default=1.0)
     sp.add_argument("--poly-gamma", type=float, default=None, help="use polynomial cycle weights instead")
@@ -370,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_ewens)
 
     sp = sub.add_parser("dickman", help="solve the rho_theta delay equation")
-    _add_common(sp, weight=False, x=False)
+    _add_common(sp, weight=False, x=None)
     sp.add_argument("--theta", type=float)
     sp.add_argument("--umax", type=float, default=4.0)
     sp.add_argument("--step", type=float, default=1.0 / 256)

@@ -143,8 +143,7 @@ def sieve_sum(w: weights.MultiplicativeWeight, xs: list[int], cutoff: int) -> li
         a = asympt.euler_constant(w, cutoff=cutoff)
         preds = [asympt.predict_S_ewens(a, x) for x in xs]
     else:
-        saddle = asympt.solve_saddle(w.poly().K, w.poly().gamma, max(xs), prime_cutoff=cutoff)
-        preds = [asympt.predict_S_poly(saddle, x) for x in xs]
+        preds = [asympt.predict_S_poly(w.poly().K, w.poly().gamma, x, cutoff) for x in xs]
     return [{"x": x, "exact": e, "predicted": pred, "ratio": e / pred} for x, e, pred in zip(xs, exact, preds)]
 
 
@@ -161,9 +160,9 @@ def poly_asym(K: float, gamma: float, xs: list[int], cutoff: int) -> list[dict]:
     exact, _ = scan(weights.builtin_weight("poly_log", K=K, gamma=gamma), max(xs), ys=xs)
     rows = []
     for x, e in zip(xs, exact):
-        s = asympt.solve_saddle(K, gamma, x, prime_cutoff=cutoff)
-        pred = asympt.predict_S_poly(s, x)
-        rows.append({"x": x, "sigma": s.sigma, "residual": s.residual, "exact": e, "predicted": pred,
+        sigma, residual = asympt.solve_saddle(K, gamma, x, prime_cutoff=cutoff)
+        pred = asympt.predict_S_poly(K, gamma, x, cutoff)
+        rows.append({"x": x, "sigma": sigma, "residual": residual, "exact": e, "predicted": pred,
                      "ratio": e / pred})
     return rows
 

@@ -31,7 +31,6 @@ from .experiments import atom_gaps
 @dataclass(frozen=True)
 class AcceptanceCase:
     id: str
-    module: str
     oracle: str
     tolerance: str
     budget_s: float
@@ -93,7 +92,7 @@ def _nu_p_first_order(w: weights.MultiplicativeWeight, p: int, x: int) -> sampli
     on p^k < x.  At theta = 1 the factor is 1: this is nu_p_limit_pmf.
     """
     reg = w.ewens()
-    limit = sampling.nu_p_limit_pmf(w, p, reg.d)
+    limit = sampling.nu_p_limit_pmf(w, p)
     frac = 1.0 - limit.values * math.log(p) / math.log(x)
     keep = frac > 0
     probs = limit.probs[keep] * frac[keep] ** (reg.theta - 1.0)
@@ -243,9 +242,9 @@ def _c08_saddle(scale: str):
     checks = []
     gaps = []
     for x in xs:
-        s = asympt.solve_saddle(1.0, 1.0, x, prime_cutoff=cutoff)
-        checks.append((f"residual at x={x:.0e} <= 1e-9", s.residual <= 1e-9, f"residual={s.residual:.2e}"))
-        gaps.append(abs((s.sigma - 1.0) / s.sigma_leading - 1.0))
+        sigma, residual = asympt.solve_saddle(1.0, 1.0, x, prime_cutoff=cutoff)
+        checks.append((f"residual at x={x:.0e} <= 1e-9", residual <= 1e-9, f"residual={residual:.2e}"))
+        gaps.append(abs((sigma - 1.0) / asympt.sigma_leading_order(1.0, 1.0, x) - 1.0))
     dec = all(b < a for a, b in zip(gaps, gaps[1:]))
     checks.append(("|(sigma-1)/closed-form - 1| decreasing", dec, f"gaps={['%.4f' % g for g in gaps]}"))
     return checks
@@ -482,25 +481,25 @@ def _c16_extended_sieve(scale: str):
 
 
 CASES: tuple[AcceptanceCase, ...] = (
-    AcceptanceCase("c01", "weights", "brute-force per-n evaluation", "1e-10 relative", 10.0, _c01_exact_sums),
-    AcceptanceCase("c02", "asymptotics", "truncated Euler products", "1e-3 / 1e-12", 30.0, _c02_euler_constants),
-    AcceptanceCase("c03", "asymptotics", "mean-value predictor ratios", "decreasing; 0.1 cap", 120.0, _c03_ewens_mean_value),
-    AcceptanceCase("c04", "sampler", "exact Omega pmf vs N(0,1)", "KS <= 0.25; decreasing", 60.0, _c04_prime_factor_clt),
-    AcceptanceCase("c05", "sampler", "GEM Monte Carlo largest-part mean", "0.05", 120.0, _c05_pd_largest_part),
-    AcceptanceCase("c06", "limit-laws", "rho_theta; theta=1 with de Bruijn 1/log x term", "0.02 / 0.03; theta=1 gap to rho_1(2) decreasing", 120.0, _c06_smoothness),
-    AcceptanceCase("c07", "limit-laws", "analytic rho_1(2); integral-equation residual", "1e-6 / 1e-8", 60.0, _c07_dickman),
-    AcceptanceCase("c08", "asymptotics", "saddle residual and closed form", "1e-9; decreasing", 30.0, _c08_saddle),
-    AcceptanceCase("c09", "asymptotics", "partition-sum double ratio", "0.1", 180.0, _c09_poly_partition_sum),
-    AcceptanceCase("c10", "sampler", "exact E Omega; gamma-law KS", "monotone; 0.15", 180.0, _c10_poly_typical),
-    AcceptanceCase("c11", "sampler", "prime-multiplicity law with first-order (1-k log p/log x)^(theta-1) factor", "0.01 per atom; gap to limit decreasing", 120.0, _c11_small_primes),
-    AcceptanceCase("c12", "ewens-perm", "binomial identity; exhaustive enumeration", "1e-10; TV 0.02", 120.0, _c12_partition_function),
-    AcceptanceCase("c13", "ewens-perm", "exhaustive enumeration, two routes", "1e-12", 60.0, _c13_conjugation_invariance),
-    AcceptanceCase("c14", "limit-laws", "Beta(1,theta) residual ratios", "KS 0.02", 120.0, _c14_pd_round_trip),
-    AcceptanceCase("c15", "ewens-perm", "permutation-side limit trends", "per-check", 300.0, _c15_permutation_trends),
+    AcceptanceCase("c01", "brute-force per-n evaluation", "1e-10 relative", 10.0, _c01_exact_sums),
+    AcceptanceCase("c02", "truncated Euler products", "1e-3 / 1e-12", 30.0, _c02_euler_constants),
+    AcceptanceCase("c03", "mean-value predictor ratios", "decreasing; 0.1 cap", 120.0, _c03_ewens_mean_value),
+    AcceptanceCase("c04", "exact Omega pmf vs N(0,1)", "KS <= 0.25; decreasing", 60.0, _c04_prime_factor_clt),
+    AcceptanceCase("c05", "GEM Monte Carlo largest-part mean", "0.05", 120.0, _c05_pd_largest_part),
+    AcceptanceCase("c06", "rho_theta; theta=1 with de Bruijn 1/log x term", "0.02 / 0.03; theta=1 gap to rho_1(2) decreasing", 120.0, _c06_smoothness),
+    AcceptanceCase("c07", "analytic rho_1(2); integral-equation residual", "1e-6 / 1e-8", 60.0, _c07_dickman),
+    AcceptanceCase("c08", "saddle residual and closed form", "1e-9; decreasing", 30.0, _c08_saddle),
+    AcceptanceCase("c09", "partition-sum double ratio", "0.1", 180.0, _c09_poly_partition_sum),
+    AcceptanceCase("c10", "exact E Omega; gamma-law KS", "monotone; 0.15", 180.0, _c10_poly_typical),
+    AcceptanceCase("c11", "prime-multiplicity law with first-order (1-k log p/log x)^(theta-1) factor", "0.01 per atom; gap to limit decreasing", 120.0, _c11_small_primes),
+    AcceptanceCase("c12", "binomial identity; exhaustive enumeration", "1e-10; TV 0.02", 120.0, _c12_partition_function),
+    AcceptanceCase("c13", "exhaustive enumeration, two routes", "1e-12", 60.0, _c13_conjugation_invariance),
+    AcceptanceCase("c14", "Beta(1,theta) residual ratios", "KS 0.02", 120.0, _c14_pd_round_trip),
+    AcceptanceCase("c15", "permutation-side limit trends", "per-check", 300.0, _c15_permutation_trends),
 )
 
 EXTENDED_CASES: tuple[AcceptanceCase, ...] = (
-    AcceptanceCase("c16", "arith-core", "10^8 sieve exactness", "exact", 600.0, _c16_extended_sieve),
+    AcceptanceCase("c16", "10^8 sieve exactness", "exact", 600.0, _c16_extended_sieve),
 )
 
 CASES_BY_ID: dict[str, AcceptanceCase] = {c.id: c for c in CASES + EXTENDED_CASES}
@@ -520,7 +519,7 @@ def run_case(case_id: str, scale: str = "desk") -> CaseResult:
     return CaseResult(case_id=case_id, passed=all(ok for _, ok, _ in checks), checks=checks, runtime_s=dt)
 
 
-def run_all(scale: str = "desk", case_ids: list[str] | None = None, verbose: bool = True) -> list[CaseResult]:
+def run_all(scale: str = "desk", case_ids: list[str] | None = None) -> list[CaseResult]:
     cases = list(CASES)
     if scale == "extended":
         cases += list(EXTENDED_CASES)
@@ -534,10 +533,9 @@ def run_all(scale: str = "desk", case_ids: list[str] | None = None, verbose: boo
     for case in cases:
         res = run_case(case.id, scale)
         results.append(res)
-        if verbose:
-            print(res.line())
-            for name, ok, detail in res.checks:
-                print(f"    {'ok  ' if ok else 'FAIL'} {name}: {detail}")
+        print(res.line())
+        for name, ok, detail in res.checks:
+            print(f"    {'ok  ' if ok else 'FAIL'} {name}: {detail}")
     return results
 
 

@@ -28,13 +28,11 @@ from .sampling import ExactPmf
 # ---------------------------------------------------------------------------
 
 
-def beta_sample(a: float, b: float, rng: np.random.Generator, size=None):
-    """Beta(a, b) draws; Beta(1, theta) uses the exact inverse CDF 1 - U^(1/theta)."""
-    if a <= 0 or b <= 0:
-        raise ValueError("beta shape parameters must be positive")
-    if a == 1.0:
-        return 1.0 - rng.random(size) ** (1.0 / b)
-    return rng.beta(a, b, size)
+def beta_sample(theta: float, rng: np.random.Generator, size=None):
+    """Beta(1, theta) draws by the exact inverse CDF 1 - U^(1/theta)."""
+    if theta <= 0:
+        raise ValueError("beta shape parameter theta must be positive")
+    return 1.0 - rng.random(size) ** (1.0 / theta)
 
 
 # The special functions scipy.stats evaluates, clipped to the support as it
@@ -71,7 +69,7 @@ def normal_cdf(t):
 
 def gem_matrix(theta: float, k: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """size x k matrix of stick-breaking fractions (vectorized replicates)."""
-    Y = beta_sample(1.0, theta, rng, size=(size, k))
+    Y = beta_sample(theta, rng, size=(size, k))
     left = np.concatenate([np.ones((size, 1)), np.cumprod(1.0 - Y[:, :-1], axis=1)], axis=1)
     return left * Y
 
@@ -92,7 +90,7 @@ def pd_largest_part_means(theta: float, rng: np.random.Generator, draws: int) ->
         stick = np.ones(len(top))
         drawn, width = 0, 8
         while len(top) and drawn < 200:
-            y = beta_sample(1.0, theta, rng, size=(len(top), min(width, 200 - drawn)))
+            y = beta_sample(theta, rng, size=(len(top), min(width, 200 - drawn)))
             rest = stick[:, None] * np.cumprod(1.0 - y, axis=1)  # the stick left after each fraction
             y[:, 0] *= stick
             y[:, 1:] *= rest[:, :-1]  # y now holds the parts

@@ -29,8 +29,8 @@ from .weights import EwensRegime, MultiplicativeWeight
 class ExactPmf:
     """A discrete law as sorted (value, probability) atoms.
 
-    Total mass must be 1 within 1e-12 unless `partial` is set (used for
-    truncated limit laws, where tail_mass records the truncation deficit).
+    The atoms and tail_mass must add to 1 within 1e-12; tail_mass is the
+    truncation deficit of a truncated limit law, 0 for an exact law.
     """
 
     values: np.ndarray
@@ -165,21 +165,17 @@ def size_biased_prime(primes: np.ndarray, rng: np.random.Generator) -> np.ndarra
     return out
 
 
-def nu_p_limit_pmf(
-    w: MultiplicativeWeight,
-    p: int,
-    d: float | None = None,
-    kmax: int = 64,
-) -> ExactPmf:
-    """Limit law of nu_p(N_x): P(X_p = k) proportional to alpha(p^k)/p^(k(d+1)).
+def nu_p_limit_pmf(w: MultiplicativeWeight, p: int) -> ExactPmf:
+    """Limit law of nu_p(N_x): P(X_p = k) proportional to alpha(p^k)/p^(k(d+1)),
+    with d the Ewens regime's (0 in the poly regime).
 
-    Truncated at kmax; the (geometrically estimated) tail mass must be
+    Truncated at k = 64; the (geometrically estimated) tail mass must be
     below 1e-12 and is recorded on the result.  Divergent normalizing
     series are rejected.
     """
-    if d is None:
-        reg = w.regime
-        d = reg.d if isinstance(reg, EwensRegime) else 0.0
+    kmax = 64
+    reg = w.regime
+    d = reg.d if isinstance(reg, EwensRegime) else 0.0
     # as euler_constant forms them: alpha(p^k) alone can pass the float range
     arr = np.array([1.0] + [w.normalized_prime_power_values(np.array([p]), k, d)[0] for k in range(1, kmax + 1)])
     # geometric tail estimate from the last two nonzero terms

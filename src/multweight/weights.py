@@ -356,23 +356,17 @@ def evaluate_weight(w: MultiplicativeWeight, n: int, spf: np.ndarray) -> float:
     return out
 
 
-def condition_I_residuals(
-    w: MultiplicativeWeight,
-    checkpoints: Sequence[int],
-    d: float | None = None,
-) -> list[tuple[int, float]]:
+def condition_I_residuals(w: MultiplicativeWeight, checkpoints: Sequence[int]) -> list[tuple[int, float]]:
     """Residuals sum_{p<=x} alpha(p) log p / p^d - theta*x at each checkpoint.
 
     The caller judges the decay; the hypothesis only promises o(x) decay of
     the residual relative to x.
     """
     reg = w.ewens()
-    if d is None:
-        d = reg.d
     cps = sorted(int(c) for c in checkpoints)
     ps = primes_upto(max(cps, default=0))
     pf = ps.astype(float)
-    terms = w.values_on_primes(ps, 1) * np.log(pf) / pf**d
+    terms = w.values_on_primes(ps, 1) * np.log(pf) / pf**reg.d
     csum = np.concatenate([[0.0], np.cumsum(terms)])
     out = []
     for c in cps:

@@ -361,10 +361,19 @@ def test_nonpositive_step_is_rejected(tmp_path, argv, step, capsys):
     (["exact-dist", "--weight", "power:0", "--x", "1000.7"], "--x"),
     (["sample", "--weight", "power:0", "--x", "2.9"], "--x"),
     (["sieve-sum", "--weight", "theta_omega:2", "--x", "1e3", "--cutoff", "0.5"], "--cutoff"),
-], ids=["exact-dist-x", "sample-x", "sieve-sum-cutoff"])
+    (["exact-dist", "--weight", "power:0", "--x", "1e3,1e4"], "--x"),
+    (["sieve-sum", "--weight", "power:0", "--x", "abc"], "--x"),
+    (["sample", "--weight", "power:0", "--x", "1e3", "--n", "abc"], "--n"),
+    (["smooth", "--weight", "power:0", "--x", "1e3", "--u", "abc"], "--u"),
+    (["small-prime", "--weight", "powerfree:2", "--x", "1e3", "--p", "abc"], "--p"),
+], ids=["exact-dist-x", "sample-x", "sieve-sum-cutoff", "exact-dist-x-list", "sieve-sum-x-abc", "sample-n-abc",
+        "smooth-u-abc", "small-prime-p-abc"])
 def test_fractional_x_and_cutoff_are_rejected(tmp_path, argv, flag, capsys):
-    # these ran at x = 1000, at x = 2 and at cutoff 0 (an empty Euler
-    # product), and exited 0
+    # the first three ran at x = 1000, at x = 2 and at cutoff 0 (an empty
+    # Euler product), and exited 0; the others, values that are no number
+    # or a list where one bound goes, printed "could not convert string to
+    # float", "invalid _x_spec value", "invalid _positive_int value" or a raw
+    # int() error, naming no flag
     with pytest.raises(SystemExit) as e:
         run(argv + ["--json", str(tmp_path / "r.json")])
     assert e.value.code == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dense import dense_big_omega_table, dense_largest_prime_table, dense_nu_p_table, dense_omega_table
-from multweight import arith, experiments, weights
+from multweight import arith, asympt, experiments, weights
 from multweight.weights import builtin_weight
 
 
@@ -146,3 +146,17 @@ def test_atom_gaps_cover_both_supports():
     a = ExactPmf(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
     b = ExactPmf(np.array([0.0, 2.0]), np.array([0.75, 0.25]))
     assert experiments.atom_gaps(a, b) == [0.25, 0.5, 0.25]
+
+
+@pytest.mark.parametrize("K, gamma", [(1.0, 1.0), (2.0, 0.5)])
+def test_poly_sieve_sum_solves_no_saddle_and_predicts_as_poly_asym(monkeypatch, K, gamma):
+    # the poly predictor reads no saddle point, so sieve_sum solves none
+    xs, cutoff = [10**3, 10**4], 10**4
+    want = [r["predicted"] for r in experiments.poly_asym(K, gamma, xs, cutoff)]
+
+    def no_saddle(*args, **kwargs):
+        raise AssertionError("sieve_sum solved a saddle")
+
+    monkeypatch.setattr(asympt, "solve_saddle", no_saddle)
+    rows = experiments.sieve_sum(builtin_weight("poly_log", K=K, gamma=gamma), xs, cutoff)
+    assert [r["predicted"] for r in rows] == want

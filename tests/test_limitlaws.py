@@ -59,7 +59,7 @@ def test_gamma_cdf_rate_convention():
 
 
 def test_beta_11_is_uniform(rng):
-    draws = ll.beta_sample(1.0, 1.0, rng, size=10**5)
+    draws = ll.beta_sample(1.0, rng, size=10**5)
     ks = ll.ks_distance(draws, lambda t: np.clip(t, 0.0, 1.0))
     # below kolmogi(0.001)/sqrt(1e5) = 0.00616, the 99.9% quantile of the null KS law
     assert ks <= kolmogi(0.001) / math.sqrt(10**5)
@@ -67,7 +67,7 @@ def test_beta_11_is_uniform(rng):
 
 def test_beta_parameters_validated(rng):
     with pytest.raises(ValueError):
-        ll.beta_sample(0.0, 1.0, rng)
+        ll.beta_sample(0.0, rng)
 
 
 def test_gem_mass_and_mean(rng):
@@ -155,9 +155,9 @@ def counted_fractions(monkeypatch, theta, draws):
     shapes = []
     beta = ll.beta_sample
 
-    def counting(a, b, rng, size=None):
+    def counting(theta, rng, size=None):
         shapes.append(size)
-        return beta(a, b, rng, size)
+        return beta(theta, rng, size)
 
     monkeypatch.setattr(ll, "beta_sample", counting)
     ll.pd_largest_part_means(theta, np.random.default_rng(5), draws)

@@ -128,17 +128,32 @@ def factor_matrix(ns: np.ndarray, p1: np.ndarray) -> np.ndarray:
     return out[:, j:]
 
 
-def primes_upto(x: int) -> np.ndarray:
-    """Primes <= x, increasing, via a plain boolean Eratosthenes sieve (1 byte/entry)."""
-    if x < 2:
-        return np.array([], dtype=np.int64)
+SEGMENT = 1 << 20  # entries per segment of the prime sieve
+
+
+def prime_segments(x: int):
+    """The primes <= x, increasing, one int64 array per segment [k SEGMENT, (k+1) SEGMENT)
+    of n = 0..x, k = 0, 1, ...: a boolean sieve of the segment struck out by the
+    primes <= sqrt(x) only (Bays & Hudson 1977), so O(sqrt(x) + SEGMENT) memory at
+    any x.  Calling it checks the entry budget."""
     _check_budget(x)
-    is_p = np.ones(x + 1, dtype=bool)
-    is_p[:2] = False
-    for p in range(2, math.isqrt(x) + 1):
-        if is_p[p]:
-            is_p[p * p :: p] = False
-    return np.nonzero(is_p)[0].astype(np.int64)
+    small = primes_upto(math.isqrt(x)).tolist() if x >= 4 else []
+
+    def segment(lo: int, hi: int) -> np.ndarray:
+        is_p = np.ones(hi - lo, dtype=bool)
+        is_p[: 2 if lo == 0 else 0] = False
+        for p in small:
+            is_p[max(p * p, lo + -lo % p) - lo :: p] = False
+        out = np.flatnonzero(is_p)
+        out += lo
+        return out
+
+    return (segment(lo, min(lo + SEGMENT, x + 1)) for lo in range(0, x + 1, SEGMENT))
+
+
+def primes_upto(x: int) -> np.ndarray:
+    """Primes <= x, increasing, int64: the segments of prime_segments joined."""
+    return np.concatenate([np.empty(0, dtype=np.int64), *prime_segments(x)])
 
 
 # ---------------------------------------------------------------------------

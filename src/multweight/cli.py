@@ -73,7 +73,10 @@ def _cutoff(raw: str) -> int:
 
 
 def _parse_x_list(raw: str) -> list[int]:
-    return [_positive_int(t) for t in str(raw).split(",") if t]
+    xs = [_positive_int(t) for t in str(raw).split(",") if t]
+    if not xs:
+        raise argparse.ArgumentTypeError(f"need at least one positive integer, got {raw!r}")
+    return xs
 
 
 def _parse_u_list(raw: str) -> list[float]:

@@ -281,7 +281,7 @@ class AlphaWalk:
                 if rs[p] != 1.0:
                     out[o::pk] *= rs[p]
             if k == 0:
-                out[hit] *= _nonnegative(self.w, self.w.values_on_primes(b.top[hit].astype(np.int64), 1))
+                out[hit] *= _nonnegative(self.w, self.w.values_on_primes(b.top[hit], 1))
         return out
 
     def __iter__(self):
@@ -357,22 +357,26 @@ def evaluate_weight(w: MultiplicativeWeight, n: int, spf: np.ndarray) -> float:
 
 
 def condition_I_residuals(w: MultiplicativeWeight, checkpoints: Sequence[int]) -> list[tuple[int, float]]:
-    """Residuals sum_{p<=x} alpha(p) log p / p^d - theta*x at each checkpoint.
+    """Residuals sum_{p<=x} alpha(p) log p / p^d - theta*x at each checkpoint, in the order given.
 
-    The caller judges the decay; the hypothesis only promises o(x) decay of
-    the residual relative to x.
+    The sum runs over the segments of arith.prime_segments: each segment's
+    cumsum starts from the sum before it, so every partial sum is the float
+    of one cumsum over all primes, and a checkpoint is read as its segment
+    passes.  The caller judges the decay; the hypothesis only promises o(x)
+    decay of the residual relative to x.
     """
     reg = w.ewens()
-    cps = sorted(int(c) for c in checkpoints)
-    ps = primes_upto(max(cps, default=0))
-    pf = ps.astype(float)
-    terms = w.values_on_primes(ps, 1) * np.log(pf) / pf**reg.d
-    csum = np.concatenate([[0.0], np.cumsum(terms)])
-    out = []
-    for c in cps:
-        idx = int(np.searchsorted(ps, c, side="right"))
-        out.append((c, float(csum[idx]) - reg.theta * c))
-    return out
+    cps = [int(c) for c in checkpoints]
+    todo = sorted(range(len(cps)), key=lambda i: -cps[i])  # the smallest checkpoint last
+    out, carry = [0.0] * len(cps), 0.0
+    for k, ps in enumerate(arith.prime_segments(max(cps, default=0)), 1):
+        pf = ps.astype(float)
+        csum = np.cumsum(np.concatenate([[carry], w.values_on_primes(ps, 1) * np.log(pf) / pf**reg.d]))
+        while todo and cps[todo[-1]] < k * arith.SEGMENT:
+            i = todo.pop()
+            out[i] = float(csum[np.searchsorted(ps, cps[i], side="right")]) - reg.theta * cps[i]
+        carry = csum[-1]
+    return list(zip(cps, out))
 
 
 def condition_II_margin(

@@ -1,9 +1,11 @@
 """Dense oracles: the tables the blocked walk replaced, one strided pass per
-prime power over the whole range n <= x.
+prime power over the whole range n <= x, and the one-array sum of condition I
+that the segmented prime sieve replaced.
 
 They share no code with arith.Walk: p_1, Omega, omega, nu_p, alpha and its
 prefix sum built here must equal the walk's blocks, the draw tables and the
-laws the scans stream, bit for bit.
+laws the scans stream, bit for bit; the condition I residuals must equal
+weights.condition_I_residuals.
 """
 
 import math
@@ -85,6 +87,26 @@ def dense_weight_table(w, p1):
         prefix[start : start + chunk] = np.cumsum(alpha[start : start + chunk]) + math.fsum(totals)
         totals.append(float(np.sum(alpha[start : start + chunk])))
     return alpha, prefix
+
+
+def dense_primes_upto(x):
+    """Primes <= x, increasing, int64, from one boolean Eratosthenes sieve of x + 1 entries."""
+    is_p = np.ones(x + 1, dtype=bool)
+    is_p[:2] = False
+    for p in range(2, math.isqrt(x) + 1):
+        if is_p[p]:
+            is_p[p * p :: p] = False
+    return np.flatnonzero(is_p)
+
+
+def dense_condition_I_residuals(w, checkpoints):
+    """(x, sum_{p<=x} alpha(p) log p / p^d - theta*x) for the sorted checkpoints, from one cumsum over all primes."""
+    reg = w.ewens()
+    cps = sorted(int(c) for c in checkpoints)
+    ps = dense_primes_upto(max(cps))
+    pf = ps.astype(float)
+    csum = np.concatenate([[0.0], np.cumsum(w.values_on_primes(ps, 1) * np.log(pf) / pf**reg.d)])
+    return [(c, float(csum[np.searchsorted(ps, c, side="right")]) - reg.theta * c) for c in cps]
 
 
 def joined(blocks, values):

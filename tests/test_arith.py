@@ -82,6 +82,13 @@ def test_capacity_budget(monkeypatch):
     draw_tables(10**4)
 
 
+def test_prime_segments_check_the_budget_when_called(monkeypatch):
+    # like entering a Walk: the error comes before the first segment is asked for
+    monkeypatch.setenv(arith.MAX_SIEVE_ENV, "1000")
+    with pytest.raises(arith.CapacityError):
+        arith.prime_segments(10**4)
+
+
 @pytest.mark.parametrize("raw", ["inf", "nan", "abc", "-5", "0", "1e400", ""])
 def test_capacity_budget_must_be_a_positive_finite_number(monkeypatch, raw):
     # inf used to end in an OverflowError from int(), abc and nan in messages
@@ -193,6 +200,20 @@ def test_nu_p_table_rejects_non_prime(p):
 
 def test_primes_upto_matches_spf(spf_1e5):
     assert np.array_equal(arith.primes_upto(10**5), spf_primes(spf_1e5))
+
+
+def test_prime_segments_match_spf_across_segment_edges():
+    # the segmented sieve against the spf sieve over three segments, the last
+    # one 6 entries long; each segment holds the primes of its own range
+    S = arith.SEGMENT
+    x = 2 * S + 5
+    segments = list(arith.prime_segments(x))
+    assert len(segments) == 3
+    for k, ps in enumerate(segments):
+        assert ps.dtype == np.int64 and np.all((k * S <= ps) & (ps < (k + 1) * S)), k
+    spf = arith.build_spf(x)
+    for y in (S - 1, S, S + 1, x):
+        assert np.array_equal(arith.primes_upto(y), spf_primes(spf[: y + 1])), y
 
 
 # Both sides of the squares 4, 9, 25, 49 and 121, where sqrt(x) gains a

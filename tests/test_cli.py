@@ -366,14 +366,20 @@ def test_nonpositive_step_is_rejected(tmp_path, argv, step, capsys):
     (["sample", "--weight", "power:0", "--x", "1e3", "--n", "abc"], "--n"),
     (["smooth", "--weight", "power:0", "--x", "1e3", "--u", "abc"], "--u"),
     (["small-prime", "--weight", "powerfree:2", "--x", "1e3", "--p", "abc"], "--p"),
+    (["sieve-sum", "--weight", "power:0", "--x", ",", "--cutoff", "1e4"], "--x"),
+    (["conditions", "--weight", "power:0", "--x", ",,"], "--x"),
+    (["poly-asym", "--x", ",", "--K", "1", "--gamma", "1", "--cutoff", "1e4"], "--x"),
+    (["ek-compare", "--weight", "power:0", "--x", ","], "--x"),
 ], ids=["exact-dist-x", "sample-x", "sieve-sum-cutoff", "exact-dist-x-list", "sieve-sum-x-abc", "sample-n-abc",
-        "smooth-u-abc", "small-prime-p-abc"])
+        "smooth-u-abc", "small-prime-p-abc", "sieve-sum-x-empty", "conditions-x-empty", "poly-asym-x-empty",
+        "ek-compare-x-empty"])
 def test_fractional_x_and_cutoff_are_rejected(tmp_path, argv, flag, capsys):
     # the first three ran at x = 1000, at x = 2 and at cutoff 0 (an empty
-    # Euler product), and exited 0; the others, values that are no number
+    # Euler product), and exited 0; the next five, values that are no number
     # or a list where one bound goes, printed "could not convert string to
     # float", "invalid _x_spec value", "invalid _positive_int value" or a raw
-    # int() error, naming no flag
+    # int() error, naming no flag; the lists without entries reached the
+    # experiment, which failed on max([]) with "max() arg is an empty sequence"
     with pytest.raises(SystemExit) as e:
         run(argv + ["--json", str(tmp_path / "r.json")])
     assert e.value.code == 2
@@ -446,6 +452,15 @@ def test_bad_sieve_budget_is_an_error(tmp_path, monkeypatch, raw, capsys):
     assert run(["exact-dist", "--weight", "power:0", "--x", "1e3", "--json", str(rep)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: MULTWEIGHT_MAX_SIEVE=") and "Traceback" not in err
+    assert not rep.exists()
+
+
+def test_conditions_above_the_sieve_budget_is_an_error(tmp_path, monkeypatch, capsys):
+    # the segmented prime sieve holds O(sqrt(x) + segment) memory, but its x is still checked
+    monkeypatch.setenv("MULTWEIGHT_MAX_SIEVE", "1e5")
+    rep = tmp_path / "r.json"
+    assert run(["conditions", "--weight", "divisor:2", "--x", "1e4,1e6", "--json", str(rep)]) == 2
+    assert capsys.readouterr().err == "error: limit 1000000 exceeds entry budget 100000; raise MULTWEIGHT_MAX_SIEVE to override\n"
     assert not rep.exists()
 
 

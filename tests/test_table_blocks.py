@@ -268,6 +268,30 @@ def test_streamed_largest_prime_laws_equal_the_per_n_brute_force(w, spf_1e4):
     assert ratio.values[0] == 0.0  # n = 1, p_1 = 1
 
 
+def test_scan_experiments_hold_memory_bounded_at_2_pow_23():
+    # every scan-family experiment holds the walk's blocks and the CHUNK-entry
+    # alpha buffer (8 MiB), not an array of x entries; conditions sums over
+    # the prime sieve's segments and holds less than any walk.  Measured at
+    # 2^23: 17.2-18.6 MiB for the walk ops; 3.5 MiB for conditions, which
+    # held 21.5 MiB when it sieved all of n <= x at once
+    x = 2**23
+    w = builtin_weight("divisor", k=2.0)
+    walks = {
+        "sieve-sum": lambda: experiments.sieve_sum(w, [x // 4, x], 10**4),
+        "exact-dist": lambda: experiments.exact_dist(w, x, "big_omega"),
+        "ek-compare": lambda: experiments.omega_clt_ks(w, [x // 4, x]),
+        "smooth": lambda: experiments.smooth(w, x, [1.5, 2.0, 3.0], 0.01),
+        "small-prime": lambda: experiments.small_prime(builtin_weight("powerfree", k=2), x, [2, 3, 5]),
+        "poly-asym": lambda: experiments.poly_asym(1.0, 1.0, [x // 4, x], 10**4),
+    }
+    peaks = {name: extra_bytes(run) for name, run in walks.items()}
+    for name, peak in peaks.items():
+        assert peak < 20 * 2**20, (name, peak)
+    conditions = extra_bytes(lambda: experiments.conditions(w, [10**4, x]))
+    assert conditions < 4 * arith.SEGMENT, conditions
+    assert conditions < min(peaks.values()), (conditions, peaks)
+
+
 def test_largest_prime_laws_hold_their_mass_and_a_few_chunks():
     # the law of p_1 has a value per prime up to x: its mass, 8 bytes per
     # value, is allocated once, not regrown at each block; no dense p_1,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dense import dense_condition_I_residuals
 from multweight import arith, experiments, weights
 from multweight.weights import builtin_weight, catalog_weights
 
@@ -206,6 +207,26 @@ def test_condition_I_oracle_value_1e6(spf_1e6):
     assert r == pytest.approx(oracle, rel=1e-9)
     # magnitude pinned: theta(1e6) - 1e6 = -1515.82...
     assert r == pytest.approx(-1515.825, abs=0.01)
+
+
+CONDITION_I_CHECKPOINTS = (1, 2, arith.SEGMENT - 1, arith.SEGMENT, arith.SEGMENT + 1, 2 * arith.SEGMENT + 5)
+
+
+@pytest.mark.parametrize("w", [w for w in catalog_weights() if isinstance(w.regime, weights.EwensRegime)],
+                         ids=lambda w: w.name)
+def test_condition_I_residuals_match_the_one_array_route_bit_for_bit(w):
+    # the sum carried across the prime sieve's segments is the one cumsum of
+    # all the terms: the same float at each segment edge and past it
+    assert weights.condition_I_residuals(w, CONDITION_I_CHECKPOINTS) == dense_condition_I_residuals(
+        w, CONDITION_I_CHECKPOINTS)
+
+
+def test_condition_I_residuals_keep_the_order_given():
+    # the checkpoints used to come back sorted, so conditions --x 3,2,2 reported x = 2, 2, 3
+    w = builtin_weight("theta_omega", theta=2.0)
+    cps = [arith.SEGMENT + 1, 3, 2, 2, arith.SEGMENT + 1, 1]
+    by_x = dict(dense_condition_I_residuals(w, cps))
+    assert weights.condition_I_residuals(w, cps) == [(c, by_x[c]) for c in cps]
 
 
 def test_condition_I_requires_ewens():

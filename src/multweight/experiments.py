@@ -226,11 +226,17 @@ def sample(w: weights.MultiplicativeWeight, x: int, n: int, seed: int) -> np.nda
     return sampling.WeightedIntegerSampler(prefix, np.random.default_rng(seed)).sample(n)
 
 
-def _factor_blocks(draws: np.ndarray, p1: np.ndarray):
-    """Factor matrices of the draws 2^16 at a time, in draw order, from the p_1
-    table they were drawn over; one has at most 26 int64 columns up to x = 1e8,
-    about 14 MB."""
-    return (arith.factor_matrix(draws[i : i + 2**16], p1) for i in range(0, len(draws), 2**16))
+FACTOR_BLOCK = 1 << 12  # draws factored at a time
+
+
+def _factor_blocks(draws: np.ndarray, p1: np.ndarray, stat, out: np.ndarray) -> np.ndarray:
+    """out[i] = the row of stat(F) of draw i, F the factor matrix of a block of
+    FACTOR_BLOCK draws, taken in draw order from the p_1 table they were drawn
+    over.  A factor matrix has at most 26 int64 columns up to x = 1e8, 0.85 MB."""
+    for i in range(0, len(draws), FACTOR_BLOCK):
+        f = arith.factor_matrix(draws[i : i + FACTOR_BLOCK], p1)
+        out[i : i + len(f)] = stat(f)
+    return out
 
 
 def spectrum_draws(w: weights.MultiplicativeWeight, x: int, n: int, rng: np.random.Generator,
@@ -238,7 +244,7 @@ def spectrum_draws(w: weights.MultiplicativeWeight, x: int, n: int, rng: np.rand
     """log p_j/log x for j = 1..k of n draws from the measure on n <= x, one row per draw."""
     tables = weights.build_weight_table(w, x)
     draws = sampling.WeightedIntegerSampler(tables.prefix, rng).sample(n)
-    return np.concatenate([sampling.spectrum(f, x, k) for f in _factor_blocks(draws, tables.p1)])
+    return _factor_blocks(draws, tables.p1, lambda f: sampling.spectrum(f, x, k), np.empty((n, k)))
 
 
 def pd_compare(w: weights.MultiplicativeWeight, x: int, n: int, oracle_draws: int, seed: int) -> list[dict]:
@@ -258,9 +264,10 @@ def gamma_law_ks(tables: weights.DrawTables, K: float, gamma: float, n: int, rng
     The integers are drawn first, then one uniform per draw n > 1 in draw order.
     """
     x = len(tables.prefix) - 1
-    draws = sampling.WeightedIntegerSampler(tables.prefix, rng).sample(n)
-    ps = np.concatenate([sampling.size_biased_prime(f, rng) for f in _factor_blocks(draws, tables.p1)])
-    vals = sampling.prime_logs(ps) / math.log(x) ** (1.0 / (gamma + 1.0))
+    # the draws are held only while they are factored
+    vals = _factor_blocks(sampling.WeightedIntegerSampler(tables.prefix, rng).sample(n), tables.p1,
+                          lambda f: sampling.prime_logs(sampling.size_biased_prime(f, rng)), np.empty(n))
+    vals /= math.log(x) ** (1.0 / (gamma + 1.0))
     shape, rate = asympt.gamma_law_params(K, gamma)
     return limitlaws.ks_distance(vals, lambda t: limitlaws.gamma_cdf(shape, rate, t))
 

@@ -69,6 +69,9 @@ class ExactPmf:
         return ExactPmf((self.values - shift) / scale, self.probs, self.tail_mass)
 
 
+DRAW_CHUNK = 1 << 16  # draws per chunk of the sampler: its working memory
+
+
 class WeightedIntegerSampler:
     """Draws integers with probability alpha(n)/S(x) by inverse CDF on the
     prefix sum S(0..x) of weights.build_weight_table.
@@ -84,14 +87,19 @@ class WeightedIntegerSampler:
         self.rng = rng
 
     def sample(self, size: int) -> np.ndarray:
-        """An int64 array of `size` draws."""
+        """An int64 array of `size` draws, drawn DRAW_CHUNK at a time.
+
+        The uniforms are taken chunk after chunk from one stream, so the draws
+        and the generator's later state are those of one rng.random(size).
+        """
         prefix = self.prefix
-        # map U[0,1) to (0, S] so u = 0 cannot select the empty prefix[0]
-        u = (1.0 - self.rng.random(size)) * prefix[-1]
-        # sorted keys make the binary searches walk the table in order
-        order = np.argsort(u)
-        n = np.empty(len(u), dtype=np.int64)
-        n[order] = np.searchsorted(prefix, u[order], side="left")
+        n = np.empty(size, dtype=np.int64)
+        for i in range(0, size, DRAW_CHUNK):
+            # map U[0,1) to (0, S] so u = 0 cannot select the empty prefix[0]
+            u = (1.0 - self.rng.random(min(DRAW_CHUNK, size - i))) * prefix[-1]
+            # sorted keys make the binary searches walk the table in order
+            order = np.argsort(u)
+            n[i + order] = np.searchsorted(prefix, u[order], side="left")
         return n
 
 
@@ -129,7 +137,7 @@ def spectrum(primes: np.ndarray, x: int, k: int) -> np.ndarray:
     """The k largest log p_i(n)/log x of each row's n, read backwards from its
     factor matrix (`arith.factor_matrix`, whose rows end in the primes in
     nondecreasing order): nonincreasing, 0 beyond Omega(n)."""
-    top = prime_logs(primes)[:, ::-1][:, :k] / math.log(x)
+    top = prime_logs(primes[:, ::-1][:, :k]) / math.log(x)
     return np.pad(top, ((0, 0), (0, k - top.shape[1])))
 
 

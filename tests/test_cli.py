@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from multweight import cli
+from multweight import cli, experiments
+from multweight.weights import builtin_weight
 
 
 def run(argv):
@@ -514,11 +516,16 @@ def test_sample_top_is_by_count_then_value(tmp_path):
     assert run(["sample", "--weight", "power:0", "--x", "300", "--n", "3000", "--seed", "5",
                 "--out", str(out), "--json", str(rep)]) == 0
     values = [int(r["value"]) for r in csv.DictReader(out.open())]
+    # the CSV is in draw order and the mean is of the draws, both taken before
+    # the summary sorts the draws in place
+    assert values == experiments.sample(builtin_weight("power", z=0.0), 300, 3000, 5).tolist()
     counts = {v: values.count(v) for v in sorted(set(values))}
     expected = sorted(counts.items(), key=lambda t: -t[1])[:10]
-    top = read_json(rep)["results"]["top"]
-    assert [(t["value"], t["count"]) for t in top] == expected
-    assert len({t["count"] for t in top}) < 10  # ties, ordered by value
+    results = read_json(rep)["results"]
+    assert [(t["value"], t["count"]) for t in results["top"]] == expected
+    assert len({t["count"] for t in results["top"]}) < 10  # ties, ordered by value
+    assert results["distinct"] == len(set(values))
+    assert results["mean"] == float(np.mean(values))
 
 
 def test_poly_asym_double_ratio(tmp_path):

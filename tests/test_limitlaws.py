@@ -552,11 +552,21 @@ def test_ks_normal_draws(rng):
 
 def test_ks_sample_on_reference_grid():
     # a sample placed exactly at the reference quantile midpoints has
-    # KS = 1/(2n): the O(1/n) regime
-    n = 1000
-    z = (np.arange(1, n + 1) - 0.5) / n
-    ks = ll.ks_distance(z, lambda t: np.clip(t, 0.0, 1.0))
-    assert ks == pytest.approx(0.5 / n, rel=1e-9)
+    # KS = 1/(2n): the O(1/n) regime.  One point moved up by 0.3/n makes it
+    # 0.8/n, the one-array statistic bit for bit, wherever the point sits
+    # among the 2^16-point chunks the reference CDF is evaluated in
+    cdf = lambda t: np.clip(t, 0.0, 1.0)
+    c = 1 << 16
+    for n in (1000, c - 1, c, c + 1, 3 * c + 5):
+        z = (np.arange(1, n + 1) - 0.5) / n
+        assert ll.ks_distance(z, cdf) == pytest.approx(0.5 / n, rel=1e-9)
+        for k in sorted(k for k in {0, c - 1, c, n - 1} if k < n):
+            moved = z.copy()
+            moved[k] += 0.3 / n
+            ref = cdf(moved)
+            one_array = max(np.abs(ref - np.arange(1, n + 1) / n).max(), np.abs(ref - np.arange(0, n) / n).max())
+            assert ll.ks_distance(moved, cdf) == one_array, (n, k)
+            assert one_array == pytest.approx(0.8 / n, rel=1e-9)
 
 
 def test_ks_empty_sample():

@@ -34,10 +34,17 @@ def test_uniform_sampler_chi_square(rng):
 
 
 def test_sorted_search_matches_plain_searchsorted():
+    # the draws, taken DRAW_CHUNK at a time, equal one searchsorted of one
+    # rng.random(size), and leave the generator where that route leaves it;
+    # sizes at and across the chunk edges
     table = make_table(("divisor", {"k": 2.0}), 10**4)
-    draws = sampling.WeightedIntegerSampler(table, np.random.default_rng(3)).sample(10**5)
-    u = (1.0 - np.random.default_rng(3).random(10**5)) * table[-1]
-    assert np.array_equal(draws, np.searchsorted(table, u, side="left"))
+    c = sampling.DRAW_CHUNK
+    for size in (10**5, c - 1, c, c + 1, 3 * c + 5):
+        rng, one_shot = np.random.default_rng(3), np.random.default_rng(3)
+        draws = sampling.WeightedIntegerSampler(table, rng).sample(size)
+        u = (1.0 - one_shot.random(size)) * table[-1]
+        assert np.array_equal(draws, np.searchsorted(table, u, side="left")), size
+        assert rng.random() == one_shot.random(), size
 
 
 def test_degenerate_single_atom(spf_1e4, rng):

@@ -145,6 +145,33 @@ def test_builders_hold_one_block_besides_their_output():
     assert large < 8 * CHUNK + 8 * B
 
 
+def test_draw_ops_hold_their_tables_and_draws_and_a_chunk():
+    # besides their draw tables and the arrays of n entries they hold by design
+    # (sample: the draws it returns, 8 bytes each; spectrum_draws: its draws and
+    # the k = 3 floats per draw it returns, 32; gamma_law_ks: 16, the draws and
+    # their log values while factoring, then the values and their sorted copy
+    # for the KS statistic), the draw ops hold one sampler chunk (DRAW_CHUNK
+    # draws), one factor block (FACTOR_BLOCK draws) and one KS chunk: nothing
+    # that grows with n.  A whole-array argsort, a 2^16-row factor matrix or a
+    # concatenation of the per-block results would add several bytes per draw
+    # from n = 2^17 to 2^20
+    x = 2**20
+    w = builtin_weight("power", z=0.0)
+    tables = weights.build_weight_table(builtin_weight("poly_log", K=1.0, gamma=1.0), x)
+    held = tables.p1.nbytes + tables.prefix.nbytes  # a draw op's own tables, as large as these
+    ops = {
+        "sample": (lambda n: experiments.sample(w, x, n, 1), held, 8),
+        "spectrum_draws": (lambda n: experiments.spectrum_draws(w, x, n, np.random.default_rng(1), 3), held, 8 + 8 * 3),
+        "gamma_law_ks": (lambda n: experiments.gamma_law_ks(tables, 1.0, 1.0, n, np.random.default_rng(1)), 0, 8 + 8),
+    }
+    for name, (run, table_bytes, per_draw) in ops.items():
+        run(2**10)  # imports and first-call caches, outside the measurement
+        small, large = (extra_bytes(lambda: run(n)) - table_bytes - per_draw * n for n in (2**17, 2**20))
+        assert large - small < 2**20, (name, small, large)
+        # no more than the draw tables' builder holds besides its tables
+        assert max(small, large) < 8 * CHUNK + 8 * B, (name, small, large)
+
+
 # ---------------------------------------------------------------------------
 # The streamed scan against the dense route, bit for bit: the same laws from
 # whole tables (np.bincount of alpha over a statistic table), at chunk edges

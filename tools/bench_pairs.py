@@ -17,8 +17,10 @@ so) is compared at the same one, and the pairs cover several of them.
 
 Each end-to-end metric of BENCHMARK.json is summarized per workload:
 [q1, median, q3] of each side's runs, the pairs in which the change is better
-in the metric's direction, and median(change) / median(parent) - 1.  Every
-run's result line is kept under `pairs_by_seed`.  Standard library only; it
+in the metric's direction, median(change) / median(parent) - 1, whether a
+claimed gain would hold (`gain_rule_met`) and whether the metric stays within
+its bound (`within_bound`).  Every run's result line is kept under
+`pairs_by_seed`.  Standard library only; it
 reads BENCHMARK.json and runs perfbench/run.py but imports nothing from
 perfbench/.
 """
@@ -67,19 +69,30 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize(pairs: dict[str, dict], metrics: list[dict]) -> dict:
-    """Quartiles, wins and median relative change of each metric over the pairs."""
+    """Quartiles, wins and median relative change of each metric over the pairs,
+    and the two rules a claim is held to:
+
+    gain_rule_met: the change wins at least 9 in 10 of the pairs, and its median
+    beats the parent's by more than the parent's q3 - q1;
+    within_bound: the change's median is worse than the parent's by at most the
+    metric's `bound`, relative.
+    """
     out = {}
     for m in metrics:
-        name, lower = m["name"], m["better"] == "lower"
+        name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
         par = [p["parent"]["metrics"][name]["value"] for p in pairs.values()]
         chg = [p["change"]["metrics"][name]["value"] for p in pairs.values()]
         quart = (lambda v: statistics.quantiles(v, n=4, method="inclusive")) if len(par) > 1 else (lambda v: v * 3)
+        (q1, med, q3), med_chg = quart(par), statistics.median(chg)
+        wins = sum(sign * (p - c) > 0 for p, c in zip(par, chg))
         out[name] = {
-            "parent_q1_med_q3": quart(par),
+            "parent_q1_med_q3": [q1, med, q3],
             "change_q1_med_q3": quart(chg),
-            "change_wins": sum((c < p) if lower else (c > p) for p, c in zip(par, chg)),
+            "change_wins": wins,
             "pairs": len(par),
-            "median_change_rel": statistics.median(chg) / statistics.median(par) - 1.0,
+            "median_change_rel": med_chg / med - 1.0,
+            "gain_rule_met": 10 * wins >= 9 * len(par) and sign * (med - med_chg) > q3 - q1,
+            "within_bound": sign * (med_chg / med - 1.0) <= m["bound"],
         }
     out["correct_all"] = all(p[side]["correct"] for p in pairs.values() for side in ("parent", "change"))
     return out

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import primes_upto
+from .limitlaws import incomplete_gamma
 from .weights import MultiplicativeWeight, PolyRegime
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -89,39 +88,9 @@ def predict_S_ewens(a: EwensAsymptotic, x: float) -> float:
 
 
 def upper_gamma(a: float, y: float) -> float:
-    """The upper incomplete gamma function Gamma(a, y), a > 0 and y > 0.
-
-    Below y = a + 1 it is Gamma(a) less the lower function's series
-    e^-y y^a sum_n y^n / (a (a+1) ... (a+n)); from there on it is the
-    continued fraction e^-y y^a / (y+1-a - 1(1-a)/(y+3-a - 2(2-a)/(y+5-a - ...))),
-    evaluated by the modified Lentz method (Press et al., Numerical Recipes,
-    3rd ed., sec. 6.2).  Both stop once a step moves the value by less
-    than an ulp.
-    """
-    scale = math.exp(a * math.log(y) - y)
-    if y < a + 1.0:
-        term = total = 1.0 / a
-        n = a
-        while term > total * _EPS:
-            n += 1.0
-            term *= y / n
-            total += term
-        return math.gamma(a) - scale * total
-    tiny = 1e-300  # keeps a Lentz denominator off zero
-    b = y + 1.0 - a
-    c, d = 1.0 / tiny, 1.0 / b
-    h, i = d, 0
-    while True:
-        i += 1
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        d = 1.0 / (d if abs(d) > tiny else tiny)
-        c = b + an / c
-        c = c if abs(c) > tiny else tiny
-        h *= d * c
-        if abs(d * c - 1.0) <= _EPS:
-            return scale * h
+    """The upper incomplete gamma function Gamma(a, y) = Gamma(a) Q(a, y), a > 0 and y > 0,
+    with Q from `limitlaws.incomplete_gamma`."""
+    return math.gamma(a) * float(incomplete_gamma(a, y)[1])
 
 
 def G_eval(gamma: float, s: float, k: int = 0, prime_cutoff: int = 10**6) -> float:

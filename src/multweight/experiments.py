@@ -266,7 +266,7 @@ def gamma_law_ks(tables: weights.DrawTables, K: float, gamma: float, n: int, rng
     x = len(tables.prefix) - 1
     # the draws are held only while they are factored
     vals = _factor_blocks(sampling.WeightedIntegerSampler(tables.prefix, rng).sample(n), tables.p1,
-                          lambda f: sampling.prime_logs(sampling.size_biased_prime(f, rng)), np.empty(n))
+                          lambda f: sampling.size_biased_prime(f, rng)[1], np.empty(n))
     vals /= math.log(x) ** (1.0 / (gamma + 1.0))
     shape, rate = asympt.gamma_law_params(K, gamma)
     return limitlaws.ks_distance(vals, lambda t: limitlaws.gamma_cdf(shape, rate, t))

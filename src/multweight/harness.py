@@ -396,7 +396,7 @@ def _c14_pd_round_trip(scale: str):
         ratios = limitlaws.residual_ratios(reordered[good])
         worst = 0.0
         for j in range(5):
-            d = limitlaws.ks_distance(ratios[:, j], lambda t: limitlaws.beta_cdf(1.0, theta, t))
+            d = limitlaws.ks_distance(ratios[:, j], lambda t: limitlaws.beta_cdf(theta, t))
             worst = max(worst, d)
         checks.append(
             (

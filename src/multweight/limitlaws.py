@@ -1,12 +1,11 @@
 """Reference limit laws and distribution-comparison metrics.
 
-Covers the beta/gamma/normal conventions used throughout (gamma is
-shape/rate: density rate^shape x^(shape-1) e^(-rate x)/Gamma(shape)),
-GEM stick-breaking draws, the Monte Carlo means of the three largest of
-the first 200 GEM parts (the Poisson-Dirichlet largest parts; each row is
-drawn in growing chunks and stops once the stick it has left is no longer
-than its third-largest part), row-wise size-biased permutation and
-residual ratios, and the Dickman-type function rho_theta solving
+The Beta(1, theta), gamma and normal CDFs on numpy alone, the last two from
+one regularized incomplete gamma (gamma is shape/rate: density
+rate^shape x^(shape-1) e^(-rate x)/Gamma(shape)); GEM stick-breaking draws
+and the Monte Carlo means of the Poisson-Dirichlet largest parts; row-wise
+size-biased permutation and residual ratios; KS distances; and the
+Dickman-type function rho_theta solving
 
     rho(x) x^theta = integral_{x-1}^{x} theta y^(theta-1) rho(y) dy,
 
@@ -35,31 +34,85 @@ def beta_sample(theta: float, rng: np.random.Generator, size=None):
     return 1.0 - rng.random(size) ** (1.0 / theta)
 
 
-# The special functions scipy.stats evaluates, clipped to the support as it
-# clips: importing scipy.stats itself takes about half a second.  Each loads
-# scipy.special (about a quarter second) on its first call, so an op that
-# draws no CDF does not pay for it.
+# The CDFs run on numpy alone, clipped to the support as scipy.stats clips:
+# importing scipy.special would cost about 22 MB and a quarter second.
+_EPS = float(np.finfo(float).eps)
+GAMMA_BLOCK = 1 << 13  # entries of incomplete_gamma solved at a time: its working memory
 
 
-def beta_cdf(a: float, b: float, t):
-    from scipy.special import betainc
+def _series(a: float, y: np.ndarray) -> np.ndarray:
+    """sum_n y^n/(a (a+1) ... (a+n)) of each entry of y (DLMF 8.7.1)."""
+    term = np.full(len(y), 1.0 / a)
+    total, live = term.copy(), np.ones(len(y), dtype=bool)
+    for i in range(1, 10**4):
+        if not live.any():
+            return total
+        term *= y / (a + i)
+        np.add(total, term, out=total, where=live)
+        live &= term > total * _EPS
+    raise ValueError(f"the series of P({a}, y) did not converge in 10^4 steps")
 
-    return betainc(a, b, np.clip(t, 0.0, 1.0))
+
+def _fraction(a: float, y: np.ndarray) -> np.ndarray:
+    """1/(y+1-a - 1(1-a)/(y+3-a - 2(2-a)/(y+5-a - ...))) of each entry of y (DLMF 8.9.2), by the
+    modified Lentz method (Numerical Recipes, 3rd ed., sec. 6.2); 1e-300 keeps a denominator off zero."""
+    b = y + 1.0 - a
+    c, d = np.full(len(y), 1e300), 1.0 / b
+    frac, live = d.copy(), np.ones(len(y), dtype=bool)
+    for i in range(1, 10**4):
+        if not live.any():
+            return frac
+        an = -i * (i - a)
+        b += 2.0
+        d, c = (np.where(np.abs(v) > 1e-300, v, 1e-300) for v in (an * d + b, b + an / c))
+        d = 1.0 / d
+        np.multiply(frac, d * c, out=frac, where=live)
+        live &= np.abs(d * c - 1.0) > _EPS
+    raise ValueError(f"the continued fraction of Q({a}, y) did not converge in 10^4 steps")
+
+
+def incomplete_gamma(a: float, y) -> tuple[np.ndarray, np.ndarray]:
+    """(P(a, y), Q(a, y)), the regularized incomplete gamma functions, elementwise.
+
+    P is e^-y y^a/Gamma(a) times its series below y = a + 1, Q that factor
+    times its continued fraction from there on, and the other is 1 less the
+    one summed, so no far tail cancels.  Each entry's sum is frozen (where=live)
+    once its own step moves it by less than an ulp, so no entry depends on the
+    others, and they are solved GAMMA_BLOCK at a time.  y = inf gives (1, 0);
+    NaN or y < 0 gives NaN.
+    """
+    if not 0 < a < math.inf:
+        raise ValueError(f"incomplete gamma needs a positive finite a, got {a}")
+    y = np.asarray(y, dtype=float)
+    flat, upper = y.ravel(), y.ravel() >= a + 1.0
+    low, high = np.flatnonzero((flat >= 0) & ~upper), np.flatnonzero(upper & (flat < np.inf))
+    out = np.full(flat.shape, np.nan)  # P below a + 1, Q from there on
+    for i in range(0, max(len(low), len(high)), GAMMA_BLOCK):
+        out[low[i : i + GAMMA_BLOCK]] = _series(a, flat[low[i : i + GAMMA_BLOCK]])
+        out[high[i : i + GAMMA_BLOCK]] = _fraction(a, flat[high[i : i + GAMMA_BLOCK]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out *= np.exp(a * np.log(flat) - flat - math.lgamma(a))
+    out[flat == np.inf] = 0.0
+    return np.where(upper, 1.0 - out, out).reshape(y.shape), np.where(upper, out, 1.0 - out).reshape(y.shape)
+
+
+def beta_cdf(theta: float, t):
+    """CDF of the Beta(1, theta) law, 1 - (1 - t)^theta on [0, 1]."""
+    with np.errstate(divide="ignore"):
+        return -np.expm1(theta * np.log1p(-np.clip(t, 0.0, 1.0)))
 
 
 def gamma_cdf(shape: float, rate: float, t):
     """CDF of the gamma law with mean shape/rate (shape-rate convention)."""
     if shape <= 0 or rate <= 0:
         raise ValueError("gamma parameters must be positive")
-    from scipy.special import gammainc
-
-    return gammainc(shape, np.maximum(np.divide(t, 1.0 / rate), 0.0))
+    return incomplete_gamma(shape, np.maximum(np.divide(t, 1.0 / rate), 0.0))[0]
 
 
 def normal_cdf(t):
-    from scipy.special import ndtr
-
-    return ndtr(t)
+    """CDF of N(0, 1): Q(1/2, t^2/2)/2 below 0 and 1 less that from 0 on."""
+    q = 0.5 * incomplete_gamma(0.5, np.square(t) / 2.0)[1]
+    return np.where(np.less(t, 0), q, 1.0 - q)
 
 
 # ---------------------------------------------------------------------------

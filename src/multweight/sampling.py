@@ -141,13 +141,14 @@ def spectrum(primes: np.ndarray, x: int, k: int) -> np.ndarray:
     return np.pad(top, ((0, 0), (0, k - top.shape[1])))
 
 
-def size_biased_prime(primes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def size_biased_prime(primes: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One prime p of each row's n, drawn with probability nu_p(n) log p / log n
-    (the integer analogue of the cycle containing a distinguished element).
+    (the integer analogue of the cycle containing a distinguished element),
+    and its log as `prime_logs` takes it.
 
     The rows of a factor matrix are read in order.  Each n > 1 takes one
     uniform, and its draw is that of rng.choice over its distinct primes with
-    weights nu_p log p, bit for bit; n = 1 takes none and gives 0.
+    weights nu_p log p, bit for bit; n = 1 takes none and gives 0, log 0.
     """
     starts, ends = primes > 1, primes > 1
     starts[:, 1:] &= primes[:, 1:] != primes[:, :-1]
@@ -157,9 +158,10 @@ def size_biased_prime(primes: np.ndarray, rng: np.random.Generator) -> np.ndarra
     j = np.cumsum(starts, axis=1)[r, c] - 1
     nd = starts.sum(axis=1)
     P = np.zeros((len(primes), nd.max(initial=0)), dtype=np.int64)
-    W = np.zeros(P.shape)
+    L, W = np.zeros(P.shape), np.zeros(P.shape)
     P[r, j] = primes[r, c]
-    W[r, j] = (np.nonzero(ends)[1] - c + 1) * prime_logs(P[r, j])
+    L[r, j] = prime_logs(P[r, j])
+    W[r, j] = (np.nonzero(ends)[1] - c + 1) * L[r, j]
     # rng.choice's rule: p = w / w.sum(), summed as numpy sums the row's d
     # weights; cdf = cumsum(p) / its last entry; the first index with cdf > u
     total = np.ones(len(P))
@@ -168,9 +170,10 @@ def size_biased_prime(primes: np.ndarray, rng: np.random.Generator) -> np.ndarra
     live = np.flatnonzero(nd)
     cdf = np.cumsum(W[live] / total[live, None], axis=1)
     cdf /= cdf[:, -1:]
-    out = np.zeros(len(P), dtype=np.int64)
-    out[live] = P[live, (cdf <= rng.random(len(live))[:, None]).sum(axis=1)]
-    return out
+    pick = (cdf <= rng.random(len(live))[:, None]).sum(axis=1)
+    out, logs = np.zeros(len(P), dtype=np.int64), np.zeros(len(P))
+    out[live], logs[live] = P[live, pick], L[live, pick]
+    return out, logs
 
 
 def nu_p_limit_pmf(w: MultiplicativeWeight, p: int) -> ExactPmf:

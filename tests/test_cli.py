@@ -34,17 +34,20 @@ def _scipy_modules_loaded(tmp_path, ops, prefixes, then=()):
     code = (
         "import sys, multweight.cli as c\n"
         f"loaded = lambda: sorted(m for m in sys.modules if m.startswith({tuple(prefixes)!r}))\n"
+        "def run(op):\n"
+        f"    report = [] if op[0] == 'selftest' else ['--json', r'{tmp_path}/r.json']\n"
+        "    assert c.main(op + report) == 0, op\n"
         "print(loaded())\n"
         f"for op in {list(ops)!r}:\n"
-        f"    assert c.main(op + ['--json', r'{tmp_path}/r.json']) == 0, op\n"
+        "    run(op)\n"
         "print(loaded())\n"
         f"for op in {list(then)!r}:\n"
-        f"    assert c.main(op + ['--json', r'{tmp_path}/r.json']) == 0, op\n"
+        "    run(op)\n"
         "print(loaded())"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
-    return [line.strip() for line in done.stdout.splitlines()]
+    return [line.strip() for line in done.stdout.splitlines() if line.startswith(("[]", "['"))]
 
 
 # The benchmark's six scan ops, its two draw ops that need no CDF, and its
@@ -63,6 +66,8 @@ _DRAW_OPS = [
 ]
 _DICKMAN_OPS = [["dickman", "--theta", t, "--umax", "4", "--step", "0.00390625"] for t in ("0.5", "1", "2")]
 _TYPICAL = ["poly-typical", "--x", "1e4", "--K", "1", "--gamma", "1", "--n", "1000", "--seed", "1"]
+_EK = ["ek-compare", "--weight", "divisor:2", "--x", "1e3,1e4"]
+_POLY_EWENS = ["ewens", "--n", "40", "--poly-gamma", "1", "--samples", "5", "--seed", "1"]
 
 
 def test_the_dickman_and_smooth_ops_leave_scipy_integrate_unloaded(tmp_path):
@@ -80,14 +85,23 @@ def test_the_scan_and_draw_ops_leave_scipy_linalg_unloaded(tmp_path):
 
 
 def test_importing_the_cli_and_the_scan_ops_load_no_scipy_special(tmp_path):
-    # scipy.special takes about a quarter second to import: the scan ops,
-    # sample, pd-compare and dickman use numpy and the standard library
-    # alone.  poly-typical's gamma CDF and ek-compare's normal CDF still load
-    # it, on their first call
+    # scipy.special takes about a quarter second to import: the scan ops, the
+    # draw ops, ek-compare and dickman use numpy and the standard library
+    # alone.  ewens --poly-gamma's log-gamma still loads it
     before, after, then = _scipy_modules_loaded(
-        tmp_path, _SCAN_OPS + _DRAW_OPS + _DICKMAN_OPS, ["scipy.special", "scipy.linalg"], [_TYPICAL])
+        tmp_path, _SCAN_OPS + _DRAW_OPS + [_TYPICAL, _EK] + _DICKMAN_OPS, ["scipy.special", "scipy.linalg"],
+        [_POLY_EWENS])
     assert before == after == "[]"
     assert "'scipy.special'" in then  # the guard sees a module that is loaded
+
+
+def test_the_sampled_cases_c04_c10_c14_load_no_scipy_special(tmp_path):
+    # their CDFs run on numpy; c15's Poisson reference still loads scipy.special
+    _, after, then = _scipy_modules_loaded(
+        tmp_path, [["selftest", "--scale", "selftest", "--cases", "c04,c10,c14"]], ["scipy.special"],
+        [["selftest", "--scale", "selftest", "--cases", "c15"]])
+    assert after == "[]"
+    assert "'scipy.special'" in then
 
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):

@@ -16,29 +16,72 @@ def test_normal_cdf_symmetry():
     assert ll.normal_cdf(0.0) == pytest.approx(0.5, rel=1e-14)
 
 
-def test_cdfs_equal_scipy_stats_bit_for_bit():
-    # the special functions scipy.stats evaluates, clipped as it clips; the
-    # points include both infinities and values outside each law's support
+def _assert_close(ours, ref):
+    # NaN where the reference is NaN; elsewhere within 1e-14 absolute and 1e-13 relative
+    ours, ref = np.asarray(ours, dtype=float), np.asarray(ref, dtype=float)
+    assert ours.shape == ref.shape
+    assert np.array_equal(np.isnan(ours), np.isnan(ref))
+    gap = np.abs(ours - ref)[~np.isnan(ref)]
+    ref = ref[~np.isnan(ref)]
+    assert np.all(gap <= 1e-14), gap.max()
+    assert np.all(gap <= 1e-13 * np.abs(ref)), (gap / np.abs(ref)).max()
+
+
+def test_cdfs_match_scipy_stats():
+    # scipy.stats as the oracle, clipped as it clips; the points include both
+    # infinities, NaN, far normal tails and values outside each law's support
     from scipy import stats
 
     from multweight import harness
 
     rng = np.random.default_rng(2024)
-    edges = [-np.inf, np.inf, -1.0, -1e-300, -0.0, 0.0, 1e-300, 1.0, 1.0 + 1e-15, 2.0]
+    edges = [-np.inf, np.inf, np.nan, -30.0, 30.0, -1.0, -1e-300, -0.0, 0.0, 1e-300, 1.0, 1.0 + 1e-15, 2.0]
     t = np.concatenate([rng.normal(0.0, 3.0, 2 * 10**5), edges])
-    u = np.concatenate([rng.uniform(-0.5, 1.5, 2 * 10**5), edges])
-    assert np.array_equal(ll.normal_cdf(t), stats.norm.cdf(t))
-    for shape, rate in ((2.0, 1.0), (0.5, 3.0), (1.3, 0.7)):
-        assert np.array_equal(ll.gamma_cdf(shape, rate, t), stats.gamma.cdf(t, a=shape, scale=1.0 / rate))
-    for a, b in ((1.0, 0.5), (1.0, 2.0), (2.5, 0.7)):
-        assert np.array_equal(ll.beta_cdf(a, b, u), stats.beta.cdf(u, a, b))
+    u = np.concatenate([rng.uniform(-0.5, 1.5, 2 * 10**5), edges, np.logspace(-300, -1, 300)])
+    _assert_close(ll.normal_cdf(t), stats.norm.cdf(t))
+    for shape in (0.5, 1.3, 2.0, 10.0):
+        for rate in (1.0, 3.0, 0.7):
+            # rate 1 puts shape + 1 on y = a + 1, where the continued fraction takes over
+            s = np.concatenate([t, [shape + 1.0]])
+            _assert_close(ll.gamma_cdf(shape, rate, s), stats.gamma.cdf(s, a=shape, scale=1.0 / rate))
+    for theta in (0.5, 1.0, 2.0):
+        _assert_close(ll.beta_cdf(theta, u), stats.beta.cdf(u, 1.0, theta))
     for x in (-2.0, 0.0, 0.5, np.inf):
-        assert ll.gamma_cdf(2.0, 1.0, x) == stats.gamma.cdf(x, a=2.0)
-        assert ll.beta_cdf(1.0, 2.0, x) == stats.beta.cdf(x, 1.0, 2.0)
+        _assert_close(ll.gamma_cdf(2.0, 1.0, x), stats.gamma.cdf(x, a=2.0))
+        _assert_close(ll.beta_cdf(2.0, x), stats.beta.cdf(x, 1.0, 2.0))
     for mu in (1.0, 0.5):
         pmf = harness._poisson_pmf(np.arange(30), mu)
         assert pmf.tolist() == stats.poisson.pmf(np.arange(30), mu).tolist()
         assert pmf.tolist() == [stats.poisson.pmf(k, mu) for k in range(30)]
+
+
+def test_incomplete_gamma_matches_scipy_on_both_sides_of_a_plus_1():
+    from scipy.special import gammainc, gammaincc
+
+    for a in (0.5, 1.3, 2.0, 3.7, 10.0):
+        y = np.concatenate([np.linspace(0.0, 3 * a + 40.0, 4001),
+                            [a + 1.0, np.nextafter(a + 1.0, 0.0), np.nextafter(a + 1.0, np.inf)]])
+        p, q = ll.incomplete_gamma(a, y)
+        _assert_close(p, gammainc(a, y))
+        _assert_close(q, gammaincc(a, y))
+    p, q = ll.incomplete_gamma(2.0, np.array([0.0, np.inf, np.nan, -1.0]))
+    assert p.tolist()[:2] == [0.0, 1.0] and q.tolist()[:2] == [1.0, 0.0]
+    assert np.isnan(p[2:]).all() and np.isnan(q[2:]).all()
+    for a in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            ll.incomplete_gamma(a, 1.0)
+
+
+def test_incomplete_gamma_entries_do_not_depend_on_their_neighbours():
+    # each entry stops at its own step, so alone or among others it is the same
+    # number; at a = 300 the terms past an entry's stop still move it, so an
+    # entry that ran on with its slowest neighbour would differ
+    wide = np.concatenate([np.geomspace(1e-6, 200.0, 150), [0.0, np.inf, np.nan]])
+    for a, y in ((0.5, wide), (1.3, wide), (10.0, wide), (300.0, np.linspace(150.0, 350.0, 201))):
+        p, q = ll.incomplete_gamma(a, y)
+        alone = [ll.incomplete_gamma(a, v) for v in y.tolist()]
+        assert np.array_equal(p, [float(pa) for pa, _ in alone], equal_nan=True)
+        assert np.array_equal(q, [float(qa) for _, qa in alone], equal_nan=True)
 
 
 def test_gamma_cdf_exponential_case():
@@ -260,7 +303,7 @@ def test_residual_ratios_inverts_size_biased_pd(rng):
     Z = ll.gem_matrix(theta, 100, rng, 20000)
     parts = np.sort(Z, axis=1)[:, ::-1]
     ratios = ll.residual_ratios(ll.size_biased_permutation_matrix(parts, rng)[:, :3])
-    ks = ll.ks_distance(ratios[:, 0], lambda t: ll.beta_cdf(1.0, theta, t))
+    ks = ll.ks_distance(ratios[:, 0], lambda t: ll.beta_cdf(theta, t))
     assert ks <= 0.02
 
 

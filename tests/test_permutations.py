@@ -478,7 +478,7 @@ def test_ewens_crp_first_length_beta_trend():
     for n in (60, 600):
         t = perm.partition_function(perm.constant_weights(n, theta))
         l1 = ExactPmf(np.arange(1, n + 1) / n, perm.first_cycle_pmf(t, n))
-        kss.append(limitlaws.ks_distance(l1, lambda u: limitlaws.beta_cdf(1.0, theta, u)))
+        kss.append(limitlaws.ks_distance(l1, lambda u: limitlaws.beta_cdf(theta, u)))
     assert kss[1] < kss[0]
 
 

@@ -277,9 +277,18 @@ def test_size_biased_prime_matches_rng_choice_draw_by_draw(spf_1e6, p1_1e6):
     rng_a, rng_b = np.random.default_rng(13), np.random.default_rng(13)
     oracle = [0 if m == 1 else size_biased_prime_oracle(arith.factorize(int(m), spf_1e6), rng_a)
               for m in draws.tolist()]
-    batch = sampling.size_biased_prime(arith.factor_matrix(draws, p1_1e6), rng_b)
+    batch, _ = sampling.size_biased_prime(arith.factor_matrix(draws, p1_1e6), rng_b)
     assert np.array_equal(batch, np.array(oracle))
     assert rng_a.random() == rng_b.random()  # one uniform per n > 1, none for n = 1
+
+
+def test_size_biased_prime_logs_are_prime_logs_of_its_primes(p1_1e6):
+    # the draws include n = 1 and primes where np.log and math.log differ
+    for seed in (12, 15):
+        primes, logs = sampling.size_biased_prime(arith.factor_matrix(_draws(10**4, seed), p1_1e6),
+                                                  np.random.default_rng(seed))
+        assert (primes == 0).any() and (primes > 1).any()
+        assert np.array_equal(logs, sampling.prime_logs(primes))
 
 
 def test_size_biased_prime_matches_rng_choice_with_eight_primes():
@@ -290,11 +299,11 @@ def test_size_biased_prime_matches_rng_choice_with_eight_primes():
     ns = np.array([x, x // 19 * 16, 2**23, 1, x, 3 * 5 * 7 * 11] * 500)
     rng_a, rng_b = np.random.default_rng(14), np.random.default_rng(14)
     oracle = [0 if m == 1 else size_biased_prime_oracle(arith.factorize(m, spf), rng_a) for m in ns.tolist()]
-    assert np.array_equal(sampling.size_biased_prime(arith.factor_matrix(ns, p1), rng_b), np.array(oracle))
+    assert np.array_equal(sampling.size_biased_prime(arith.factor_matrix(ns, p1), rng_b)[0], np.array(oracle))
 
 
 def size_biased_primes_of(n, p1, rng, draws=1):
-    return sampling.size_biased_prime(arith.factor_matrix(np.full(draws, n), p1), rng)
+    return sampling.size_biased_prime(arith.factor_matrix(np.full(draws, n), p1), rng)[0]
 
 
 def test_size_biased_prime_on_prime(p1_1e4, rng):

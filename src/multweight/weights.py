@@ -15,10 +15,12 @@ reads the same table.  Two parameter regimes are tracked:
 alpha(n) for n <= x is sieved block by block along arith's walk, by
 multiplying the prime-power ratios of the primes up to sqrt(x), and alpha
 at the one larger prime factor n may have, into ones, O(x log log x) total
-work; per-n factorization is kept as the independent brute-force route for
-tests.  The exact scans reduce alpha block by block (AlphaWalk); the draws
-read two dense tables from one walk (build_weight_table): p_1, from which
-they are factored, and the prefix sum S(y) for y <= x, alpha summed in place.
+work; where alpha(p) is one number at every prime (prime_value), that
+factor costs one multiply by it, or none where it is 1.  Per-n
+factorization is kept as the independent brute-force route for tests.  The
+exact scans reduce alpha block by block (AlphaWalk); the draws read two
+dense tables from one walk (build_weight_table): p_1, from which they are
+factored, and the prefix sum S(y) for y <= x, alpha summed in place.
 """
 
 from __future__ import annotations
@@ -70,13 +72,17 @@ class MultiplicativeWeight:
     convention, so value(p, 0) = 1).  log_values, when present, gives
     log alpha(p^k) where the plain value can overflow (power and sigma at
     large z*k); Euler-product code uses it to form alpha(p^k)/p^(k(d+1))
-    without ever leaving the finite range.
+    without ever leaving the finite range.  prime_value, when present, is
+    alpha(p), one number at every prime, from which values(ps, 1) is built
+    (_at_every_prime); AlphaWalk cannot see it in a values function, and
+    rejects a prime_value that values(ps, 1) does not return.
     """
 
     name: str
     regime: Regime
     values: Callable[[np.ndarray, int], np.ndarray]
     log_values: Callable[[np.ndarray, int], np.ndarray] | None = None
+    prime_value: float | None = None
 
     def value(self, p: int, k: int) -> float:
         if k == 0:
@@ -134,6 +140,12 @@ def _log_sum_exp(a: np.ndarray) -> np.ndarray:
     return np.log1p(rest / m) + np.log(m) + top[:, 0]
 
 
+def _at_every_prime(name: str, regime: Regime, at_k: Callable[[int], float],
+                    log_values: Callable[[np.ndarray, int], np.ndarray] | None = None) -> MultiplicativeWeight:
+    """The weight alpha(p^k) = at_k(k), one number at every prime p for each k."""
+    return MultiplicativeWeight(name, regime, lambda ps, k: np.full(len(ps), at_k(k)), log_values, at_k(1))
+
+
 def builtin_weight(kind: str, **params) -> MultiplicativeWeight:
     """Construct one of the catalog weights; every parameter is a float.
 
@@ -163,27 +175,24 @@ def builtin_weight(kind: str, **params) -> MultiplicativeWeight:
         args = [float(params[name]) for name in names]
     except TypeError as e:
         raise ValueError(f"weight {kind}: {e}") from None
+    for name, v in zip(names, args):  # NaN passes every check of the form v <= 0
+        if not math.isfinite(v):
+            raise ValueError(f"weight {kind} requires a finite {name}, got {v:g}")
     if kind == "theta_omega":
         (theta,) = args
         if theta <= 0:
             raise ValueError("theta_omega requires theta > 0")
-        return MultiplicativeWeight(
-            f"theta_omega({theta:g})", EwensRegime(theta=theta), lambda ps, k: np.full(len(ps), theta)
-        )
+        return _at_every_prime(f"theta_omega({theta:g})", EwensRegime(theta=theta), lambda k: theta)
     if kind == "divisor":
         (c,) = args
         if c <= 0:
             raise ValueError("divisor requires k > 0")
-        return MultiplicativeWeight(
-            f"divisor({c:g})", EwensRegime(theta=c), lambda ps, i: np.full(len(ps), _multiset_count(c, i))
-        )
+        return _at_every_prime(f"divisor({c:g})", EwensRegime(theta=c), lambda i: _multiset_count(c, i))
     if kind == "powerfree":
         (c,) = args
         if not c.is_integer() or c < 2:
             raise ValueError(f"powerfree requires an integer k >= 2, got {c:g}")
-        return MultiplicativeWeight(
-            f"powerfree({int(c)})", EwensRegime(theta=1.0), lambda ps, i: np.full(len(ps), 1.0 if i < c else 0.0)
-        )
+        return _at_every_prime(f"powerfree({int(c)})", EwensRegime(theta=1.0), lambda i: 1.0 if i < c else 0.0)
     if kind == "euler_ratio":
         return MultiplicativeWeight("euler_ratio", EwensRegime(theta=1.0), lambda ps, k: 1.0 - 1.0 / ps.astype(float))
     if kind == "sigma":
@@ -199,12 +208,11 @@ def builtin_weight(kind: str, **params) -> MultiplicativeWeight:
         (z,) = args
         if z <= -1:
             raise ValueError("power requires z > -1")
-        return MultiplicativeWeight(
-            f"power({z:g})",
-            EwensRegime(theta=1.0, d=z),
-            lambda ps, k: np.float_power(ps.astype(float), z * k),
-            lambda ps, k: z * k * np.log(ps.astype(float)),
-        )
+        name, regime = f"power({z:g})", EwensRegime(theta=1.0, d=z)
+        logs = lambda ps, k: z * k * np.log(ps.astype(float))
+        if z == 0:
+            return _at_every_prime(name, regime, lambda k: 1.0, logs)
+        return MultiplicativeWeight(name, regime, lambda ps, k: np.float_power(ps.astype(float), z * k), logs)
     K, gamma = args
     return MultiplicativeWeight(
         f"poly_log(K={K:g},gamma={gamma:g})",
@@ -247,9 +255,12 @@ class AlphaWalk:
     on block b into out: from ones, the multiples of each p^k are multiplied
     by alpha(p^k)/alpha(p^(k-1)), and each n with a cofactor q > 1 by
     alpha(q), in the order k = 1, q, k >= 2 with p increasing, so every
-    alpha(n) is the same product whatever the block size and x.  Weights
-    where alpha(p^j) = 0 but alpha(p^k) != 0 for some k > j cannot be sieved
-    this way and are rejected (no catalog weight does that).
+    alpha(n) is the same product whatever the block size and x.  Only the
+    ratios other than 1, listed once per walk, are multiplied, and alpha(q)
+    is c = w.prime_value where there is one: no Block.top at c = 1, and no
+    per-n values.  Weights where alpha(p^j) = 0 but alpha(p^k) != 0 for some
+    k > j cannot be sieved this way and are rejected (no catalog weight does
+    that).
 
     Iterating yields (block, alpha on it), written into one CHUNK-entry
     buffer (the walk's blocks nest in chunks): np.sum sees the chunks whose
@@ -261,6 +272,9 @@ class AlphaWalk:
 
     def __init__(self, w: MultiplicativeWeight, x: int):
         self.w, self.walk, self.ratios = w, arith.Walk(x), []
+        c = w.prime_value  # stands in for alpha(q) at every cofactor, so it must be values(ps, 1)
+        if c is not None and np.any(_nonnegative(w, w.values_on_primes(np.array([2, 3]), 1)) != c):
+            raise ValueError(f"{w.name}: prime_value {c:g} is not its alpha(p) at p = 2 and 3")
         prev = np.ones(len(self.walk.levels[0]))
         for k, ps in enumerate(self.walk.levels, 1):
             cur = _nonnegative(w, w.values_on_primes(ps, k))
@@ -270,18 +284,20 @@ class AlphaWalk:
                 raise ValueError(f"{w.name}: alpha(p^{k - 1}) = 0 but alpha(p^{k}) != 0 at p={int(ps[bad][0])}; "
                                  "ratio sieving requires monotone-vanishing prime-power values")
             ratio = np.divide(cur, prev, out=np.ones_like(cur), where=prev != 0.0)
-            self.ratios.append(dict(zip(ps.tolist(), ratio.tolist())))
+            moved = ratio != 1.0
+            self.ratios.append(list(zip((ps[moved] ** k).tolist(), ratio[moved].tolist())))
             prev = cur
 
     def alpha(self, b: arith.Block, out: np.ndarray) -> np.ndarray:
-        hit = np.flatnonzero(b.top > math.isqrt(self.walk.x))  # the whole sqrt(x)-smooth part first
+        c = self.w.prime_value
         out.fill(1.0)
-        for k, (walks, rs) in enumerate(zip(b.walks, self.ratios)):
-            for p, pk, o in walks:
-                if rs[p] != 1.0:
-                    out[o::pk] *= rs[p]
-            if k == 0:
-                out[hit] *= _nonnegative(self.w, self.w.values_on_primes(b.top[hit], 1))
+        for k, ratios in enumerate(self.ratios):
+            for pk, r in ratios:
+                if (o := -b.start % pk) < len(out):
+                    out[o::pk] *= r
+            if k == 0 and c != 1.0:
+                hit = np.flatnonzero(b.top > math.isqrt(self.walk.x))
+                out[hit] *= _nonnegative(self.w, self.w.values_on_primes(b.top[hit], 1)) if c is None else c
         return out
 
     def __iter__(self):

@@ -425,6 +425,25 @@ def test_non_finite_parameters_are_rejected(tmp_path, argv, message, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sieve-sum", "--weight", "theta_omega:nan", "--x", "1e4", "--cutoff", "1e4"],
+    ["poly-asym", "--x", "1e4", "--K", "inf", "--cutoff", "1e4"],
+    ["poly-typical", "--x", "1e4", "--gamma", "nan", "--n", "100"],
+], ids=["weight-spec", "poly-asym", "poly-typical"])
+def test_non_finite_weight_parameters_fail_before_any_walk(monkeypatch, argv, capsys):
+    # these walked n <= x and only then failed on S(x) = nan
+    def no_walk(*args):
+        raise AssertionError("a walk was started")
+
+    monkeypatch.setattr(cli.arith, "Walk", no_walk)
+    try:
+        code = run(argv)
+    except SystemExit as e:  # a bad --weight is a usage error
+        code = e.code
+    assert code == 2
+    assert "requires a finite" in capsys.readouterr().err
+
+
 def test_small_prime_limit_law_of_fast_growing_weight(tmp_path):
     # alpha(2^k) = sigma_20(2^k) passes the float range at k = 52; the limit
     # law used to end in an OverflowError traceback (exit 1)

@@ -25,7 +25,10 @@ MANY_XS = (8 * B - 1, 8 * B, 8 * B + 1, 16 * B + 7)  # walks of 8 to 17 blocks, 
 CHUNK = weights.CHUNK  # the prefix sum S(y) adds whole chunks of CHUNK entries by math.fsum
 
 
+# power(0), powerfree(2): alpha(p) = 1; divisor(0.5), divisor(3), theta_omega(0.5): alpha(p) is one
+# number other than 1, and divisor(3)'s is no power of 2, so where it is multiplied in shows
 WEIGHTS = catalog_weights() + [builtin_weight("power", z=0.0), builtin_weight("divisor", k=0.5),
+                               builtin_weight("divisor", k=3.0), builtin_weight("theta_omega", theta=0.5),
                                builtin_weight("sigma", z=-0.5)]
 
 
@@ -62,6 +65,43 @@ def test_weight_tables_equal_the_dense_walk(x, p1_tables, alpha_of):
         alpha, prefix = dense_weight_table(w, p1)
         assert np.array_equal(alpha_of(w, x), alpha), w.name
         assert np.array_equal(weights.build_weight_table(w, x).prefix, prefix), w.name
+
+
+def test_alpha_one_at_every_prime_builds_no_cofactors(monkeypatch, p1_tables, alpha_of):
+    # under powerfree(2) and power(0) alpha(p) = 1, so the n with a prime
+    # factor above sqrt(x) are multiplied by nothing, and nu_p needs no
+    # cofactor either: no block builds Block.top
+    def no_top(block):
+        raise AssertionError("Block.top was built")
+
+    x = MANY_XS[0]
+    monkeypatch.setattr(arith.Block, "top", property(no_top))
+    nu_2 = dense_nu_p_table(x, 2)
+    for w in (builtin_weight("powerfree", k=2), builtin_weight("power", z=0.0)):
+        assert w.prime_value == 1.0
+        S, ((mass,),) = experiments.scan(w, x, ys=[x], laws=[(experiments.statistic("nu", x, p=2), [x])])
+        alpha, prefix = dense_weight_table(w, p1_tables[x])
+        assert np.array_equal(alpha_of(w, x), alpha) and S == [prefix[x]], w.name
+        assert np.array_equal(mass, np.bincount(nu_2[1:], weights=alpha[1:])), w.name
+
+
+def test_a_hand_built_weight_with_one_value_at_every_prime_is_evaluated_per_n(alpha_of):
+    # the walk cannot see that a hand-built weight's values are one number at
+    # every prime: it evaluates them at each cofactor, and the tables equal
+    # those of the catalog kind that carries the number
+    kind = builtin_weight("divisor", k=3.0)
+    seen = []
+
+    def values(ps, k):
+        seen.append(int(ps.max(initial=0)))
+        return kind.values(ps, k)
+
+    hand = weights.MultiplicativeWeight("hand", kind.regime, values)
+    x = 2 * B + 7
+    assert hand.prime_value is None and kind.prime_value == 3.0
+    assert np.array_equal(alpha_of(hand, x), alpha_of(kind, x))
+    assert max(seen) > math.isqrt(x)
+    assert np.array_equal(weights.build_weight_table(hand, x).prefix, weights.build_weight_table(kind, x).prefix)
 
 
 @pytest.mark.parametrize("x", [x for x in XS if x >= 1])

@@ -107,6 +107,41 @@ def test_builtin_parameter_validation():
         builtin_weight("power", z=[1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", [kind for kind, names in weights.WEIGHT_KINDS.items() if names])
+def test_non_finite_parameters_are_rejected(kind, bad):
+    # NaN passed every check of the form theta <= 0, and the walk ran before S(x) = nan was caught
+    good = dict(weights.CATALOG)[kind]
+    for name in weights.WEIGHT_KINDS[kind]:
+        with pytest.raises(ValueError, match=f"^weight {kind} requires a finite {name}, got "):
+            builtin_weight(kind, **{**good, name: bad})
+
+
+def test_kinds_with_one_value_at_every_prime_carry_it():
+    carried = {("theta_omega", 2.0): 2.0, ("divisor", 2.5): 2.5, ("powerfree", 3.0): 1.0, ("power", 0.0): 1.0}
+    for (kind, v), c in carried.items():
+        w = builtin_weight(kind, **{weights.WEIGHT_KINDS[kind][0]: v})
+        assert w.prime_value == c, w.name
+        assert w.values_on_primes(np.array([2, 3, 10007]), 1).tolist() == [c] * 3, w.name
+    for w in (builtin_weight("power", z=0.5), builtin_weight("sigma", z=0.0), builtin_weight("euler_ratio"),
+              builtin_weight("poly_log", K=1.0, gamma=1.0)):
+        assert w.prime_value is None, w.name
+    # power(0) = 1 on prime powers, as at z = 0 of its formula
+    ps = np.array([2, 3, 5, 1009])
+    for k in range(1, 8):
+        assert builtin_weight("power", z=0.0).values_on_primes(ps, k).tolist() == [1.0] * 4
+
+
+def test_a_prime_value_its_values_do_not_return_is_rejected():
+    # the walk multiplies every cofactor by prime_value where the Euler
+    # products and the per-n oracle read values: the two must agree
+    theta = builtin_weight("theta_omega", theta=2.0)
+    wrong = weights.MultiplicativeWeight("wrong", theta.regime, theta.values, prime_value=3.0)
+    with pytest.raises(ValueError, match="prime_value 3 is not its alpha"):
+        weights.AlphaWalk(wrong, 100)
+    weights.AlphaWalk(weights.MultiplicativeWeight("right", theta.regime, theta.values, prime_value=2.0), 100)
+
+
 def test_regimes():
     assert builtin_weight("theta_omega", theta=3.0).ewens().theta == 3.0
     assert builtin_weight("divisor", k=2.5).ewens().theta == 2.5

@@ -8,13 +8,13 @@ The exact scans rest on one fact: n <= x has at most one prime factor
 above sqrt(x).  One walk (Walk) visits n <= x block by block over the prime
 powers of the primes <= sqrt(x); a block multiplies out the sqrt(x)-smooth
 part sm of its n, and n // sm is 1 or that larger prime.  Each block gives
-p_1, Omega and omega (and, in weights, alpha), and nu_p_table gives nu_p on
-its range: every exact law, sum and mean reduces the blocks as they come, and the draws copy p_1 and the
-prefix sum of alpha into their two dense tables from one walk
-(weights.build_weight_table).  A draw array is factored from that p_1
-table, in O(log n) divisions per draw.  The smallest-prime-factor (spf)
-sieve is the independent oracle: it factors integers one by one for the
-tests and the brute-force case c01.
+p_1, Omega and omega (and, in weights, alpha) and nu_p_table nu_p, each by
+one strided loop (strided): every exact law, sum and mean reduces the blocks
+as they come, and the draws copy p_1 and the prefix sum of alpha into their
+two dense tables from one walk (weights.build_weight_table).  A draw array
+is factored from that p_1 table, in O(log n) divisions per draw.  The
+smallest-prime-factor (spf) sieve is the independent oracle: it factors
+integers one by one for the tests and the brute-force case c01.
 """
 
 from __future__ import annotations
@@ -167,7 +167,8 @@ BLOCK = 1 << 18  # entries per block of n <= x: a prime power's strided writes s
 class Walk:
     """The blocks of n = 1..x, each over the prime powers of the primes <= sqrt(x).
 
-    levels[k-1] holds the primes p <= sqrt(x) with p^k <= x.  n <= x is its
+    levels[k-1] holds the primes p <= sqrt(x) with p^k <= x, and powers[k-1]
+    the pairs (p^k, p) of those primes, listed once per walk.  n <= x is its
     sqrt(x)-smooth part sm times a cofactor n // sm that is 1 or the one
     prime factor of n above sqrt(x), which is then p_1(n).  A block
     multiplies out sm when it is first asked for that prime.  Entering a
@@ -180,50 +181,54 @@ class Walk:
         self.levels = [ps := primes_upto(math.isqrt(x))]
         while len(ps := ps[ps ** (len(self.levels) + 1) <= x]):
             self.levels.append(ps)
+        self.powers = [list(zip((ps**k).tolist(), ps.tolist())) for k, ps in enumerate(self.levels, 1)]
 
     def __iter__(self):
-        pks = [list(zip(ps.tolist(), (ps**k).tolist())) for k, ps in enumerate(self.levels, 1)]
         for start in range(1, self.x + 1, BLOCK):
-            n = min(BLOCK, self.x + 1 - start)
-            yield Block(self, start, start + n, [[(p, q, o) for p, q in lv if (o := -start % q) < n] for lv in pks])
+            yield Block(self, start, min(start + BLOCK, self.x + 1))
+
+
+def strided(out: np.ndarray, start: int, ufunc: np.ufunc, pairs) -> np.ndarray:
+    """For each (q, v) of pairs, in order, out[n - start] = ufunc(out[n - start], v)
+    at every n in [start, start + len(out)) that q divides; returns out.  Every
+    table of a walk's blocks is built by this one loop."""
+    for q, v in pairs:
+        if (o := -start % q) < len(out):
+            view = out[o::q]
+            ufunc(view, v, out=view)
+    return out
 
 
 class Block:
-    """One block [start, stop) of a Walk over n <= x.
+    """One block [start, stop) of a Walk over n <= x; its tables are strided
+    passes over the walk's powers."""
 
-    walks[k-1] lists (p, p^k, o) for the primes p of the walk's levels[k-1]
-    with a multiple of p^k in the block, at block[o::p^k].
-    """
-
-    def __init__(self, walk: Walk, start: int, stop: int, walks: list[list[tuple[int, int, int]]]):
-        self.walk, self.start, self.stop, self.walks = walk, start, stop, walks
+    def __init__(self, walk: Walk, start: int, stop: int):
+        self.walk, self.start, self.stop = walk, start, stop
 
     @functools.cached_property
     def top(self) -> np.ndarray:
         """int32: the cofactor n // sm, 1 or the prime p_1(n) > sqrt(x)."""
         sm = np.ones(self.stop - self.start, dtype=np.int32)
-        for walks in self.walks:
-            for p, pk, o in walks:
-                sm[o::pk] *= p
+        for powers in self.walk.powers:
+            strided(sm, self.start, np.multiply, powers)
         top = np.arange(self.start, self.stop, dtype=np.int32)
         top //= sm
         return top
 
     @functools.cached_property
     def largest_prime(self) -> np.ndarray:
-        """p_1(n), int32 (p_1(1) = 1): an ascending overwrite by the primes <= sqrt(x), then the larger one."""
-        out = np.zeros(self.stop - self.start, dtype=np.int32)
-        for _, p, o in self.walks[0]:
-            out[o::p] = p
+        """p_1(n), int32 (p_1(1) = 1): the largest prime <= sqrt(x) dividing n (the
+        primes come in ascending order), then the larger one."""
+        out = strided(np.zeros(self.stop - self.start, dtype=np.int32), self.start, np.maximum, self.walk.powers[0])
         return np.maximum(out, self.top, out=out)
 
     def count(self, levels: int | None = None) -> np.ndarray:
         """int8: 1 per p^k | n in the first `levels` levels (all if None), plus 1 per
         prime factor above sqrt(x): Omega(n), or omega(n) at levels=1."""
         out = np.greater(self.top, math.isqrt(self.walk.x), out=np.empty(self.stop - self.start, dtype=np.int8))
-        for walks in self.walks[:levels]:
-            for _, pk, o in walks:
-                out[o::pk] += 1
+        for powers in self.walk.powers[:levels]:
+            strided(out, self.start, np.add, ((q, 1) for q, _ in powers))
         return out
 
 
@@ -236,9 +241,5 @@ def nu_p_table(x: int, p: int, start: int, stop: int) -> np.ndarray:
     """nu_p(n) for start <= n < stop (start >= 1) and a prime p, int8: 1 per p^k <= x
     dividing n.  It needs no cofactor, so a block of a Walk over n <= x passes only its edges."""
     require_prime(p)
-    out = np.zeros(stop - start, dtype=np.int8)
-    pk = p
-    while pk <= x:
-        out[-start % pk :: pk] += 1
-        pk *= p
-    return out
+    pairs = [(pk, 1) for k in range(1, x.bit_length() + 1) if (pk := p**k) <= x]
+    return strided(np.zeros(stop - start, dtype=np.int8), start, np.add, pairs)

@@ -153,8 +153,9 @@ def _subparser(ap: argparse.ArgumentParser, command: str) -> argparse.ArgumentPa
 
 
 def _load_config(path: str, ap: argparse.ArgumentParser, command: str) -> None:
-    """Make a JSON config file's entries, converted by their flags' types,
-    the defaults of the command's subparser; flags parsed afterwards win.
+    """Make a JSON config file's entries, converted by their flags' types (a
+    JSON true or false for --exact), the defaults of the command's subparser;
+    flags parsed afterwards win.
 
     Unknown keys and bad values fail loudly instead of running a different
     experiment than intended, with the usage-error exit status 2 of a bad
@@ -168,14 +169,16 @@ def _load_config(path: str, ap: argparse.ArgumentParser, command: str) -> None:
             sp.error(f"config error: {path} is not valid JSON ({e})")
     if not isinstance(doc, dict):
         sp.error("config error: top level must be an object")
-    types = {a.dest: a.type for a in sp._actions if a.dest not in ("config", "out", "json_path", "help")}
-    unknown = set(doc) - set(types)
+    actions = {a.dest: a for a in sp._actions if a.dest not in ("config", "out", "json_path", "help")}
+    unknown = set(doc) - set(actions)
     if unknown:
-        sp.error(f"config error: unknown keys {sorted(unknown)}; allowed: {sorted(types)}")
+        sp.error(f"config error: unknown keys {sorted(unknown)}; allowed: {sorted(actions)}")
     for k, v in doc.items():
-        if types[k] is not None:
+        if actions[k].nargs == 0 and not isinstance(v, bool):  # a flag without a value, such as --exact
+            sp.error(f"config error: {k}={v!r} is invalid (a flag takes a JSON true or false)")
+        if actions[k].type is not None:
             try:
-                doc[k] = types[k](str(v))
+                doc[k] = actions[k].type(str(v))
             except (ValueError, TypeError, argparse.ArgumentTypeError) as e:
                 sp.error(f"config error: {k}={v!r} is invalid ({e})")
     sp.set_defaults(**doc)

@@ -54,7 +54,7 @@ def statistic(name: str, x: int, p: int = 2, u: float = 2.0):
 
 def joint_nu(x: int, p: int, q: int):
     """The values nu_p(n) k + nu_q(n) of n <= x on one block, k = 1 + the largest
-    nu_q(n), n <= x, and k: the codes of sampling.joint_pmf_from_mass."""
+    nu_q(n), n <= x, and k: a law of them, in rows of k, is the (nu_p, nu_q) table."""
     k = 1
     while q**k <= x:
         k += 1
@@ -185,6 +185,8 @@ def exact_dist(w: weights.MultiplicativeWeight, x: int, name: str, p: int = 2, u
 
 def omega_clt_ks(w: weights.MultiplicativeWeight, xs: list[int]) -> list[float]:
     """KS distance of (Omega - c)/sqrt(c), c = theta log log x, to N(0,1), exactly at each x."""
+    if min(xs) < 3:
+        raise ValueError(f"(Omega - c)/sqrt(c), c = theta log log x, needs x >= 3, got x={min(xs)}")
     theta = w.ewens().theta
     out = []
     for x, pmf in zip(xs, exact_laws(w, max(xs), [(statistic("big_omega", max(xs)), xs)])[0]):
@@ -242,6 +244,8 @@ def _factor_blocks(draws: np.ndarray, p1: np.ndarray, stat, out: np.ndarray) -> 
 def spectrum_draws(w: weights.MultiplicativeWeight, x: int, n: int, rng: np.random.Generator,
                    k: int) -> np.ndarray:
     """log p_j/log x for j = 1..k of n draws from the measure on n <= x, one row per draw."""
+    if x < 2:
+        raise ValueError(f"log p/log x needs x >= 2, got x={x}")
     tables = weights.build_weight_table(w, x)
     draws = sampling.WeightedIntegerSampler(tables.prefix, rng).sample(n)
     return _factor_blocks(draws, tables.p1, lambda f: sampling.spectrum(f, x, k), np.empty((n, k)))
@@ -273,6 +277,8 @@ def gamma_law_ks(tables: weights.DrawTables, K: float, gamma: float, n: int, rng
 
 
 def poly_typical(K: float, gamma: float, x: int, n: int, seed: int) -> dict:
+    if x < 2:
+        raise ValueError(f"log P/log^(1/(gamma+1)) x needs x >= 2, got x={x}")
     w = weights.builtin_weight("poly_log", K=K, gamma=gamma)
     (eo,) = mean_big_omega(w, [x])
     pred = asympt.predict_mean_omega_poly(K, gamma, x)

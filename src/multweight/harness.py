@@ -83,6 +83,11 @@ def _poisson_pmf(k: np.ndarray, mu: float) -> np.ndarray:
     return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
 
 
+def _tv(emp: dict, ref: dict) -> float:
+    """Total variation distance of two laws given as {atom: probability}."""
+    return 0.5 * sum(abs(emp.get(k, 0.0) - ref.get(k, 0.0)) for k in set(emp) | set(ref))
+
+
 def _nu_p_first_order(w: weights.MultiplicativeWeight, p: int, x: int) -> sampling.ExactPmf:
     """First-order finite-x law of nu_p(N_x) for an Ewens-regime weight.
 
@@ -313,13 +318,10 @@ def _c11_small_primes(scale: str):
                 f"gaps={['%.2e' % g for g in lim_gaps]}",
             )
         )
-        joint = sampling.joint_pmf_from_mass(joint_mass, kb)
-        m2: dict[int, float] = {}
-        m3: dict[int, float] = {}
-        for (a, b), pr in joint.items():
-            m2[a] = m2.get(a, 0.0) + pr
-            m3[b] = m3.get(b, 0.0) + pr
-        fgap = max(abs(pr - m2[a] * m3[b]) for (a, b), pr in joint.items())
+        # P[a, b] is the law of (nu_2, nu_3) = (a, b); the gap is taken where it has mass
+        P = np.concatenate([joint_mass, np.zeros(-len(joint_mass) % kb)])
+        P = (P / P.sum()).reshape(-1, kb)
+        fgap = float(np.max(np.abs(P - np.outer(P.sum(1), P.sum(0)))[P > 0]))
         checks.append(
             (f"{w.name} joint (nu_2,nu_3) factorizes, tol 0.01", fgap <= 0.01, f"max gap={fgap:.4f}")
         )
@@ -355,10 +357,7 @@ def _c12_partition_function(scale: str):
         uniq, cnt = np.unique(codes, return_counts=True)
         digits = uniq[:, None] // (n + 1) ** np.arange(n - 1, -1, -1) % (n + 1)
         emp = {tuple(np.repeat(np.arange(n, 0, -1), d).tolist()): c / draws for d, c in zip(digits, cnt)}
-        tv = 0.5 * sum(
-            abs(emp.get(k, 0.0) - exact.type_probs.get(k, 0.0))
-            for k in set(emp) | set(exact.type_probs)
-        )
+        tv = _tv(emp, exact.type_probs)
         checks.append((f"sampler TV vs enumeration, {label}, n=7", tv <= 0.02, f"TV={tv:.4f} ({draws} draws)"))
     return checks
 
@@ -465,7 +464,7 @@ def _c15_permutation_trends(scale: str):
     kmax = 24
     pmf1, pmf2 = _poisson_pmf(np.arange(kmax), 1.0), _poisson_pmf(np.arange(kmax), 0.5)
     ref = {(a, b): float(pmf1[a] * pmf2[b]) for a in range(kmax) for b in range(kmax)}
-    tv = 0.5 * sum(abs(emp.get(k, 0.0) - ref.get(k, 0.0)) for k in set(emp) | set(ref))
+    tv = _tv(emp, ref)
     checks.append(
         (f"(C_1,C_2) at n={n_s:.0e} vs Poisson(1) x Poisson(1/2), TV tol 0.03", tv <= 0.03, f"TV={tv:.4f}")
     )

@@ -111,18 +111,6 @@ def exact_pmf_from_mass(mass: np.ndarray, atoms: np.ndarray | None = None) -> Ex
     return ExactPmf(atoms.astype(float), mass[keep] / mass.sum())
 
 
-def joint_pmf_from_mass(mass: np.ndarray, kb: int) -> dict[tuple[int, int], float]:
-    """The joint law with mass[a kb + b] (unnormalized) on (a, b), as a dict;
-    mass is first padded with zeros to whole rows of kb."""
-    mass = np.concatenate([mass, np.zeros(-len(mass) % kb)])
-    mass = mass / mass.sum()
-    out = {}
-    for code, m in enumerate(mass):
-        if m > 0:
-            out[(code // kb, code % kb)] = float(m)
-    return out
-
-
 def prime_logs(a: np.ndarray) -> np.ndarray:
     """math.log of every entry of an integer array, one call per distinct
     value (np.log differs from it in the last bit for some); 0 below 2."""

@@ -292,9 +292,7 @@ class AlphaWalk:
         c = self.w.prime_value
         out.fill(1.0)
         for k, ratios in enumerate(self.ratios):
-            for pk, r in ratios:
-                if (o := -b.start % pk) < len(out):
-                    out[o::pk] *= r
+            arith.strided(out, b.start, np.multiply, ratios)
             if k == 0 and c != 1.0:
                 hit = np.flatnonzero(b.top > math.isqrt(self.walk.x))
                 out[hit] *= _nonnegative(self.w, self.w.values_on_primes(b.top[hit], 1)) if c is None else c

@@ -198,6 +198,25 @@ def test_nu_p_table_rejects_non_prime(p):
         arith.nu_p_table(100, p, 1, 101)
 
 
+@pytest.mark.parametrize("start", [1, 7, 2**18 + 1])
+@pytest.mark.parametrize("ufunc, dtype", [(np.add, np.int8), (np.multiply, np.int32), (np.multiply, np.float64),
+                                          (np.maximum, np.int32)])
+def test_strided_applies_each_pair_in_order_at_the_multiples_of_its_q(start, ufunc, dtype):
+    # q = start divides the start; q = 101 is longer than out; the float
+    # values are applied in the order given, which can move the last bit
+    pairs = [(2, 3), (4, 2), (9, 5), (start, 7), (101, 4)]
+    if dtype == np.float64:
+        pairs = [(q, v / 10 + 0.1) for q, v in pairs]
+    out = np.arange(1, 41, dtype=dtype)
+    ref = out.copy()
+    for q, v in pairs:
+        for i, n in enumerate(range(start, start + len(out))):
+            if n % q == 0:
+                ref[i] = ufunc(ref[i], v)
+    assert arith.strided(out, start, ufunc, pairs) is out
+    assert out.dtype == dtype and np.array_equal(out, ref)
+
+
 def test_primes_upto_matches_spf(spf_1e5):
     assert np.array_equal(arith.primes_upto(10**5), spf_primes(spf_1e5))
 

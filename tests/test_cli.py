@@ -271,6 +271,25 @@ def test_config_value_rejected_by_its_flag_type(tmp_path, capsys):
     assert "config error: seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["false", 0])
+def test_config_flag_entry_must_be_a_json_boolean(tmp_path, value, capsys):
+    # "false" ran the exact enumeration and 0 the sampler, each echoed into the report
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 7, "theta": 1, "exact": value}))
+    with pytest.raises(SystemExit) as e:
+        run(["ewens", "--config", str(cfg), "--json", str(tmp_path / "r.json")])
+    assert e.value.code == 2
+    assert f"config error: exact={value!r} is invalid" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_config_flag_entry_true_or_false_picks_the_branch(tmp_path, exact):
+    doc = _run_with_config(tmp_path, ["ewens", "--samples", "10"], {"n": 7, "theta": 1, "exact": exact})
+    assert doc["config"]["exact"] is exact
+    assert ("l1_pmf" in doc["results"]) == exact
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"weight": "theta_omega:2", "x": "1e4", "bogus": 1}))
@@ -646,6 +665,35 @@ def test_largest_ratio_below_x_2_is_rejected(tmp_path, capsys):
                 "--json", str(tmp_path / "r.json")]) == 2
     assert "error: largest_ratio needs x >= 2" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["poly-typical", "--x", "1", "--n", "100"], "log P/log^(1/(gamma+1)) x needs x >= 2, got x=1"),
+    (["pd-compare", "--weight", "power:0", "--x", "1", "--n", "100", "--oracle-draws", "100"],
+     "log p/log x needs x >= 2, got x=1"),
+    (["ek-compare", "--weight", "divisor:2", "--x", "1e3,2"],
+     "(Omega - c)/sqrt(c), c = theta log log x, needs x >= 3, got x=2"),
+], ids=["poly-typical", "pd-compare", "ek-compare"])
+def test_log_x_ops_below_their_range_fail_before_any_walk(monkeypatch, tmp_path, argv, message, capsys):
+    # poly-typical ended in a ZeroDivisionError traceback, pd-compare reported
+    # 0.0 for each log p/log x, and ek-compare printed "error: math domain error"
+    def no_walk(*args):
+        raise AssertionError("a walk was started")
+
+    monkeypatch.setattr(cli.arith, "Walk", no_walk)
+    assert run(argv + ["--json", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly-typical", "--x", "2", "--n", "100"],
+    ["pd-compare", "--weight", "power:0", "--x", "2", "--n", "100", "--oracle-draws", "100"],
+    ["ek-compare", "--weight", "divisor:2", "--x", "3"],
+], ids=["poly-typical", "pd-compare", "ek-compare"])
+def test_log_x_ops_run_at_the_bottom_of_their_range(tmp_path, argv):
+    assert run(argv + ["--json", str(tmp_path / "r.json")]) == 0
+    assert read_json(tmp_path / "r.json")["results"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -64,6 +64,17 @@ def _positive_int(raw: str) -> int:
     return int(v)
 
 
+def _seed(raw: str) -> int:
+    """A non-negative integer: a seed of np.random.default_rng."""
+    try:
+        v = int(raw)
+    except ValueError:
+        v = -1
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"need a non-negative integer, got {raw}")
+    return v
+
+
 def _cutoff(raw: str) -> int:
     """A prime cutoff: a positive integer >= 2, since the Euler product and G(s) need a prime."""
     v = _positive_int(raw)
@@ -335,7 +346,7 @@ def _add_common(sp, *, weight=True, x=_x_spec, seed=False, out=True):
     if x:
         sp.add_argument("--x", type=x, help="range bound(s), comma separated where several; 1e6 style accepted")
     if seed:
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_seed, default=0)
     if out:
         sp.add_argument("--out", help="CSV output path")
     sp.add_argument("--json", dest="json_path", help="JSON report path (default: stdout)")

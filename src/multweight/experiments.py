@@ -3,7 +3,8 @@
 Every function takes its parameters and returns its numbers.  The exact
 laws, sums and means reduce one walk over n <= x as it goes (scan) and
 build no table; a draw op builds its two dense tables, p_1 and the prefix
-sum, from one more walk (weights.build_weight_table).
+sum, from one walk (weights.build_weight_table), on which poly_typical also
+bins its law of Omega.
 `cli` writes the numbers as CSV/JSON reports and `harness` applies
 tolerances to them, so both read the same computation.
 """
@@ -66,31 +67,6 @@ def joint_nu(x: int, p: int, q: int):
     return values, k
 
 
-class _Mass:
-    """The alpha-mass of each value of one law, added in n order (np.add.at).
-
-    `mass` runs up to the largest value met.  Its array grows to fit that
-    value, and once the value passes CHUNK, to x + 1 at once, so a law whose
-    values grow block by block (p_1) is not copied at each block.
-    """
-
-    def __init__(self, x: int):
-        self.x, self.array, self.top = x, np.zeros(1), 1
-
-    def add(self, v: np.ndarray, a: np.ndarray) -> None:
-        if len(v):
-            self.top = max(self.top, int(v.max()) + 1)
-            if self.top > len(self.array):
-                grown = np.zeros(self.top if self.top <= weights.CHUNK else max(self.top, self.x + 1))
-                grown[: len(self.array)] = self.array
-                self.array = grown
-            np.add.at(self.array, v, a)
-
-    @property
-    def mass(self) -> np.ndarray:
-        return self.array[: self.top]
-
-
 def scan(w: weights.MultiplicativeWeight, x: int, ys: list[int] = (), laws: list = ()):
     """One walk over n <= x under w, reduced block by block: no array of x entries.
 
@@ -102,7 +78,7 @@ def scan(w: weights.MultiplicativeWeight, x: int, ys: list[int] = (), laws: list
     walk passes it; at x it is the mass itself.  Raises ValueError where
     S(x) is not positive and finite.
     """
-    S, masses, at = {0: 0.0}, [_Mass(x) for _ in laws], [{} for _ in laws]
+    S, masses, at = {0: 0.0}, [weights.Mass(x) for _ in laws], [{} for _ in laws]
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range, S(x) below is inf or NaN
         walk = weights.AlphaWalk(w, x)
         for b, a in walk:
@@ -280,10 +256,11 @@ def poly_typical(K: float, gamma: float, x: int, n: int, seed: int) -> dict:
     if x < 2:
         raise ValueError(f"log P/log^(1/(gamma+1)) x needs x >= 2, got x={x}")
     w = weights.builtin_weight("poly_log", K=K, gamma=gamma)
-    (eo,) = mean_big_omega(w, [x])
+    tables = weights.build_weight_table(w, x, statistic("big_omega", x))  # E Omega from the same walk
+    eo = sampling.exact_pmf_from_mass(tables.mass).mean()
     pred = asympt.predict_mean_omega_poly(K, gamma, x)
     shape, rate = asympt.gamma_law_params(K, gamma)
-    ks = gamma_law_ks(weights.build_weight_table(w, x), K, gamma, n, np.random.default_rng(seed))
+    ks = gamma_law_ks(tables, K, gamma, n, np.random.default_rng(seed))
     return {"mean_omega_exact": eo, "mean_omega_predicted": pred, "ratio": eo / pred,
             "gamma_law": {"shape": shape, "rate": rate}, "ks": ks}
 

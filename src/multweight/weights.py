@@ -238,6 +238,7 @@ def catalog_weights() -> list[MultiplicativeWeight]:
 
 
 CHUNK = 1 << 20  # S(y) adds whole-chunk totals exactly, by math.fsum
+PIECE = 1 << 16  # entries of S_at's running sum and of the cofactor step's temporaries at a time
 
 
 def _fsum(totals: list[float]) -> float:
@@ -258,16 +259,18 @@ class AlphaWalk:
     alpha(n) is the same product whatever the block size and x.  Only the
     ratios other than 1, listed once per walk, are multiplied, and alpha(q)
     is c = w.prime_value where there is one: no Block.top at c = 1, and no
-    per-n values.  Weights where alpha(p^j) = 0 but alpha(p^k) != 0 for some
-    k > j cannot be sieved this way and are rejected (no catalog weight does
-    that).
+    per-n values.  The cofactor step takes the block PIECE entries at a
+    time, so it holds no index array or gathered copy of the block.
+    Weights where alpha(p^j) = 0 but alpha(p^k) != 0 for some k > j cannot
+    be sieved this way and are rejected (no catalog weight does that).
 
     Iterating yields (block, alpha on it), written into one CHUNK-entry
     buffer (the walk's blocks nest in chunks): np.sum sees the chunks whose
     totals the prefix sum of build_weight_table adds, and S_at(y) equals its
-    entry y for y = 0 and for y in the chunk of the last block yielded.
-    Past the float range alpha is inf or NaN, without a warning only under
-    the caller's np.errstate.
+    entry y for y = 0 and for y in the chunk of the last block yielded.  That
+    buffer and the block's own tables are all a walk holds.  Past the float
+    range alpha is inf or NaN, without a warning only under the caller's
+    np.errstate.
     """
 
     def __init__(self, w: MultiplicativeWeight, x: int):
@@ -293,9 +296,12 @@ class AlphaWalk:
         out.fill(1.0)
         for k, ratios in enumerate(self.ratios):
             arith.strided(out, b.start, np.multiply, ratios)
-            if k == 0 and c != 1.0:
-                hit = np.flatnonzero(b.top > math.isqrt(self.walk.x))
-                out[hit] *= _nonnegative(self.w, self.w.values_on_primes(b.top[hit], 1)) if c is None else c
+            if k == 0 and c != 1.0:  # the hits' indices PIECE entries at a time, not the block's
+                root = math.isqrt(self.walk.x)
+                for i in range(0, len(out), PIECE):
+                    top, part = b.top[i : i + PIECE], out[i : i + PIECE]
+                    hit = np.flatnonzero(top > root)
+                    part[hit] *= _nonnegative(self.w, self.w.values_on_primes(top[hit], 1)) if c is None else c
         return out
 
     def __iter__(self):
@@ -307,14 +313,51 @@ class AlphaWalk:
             yield b, self.alpha(b, self.chunk[o : o + b.stop - b.start])
 
     def S_at(self, y: int) -> float:
-        """S(y): the totals of the whole chunks before y's, and y's chunk up to y."""
+        """S(y): the totals of the whole chunks before y's, and y's chunk up to y.
+
+        The chunk part is summed as np.cumsum(part)[-1] sums it, one addition
+        after another, but PIECE entries at a time in one small buffer: the
+        first piece as it is, each later one behind the running sum in slot 0.
+        """
         part = self.chunk[: y - len(self.totals) * CHUNK]
-        return (float(np.cumsum(part)[-1]) if len(part) else 0.0) + _fsum(self.totals)
+        run = np.empty(min(len(part), PIECE) + 1)
+        for i in range(0, len(part), PIECE):
+            src = part[i : i + PIECE]
+            piece = run[: len(src) + 1] if i else run[: len(src)]
+            piece[-len(src) :] = src
+            np.cumsum(piece, out=piece)
+            run[0] = piece[-1]
+        return (float(run[0]) if len(part) else 0.0) + _fsum(self.totals)
 
 
 def check_S(w: MultiplicativeWeight, x: int, S: float) -> None:
     if not 0 < S < math.inf:
         raise ValueError(f"{w.name}: degenerate table: S({x}) = {S} is not positive and finite")
+
+
+class Mass:
+    """The alpha-mass of each value of one law, added in n order (np.add.at).
+
+    `mass` runs up to the largest value met.  Its array grows to fit that
+    value, and once the value passes CHUNK, to x + 1 at once, so a law whose
+    values grow block by block (p_1) is not copied at each block.
+    """
+
+    def __init__(self, x: int):
+        self.x, self.array, self.top = x, np.zeros(1), 1
+
+    def add(self, v: np.ndarray, a: np.ndarray) -> None:
+        if len(v):
+            self.top = max(self.top, int(v.max()) + 1)
+            if self.top > len(self.array):
+                grown = np.zeros(self.top if self.top <= CHUNK else max(self.top, self.x + 1))
+                grown[: len(self.array)] = self.array
+                self.array = grown
+            np.add.at(self.array, v, a)
+
+    @property
+    def mass(self) -> np.ndarray:
+        return self.array[: self.top]
 
 
 @dataclass(frozen=True)
@@ -323,15 +366,18 @@ class DrawTables:
 
     p1[n] is p_1(n), the largest prime factor, int32 (p1[0] = 0, p1[1] = 1);
     prefix[y] is S(y) = sum_{n<=y} alpha(n), float64 (S(0) = 0).  Slices
-    p1[:y + 1] and prefix[:y + 1] are the tables at y.
+    p1[:y + 1] and prefix[:y + 1] are the tables at y.  mass, where the walk
+    binned a law, is its alpha-mass over n <= x (Mass).
     """
 
     p1: np.ndarray
     prefix: np.ndarray
+    mass: np.ndarray | None = None
 
 
-def build_weight_table(w: MultiplicativeWeight, x: int) -> DrawTables:
-    """p_1 and the prefix sum S(y), y = 0..x, of one walk over n <= x.
+def build_weight_table(w: MultiplicativeWeight, x: int, law: Callable | None = None) -> DrawTables:
+    """p_1 and the prefix sum S(y), y = 0..x, of one walk over n <= x, and the
+    mass of law, a statistic's values on a block (experiments.statistic), if given.
 
     Each block's alpha and p_1 are written into the outputs, then each
     CHUNK-entry chunk of alpha is replaced, in place, by its cumsum plus the
@@ -342,8 +388,11 @@ def build_weight_table(w: MultiplicativeWeight, x: int) -> DrawTables:
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range, S(x) below is inf or NaN
         walk = AlphaWalk(w, x)  # checks the entry budget and the weight before the outputs are allocated
         p1, prefix, totals = np.zeros(x + 1, dtype=np.int32), np.zeros(x + 1), []
+        mass = None if law is None else Mass(x)
         for b in walk.walk:  # alpha first, so the block's p_1 is allocated after alpha's temporaries are freed
-            walk.alpha(b, prefix[b.start : b.stop])
+            a = walk.alpha(b, prefix[b.start : b.stop])
+            if mass is not None:
+                mass.add(law(b), a)  # binned in n order before the cumsum, as a scan bins it
             p1[b.start : b.stop] = b.largest_prime
         for start in range(1, x + 1, CHUNK):
             chunk = prefix[start : start + CHUNK]
@@ -353,7 +402,7 @@ def build_weight_table(w: MultiplicativeWeight, x: int) -> DrawTables:
                 chunk += _fsum(totals)
             totals.append(total)
         check_S(w, x, prefix[-1])
-    return DrawTables(p1, prefix)
+    return DrawTables(p1, prefix, None if mass is None else mass.mass)
 
 
 def _nonnegative(w: MultiplicativeWeight, values: np.ndarray) -> np.ndarray:

@@ -463,6 +463,39 @@ def test_non_finite_weight_parameters_fail_before_any_walk(monkeypatch, argv, ca
     assert "requires a finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--weight", "theta_omega:2", "--x", "1e4", "--n", "10"],
+    ["pd-compare", "--weight", "power:0", "--x", "1e4", "--n", "10", "--oracle-draws", "10"],
+    ["poly-typical", "--x", "1e4", "--n", "10"],
+], ids=["sample", "pd-compare", "poly-typical"])
+def test_negative_seed_fails_before_any_walk(monkeypatch, tmp_path, argv, capsys):
+    # --seed -1 walked n <= x and only then failed in np.random.default_rng,
+    # with "error: expected non-negative integer", naming no flag; a config
+    # entry went the same way
+    def no_walk(*args):
+        raise AssertionError("a walk was started")
+
+    monkeypatch.setattr(cli.arith, "Walk", no_walk)
+    rep = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as e:
+        run(argv + ["--seed", "-1", "--json", str(rep)])
+    assert e.value.code == 2
+    assert "argument --seed: need a non-negative integer, got -1" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -5}))
+    with pytest.raises(SystemExit) as e:
+        run(argv + ["--config", str(cfg), "--json", str(rep)])
+    assert e.value.code == 2
+    assert "config error: seed=-5 is invalid (need a non-negative integer, got -5)" in capsys.readouterr().err
+    assert not rep.exists()
+
+
+def test_seed_zero_runs(tmp_path):
+    rep = tmp_path / "r.json"
+    assert run(["sample", "--weight", "theta_omega:2", "--x", "1e3", "--n", "10", "--seed", "0", "--json", str(rep)]) == 0
+    assert read_json(rep)["config"]["seed"] == 0
+
+
 def test_small_prime_limit_law_of_fast_growing_weight(tmp_path):
     # alpha(2^k) = sigma_20(2^k) passes the float range at k = 52; the limit
     # law used to end in an OverflowError traceback (exit 1)

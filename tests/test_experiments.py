@@ -104,8 +104,8 @@ def test_scans_leave_the_dense_prefix_unbuilt(monkeypatch):
 
 
 def test_draw_ops_walk_once_per_table_kind(monkeypatch):
-    # one walk gives the draws both p_1 and the prefix sum; E Omega in
-    # poly_typical is a scan, the second walk
+    # one walk gives the draws both p_1 and the prefix sum; poly_typical bins
+    # the law of Omega for E Omega on the same walk
     walks = []
 
     class CountedWalk(arith.Walk):
@@ -118,7 +118,22 @@ def test_draw_ops_walk_once_per_table_kind(monkeypatch):
     assert walks == [10**4]
     walks.clear()
     experiments.poly_typical(1.0, 1.0, 10**4, 100, 1)
-    assert walks == [10**4, 10**4]
+    assert walks == [10**4]
+
+
+def test_a_law_binned_with_the_draw_tables_equals_the_scanned_law():
+    # poly_typical reads E Omega off the walk that fills its draw tables; over
+    # three blocks, that law is the scan's bit for bit, so E Omega is too
+    x = 2 * arith.BLOCK + 7
+    for w in weights.catalog_weights():
+        for name in ("big_omega", "largest_prime"):
+            law = experiments.statistic(name, x)
+            ((scanned,),) = experiments.scan(w, x, laws=[(law, [x])])[1]
+            assert np.array_equal(weights.build_weight_table(w, x, law).mass, scanned), (w.name, name)
+        assert weights.build_weight_table(w, x).mass is None
+    poly = builtin_weight("poly_log", K=1.0, gamma=1.0)
+    eo = experiments.poly_typical(1.0, 1.0, 10**4, 100, 1)["mean_omega_exact"]
+    assert eo == experiments.mean_big_omega(poly, [10**4])[0]
 
 
 def test_omega_clt_ks_per_x_is_independent_of_the_other_xs():

@@ -130,7 +130,9 @@ def test_weight_table_past_the_float_range_is_degenerate(x, s):
             weights.build_weight_table(builtin_weight("power", z=100.0), x)
 
 
-CHUNK_YS = (0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 5)
+PIECE = weights.PIECE  # S_at sums a chunk's part PIECE entries at a time, carrying the running sum
+CHUNK_YS = (0, 1, 2, PIECE - 1, PIECE, PIECE + 1, CHUNK - 1, CHUNK, CHUNK + 1,
+            CHUNK + PIECE - 1, CHUNK + PIECE, CHUNK + PIECE + 1, 2 * CHUNK, 2 * CHUNK + 5)
 
 
 @pytest.fixture(scope="module")
@@ -294,13 +296,15 @@ def test_streamed_joint_law_equals_joint_pmf_from_values(x, alpha_of):
 
 
 def test_streamed_scan_holds_a_few_chunks():
-    # the scan holds one CHUNK of alpha, the cumsum of that chunk for S(x) and
-    # one block's temporaries; nothing that grows with x but the walk's lists
-    # of the prime powers of the primes up to sqrt(x)
+    # the scan holds one CHUNK of alpha and the temporaries of a block or two
+    # (the int32 cofactors of the last block and the next, being built; S(x)
+    # and the cofactor step take PIECE entries at a time); nothing that grows
+    # with x but the walk's lists of the prime powers of the primes up to
+    # sqrt(x).  Measured: 11.4 MiB at 2^21 and 2^23
     w = builtin_weight("divisor", k=2.0)
     extra = [extra_bytes(lambda: experiments.exact_dist(w, x, "big_omega"))
              for x in (2**21, 2**23)]
-    assert max(extra) < 3 * 8 * CHUNK
+    assert max(extra) < 8 * CHUNK + 20 * B
     prime_powers = sum(len(level) for level in arith.Walk(2**23).levels)
     assert extra[1] - extra[0] < 128 * prime_powers
 
@@ -342,7 +346,7 @@ def test_scan_experiments_hold_memory_bounded_at_2_pow_23():
     # every scan-family experiment holds the walk's blocks and the CHUNK-entry
     # alpha buffer (8 MiB), not an array of x entries; conditions sums over
     # the prime sieve's segments and holds less than any walk.  Measured at
-    # 2^23: 17.2-18.6 MiB for the walk ops; 3.5 MiB for conditions, which
+    # 2^23: 8.9-12.4 MiB for the walk ops; 3.5 MiB for conditions, which
     # held 21.5 MiB when it sieved all of n <= x at once
     x = 2**23
     w = builtin_weight("divisor", k=2.0)
@@ -356,7 +360,7 @@ def test_scan_experiments_hold_memory_bounded_at_2_pow_23():
     }
     peaks = {name: extra_bytes(run) for name, run in walks.items()}
     for name, peak in peaks.items():
-        assert peak < 20 * 2**20, (name, peak)
+        assert peak < 14 * 2**20, (name, peak)
     conditions = extra_bytes(lambda: experiments.conditions(w, [10**4, x]))
     assert conditions < 4 * arith.SEGMENT, conditions
     assert conditions < min(peaks.values()), (conditions, peaks)

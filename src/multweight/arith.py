@@ -11,10 +11,11 @@ part sm of its n, and n // sm is 1 or that larger prime.  Each block gives
 p_1, Omega and omega (and, in weights, alpha) and nu_p_table nu_p, each by
 one strided loop (strided): every exact law, sum and mean reduces the blocks
 as they come, and the draws copy p_1 and the prefix sum of alpha into their
-two dense tables from one walk (weights.build_weight_table).  A draw array
-is factored from that p_1 table, in O(log n) divisions per draw.  The
-smallest-prime-factor (spf) sieve is the independent oracle: it factors
-integers one by one for the tests and the brute-force case c01.
+two dense tables from one walk (weights.build_weight_table).  A draw n is
+factored from that p_1 table by p = p_1(n), n //= p: fully (factor_matrix)
+or to its k largest primes (sampling.spectrum).  The smallest-prime-factor
+(spf) sieve is the independent oracle: it factors integers one by one for
+the tests and the brute-force case c01.
 """
 
 from __future__ import annotations

@@ -91,6 +91,7 @@ def scan(w: weights.MultiplicativeWeight, x: int, ys: list[int] = (), laws: list
                     law.add(v[lo:hi], a[lo:hi])  # the law at a stop: split the block there
                     at_stop[b.start + hi - 1], lo = law.mass.copy(), hi
                 law.add(v[lo:], a[lo:])
+            b = v = None  # the last block's cofactors go before the next block's are built
         weights.check_S(w, x, walk.S_at(x))
     return [S[y] for y in ys], [[law.mass if y == x else at_stop[y] for y in stops]
                                 for law, (_, stops), at_stop in zip(masses, laws, at)]
@@ -114,6 +115,8 @@ def atom_gaps(a: sampling.ExactPmf, b: sampling.ExactPmf) -> list[float]:
 
 def sieve_sum(w: weights.MultiplicativeWeight, xs: list[int], cutoff: int) -> list[dict]:
     """Exact S(x) against the Euler-product (Ewens) or saddle-point (poly) predictor."""
+    if min(xs) < 2:
+        raise ValueError(f"the predictors of S(x) need x >= 2, got x={min(xs)}")
     exact, _ = scan(w, max(xs), ys=xs)
     if isinstance(w.regime, weights.EwensRegime):
         a = asympt.euler_constant(w, cutoff=cutoff)
@@ -133,6 +136,8 @@ def conditions(w: weights.MultiplicativeWeight, xs: list[int]) -> dict:
 
 def poly_asym(K: float, gamma: float, xs: list[int], cutoff: int) -> list[dict]:
     """Exact S(x) under poly_log(K, gamma) against the saddle-point predictor solved at each x."""
+    if min(xs) < 3:
+        raise ValueError(f"the saddle point of S(x) needs x >= 3, got x={min(xs)}")
     exact, _ = scan(weights.builtin_weight("poly_log", K=K, gamma=gamma), max(xs), ys=xs)
     rows = []
     for x, e in zip(xs, exact):
@@ -204,16 +209,13 @@ def sample(w: weights.MultiplicativeWeight, x: int, n: int, seed: int) -> np.nda
     return sampling.WeightedIntegerSampler(prefix, np.random.default_rng(seed)).sample(n)
 
 
-FACTOR_BLOCK = 1 << 12  # draws factored at a time
+FACTOR_BLOCK = 1 << 12  # draws per block of a per-draw statistic; its factor matrix is <= 0.85 MB to x = 1e8
 
 
-def _factor_blocks(draws: np.ndarray, p1: np.ndarray, stat, out: np.ndarray) -> np.ndarray:
-    """out[i] = the row of stat(F) of draw i, F the factor matrix of a block of
-    FACTOR_BLOCK draws, taken in draw order from the p_1 table they were drawn
-    over.  A factor matrix has at most 26 int64 columns up to x = 1e8, 0.85 MB."""
+def _in_blocks(draws: np.ndarray, stat, out: np.ndarray) -> np.ndarray:
+    """out[i] = the row of draw i in stat(block), over blocks of FACTOR_BLOCK draws in draw order."""
     for i in range(0, len(draws), FACTOR_BLOCK):
-        f = arith.factor_matrix(draws[i : i + FACTOR_BLOCK], p1)
-        out[i : i + len(f)] = stat(f)
+        out[i : i + FACTOR_BLOCK] = stat(draws[i : i + FACTOR_BLOCK])
     return out
 
 
@@ -224,7 +226,7 @@ def spectrum_draws(w: weights.MultiplicativeWeight, x: int, n: int, rng: np.rand
         raise ValueError(f"log p/log x needs x >= 2, got x={x}")
     tables = weights.build_weight_table(w, x)
     draws = sampling.WeightedIntegerSampler(tables.prefix, rng).sample(n)
-    return _factor_blocks(draws, tables.p1, lambda f: sampling.spectrum(f, x, k), np.empty((n, k)))
+    return _in_blocks(draws, lambda d: sampling.spectrum(d, tables.p1, x, k), np.empty((n, k)))
 
 
 def pd_compare(w: weights.MultiplicativeWeight, x: int, n: int, oracle_draws: int, seed: int) -> list[dict]:
@@ -245,8 +247,8 @@ def gamma_law_ks(tables: weights.DrawTables, K: float, gamma: float, n: int, rng
     """
     x = len(tables.prefix) - 1
     # the draws are held only while they are factored
-    vals = _factor_blocks(sampling.WeightedIntegerSampler(tables.prefix, rng).sample(n), tables.p1,
-                          lambda f: sampling.size_biased_prime(f, rng)[1], np.empty(n))
+    vals = _in_blocks(sampling.WeightedIntegerSampler(tables.prefix, rng).sample(n),
+                      lambda d: sampling.size_biased_prime(arith.factor_matrix(d, tables.p1), rng)[1], np.empty(n))
     vals /= math.log(x) ** (1.0 / (gamma + 1.0))
     shape, rate = asympt.gamma_law_params(K, gamma)
     return limitlaws.ks_distance(vals, lambda t: limitlaws.gamma_cdf(shape, rate, t))

@@ -115,11 +115,8 @@ def _c01_exact_sums(scale: str):
     ws = weights.catalog_weights()
     checks = []
     profiles = [arith.factorize(n, spf) for n in range(1, x + 1)]
-    levels, k, ps = [], 1, arith.primes_upto(x)
-    while len(ps):  # the primes p with p^k <= x, for each k
-        levels.append((k, ps))
-        k += 1
-        ps = ps[ps**k <= x]
+    # the primes p with p^k <= x, for each k: all primes at k = 1, the walk's levels above
+    levels = [(1, arith.primes_upto(x)), *enumerate(arith.Walk(x).levels[1:], 2)]
     for w in ws:
         S = float(weights.build_weight_table(w, x).prefix[-1])
         # alpha(p^k) from one vectorized call per k; the per-n product is the oracle

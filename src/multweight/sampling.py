@@ -7,8 +7,8 @@ preferred to Monte Carlo so acceptance checks carry no sampling noise: a
 law is the alpha-mass of each value of a statistic, added up along the
 walk over n <= x (experiments.scan), normalized here.
 
-Per-draw statistics (log-prime spectrum, size-biased prime) are computed
-for all draws at once from their factor matrix, bit for bit as per draw.
+Per-draw statistics run on many draws at once: the log-prime spectrum by
+lookups in the p_1 table, the size-biased prime on the draws' factor matrix.
 
 RNG contract: callers pass a numpy Generator (numpy.random.default_rng;
 PCG64 is seedable and splittable via spawn).  All experiments record their
@@ -111,57 +111,39 @@ def exact_pmf_from_mass(mass: np.ndarray, atoms: np.ndarray | None = None) -> Ex
     return ExactPmf(atoms.astype(float), mass[keep] / mass.sum())
 
 
-def prime_logs(a: np.ndarray) -> np.ndarray:
-    """math.log of every entry of an integer array, one call per distinct
-    value (np.log differs from it in the last bit for some); 0 below 2."""
-    out = np.zeros(np.shape(a))
-    big = a > 1
-    uniq, inv = np.unique(a[big], return_inverse=True)
-    out[big] = np.array([math.log(v) for v in uniq.tolist()])[inv]
+def spectrum(draws: np.ndarray, p1: np.ndarray, x: int, k: int) -> np.ndarray:
+    """The k largest log p_j(n)/log x of each draw n, read by k lookups in the
+    p_1 table of n <= len(p1) - 1: p = p_1(rem), then rem //= p.  Nonincreasing,
+    and 0 beyond Omega(n), since a finished draw reads p_1(1) = 1."""
+    rem = np.array(draws, dtype=np.int64)
+    if rem.size and (rem.min() < 1 or rem.max() > len(p1) - 1):
+        raise ValueError(f"n outside table range [1, {len(p1) - 1}]")
+    out = np.empty((len(rem), k))
+    for j in range(k):
+        p = p1[rem]
+        out[:, j] = np.log(p)
+        rem //= p
+    out /= math.log(x)
     return out
-
-
-def spectrum(primes: np.ndarray, x: int, k: int) -> np.ndarray:
-    """The k largest log p_i(n)/log x of each row's n, read backwards from its
-    factor matrix (`arith.factor_matrix`, whose rows end in the primes in
-    nondecreasing order): nonincreasing, 0 beyond Omega(n)."""
-    top = prime_logs(primes[:, ::-1][:, :k]) / math.log(x)
-    return np.pad(top, ((0, 0), (0, k - top.shape[1])))
 
 
 def size_biased_prime(primes: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One prime p of each row's n, drawn with probability nu_p(n) log p / log n
-    (the integer analogue of the cycle containing a distinguished element),
-    and its log as `prime_logs` takes it.
+    (the integer analogue of the cycle containing a distinguished element), and its log.
 
-    The rows of a factor matrix are read in order.  Each n > 1 takes one
-    uniform, and its draw is that of rng.choice over its distinct primes with
-    weights nu_p log p, bit for bit; n = 1 takes none and gives 0, log 0.
+    The rows of a factor matrix (`arith.factor_matrix`) are read in order.
+    Each n > 1 takes one uniform u and picks the first prime factor, counted
+    with multiplicity, whose share of the running sum of log p exceeds u;
+    n = 1 takes none and gives 0, log 0.
     """
-    starts, ends = primes > 1, primes > 1
-    starts[:, 1:] &= primes[:, 1:] != primes[:, :-1]
-    ends[:, :-1] &= primes[:, :-1] != primes[:, 1:]
-    # one (start, end) pair per run of equal primes, both in row-major order
-    r, c = np.nonzero(starts)
-    j = np.cumsum(starts, axis=1)[r, c] - 1
-    nd = starts.sum(axis=1)
-    P = np.zeros((len(primes), nd.max(initial=0)), dtype=np.int64)
-    L, W = np.zeros(P.shape), np.zeros(P.shape)
-    P[r, j] = primes[r, c]
-    L[r, j] = prime_logs(P[r, j])
-    W[r, j] = (np.nonzero(ends)[1] - c + 1) * L[r, j]
-    # rng.choice's rule: p = w / w.sum(), summed as numpy sums the row's d
-    # weights; cdf = cumsum(p) / its last entry; the first index with cdf > u
-    total = np.ones(len(P))
-    for d in range(1, P.shape[1] + 1):
-        total[nd == d] = W[nd == d, :d].sum(axis=1)
-    live = np.flatnonzero(nd)
-    cdf = np.cumsum(W[live] / total[live, None], axis=1)
-    cdf /= cdf[:, -1:]
+    logs = np.log(primes)  # the padding 1s add 0
+    live = np.flatnonzero(logs.any(axis=1))
+    cdf = np.cumsum(logs[live], axis=1)
+    cdf /= cdf[:, -1:]  # its last entry is 1, above every uniform
     pick = (cdf <= rng.random(len(live))[:, None]).sum(axis=1)
-    out, logs = np.zeros(len(P), dtype=np.int64), np.zeros(len(P))
-    out[live], logs[live] = P[live, pick], L[live, pick]
-    return out, logs
+    out, out_logs = np.zeros(len(primes), dtype=np.int64), np.zeros(len(primes))
+    out[live], out_logs[live] = primes[live, pick], logs[live, pick]
+    return out, out_logs
 
 
 def nu_p_limit_pmf(w: MultiplicativeWeight, p: int) -> ExactPmf:

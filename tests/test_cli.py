@@ -706,10 +706,13 @@ def test_largest_ratio_below_x_2_is_rejected(tmp_path, capsys):
      "log p/log x needs x >= 2, got x=1"),
     (["ek-compare", "--weight", "divisor:2", "--x", "1e3,2"],
      "(Omega - c)/sqrt(c), c = theta log log x, needs x >= 3, got x=2"),
-], ids=["poly-typical", "pd-compare", "ek-compare"])
+    (["sieve-sum", "--weight", "theta_omega:2", "--x", "1,1e7"], "the predictors of S(x) need x >= 2, got x=1"),
+    (["poly-asym", "--x", "2,1e7"], "the saddle point of S(x) needs x >= 3, got x=2"),
+], ids=["poly-typical", "pd-compare", "ek-compare", "sieve-sum", "poly-asym"])
 def test_log_x_ops_below_their_range_fail_before_any_walk(monkeypatch, tmp_path, argv, message, capsys):
     # poly-typical ended in a ZeroDivisionError traceback, pd-compare reported
-    # 0.0 for each log p/log x, and ek-compare printed "error: math domain error"
+    # 0.0 for each log p/log x, and ek-compare printed "error: math domain error";
+    # sieve-sum and poly-asym walked n <= 1e7 before the predictor refused x
     def no_walk(*args):
         raise AssertionError("a walk was started")
 
@@ -723,7 +726,10 @@ def test_log_x_ops_below_their_range_fail_before_any_walk(monkeypatch, tmp_path,
     ["poly-typical", "--x", "2", "--n", "100"],
     ["pd-compare", "--weight", "power:0", "--x", "2", "--n", "100", "--oracle-draws", "100"],
     ["ek-compare", "--weight", "divisor:2", "--x", "3"],
-], ids=["poly-typical", "pd-compare", "ek-compare"])
+    ["sieve-sum", "--weight", "theta_omega:2", "--x", "2"],
+    ["sieve-sum", "--weight", "poly_log:1:1", "--x", "2"],
+    ["poly-asym", "--x", "3"],
+], ids=["poly-typical", "pd-compare", "ek-compare", "sieve-sum", "sieve-sum-poly", "poly-asym"])
 def test_log_x_ops_run_at_the_bottom_of_their_range(tmp_path, argv):
     assert run(argv + ["--json", str(tmp_path / "r.json")]) == 0
     assert read_json(tmp_path / "r.json")["results"]

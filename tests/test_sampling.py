@@ -225,10 +225,10 @@ class LogPrimeSpectrum:
 
 
 def spectrum_oracle(profile, x):
-    """Oracle: the spectrum of one factorization, one math.log per prime factor."""
+    """Oracle: the spectrum of one factorization, one np.log per prime factor."""
     logs = []
     for p, k in profile.factors:
-        logs.extend([math.log(p)] * k)
+        logs.extend([float(np.log(p))] * k)
     logs.sort(reverse=True)
     ratios = np.array(logs) / math.log(x) if logs else np.array([])
     return LogPrimeSpectrum(n=profile.n, x=x, ratios=ratios)
@@ -243,6 +243,29 @@ def size_biased_prime_oracle(profile, rng):
     return ps[rng.choice(len(ps), p=wts / wts.sum())]
 
 
+def size_biased_pick_oracle(profile, u):
+    """Oracle: the pick rule of one factorization at the uniform u, one prime
+    factor at a time: the running sum of np.log(p) over the prime factors with
+    multiplicity, ascending, and the first whose share of the total exceeds u."""
+    primes = [p for p, k in profile.factors for _ in range(k)]
+    cdf, total = [], 0.0
+    for p in primes:
+        total += float(np.log(p))
+        cdf.append(total)
+    return next(p for p, c in zip(primes, cdf) if c / total > u)
+
+
+class _GivenUniforms:
+    """An rng whose uniform draws are given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert (size,) == self.u.shape
+        return self.u.copy()
+
+
 def _draws(n, seed):
     """n draws at x = 1e6 with n = 1 and primes where np.log and math.log
     differ in the last bit (and their multiples) mixed in."""
@@ -254,16 +277,10 @@ def _draws(n, seed):
     return draws
 
 
-def test_prime_logs_are_math_log():
-    ps = arith.primes_upto(10**6)
-    assert np.array_equal(sampling.prime_logs(ps), np.array([math.log(p) for p in ps.tolist()]))
-    assert sampling.prime_logs(np.array([[0, 1, 4]])).tolist() == [[0.0, 0.0, math.log(4)]]
-
-
 def test_spectrum_matches_oracle_bit_for_bit(spf_1e6, p1_1e6):
     draws = _draws(10**4, 11)
     k = 21  # past the largest Omega, 19, so the zero padding is checked too
-    batch = sampling.spectrum(arith.factor_matrix(draws, p1_1e6), 10**6, k)
+    batch = sampling.spectrum(draws, p1_1e6, 10**6, k)
     oracle = [[spectrum_oracle(arith.factorize(int(m), spf_1e6), 10**6).ratio(j) for j in range(1, k + 1)]
               for m in draws]
     assert batch.shape == (10**4, k)
@@ -288,7 +305,7 @@ def test_size_biased_prime_logs_are_prime_logs_of_its_primes(p1_1e6):
         primes, logs = sampling.size_biased_prime(arith.factor_matrix(_draws(10**4, seed), p1_1e6),
                                                   np.random.default_rng(seed))
         assert (primes == 0).any() and (primes > 1).any()
-        assert np.array_equal(logs, sampling.prime_logs(primes))
+        assert np.array_equal(logs, np.log(np.maximum(primes, 1)))
 
 
 def test_size_biased_prime_matches_rng_choice_with_eight_primes():
@@ -300,6 +317,29 @@ def test_size_biased_prime_matches_rng_choice_with_eight_primes():
     rng_a, rng_b = np.random.default_rng(14), np.random.default_rng(14)
     oracle = [0 if m == 1 else size_biased_prime_oracle(arith.factorize(m, spf), rng_a) for m in ns.tolist()]
     assert np.array_equal(sampling.size_biased_prime(arith.factor_matrix(ns, p1), rng_b)[0], np.array(oracle))
+
+
+def test_size_biased_prime_is_the_pick_rule_draw_by_draw(spf_1e6, p1_1e6):
+    # the same uniforms through the per-n oracle, bit for bit, n = 1 taking none
+    draws = _draws(10**4, 16)
+    u = np.random.default_rng(16).random(int((draws > 1).sum()))
+    oracle = np.zeros(len(draws), dtype=np.int64)
+    oracle[draws > 1] = [size_biased_pick_oracle(arith.factorize(m, spf_1e6), v)
+                         for m, v in zip(draws[draws > 1].tolist(), u.tolist())]
+    batch, _ = sampling.size_biased_prime(arith.factor_matrix(draws, p1_1e6), _GivenUniforms(u))
+    assert np.array_equal(batch, oracle)
+
+
+def test_size_biased_prime_of_12_at_the_edges_of_its_cdf(spf_1e4, p1_1e4):
+    # 12 = 2 * 2 * 3: at u = 0, at each cdf entry (the next factor's) and just below it
+    profile = arith.factorize(12, spf_1e4)
+    cdf = np.cumsum(np.log([2, 2, 3]))
+    cdf /= cdf[-1]
+    u = np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf, 0.0)])
+    batch, logs = sampling.size_biased_prime(arith.factor_matrix(np.full(len(u), 12), p1_1e4), _GivenUniforms(u))
+    assert batch.tolist() == [size_biased_pick_oracle(profile, v) for v in u.tolist()]
+    assert batch.tolist() == [2, 2, 3, 2, 2, 3]
+    assert np.array_equal(logs, np.log(batch))
 
 
 def size_biased_primes_of(n, p1, rng, draws=1):
@@ -330,7 +370,7 @@ def test_size_biased_prime_of_one_is_zero_and_takes_no_uniform(spf_1e4, p1_1e4, 
 
 
 def spectrum_of(n, x, p1, k=4):
-    return sampling.spectrum(arith.factor_matrix(np.array([n]), p1), x, k)[0]
+    return sampling.spectrum(np.array([n]), p1, x, k)[0]
 
 
 def test_spectrum_examples(p1_1e4):
@@ -339,6 +379,13 @@ def test_spectrum_examples(p1_1e4):
     assert spectrum_of(1, 50, p1_1e4).tolist() == [0.0] * 4
     assert spectrum_of(97, 97, p1_1e4).tolist() == [1.0, 0.0, 0.0, 0.0]
     assert spectrum_of(12, 12, p1_1e4, k=2).tolist() == spectrum_of(12, 12, p1_1e4)[:2].tolist()
+    draws = np.array([12, 97])
+    assert sampling.spectrum(draws, p1_1e4, 12, 4).tolist() == [spectrum_of(12, 12, p1_1e4).tolist(),
+                                                               spectrum_of(97, 12, p1_1e4).tolist()]
+    assert draws.tolist() == [12, 97]  # the draws are read, not divided in place
+    for bad in ([0, 5], [5, 10**4 + 1]):
+        with pytest.raises(ValueError, match="outside table range"):
+            sampling.spectrum(np.array(bad), p1_1e4, 10**4, 3)
 
 
 @given(st.integers(min_value=2, max_value=9999))

@@ -296,15 +296,15 @@ def test_streamed_joint_law_equals_joint_pmf_from_values(x, alpha_of):
 
 
 def test_streamed_scan_holds_a_few_chunks():
-    # the scan holds one CHUNK of alpha and the temporaries of a block or two
-    # (the int32 cofactors of the last block and the next, being built; S(x)
-    # and the cofactor step take PIECE entries at a time); nothing that grows
-    # with x but the walk's lists of the prime powers of the primes up to
-    # sqrt(x).  Measured: 11.4 MiB at 2^21 and 2^23
+    # the scan holds one CHUNK of alpha and the temporaries of one block (its
+    # int32 cofactors, being built, the last block's freed first; S(x) and the
+    # cofactor step take PIECE entries at a time); nothing that grows with x
+    # but the walk's lists of the prime powers of the primes up to sqrt(x).
+    # Measured: 10.1 MiB at 2^21 and 2^23, 11.4 MiB while the last block was held
     w = builtin_weight("divisor", k=2.0)
     extra = [extra_bytes(lambda: experiments.exact_dist(w, x, "big_omega"))
              for x in (2**21, 2**23)]
-    assert max(extra) < 8 * CHUNK + 20 * B
+    assert max(extra) < 8 * CHUNK + 12 * B
     prime_powers = sum(len(level) for level in arith.Walk(2**23).levels)
     assert extra[1] - extra[0] < 128 * prime_powers
 
@@ -346,8 +346,9 @@ def test_scan_experiments_hold_memory_bounded_at_2_pow_23():
     # every scan-family experiment holds the walk's blocks and the CHUNK-entry
     # alpha buffer (8 MiB), not an array of x entries; conditions sums over
     # the prime sieve's segments and holds less than any walk.  Measured at
-    # 2^23: 8.9-12.4 MiB for the walk ops; 3.5 MiB for conditions, which
-    # held 21.5 MiB when it sieved all of n <= x at once
+    # 2^23: 8.6-10.9 MiB for the walk ops (8.9-12.4 MiB while a scan held the
+    # last block besides the next); 3.5 MiB for conditions, which held
+    # 21.5 MiB when it sieved all of n <= x at once
     x = 2**23
     w = builtin_weight("divisor", k=2.0)
     walks = {
@@ -360,7 +361,7 @@ def test_scan_experiments_hold_memory_bounded_at_2_pow_23():
     }
     peaks = {name: extra_bytes(run) for name, run in walks.items()}
     for name, peak in peaks.items():
-        assert peak < 14 * 2**20, (name, peak)
+        assert peak < 12 * 2**20, (name, peak)
     conditions = extra_bytes(lambda: experiments.conditions(w, [10**4, x]))
     assert conditions < 4 * arith.SEGMENT, conditions
     assert conditions < min(peaks.values()), (conditions, peaks)

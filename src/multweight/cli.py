@@ -34,7 +34,7 @@ import time
 
 import numpy as np
 
-from . import __version__, arith, experiments, harness, permutations, weights
+from . import __version__, arith, experiments, permutations, weights
 
 
 def parse_weight_spec(spec) -> weights.MultiplicativeWeight:
@@ -323,6 +323,8 @@ def cmd_dickman(args, w):
 
 
 def cmd_selftest(args, w):
+    from . import harness  # and xml.etree with it, for this subcommand only
+
     results = harness.run_all(args.scale, case_ids=args.cases.split(",") if args.cases else None)
     if args.junit:
         harness.write_junit(results, args.junit)
@@ -431,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_dickman)
 
     sp = sub.add_parser("selftest", help="run the acceptance suite")
-    sp.add_argument("--scale", choices=harness.SCALES, default="selftest")
+    sp.add_argument("--scale", choices=experiments.SCALES, default="selftest")
     sp.add_argument("--cases", help="comma-separated case ids (default: all)")
     sp.add_argument("--junit", help="write a JUnit-style XML result file")
     sp.set_defaults(func=cmd_selftest)

@@ -18,6 +18,7 @@ import numpy as np
 from . import arith, asympt, limitlaws, permutations, sampling, weights
 
 STATISTICS = ("omega", "big_omega", "nu", "largest_prime", "largest_ratio", "smooth")
+SCALES = ("desk", "selftest", "extended")  # the sizes of harness's acceptance cases, which cli lists
 
 
 def statistic(name: str, x: int, p: int = 2, u: float = 2.0):
@@ -70,19 +71,19 @@ def joint_nu(x: int, p: int, q: int):
 def scan(w: weights.MultiplicativeWeight, x: int, ys: list[int] = (), laws: list = ()):
     """One walk over n <= x under w, reduced block by block: no array of x entries.
 
-    Returns S(y) for each y in ys, 0 <= y <= x, read as the walk passes y,
-    and for each law (values, stops), values as from `statistic`, the
-    alpha-mass of each value over n <= stop for each stop <= x: an array
-    indexed by value up to the largest value met, added in n order as
-    np.bincount adds it.  A law at a stop below x is a copy taken as the
+    Returns S(y) for each y in ys, 0 <= y <= x, read as the walk passes y
+    (weights.AlphaWalk carries its running sum only through the chunks that
+    hold a y or x), and for each law (values, stops), values as from
+    `statistic`, the alpha-mass of each value over n <= stop for each stop
+    <= x: an array indexed by value up to the largest value met, added in n
+    order as np.bincount adds it.  A law at a stop below x is a copy taken as the
     walk passes it; at x it is the mass itself.  Raises ValueError where
     S(x) is not positive and finite.
     """
-    S, masses, at = {0: 0.0}, [weights.Mass(x) for _ in laws], [{} for _ in laws]
+    masses, at = [weights.Mass(x) for _ in laws], [{} for _ in laws]
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range, S(x) below is inf or NaN
-        walk = weights.AlphaWalk(w, x)
+        walk = weights.AlphaWalk(w, x, ys)
         for b, a in walk:
-            S.update((y, walk.S_at(y)) for y in ys if b.start <= y < b.stop)
             for law, (values, stops), at_stop in zip(masses, laws, at):
                 if b.start > max(stops):
                     continue
@@ -92,8 +93,8 @@ def scan(w: weights.MultiplicativeWeight, x: int, ys: list[int] = (), laws: list
                     at_stop[b.start + hi - 1], lo = law.mass.copy(), hi
                 law.add(v[lo:], a[lo:])
             b = v = None  # the last block's cofactors go before the next block's are built
-        weights.check_S(w, x, walk.S_at(x))
-    return [S[y] for y in ys], [[law.mass if y == x else at_stop[y] for y in stops]
+        weights.check_S(w, x, walk.S[x])
+    return [walk.S[y] for y in ys], [[law.mass if y == x else at_stop[y] for y in stops]
                                 for law, (_, stops), at_stop in zip(masses, laws, at)]
 
 

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import arith, asympt, experiments, limitlaws, permutations, sampling, weights
-from .experiments import atom_gaps
+from .experiments import SCALES, atom_gaps
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,6 @@ class CaseResult:
 # --------------------------------------------------------------------------
 # scale parameters
 # --------------------------------------------------------------------------
-
-SCALES = ("desk", "selftest", "extended")
 
 
 def _p(scale: str, desk, selftest):

@@ -238,7 +238,7 @@ def catalog_weights() -> list[MultiplicativeWeight]:
 
 
 CHUNK = 1 << 20  # S(y) adds whole-chunk totals exactly, by math.fsum
-PIECE = 1 << 16  # entries of S_at's running sum and of the cofactor step's temporaries at a time
+PIECE = 1 << 16  # entries of the cofactor step's temporaries at a time
 
 
 def _fsum(totals: list[float]) -> float:
@@ -248,8 +248,20 @@ def _fsum(totals: list[float]) -> float:
         return math.inf
 
 
+def chunk_total(sums: list[float]) -> float:
+    """np.sum of a CHUNK-entry float64 chunk from the np.sum of each of its
+    BLOCK-entry blocks, in order.  numpy sums a contiguous array pairwise
+    (Higham, SIAM J. Sci. Comput. 14, 1993), halving it through BLOCK
+    entries, so the chunk's total is the pairwise tree of its block sums."""
+    if len(sums) == 1:
+        return sums[0]
+    half = len(sums) // 2
+    return chunk_total(sums[:half]) + chunk_total(sums[half:])
+
+
 class AlphaWalk:
-    """alpha on the blocks of the walk over n <= x (arith.Walk).
+    """alpha on the blocks of the walk over n <= x (arith.Walk), and S(y) at
+    the read points y in ys and x.
 
     n <= x is a product of prime powers p^k, p <= sqrt(x), and a cofactor
     q that is 1 or the prime p_1(n) > sqrt(x).  alpha(b, out) writes alpha
@@ -264,17 +276,24 @@ class AlphaWalk:
     Weights where alpha(p^j) = 0 but alpha(p^k) != 0 for some k > j cannot
     be sieved this way and are rejected (no catalog weight does that).
 
-    Iterating yields (block, alpha on it), written into one CHUNK-entry
-    buffer (the walk's blocks nest in chunks): np.sum sees the chunks whose
-    totals the prefix sum of build_weight_table adds, and S_at(y) equals its
-    entry y for y = 0 and for y in the chunk of the last block yielded.  That
-    buffer and the block's own tables are all a walk holds.  Past the float
-    range alpha is inf or NaN, without a warning only under the caller's
-    np.errstate.
+    Iterating yields (block, alpha on it), written into one
+    BLOCK-entry buffer; the walk's blocks nest in CHUNK-entry chunks.  It
+    takes each block's np.sum as the block passes, and each whole chunk's
+    total from them (chunk_total), the np.sum that build_weight_table adds.
+    S(y) is the math.fsum of the totals of the chunks before y's plus the
+    cumsum of y's chunk up to y, as the dense prefix sums it: in a chunk that
+    holds a read point, the running sum is carried through each block up to
+    the last read point by one in-place cumsum, once the block's alpha has
+    been used (so alpha on a block is valid until the next is asked for).
+    S maps each read point, and 0, to S(y) once the walk has passed it.
+    That buffer and the block's own tables are all a walk holds.  Past the
+    float range alpha is inf or NaN, without a warning only under the
+    caller's np.errstate.
     """
 
-    def __init__(self, w: MultiplicativeWeight, x: int):
+    def __init__(self, w: MultiplicativeWeight, x: int, ys: Sequence[int] = ()):
         self.w, self.walk, self.ratios = w, arith.Walk(x), []
+        self.reads = sorted({*ys, x})
         c = w.prime_value  # stands in for alpha(q) at every cofactor, so it must be values(ps, 1)
         if c is not None and np.any(_nonnegative(w, w.values_on_primes(np.array([2, 3]), 1)) != c):
             raise ValueError(f"{w.name}: prime_value {c:g} is not its alpha(p) at p = 2 and 3")
@@ -305,29 +324,24 @@ class AlphaWalk:
         return out
 
     def __iter__(self):
-        self.totals, self.chunk = [], np.empty(CHUNK)
+        self.S, self.totals = {0: 0.0}, []
+        buf, sums, run = np.empty(arith.BLOCK), [], 0.0
+        whole = self.walk.x // CHUNK  # the chunks that end by x; the last, partial one needs no total
         for b in self.walk:
-            o = (b.start - 1) % CHUNK
-            if o == 0 and b.start > 1:
-                self.totals.append(float(np.sum(self.chunk)))
-            yield b, self.alpha(b, self.chunk[o : o + b.stop - b.start])
-
-    def S_at(self, y: int) -> float:
-        """S(y): the totals of the whole chunks before y's, and y's chunk up to y.
-
-        The chunk part is summed as np.cumsum(part)[-1] sums it, one addition
-        after another, but PIECE entries at a time in one small buffer: the
-        first piece as it is, each later one behind the running sum in slot 0.
-        """
-        part = self.chunk[: y - len(self.totals) * CHUNK]
-        run = np.empty(min(len(part), PIECE) + 1)
-        for i in range(0, len(part), PIECE):
-            src = part[i : i + PIECE]
-            piece = run[: len(src) + 1] if i else run[: len(src)]
-            piece[-len(src) :] = src
-            np.cumsum(piece, out=piece)
-            run[0] = piece[-1]
-        return (float(run[0]) if len(part) else 0.0) + _fsum(self.totals)
+            chunk = (b.start - 1) // CHUNK
+            a = self.alpha(b, buf[: b.stop - b.start])
+            if chunk < whole:
+                sums.append(float(np.sum(a)))
+            reads = [y for y in self.reads if b.start <= y <= (chunk + 1) * CHUNK]
+            yield b, a
+            if reads:  # S(y) in this chunk: carry the running sum through the block
+                if b.start > chunk * CHUNK + 1:
+                    a[0] += run
+                run = float(np.cumsum(a, out=a)[-1])
+                self.S.update((y, float(a[y - b.start]) + _fsum(self.totals)) for y in reads if y < b.stop)
+            if len(sums) == CHUNK // arith.BLOCK:
+                self.totals.append(chunk_total(sums))
+                sums = []
 
 
 def check_S(w: MultiplicativeWeight, x: int, S: float) -> None:
@@ -381,7 +395,8 @@ def build_weight_table(w: MultiplicativeWeight, x: int, law: Callable | None = N
 
     Each block's alpha and p_1 are written into the outputs, then each
     CHUNK-entry chunk of alpha is replaced, in place, by its cumsum plus the
-    math.fsum of the np.sum totals of the chunks before it: a plain cumsum
+    math.fsum of the totals of the chunks before it, each the chunk_total of
+    its blocks' np.sum, as AlphaWalk takes them: a plain cumsum
     drifts like n*eps, this one only within a chunk, whatever x.
     Raises ValueError where S(x) is not positive and finite.
     """
@@ -396,11 +411,11 @@ def build_weight_table(w: MultiplicativeWeight, x: int, law: Callable | None = N
             p1[b.start : b.stop] = b.largest_prime
         for start in range(1, x + 1, CHUNK):
             chunk = prefix[start : start + CHUNK]
-            total = float(np.sum(chunk))
+            sums = [float(np.sum(chunk[i : i + arith.BLOCK])) for i in range(0, len(chunk), arith.BLOCK)]
             np.cumsum(chunk, out=chunk)
             if totals:
                 chunk += _fsum(totals)
-            totals.append(total)
+            totals.append(chunk_total(sums))
         check_S(w, x, prefix[-1])
     return DrawTables(p1, prefix, None if mass is None else mass.mass)
 

@@ -68,6 +68,25 @@ def test_within_bound_is_the_changes_median_no_worse_than_the_bound_allows():
     assert check([2.0] * 10, "higher")
 
 
+def test_setup_probe_is_summarized_by_each_runs_median_probe():
+    metrics = [{"name": "setup_s", "better": "lower", "bound": 0.25}]
+    probes = {"1": ([0.30, 0.20, 0.21], [0.18, 0.19, 0.40]), "2": ([0.22, 0.23, 0.22], [0.20, 0.50, 0.19]),
+              "3": ([0.21, 0.25, 0.24], [0.22, 0.24, 0.26])}
+    pairs = _pairs([0.268, 0.268, 0.218], [0.318, 0.218, 0.268], name="setup_s")
+    for seed, (parent, change) in probes.items():
+        pairs[seed]["parent"]["setup_probe_s"], pairs[seed]["change"]["setup_probe_s"] = parent, change
+    out = bench_pairs.summarize(pairs, metrics)
+    # run medians: parent 0.21, 0.22, 0.24; change 0.19, 0.20, 0.24
+    assert out["setup_probe_s"]["parent_q1_med_q3"] == pytest.approx([0.215, 0.22, 0.23])
+    assert out["setup_probe_s"]["change_q1_med_q3"] == pytest.approx([0.195, 0.20, 0.22])
+    assert out["setup_probe_s"]["change_wins"] == 2 and out["setup_probe_s"]["pairs"] == 3
+    assert out["setup_probe_s"]["median_change_rel"] == pytest.approx(0.20 / 0.22 - 1.0)
+    assert "gain_rule_met" not in out["setup_probe_s"]  # the probe only explains setup_s
+    assert out["setup_s"]["change_wins"] == 1
+    del pairs["2"]["change"]["setup_probe_s"]  # runs without probes: no probe summary
+    assert "setup_probe_s" not in bench_pairs.summarize(pairs, metrics)
+
+
 def test_pairs_flag_names_a_workload_and_a_positive_count():
     assert bench_pairs.parse_pairs("scan-1e7=10") == ("scan-1e7", 10)
     for raw in ("scan-1e7", "scan-1e7=0", "scan-1e7=-1", "scan-1e7=x"):

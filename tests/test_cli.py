@@ -104,6 +104,16 @@ def test_the_sampled_cases_c04_c10_c14_load_no_scipy_special(tmp_path):
     assert "'scipy.special'" in then
 
 
+def test_only_selftest_imports_the_harness_and_xml(tmp_path):
+    # the acceptance cases and their JUnit writer (xml.etree) are imported by
+    # selftest alone, not with the CLI for every subcommand
+    before, after, then = _scipy_modules_loaded(
+        tmp_path, [_SCAN_OPS[0], _DRAW_OPS[0]], ["multweight.harness", "xml"],
+        [["selftest", "--scale", "selftest", "--cases", "c08"]])
+    assert before == after == "[]"
+    assert "'multweight.harness'" in then and "'xml.etree'" in then
+
+
 def test_importing_the_cli_loads_no_scipy(tmp_path):
     assert _scipy_modules_loaded(tmp_path, [], ["scipy"])[0] == "[]"
 

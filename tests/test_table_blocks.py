@@ -130,9 +130,10 @@ def test_weight_table_past_the_float_range_is_degenerate(x, s):
             weights.build_weight_table(builtin_weight("power", z=100.0), x)
 
 
-PIECE = weights.PIECE  # S_at sums a chunk's part PIECE entries at a time, carrying the running sum
-CHUNK_YS = (0, 1, 2, PIECE - 1, PIECE, PIECE + 1, CHUNK - 1, CHUNK, CHUNK + 1,
-            CHUNK + PIECE - 1, CHUNK + PIECE, CHUNK + PIECE + 1, 2 * CHUNK, 2 * CHUNK + 5)
+PIECE = weights.PIECE  # the cofactor step takes a block PIECE entries at a time
+# S(y) carries its running sum from block to block within y's chunk
+CHUNK_YS = (0, 1, 2, PIECE - 1, PIECE, PIECE + 1, B - 1, B, B + 1, CHUNK - 1, CHUNK, CHUNK + 1,
+            CHUNK + PIECE - 1, CHUNK + PIECE, CHUNK + PIECE + 1, CHUNK + B + 1, 2 * CHUNK, 2 * CHUNK + 5)
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +156,78 @@ def test_S_at_and_sub_tables_equal_the_dense_prefix_at_chunk_edges(p1_chunks, al
         sub, direct = table[: y + 1], weights.build_weight_table(w, y).prefix
         assert np.array_equal(sub, direct), w.name
         assert np.array_equal(direct, prefix[: y + 1]), w.name
+
+
+def block_sums(chunk):
+    return [float(np.sum(chunk[i : i + B])) for i in range(0, len(chunk), B)]
+
+
+def test_chunk_total_of_block_sums_is_the_chunks_np_sum():
+    # numpy's pairwise sum splits a CHUNK-entry float64 array at 2^19 and
+    # 2^18: the pairwise tree of the np.sum of its blocks is its np.sum, bit
+    # for bit.  Were a numpy to split otherwise, this fails rather than the
+    # dense prefix and the scan's S(y) parting silently
+    rng = np.random.default_rng(7)
+    chunks = [rng.random(CHUNK), rng.lognormal(0.0, 4.0, CHUNK), rng.standard_normal(CHUNK),
+              rng.random(CHUNK) * rng.exponential(size=CHUNK) ** 3]
+    chunks += [rng.random(CHUNK) * 10.0 ** rng.integers(-8, 8) for _ in range(6)]
+    for chunk in chunks:
+        assert weights.chunk_total(block_sums(chunk)) == float(np.sum(chunk))
+
+
+def test_walk_chunk_totals_are_the_np_sum_of_alpha_on_each_chunk():
+    x = 2 * CHUNK + 5
+    for w in catalog_weights():
+        walk = weights.AlphaWalk(w, x)
+        alpha = np.concatenate([a.copy() for _, a in walk])
+        chunks = [alpha[:CHUNK], alpha[CHUNK : 2 * CHUNK]]
+        assert walk.totals == [float(np.sum(c)) for c in chunks], w.name
+        assert walk.totals == [weights.chunk_total(block_sums(c)) for c in chunks], w.name
+
+
+def mobius_upto(n):
+    """mu(k) for k = 0..n (mu(0) = 0), from the primes up to n."""
+    mu = np.ones(n + 1, dtype=np.int64)
+    mu[0] = 0
+    for p in arith.primes_upto(n).tolist():
+        mu[::p] *= -1
+        mu[:: p * p] = 0
+    return mu
+
+
+def divisor_sum(y):
+    """D(y) = sum_{n<=y} d(n) = 2 sum_{i<=sqrt y} floor(y/i) - floor(sqrt y)^2 (Dirichlet's hyperbola)."""
+    r = math.isqrt(y)
+    return 2 * int(np.sum(y // np.arange(1, r + 1, dtype=np.int64))) - r * r
+
+
+def squarefree_count(y, mu):
+    """Q(y) = sum_{k<=sqrt y} mu(k) floor(y/k^2)."""
+    k = np.arange(1, math.isqrt(y) + 1, dtype=np.int64)
+    return int(np.sum(mu[k] * (y // (k * k))))
+
+
+def two_to_omega_sum(y, mu):
+    """sum_{n<=y} 2^omega(n) = sum_{k<=sqrt y} mu(k) D(floor(y/k^2)), as 2^omega(n) = sum_{k^2|n} mu(k) d(n/k^2)."""
+    return sum(int(mu[k]) * divisor_sum(y // (k * k)) for k in range(1, math.isqrt(y) + 1) if mu[k])
+
+
+ORACLE_YS = (B - 1, B, B + 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5, 3 * CHUNK)
+
+
+@pytest.mark.parametrize("x", [2**23 + 12345, 10**7])
+def test_walk_S_equals_the_closed_form_integer_sums_at_block_and_chunk_edges(x):
+    # the three integer weights have exact sums below 2^53, so the scan's
+    # S(y) must equal them exactly in any order of addition: a check, with no
+    # tolerance, of the running sum carried through a chunk's blocks and of
+    # the chunk totals at 8 to 10 chunks, past the dense tests' 2 chunks
+    mu = mobius_upto(math.isqrt(x))
+    ys = list(ORACLE_YS) + [x]
+    sums = {"divisor": divisor_sum, "powerfree": lambda y: squarefree_count(y, mu),
+            "theta_omega": lambda y: two_to_omega_sum(y, mu)}
+    for kind, param in (("divisor", {"k": 2.0}), ("powerfree", {"k": 2}), ("theta_omega", {"theta": 2.0})):
+        S, _ = experiments.scan(builtin_weight(kind, **param), x, ys=ys)
+        assert S == [float(sums[kind](y)) for y in ys], kind
 
 
 def test_weight_table_whose_chunk_totals_sum_past_the_float_range_is_degenerate():
@@ -296,15 +369,16 @@ def test_streamed_joint_law_equals_joint_pmf_from_values(x, alpha_of):
 
 
 def test_streamed_scan_holds_a_few_chunks():
-    # the scan holds one CHUNK of alpha and the temporaries of one block (its
-    # int32 cofactors, being built, the last block's freed first; S(x) and the
-    # cofactor step take PIECE entries at a time); nothing that grows with x
+    # the scan holds one block of alpha (8 bytes per entry) and the
+    # temporaries of one block (its int32 cofactors, being built, the last
+    # block's freed first; S(x) is carried by a cumsum in place and the
+    # cofactor step takes PIECE entries at a time); nothing that grows with x
     # but the walk's lists of the prime powers of the primes up to sqrt(x).
-    # Measured: 10.1 MiB at 2^21 and 2^23, 11.4 MiB while the last block was held
+    # Measured: 4.1 and 4.2 MiB at 2^21 and 2^23, 10.1 MiB with a CHUNK of alpha
     w = builtin_weight("divisor", k=2.0)
     extra = [extra_bytes(lambda: experiments.exact_dist(w, x, "big_omega"))
              for x in (2**21, 2**23)]
-    assert max(extra) < 8 * CHUNK + 12 * B
+    assert max(extra) < 8 * B + 14 * B
     prime_powers = sum(len(level) for level in arith.Walk(2**23).levels)
     assert extra[1] - extra[0] < 128 * prime_powers
 
@@ -343,12 +417,12 @@ def test_streamed_largest_prime_laws_equal_the_per_n_brute_force(w, spf_1e4):
 
 
 def test_scan_experiments_hold_memory_bounded_at_2_pow_23():
-    # every scan-family experiment holds the walk's blocks and the CHUNK-entry
-    # alpha buffer (8 MiB), not an array of x entries; conditions sums over
-    # the prime sieve's segments and holds less than any walk.  Measured at
-    # 2^23: 8.6-10.9 MiB for the walk ops (8.9-12.4 MiB while a scan held the
-    # last block besides the next); 3.5 MiB for conditions, which held
-    # 21.5 MiB when it sieved all of n <= x at once
+    # every scan-family experiment holds the walk's blocks and the BLOCK-entry
+    # alpha buffer (2 MiB), not an array of x entries; conditions sums over
+    # the prime sieve's segments.  Measured at 2^23: 4.1-4.9 MiB for the walk
+    # ops that build the block's cofactors, 2.6 MiB for small-prime, which
+    # builds none (8.6-10.9 MiB with a CHUNK-entry alpha buffer); 3.5 MiB for
+    # conditions, which held 21.5 MiB when it sieved all of n <= x at once
     x = 2**23
     w = builtin_weight("divisor", k=2.0)
     walks = {
@@ -359,12 +433,12 @@ def test_scan_experiments_hold_memory_bounded_at_2_pow_23():
         "small-prime": lambda: experiments.small_prime(builtin_weight("powerfree", k=2), x, [2, 3, 5]),
         "poly-asym": lambda: experiments.poly_asym(1.0, 1.0, [x // 4, x], 10**4),
     }
-    peaks = {name: extra_bytes(run) for name, run in walks.items()}
-    for name, peak in peaks.items():
-        assert peak < 12 * 2**20, (name, peak)
+    bounds = {"small-prime": 4 * 2**20}
+    for name, run in walks.items():
+        peak = extra_bytes(run)
+        assert peak < bounds.get(name, 6 * 2**20), (name, peak)
     conditions = extra_bytes(lambda: experiments.conditions(w, [10**4, x]))
     assert conditions < 4 * arith.SEGMENT, conditions
-    assert conditions < min(peaks.values()), (conditions, peaks)
 
 
 def test_largest_prime_laws_hold_their_mass_and_a_few_chunks():
@@ -372,7 +446,8 @@ def test_largest_prime_laws_hold_their_mass_and_a_few_chunks():
     # value, is allocated once, not regrown at each block; no dense p_1,
     # alpha or value table and no np.unique copy of one (the dense route
     # held 23 chunks besides the mass at 2^23, 54 for largest_ratio).
-    # Measured: 2.3 and 3.4 chunks at 2^21 and 2^23
+    # Measured: 1.5 chunks at 2^21 and 1.5-2.2 at 2^23 (2.3 while the walk
+    # held a CHUNK of alpha; at 2^23 the p_1 law's peak is its normalization)
     w = builtin_weight("divisor", k=2.0)
     for x in (2**21, 2**23):
         for name in ("largest_prime", "largest_ratio"):

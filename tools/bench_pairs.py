@@ -20,7 +20,13 @@ Each end-to-end metric of BENCHMARK.json is summarized per workload:
 in the metric's direction, median(change) / median(parent) - 1, whether a
 claimed gain would hold (`gain_rule_met`) and whether the metric stays within
 its bound (`within_bound`).  Every run's result line is kept under
-`pairs_by_seed`.  Standard library only; it
+`pairs_by_seed`, with `setup_probe_s`: the seconds of PROBES runs of
+`perfbench/run.py --setup-probe` in the same tree right after it, each timed
+by a plain `Popen(...).wait()`.  run.py's own `setup_s` waits on
+`subprocess.run(..., timeout=120)`, which polls in steps of up to 50 ms; the
+plain wait does not, so the summary's `setup_probe_s` (the same statistics
+over each run's median probe) tells a move of one polling step from a move
+of the import.  Standard library only; it
 reads BENCHMARK.json and runs perfbench/run.py but imports nothing from
 perfbench/.
 """
@@ -38,10 +44,12 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PROBES = 3  # plain-wait setup probes after each run
 
 
 def git(*args: str) -> bytes:
@@ -58,14 +66,34 @@ def exported(rev: str):
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one benchmark run in `tree`."""
+    """The result line of one benchmark run in `tree`, with the seconds of
+    PROBES setup probes after it, each timed by a plain wait."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", "0"]
     env = {**os.environ, "PYTHONHASHSEED": str(seed)}
     done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"bench_pairs: {' '.join(cmd)} in {tree} exited {done.returncode}:\n{done.stderr[-2000:]}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    probe = [sys.executable, "perfbench/run.py", "--setup-probe", "--workload", workload, "--seed", str(seed),
+             "--seconds", "0"]
+    result["setup_probe_s"] = []
+    for _ in range(PROBES):
+        t0 = time.perf_counter()
+        code = subprocess.Popen(probe, cwd=tree, env=env, stdout=subprocess.DEVNULL).wait()
+        result["setup_probe_s"].append(time.perf_counter() - t0)
+        if code != 0:
+            raise SystemExit(f"bench_pairs: {' '.join(probe)} in {tree} exited {code}")
+    return result
+
+
+def spread(par: list[float], chg: list[float], sign: float) -> dict:
+    """[q1, median, q3] of each side, the change's wins (sign -1 where higher
+    is better) and median(change) / median(parent) - 1."""
+    quart = (lambda v: statistics.quantiles(v, n=4, method="inclusive")) if len(par) > 1 else (lambda v: v * 3)
+    wins = sum(sign * (p - c) > 0 for p, c in zip(par, chg))
+    return {"parent_q1_med_q3": quart(par), "change_q1_med_q3": quart(chg), "change_wins": wins,
+            "pairs": len(par), "median_change_rel": statistics.median(chg) / statistics.median(par) - 1.0}
 
 
 def summarize(pairs: dict[str, dict], metrics: list[dict]) -> dict:
@@ -76,24 +104,22 @@ def summarize(pairs: dict[str, dict], metrics: list[dict]) -> dict:
     beats the parent's by more than the parent's q3 - q1;
     within_bound: the change's median is worse than the parent's by at most the
     metric's `bound`, relative.
+
+    Where every run has its `setup_probe_s`, the same spread of each run's
+    median probe follows, as `setup_probe_s`; it claims nothing.
     """
     out = {}
     for m in metrics:
         name, sign = m["name"], 1.0 if m["better"] == "lower" else -1.0
         par = [p["parent"]["metrics"][name]["value"] for p in pairs.values()]
         chg = [p["change"]["metrics"][name]["value"] for p in pairs.values()]
-        quart = (lambda v: statistics.quantiles(v, n=4, method="inclusive")) if len(par) > 1 else (lambda v: v * 3)
-        (q1, med, q3), med_chg = quart(par), statistics.median(chg)
-        wins = sum(sign * (p - c) > 0 for p, c in zip(par, chg))
-        out[name] = {
-            "parent_q1_med_q3": [q1, med, q3],
-            "change_q1_med_q3": quart(chg),
-            "change_wins": wins,
-            "pairs": len(par),
-            "median_change_rel": med_chg / med - 1.0,
-            "gain_rule_met": 10 * wins >= 9 * len(par) and sign * (med - med_chg) > q3 - q1,
-            "within_bound": sign * (med_chg / med - 1.0) <= m["bound"],
-        }
+        out[name] = spread(par, chg, sign)
+        (q1, med, q3), med_chg = out[name]["parent_q1_med_q3"], statistics.median(chg)
+        out[name]["gain_rule_met"] = 10 * out[name]["change_wins"] >= 9 * len(par) and sign * (med - med_chg) > q3 - q1
+        out[name]["within_bound"] = sign * (med_chg / med - 1.0) <= m["bound"]
+    if all("setup_probe_s" in p[side] for p in pairs.values() for side in ("parent", "change")):
+        out["setup_probe_s"] = spread(*([statistics.median(p[side]["setup_probe_s"]) for p in pairs.values()]
+                                        for side in ("parent", "change")), 1.0)
     out["correct_all"] = all(p[side]["correct"] for p in pairs.values() for side in ("parent", "change"))
     return out
 
@@ -133,6 +159,8 @@ def main(argv=None) -> int:
         "command": (f"python3 perfbench/run.py --workload <w> --seed <i> --seconds {seconds:g} --trace 0, "
                     "parent and change alternating (parent first on odd i), same seed and PYTHONHASHSEED=i "
                     "on both sides; " + ", ".join(f"{w} seeds 1-{n}" for w, n in args.pairs)),
+        "setup_probe": (f"python3 perfbench/run.py --setup-probe --workload <w> --seed <i> --seconds 0, {PROBES} "
+                        "times after each run in the same tree, each timed by a plain Popen(...).wait()"),
         "host": host(),
         "quartiles": "[q1, median, q3] over runs (statistics.quantiles, inclusive)",
         "runs": {},
